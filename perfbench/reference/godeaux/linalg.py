@@ -1,0 +1,278 @@
+"""Exact dense linear algebra over Q and Q(zeta_n).
+
+The public operations (`rref`, `kernel_basis`, `span_dim`, `in_span`) work for
+any exact scalar.  Rational computations additionally get an incremental
+integer row space (`IntRowSpace`) that keeps rows primitive, which is what the
+graded-ring code uses in its hot loops.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+
+from .scalars import Cyclo, Scalar, is_rational_scalar, scalar_inv
+
+
+def _canon_entry(x) -> Scalar:
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, (Fraction, Cyclo)):
+        return x
+    raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")
+
+
+class Matrix:
+    """Row-major dense matrix of exact scalars."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries):
+        entries = [[_canon_entry(x) for x in row] for row in entries]
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError("entry shape does not match rows x cols")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def from_rows(cls, rows: list[list]) -> "Matrix":
+        r = len(rows)
+        c = len(rows[0]) if rows else 0
+        return cls(r, c, rows)
+
+    def copy(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, [row[:] for row in self.entries])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
+
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row echelon form with strictly increasing pivot columns."""
+        m = self.copy()
+        a = m.entries
+        pivots = []
+        r = 0
+        for c in range(m.cols):
+            pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+            if pivot_row is None:
+                continue
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+            inv = scalar_inv(a[r][c])
+            a[r] = [x * inv for x in a[r]]
+            for i in range(m.rows):
+                if i != r and a[i][c] != 0:
+                    f = a[i][c]
+                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            pivots.append(c)
+            r += 1
+            if r == m.rows:
+                break
+        return m, tuple(pivots)
+
+
+def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    return matrix.rref()
+
+
+def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
+    """Exact basis of the right null space; size = cols - rank."""
+    red, pivots = matrix.rref()
+    pivot_set = set(pivots)
+    free = [c for c in range(matrix.cols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v: list[Scalar] = [Fraction(0)] * matrix.cols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red.entries[r][f]
+        basis.append(v)
+    return basis
+
+
+def span_dim(vectors: list[list]) -> int:
+    """Rank of the span of the given vectors."""
+    if not vectors:
+        return 0
+    n = len(vectors[0])
+    if any(len(v) != n for v in vectors):
+        raise ValueError("length mismatch")
+    if all(is_rational_scalar(x) for v in vectors for x in v):
+        rs = IntRowSpace(n)
+        for v in vectors:
+            rs.add(v)
+        return rs.dim
+    _, pivots = Matrix.from_rows(vectors).rref()
+    return len(pivots)
+
+
+def in_span(v: list, vectors: list[list]) -> tuple[bool, list[Scalar] | None]:
+    """Whether v is a linear combination of vectors; returns the coordinates."""
+    n = len(v)
+    if any(len(u) != n for u in vectors):
+        raise ValueError("length mismatch")
+    coords = solve_columns(vectors, v)
+    return (coords is not None), coords
+
+
+def solve_columns(columns: list[list], target: list) -> list[Scalar] | None:
+    """Solve sum_i x_i * columns[i] = target exactly, or None if inconsistent."""
+    n = len(target)
+    k = len(columns)
+    if k == 0:
+        return [] if all(x == 0 for x in map(_canon_entry, target)) else None
+    aug = Matrix(n, k + 1, [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)])
+    red, pivots = aug.rref()
+    if k in pivots:
+        return None
+    coords: list[Scalar] = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coords[pc] = red.entries[r][k]
+    return coords
+
+
+# ---------------------------------------------------------------------------
+# Integer row spaces for rational computations
+
+
+def scale_to_int(row) -> list[int]:
+    """Clear denominators of a rational row, returning an integer row."""
+    denoms = [x.denominator for x in row if isinstance(x, Fraction) and x.denominator != 1]
+    mult = lcm(*denoms) if denoms else 1
+    out = []
+    for x in row:
+        if isinstance(x, int):
+            out.append(x * mult)
+        else:
+            out.append(x.numerator * (mult // x.denominator))
+    return out
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    if g > 1:
+        row = [x // g for x in row]
+    lead = next((x for x in row if x), 0)
+    if lead < 0:
+        row = [-x for x in row]
+    return row
+
+
+class IntRowSpace:
+    """Incremental row space over Q with primitive integer rows.
+
+    Rows are reduced against stored pivot rows by fraction-free elimination,
+    so all arithmetic stays in Z.  Deterministic: pivots are leftmost nonzero
+    columns in insertion order.
+    """
+
+    __slots__ = ("ncols", "_pivots")
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self._pivots: dict[int, list[int]] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
+
+    def copy(self) -> "IntRowSpace":
+        dup = IntRowSpace(self.ncols)
+        dup._pivots = dict(self._pivots)
+        return dup
+
+    def pivot_columns(self) -> list[int]:
+        return sorted(self._pivots)
+
+    def rows(self) -> list[list[int]]:
+        return [self._pivots[c] for c in sorted(self._pivots)]
+
+    def reduce(self, row) -> list[int]:
+        """Fully reduce a row against the stored pivots (input not mutated)."""
+        if len(row) != self.ncols:
+            raise ValueError("length mismatch")
+        work = scale_to_int(row) if not all(isinstance(x, int) for x in row) else list(row)
+        pivots = self._pivots
+        j = 0
+        n = self.ncols
+        while j < n:
+            x = work[j]
+            if x == 0:
+                j += 1
+                continue
+            piv = pivots.get(j)
+            if piv is None:
+                break
+            p = piv[j]
+            g = gcd(p, x)
+            a, b = p // g, x // g
+            if a == 1:
+                work = [u - b * v for u, v in zip(work, piv)]
+            else:
+                work = [a * u - b * v for u, v in zip(work, piv)]
+            j += 1
+        return work
+
+    def add(self, row) -> bool:
+        """Add a row; True iff it enlarged the space."""
+        work = self.reduce(row)
+        j = next((i for i, x in enumerate(work) if x), None)
+        if j is None:
+            return False
+        self._pivots[j] = _primitive(work)
+        return True
+
+    def contains(self, row) -> bool:
+        return all(x == 0 for x in self.reduce(row))
+
+
+def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form over Z (rows primitive, pivot cols fully cleared)."""
+    rs = IntRowSpace(ncols)
+    for row in rows:
+        rs.add(row)
+    cols = rs.pivot_columns()
+    reduced = [list(rs._pivots[c]) for c in cols]
+    # Clear pivot columns above each pivot.
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        piv = reduced[i]
+        p = piv[c]
+        for k in range(i):
+            x = reduced[k][c]
+            if x:
+                g = gcd(p, x)
+                a, b = p // g, x // g
+                reduced[k] = _primitive([a * u - b * v for u, v in zip(reduced[k], piv)])
+    return reduced, cols
+
+
+def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of the row matrix."""
+    reduced, pivots = int_rref(rows, ncols)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        scale = 1
+        for r, _ in enumerate(pivots):
+            scale = lcm(scale, reduced[r][pivots[r]])
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(scale)
+        for r, pc in enumerate(pivots):
+            v[pc] = Fraction(-reduced[r][f] * scale, reduced[r][pc])
+        basis.append(_primitive(scale_to_int(v)))
+    return basis

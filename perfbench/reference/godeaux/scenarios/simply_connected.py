@@ -1,0 +1,142 @@
+"""The simply connected example: a canonical subring of C[a, b, c].
+
+The degree-m piece consists of the polynomials that (i) lie in C[a, b, c^2]
+modulo the conic-line quartic factor f and (ii) satisfy the glueing condition
+sigma1(g) = (-1)^m sigma2(g), where sigma1 restricts to the line b = 0 and
+sigma2 composes the restriction to a = 0 with the involution of the two lines.
+The parity sign is the honest form of the glueing: invariant sections in even
+degrees, anti-invariant in odd degrees.
+"""
+
+from __future__ import annotations
+
+import time
+
+from ..report import Check, VerificationReport
+from ..subring import (
+    CongruenceImageCondition,
+    MembershipPredicate,
+    SubringBuilder,
+    SubstitutionParityCondition,
+)
+from . import fixtures
+from .oracles import oracle_plurigenus
+
+
+def sc_predicate() -> MembershipPredicate:
+    desc = fixtures.sc_descriptor()
+    return MembershipPredicate(
+        desc,
+        [
+            CongruenceImageCondition(("c",), (fixtures.sc_conic(),)),
+            SubstitutionParityCondition(
+                fixtures.sc_restriction(), fixtures.sc_involution(), sign_base=-1
+            ),
+        ],
+    )
+
+
+EXPECTED_GENERATOR_CENSUS = {2: 2, 3: 4, 4: 4, 5: 3}
+EXPECTED_RELATION_CENSUS = {6: 6, 7: 12, 8: 18, 9: 12, 10: 6}
+
+
+def expected_relation_census(max_degree: int) -> dict[str, int]:
+    out = {}
+    for m in range(1, max_degree + 1):
+        out[str(m)] = EXPECTED_RELATION_CENSUS.get(m, 0)
+    return out
+
+
+def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
+    if max_degree < 10:
+        raise ValueError("the sc suite needs max_degree >= 10")
+    start = time.perf_counter()
+    pred = sc_predicate()
+    builder = SubringBuilder(pred)
+    checks: list[Check] = []
+
+    expected_dims = {str(m): oracle_plurigenus(m) for m in range(max_degree + 1)}
+    actual_dims = {str(m): pred.dim(m) for m in range(max_degree + 1)}
+    checks.append(
+        Check(
+            "sc.subspace-dimensions",
+            f"dim V_m for 0 <= m <= {max_degree}",
+            "plurigenus formula 1 + m(m-1)/2 with dims 1, 0 at m = 0, 1",
+            expected=expected_dims,
+            actual=actual_dims,
+        )
+    )
+
+    closure = builder.closure_spot_checks(max_degree, seed=seed)
+    checks.append(
+        Check(
+            "sc.multiplicative-closure",
+            "random products of subspace elements stay in the subspace",
+            "the membership conditions cut out a subring",
+            expected=[True] * len(closure),
+            actual=[ok for _, _, ok in closure],
+        )
+    )
+
+    presentation = builder.presentation(max_degree)
+    checks.append(
+        Check(
+            "sc.generator-census",
+            "degrees of the minimal generators",
+            "embedding in weighted projective space P(2^2, 3^4, 4^4, 5^3)",
+            expected=EXPECTED_GENERATOR_CENSUS,
+            actual=presentation.generator_census,
+        )
+    )
+
+    claimed = fixtures.sc_claimed_generators()
+    verification = builder.verify_generator_list(claimed, min(max_degree, 10))
+    for idx, degree, ok in verification.memberships:
+        checks.append(
+            Check(
+                f"sc.claimed-generator.{idx}",
+                f"claimed generator {idx} (degree {degree}) lies in the subring",
+                "claimed generator list, thirteen polynomials",
+                expected=True,
+                actual=ok,
+            )
+        )
+    checks.append(
+        Check(
+            "sc.claimed-generation",
+            "products of the thirteen claimed generators span every piece up to 10",
+            "the canonical ring is generated by the claimed list",
+            expected={str(m): True for m in verification.generation},
+            actual={str(m): v[2] for m, v in verification.generation.items()},
+        )
+    )
+
+    checks.append(
+        Check(
+            "sc.relation-census",
+            f"new relations per degree up to {max_degree}",
+            "54 relations in degrees (6^6, 7^12, 8^18, 9^12, 10^6)",
+            expected=expected_relation_census(max_degree),
+            actual={str(m): n for m, n in presentation.relation_census.items()},
+        )
+    )
+    checks.append(
+        Check(
+            "sc.relation-total",
+            "total number of minimal relations",
+            "codimension 10 in a 12-dimensional weighted projective space",
+            expected=54,
+            actual=sum(presentation.relation_census.values()),
+        )
+    )
+
+    config = {
+        "max_degree": max_degree,
+        "seed": seed,
+        "truncation": f"generation and relations verified up to degree {max_degree}",
+    }
+    if presentation.warning:
+        config["warning"] = presentation.warning
+    report = VerificationReport("sc", config, checks)
+    report.timing_ms = int((time.perf_counter() - start) * 1000)
+    return report

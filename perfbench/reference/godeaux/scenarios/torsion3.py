@@ -1,0 +1,253 @@
+"""Torsion Z/3: the ten-relation restricted ring, its syzygies and dimensions.
+
+Symbolic checks treat the parameters alpha, beta, gamma as degree-0 variables
+and must hold identically; numeric checks specialise them to rational samples
+before any rank computation.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction
+
+from ..graded import GradedPresentation
+from ..poly import Polynomial, RingDescriptor, degree_and_weight, parse_polynomial
+from ..report import Check, VerificationReport
+from . import fixtures
+from .oracles import oracle_curve_dim
+
+PARAMETERS = ("alpha", "beta", "gamma")
+
+SYZYGIES = (
+    "x2*g0 - y0*f2 - y1*f1 + y2*f0",
+    "x2*g1 - y0*f0 + y2*f1 + h0",
+    "x2*g2 - y0*f1 + y1*f0 - y2*f2",
+)
+
+
+def z3_presentation() -> GradedPresentation:
+    """The full ten-relation presentation with symbolic parameters."""
+    desc = fixtures.z3_descriptor()
+    return GradedPresentation(desc, [r for _, _, _, r in fixtures.z3_relations()])
+
+
+def numeric_descriptor() -> RingDescriptor:
+    desc = fixtures.z3_descriptor()
+    keep = [i for i, v in enumerate(desc.variables) if v not in PARAMETERS]
+    return RingDescriptor(
+        tuple(desc.variables[i] for i in keep),
+        tuple(desc.degrees[i] for i in keep),
+        tuple(desc.weights[i] for i in keep),
+        torsion_order=desc.torsion_order,
+        scalar_order=desc.scalar_order,
+    )
+
+
+def specialise(p: Polynomial, params: tuple[Fraction, Fraction, Fraction]) -> Polynomial:
+    """Substitute rational values for alpha, beta, gamma."""
+    target = numeric_descriptor()
+    images = {name: target.variable(name) for name in target.variables}
+    images.update(
+        {name: target.constant(value) for name, value in zip(PARAMETERS, params)}
+    )
+    return p.substitute(images)
+
+
+def numeric_presentation(params) -> GradedPresentation:
+    relations = [specialise(r, params) for _, _, _, r in fixtures.z3_relations()]
+    return GradedPresentation(numeric_descriptor(), relations)
+
+
+def _relation_map() -> dict[str, Polynomial]:
+    return {name: poly for name, _, _, poly in fixtures.z3_relations()}
+
+
+def syzygy_values() -> list[Polynomial]:
+    """The three degree-6 combinations of relations, expanded symbolically."""
+    rels = _relation_map()
+    desc = fixtures.z3_descriptor()
+    extended = dict(rels)
+    for v in desc.variables:
+        extended[v] = desc.variable(v)
+    syz_desc = RingDescriptor(
+        tuple(extended),
+        tuple(
+            desc.degrees[desc.index(n)] if n in desc.variables else 0 for n in extended
+        ),
+        (0,) * len(extended),
+        torsion_order=1,
+        scalar_order=1,
+    )
+    values = []
+    for src in SYZYGIES:
+        formal = parse_polynomial(src, syz_desc)
+        values.append(formal.substitute(extended))
+    return values
+
+
+def h_membership_presentation() -> GradedPresentation:
+    """The subideal (f0, f1, f2, h0) used for the quadratic z-relations."""
+    rels = _relation_map()
+    desc = fixtures.z3_descriptor()
+    return GradedPresentation(desc, [rels[n] for n in ("f0", "f1", "f2", "h0")])
+
+
+def seeded_parameter_sample(seed: int) -> tuple[Fraction, Fraction, Fraction]:
+    rng = random.Random(seed)
+    return tuple(Fraction(rng.randint(-20, 20)) for _ in range(3))  # type: ignore[return-value]
+
+
+def numeric_samples(params, seed: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The default sample set, always containing (0,0,0), (1,1,1) and one
+    seeded triple; a distinct user-supplied triple is prepended."""
+    fixed = [
+        tuple(Fraction(0) for _ in range(3)),
+        tuple(Fraction(1) for _ in range(3)),
+        seeded_parameter_sample(seed),
+    ]
+    params = tuple(Fraction(x) for x in params)
+    samples = [] if params in fixed else [params]
+    samples.extend(fixed)
+    return samples  # type: ignore[return-value]
+
+
+def expected_hilbert(max_degree: int) -> dict[str, int]:
+    return {
+        f"{m}.{w}": oracle_curve_dim(m, w)
+        for m in range(1, max_degree + 1)
+        for w in range(3)
+    }
+
+
+def run_z3(
+    params=(0, 0, 0), mode: str = "both", max_degree: int = 12, seed: int = 42
+) -> VerificationReport:
+    if mode not in ("symbolic", "numeric", "both"):
+        raise ValueError(f"unknown mode {mode!r}")
+    start = time.perf_counter()
+    checks: list[Check] = []
+    config: dict = {
+        "max_degree": max_degree,
+        "mode": mode,
+        "params": [str(Fraction(x)) for x in params],
+        "seed": seed,
+        "relation_note": (
+            "g2 is taken in the table form y0*z2-y1*z1+x2^3*y2; the displayed "
+            "form y0*z1-y2*z2+y2*x2^3 duplicates g1's leading terms and is not "
+            "weight-homogeneous"
+        ),
+        "truncation": f"all claims verified up to degree {max_degree}",
+    }
+
+    if mode in ("symbolic", "both"):
+        _symbolic_checks(checks)
+    if mode in ("numeric", "both"):
+        samples = numeric_samples(params, seed)
+        config["samples"] = [[str(x) for x in s] for s in samples]
+        for si, sample in enumerate(samples):
+            _numeric_checks(checks, si, sample, max_degree)
+    else:
+        config["hilbert"] = "skipped (symbolic mode: dimension tables need specialised parameters)"
+
+    report = VerificationReport("z3", config, checks)
+    report.timing_ms = int((time.perf_counter() - start) * 1000)
+    return report
+
+
+def _symbolic_checks(checks: list[Check]):
+    for name, deg, wt, poly in fixtures.z3_relations():
+        grading = degree_and_weight(poly)
+        checks.append(
+            Check(
+                f"z3.placement.{name}",
+                f"{name} is bihomogeneous of degree {deg} and weight {wt}",
+                "relation table: degree and weight placement",
+                expected=[deg, wt],
+                actual=list(grading) if isinstance(grading, tuple) else grading,
+            )
+        )
+    for i, (src, value) in enumerate(zip(SYZYGIES, syzygy_values())):
+        checks.append(
+            Check(
+                f"z3.syzygy.{i}",
+                f"{src} expands to the zero polynomial (parameters symbolic)",
+                f"degree-6 syzygy: {src} = 0",
+                expected="0",
+                actual=str(value),
+            )
+        )
+    sub = h_membership_presentation()
+    rels = _relation_map()
+    desc = fixtures.z3_descriptor()
+    x2sq = desc.variable("x2") ** 2
+    for i, name in enumerate(("H0", "H1", "H2")):
+        target = x2sq * rels[name]
+        membership = sub.reduces_to_zero(target)
+        verified = membership.contained and sub.verify_certificate(target, membership)
+        checks.append(
+            Check(
+                f"z3.h-membership.{i}",
+                f"x2^2*{name} lies in the ideal (f0, f1, f2, h0), with certificate",
+                f"quadratic relation {name} times x2^2 reduces via f0, f1, f2, h0",
+                expected={"contained": True, "certificate_verified": True},
+                actual={
+                    "contained": membership.contained,
+                    "certificate_verified": verified,
+                },
+            )
+        )
+
+
+def _numeric_checks(checks: list[Check], si: int, sample, max_degree: int):
+    pres = numeric_presentation(sample)
+    label = f"({','.join(str(x) for x in sample)})"
+
+    actual_table = {
+        f"{m}.{w}": pres.quotient_dim(m, w)
+        for m in range(1, max_degree + 1)
+        for w in range(3)
+    }
+    checks.append(
+        Check(
+            f"z3.hilbert.s{si}",
+            f"per-weight quotient dimensions at parameters {label}",
+            "section table: (0,0,1), (1,2,1), then m-1 per weight",
+            expected=expected_hilbert(max_degree),
+            actual=actual_table,
+        )
+    )
+
+    claimed = fixtures.z3_claimed_bases()
+    numeric_desc = pres.descriptor
+    param_free = {
+        (m, w): [e[: numeric_desc.nvars] for e in mons]
+        for (m, w), mons in claimed.items()
+    }
+    basis_results = {}
+    for (m, w), mons in sorted(param_free.items()):
+        piece_dim = pres.quotient_dim(m, w)
+        piece = pres._piece(m, w)
+        rows = [piece.unit_row(e) for e in mons]
+        rs = piece.rowspace.copy()
+        independent = all(rs.add(row) for row in rows)
+        basis_results[f"{m}.{w}"] = bool(independent and len(mons) == piece_dim)
+    checks.append(
+        Check(
+            f"z3.table-bases.s{si}",
+            f"listed monomials are quotient-piece bases at parameters {label}",
+            "basis columns of the relation table, degrees 1..6",
+            expected={key: True for key in basis_results},
+            actual=basis_results,
+        )
+    )
+
+    checks.append(
+        Check(
+            f"z3.x2-injective.s{si}",
+            f"multiplication by x2 is injective on quotient pieces up to {max_degree}",
+            "x2 is not a zero-divisor on the restricted ring",
+            expected=True,
+            actual=pres.multiplication_injectivity("x2", max_degree),
+        )
+    )

@@ -1,0 +1,116 @@
+"""Torsion Z/5: the invariant quintic, its plane arrangement, and invariant dimensions."""
+
+from __future__ import annotations
+
+import time
+from itertools import combinations
+
+from ..action import CyclicAction, act, weight_of, weight_space_dim
+from ..linalg import Matrix
+from ..poly import Polynomial
+from ..report import Check, VerificationReport
+from . import fixtures
+from .oracles import oracle_plurigenus
+
+
+def z5_quintic() -> Polynomial:
+    """Product of the five plane equations; invariant of degree 5."""
+    planes = fixtures.z5_planes()
+    q = planes[0]
+    for p in planes[1:]:
+        q = q * p
+    return q
+
+
+def _plane_matrix(planes: list[Polynomial], subset) -> Matrix:
+    desc = planes[0].descriptor
+    rows = []
+    for i in subset:
+        unit = [tuple(1 if k == j else 0 for k in range(desc.nvars)) for j in range(desc.nvars)]
+        rows.append([planes[i].coefficient(e) for e in unit])
+    return Matrix.from_rows(rows)
+
+
+def run_z5(max_degree: int = 12) -> VerificationReport:
+    start = time.perf_counter()
+    desc = fixtures.z5_descriptor()
+    planes = fixtures.z5_planes()
+    q = z5_quintic()
+    action = CyclicAction.for_descriptor(desc)
+    checks: list[Check] = []
+
+    checks.append(
+        Check(
+            "z5.quintic-invariant",
+            "the quintic equals its image under the group generator",
+            "invariant quintic: the five plane factors permute cyclically",
+            expected=True,
+            actual=(act(action, 1, q) == q and weight_of(action, q) == 0),
+        )
+    )
+
+    triple_points = 0
+    bad_triples = []
+    for subset in combinations(range(5), 3):
+        _, pivots = _plane_matrix(planes, subset).rref()
+        if len(pivots) == 3:
+            triple_points += 1
+        else:
+            bad_triples.append(subset)
+    quad_violations = []
+    for subset in combinations(range(5), 4):
+        _, pivots = _plane_matrix(planes, subset).rref()
+        if len(pivots) != 4:
+            quad_violations.append(subset)
+    checks.append(
+        Check(
+            "z5.triple-points",
+            "every 3 of the 5 planes meet in one point, no 4 share a point",
+            "plane arrangement with exactly 10 triple points",
+            expected={"triple_points": 10, "quadruple_violations": 0},
+            actual={
+                "triple_points": triple_points,
+                "quadruple_violations": len(quad_violations),
+            },
+        )
+    )
+
+    fixed_point_values = {}
+    for j, name in enumerate(desc.variables):
+        exps = tuple(5 if k == j else 0 for k in range(desc.nvars))
+        fixed_point_values[name] = q.coefficient(exps)
+    checks.append(
+        Check(
+            "z5.fixed-points-off-quintic",
+            "the quintic is nonzero at each coordinate fixed point of the action",
+            "free action on the quintic: q(e_i) != 0",
+            expected={name: "nonzero" for name in desc.variables},
+            actual={
+                name: ("nonzero" if v != 0 else "zero")
+                for name, v in fixed_point_values.items()
+            },
+        )
+    )
+
+    expected_dims = {str(m): oracle_plurigenus(m) for m in range(max_degree + 1)}
+    actual_dims = {
+        str(m): weight_space_dim(desc, m, 0) - weight_space_dim(desc, m - 5, 0)
+        for m in range(max_degree + 1)
+    }
+    checks.append(
+        Check(
+            "z5.invariant-dimensions",
+            f"invariant-ring dimensions of the quintic quotient up to degree {max_degree}",
+            "plurigenus formula 1 + m(m-1)/2 with dims 1, 0 at m = 0, 1",
+            expected=expected_dims,
+            actual=actual_dims,
+        )
+    )
+
+    report = VerificationReport(
+        "z5",
+        {"max_degree": max_degree, "truncation": f"all claims verified up to degree {max_degree}"},
+        checks,
+    )
+    report.timing_ms = int((time.perf_counter() - start) * 1000)
+    return report
