@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .action import CyclicAction, act, project_to_weight, weight_of, weight_space_dim
 from .graded import GradedPresentation, HilbertTable, Membership
-from .linalg import Matrix, in_span, kernel_basis, rref, span_dim
+from .linalg import Matrix, kernel_basis
 from .poly import (
     ParseError,
     Polynomial,
@@ -23,10 +23,7 @@ from .scalars import (
     IncompatibleFieldsError,
     format_scalar,
     make_cyclo,
-    scalar_add,
     scalar_inv,
-    scalar_mul,
-    scalar_neg,
     scalar_pow,
     zeta,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "degree_and_weight",
     "enumerate_monomials",
     "format_scalar",
-    "in_span",
     "kernel_basis",
     "make_cyclo",
     "parse_polynomial",
@@ -72,13 +68,8 @@ __all__ = [
     "parse_scalar",
     "project_to_weight",
     "render_polynomial",
-    "rref",
-    "scalar_add",
     "scalar_inv",
-    "scalar_mul",
-    "scalar_neg",
     "scalar_pow",
-    "span_dim",
     "weight_of",
     "weight_space_dim",
     "zeta",

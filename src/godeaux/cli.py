@@ -1,28 +1,25 @@
 """Command-line front end: verification suites, Hilbert tables, subring builds.
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 usage or input error.
-The environment variable GODEAUX_MAX_WORKERS caps suite parallelism for
-`verify --scenario all` (default 1, i.e. sequential).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
+from .action import weight_space_dim
 from .graded import GradedPresentation
 from .poly import load_ring_file, render_polynomial
 from .report import VerificationReport, merge_reports
-from .scenarios import fixtures, run_sc, run_z3, run_z4, run_z5
+from .scenarios import fixtures, run_sc, run_z3, run_z4, run_z5, sc_predicate, torsion5
 from .scenarios.torsion3 import numeric_presentation
-from .scenarios.torsion4 import RELATION_BIDEGREES, draw_relation
+from .scenarios.torsion4 import sampled_presentation
 from .subring import SubringBuilder
-from .scenarios.simply_connected import sc_predicate
 
 SCENARIOS = ("z3", "z4", "z5", "sc", "all")
 HILBERT_PRESETS = ("z3", "z4", "z5", "z5-invariants", "sc")
@@ -75,14 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("GODEAUX_MAX_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_scenario(name: str, args) -> VerificationReport:
     if name == "z3":
         return run_z3(
@@ -107,12 +96,7 @@ def cmd_verify(args) -> int:
     try:
         if args.scenario == "all":
             names = ["z3", "z4", "z5", "sc"]
-            workers = _max_workers()
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    reports = list(pool.map(lambda n: _run_scenario(n, args), names))
-            else:
-                reports = [_run_scenario(n, args) for n in names]
+            reports = [_run_scenario(n, args) for n in names]
             config = {
                 "scenarios": names,
                 "max_degree": args.max_degree,
@@ -138,50 +122,23 @@ def cmd_verify(args) -> int:
 
 def _preset_table(preset: str, max_degree: int, seed: int):
     """Rows (m, dims-per-weight) for a named preset ring."""
-    if preset == "z3":
-        pres = numeric_presentation((Fraction(0), Fraction(0), Fraction(0)))
-        table = pres.hilbert(max_degree)
-        return table.torsion_order, [
-            (m, list(table.row(m))) for m in range(max_degree + 1)
-        ]
-    if preset == "z4":
-        import random
-
-        desc = fixtures.z4_descriptor()
-        rng = random.Random(seed)
-        pres = GradedPresentation(
-            desc, [draw_relation(rng, desc, m, w) for m, w in RELATION_BIDEGREES]
-        )
-        table = pres.hilbert(max_degree)
-        return 4, [(m, list(table.row(m))) for m in range(max_degree + 1)]
-    if preset == "z5":
-        from .action import weight_space_dim
-
-        desc = fixtures.z5_descriptor()
-        rows = []
-        for m in range(max_degree + 1):
-            rows.append(
-                (
-                    m,
-                    [
-                        weight_space_dim(desc, m, w) - weight_space_dim(desc, m - 5, w)
-                        for w in range(5)
-                    ],
-                )
-            )
-        return 5, rows
-    if preset == "z5-invariants":
-        from .action import weight_space_dim
-
-        desc = fixtures.z5_descriptor()
-        return 1, [
-            (m, [weight_space_dim(desc, m, 0) - weight_space_dim(desc, m - 5, 0)])
-            for m in range(max_degree + 1)
-        ]
+    degrees = range(max_degree + 1)
     if preset == "sc":
         pred = sc_predicate()
-        return 1, [(m, [pred.dim(m)]) for m in range(max_degree + 1)]
-    raise ValueError(f"unknown preset {preset!r}")
+        return 1, [(m, [pred.dim(m)]) for m in degrees]
+    if preset in ("z5", "z5-invariants"):
+        weights = range(5) if preset == "z5" else (0,)
+        return len(weights), [
+            (m, [torsion5.quotient_dim(m, w) for w in weights]) for m in degrees
+        ]
+    if preset == "z3":
+        pres = numeric_presentation((Fraction(0),) * 3)
+    elif preset == "z4":
+        pres = sampled_presentation(seed)
+    else:
+        raise ValueError(f"unknown preset {preset!r}")
+    table = pres.hilbert(max_degree)
+    return table.torsion_order, [(m, list(table.row(m))) for m in degrees]
 
 
 def cmd_hilbert(args) -> int:
@@ -194,18 +151,14 @@ def cmd_hilbert(args) -> int:
             name = args.preset
         else:
             desc, relations = load_ring_file(args.ring)
-            pres = GradedPresentation(desc, relations) if relations else None
+            if relations:
+                dim = GradedPresentation(desc, relations).quotient_dim
+            else:
+                dim = partial(weight_space_dim, desc)
             torsion = desc.torsion_order
-            rows = []
-            for m in range(args.max_degree + 1):
-                if pres is not None:
-                    rows.append((m, [pres.quotient_dim(m, w) for w in range(torsion)]))
-                else:
-                    from .action import weight_space_dim
-
-                    rows.append(
-                        (m, [weight_space_dim(desc, m, w) for w in range(torsion)])
-                    )
+            rows = [
+                (m, [dim(m, w) for w in range(torsion)]) for m in range(args.max_degree + 1)
+            ]
             name = args.ring
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

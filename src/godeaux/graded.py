@@ -2,8 +2,8 @@
 
 Ideal pieces are spanned brute-force by monomial multiples of the relations
 and ranked exactly; no Groebner bases.  Rational presentations use the
-integer row-space fast path, cyclotomic ones fall back to generic exact
-elimination.  Per-(degree, weight) results are memoised write-once.
+integer row space, cyclotomic ones the field row space (both in `linalg`).
+Per-(degree, weight) results are memoised write-once.
 """
 
 from __future__ import annotations
@@ -13,59 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .action import weight_space_dim
-from .linalg import IntRowSpace, scale_to_int, solve_columns
+from .linalg import GenericRowSpace, IntRowSpace, solve_columns
 from .poly import Polynomial, RingDescriptor, degree_and_weight, enumerate_monomials
-from .scalars import Scalar, is_rational_scalar, scalar_inv
-
-
-class GenericRowSpace:
-    """Incremental row space over an exact field (used for cyclotomic scalars)."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self._pivots: dict[int, list] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
-    def copy(self) -> "GenericRowSpace":
-        dup = GenericRowSpace(self.ncols)
-        dup._pivots = dict(self._pivots)
-        return dup
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._pivots)
-
-    def rows(self) -> list[list]:
-        return [self._pivots[c] for c in sorted(self._pivots)]
-
-    def reduce(self, row) -> list:
-        work = list(row)
-        j = 0
-        while j < self.ncols:
-            x = work[j]
-            if x == 0:
-                j += 1
-                continue
-            piv = self._pivots.get(j)
-            if piv is None:
-                break
-            work = [u - x * v for u, v in zip(work, piv)]
-            j += 1
-        return work
-
-    def add(self, row) -> bool:
-        work = self.reduce(row)
-        j = next((i for i, x in enumerate(work) if x != 0), None)
-        if j is None:
-            return False
-        inv = scalar_inv(work[j])
-        self._pivots[j] = [x * inv for x in work]
-        return True
-
-    def contains(self, row) -> bool:
-        return all(x == 0 for x in self.reduce(row))
+from .scalars import Scalar, is_rational_scalar
 
 
 @dataclass
@@ -273,13 +223,11 @@ class _IdealPiece:
             ):
                 mono = Polynomial(desc, {mult: Fraction(1)})
                 self._multiples.append((ri, mult, mono * r))
+        n = len(self.monomials)
+        self.rowspace = IntRowSpace(n) if pres._rational else GenericRowSpace(n)
         for _, _, poly in self._multiples:
             for mon in poly.terms:
                 self.register(mon)
-        if pres._rational:
-            self.rowspace: IntRowSpace | GenericRowSpace = IntRowSpace(len(self.monomials))
-        else:
-            self.rowspace = GenericRowSpace(len(self.monomials))
         for _, _, poly in self._multiples:
             self.rowspace.add(self.vector(poly))
 
@@ -288,31 +236,25 @@ class _IdealPiece:
         if mon not in self.index:
             self.index[mon] = len(self.monomials)
             self.monomials.append(mon)
-            self._grow_rowspace()
-
-    def _grow_rowspace(self):
-        rs = getattr(self, "rowspace", None)
-        if rs is None:
-            return
-        rs.ncols = len(self.monomials)
-        for c, row in rs._pivots.items():
-            rs._pivots[c] = list(row) + [0] * (len(self.monomials) - len(row))
+            rs = self.rowspace
+            rs.ncols += 1
+            for c, row in rs._pivots.items():
+                rs._pivots[c] = row + [0]
 
     def vector(self, p: Polynomial) -> list:
-        n = len(self.monomials)
-        row: list = [0] * n
+        """Exact coefficients of p in the column order."""
+        row: list = [0] * len(self.monomials)
         for mon, c in p.terms.items():
             row[self.index[mon]] = c
-        if isinstance(self.rowspace, IntRowSpace):
-            return scale_to_int(row)
-        return [Fraction(x) if isinstance(x, int) else x for x in row]
+        return row
 
     def unit_row(self, mon: tuple) -> list:
+        desc = self.pres.descriptor
+        if (desc.monomial_degree(mon), desc.monomial_weight(mon)) != (self.m, self.w):
+            raise ValueError(f"monomial {mon} is not of bidegree ({self.m}, {self.w})")
         self.register(mon)
         row = [0] * len(self.monomials)
         row[self.index[mon]] = 1
-        if not isinstance(self.rowspace, IntRowSpace):
-            row = [Fraction(x) for x in row]
         return row
 
     def generating_multiples(self):

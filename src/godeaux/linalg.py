@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Q and Q(zeta_n).
 
-The public operations (`rref`, `kernel_basis`, `span_dim`, `in_span`) work for
-any exact scalar.  Rational computations additionally get an incremental
-integer row space (`IntRowSpace`) that keeps rows primitive, which is what the
-graded-ring code uses in its hot loops.
+`Matrix.rref`, `kernel_basis` and `solve_columns` work for any exact scalar.
+Incremental row spaces keep reduced pivot rows: `IntRowSpace` holds primitive
+integer rows for rational data, which is what the graded-ring code uses in its
+hot loops, and `GenericRowSpace` holds monic rows over any exact field.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Cyclo, Scalar, is_rational_scalar, scalar_inv
+from .scalars import Cyclo, Scalar, scalar_inv
 
 
 def _canon_entry(x) -> Scalar:
@@ -79,10 +79,6 @@ class Matrix:
         return m, tuple(pivots)
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    return matrix.rref()
-
-
 def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
     """Exact basis of the right null space; size = cols - rank."""
     red, pivots = matrix.rref()
@@ -96,31 +92,6 @@ def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
             v[pc] = -red.entries[r][f]
         basis.append(v)
     return basis
-
-
-def span_dim(vectors: list[list]) -> int:
-    """Rank of the span of the given vectors."""
-    if not vectors:
-        return 0
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise ValueError("length mismatch")
-    if all(is_rational_scalar(x) for v in vectors for x in v):
-        rs = IntRowSpace(n)
-        for v in vectors:
-            rs.add(v)
-        return rs.dim
-    _, pivots = Matrix.from_rows(vectors).rref()
-    return len(pivots)
-
-
-def in_span(v: list, vectors: list[list]) -> tuple[bool, list[Scalar] | None]:
-    """Whether v is a linear combination of vectors; returns the coordinates."""
-    n = len(v)
-    if any(len(u) != n for u in vectors):
-        raise ValueError("length mismatch")
-    coords = solve_columns(vectors, v)
-    return (coords is not None), coords
 
 
 def solve_columns(columns: list[list], target: list) -> list[Scalar] | None:
@@ -140,7 +111,7 @@ def solve_columns(columns: list[list], target: list) -> list[Scalar] | None:
 
 
 # ---------------------------------------------------------------------------
-# Integer row spaces for rational computations
+# Incremental row spaces
 
 
 def scale_to_int(row) -> list[int]:
@@ -171,34 +142,40 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-class IntRowSpace:
-    """Incremental row space over Q with primitive integer rows.
-
-    Rows are reduced against stored pivot rows by fraction-free elimination,
-    so all arithmetic stays in Z.  Deterministic: pivots are leftmost nonzero
-    columns in insertion order.
-    """
+class _RowSpace:
+    """Reduced pivot rows keyed by pivot column; pivots are the leftmost
+    nonzero columns, in insertion order."""
 
     __slots__ = ("ncols", "_pivots")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._pivots: dict[int, list[int]] = {}
+        self._pivots: dict[int, list] = {}
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def copy(self) -> "IntRowSpace":
-        dup = IntRowSpace(self.ncols)
+    def copy(self):
+        dup = type(self)(self.ncols)
         dup._pivots = dict(self._pivots)
         return dup
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
-    def rows(self) -> list[list[int]]:
+    def rows(self) -> list[list]:
         return [self._pivots[c] for c in sorted(self._pivots)]
+
+
+class IntRowSpace(_RowSpace):
+    """Incremental row space over Q with primitive integer rows.
+
+    Rows are reduced against stored pivot rows by fraction-free elimination,
+    so all arithmetic stays in Z.
+    """
+
+    __slots__ = ()
 
     def reduce(self, row) -> list[int]:
         """Fully reduce a row against the stored pivots (input not mutated)."""
@@ -239,6 +216,39 @@ class IntRowSpace:
         return all(x == 0 for x in self.reduce(row))
 
 
+class GenericRowSpace(_RowSpace):
+    """Incremental row space over an exact field (used for cyclotomic scalars)."""
+
+    __slots__ = ()
+
+    def reduce(self, row) -> list:
+        work = list(row)
+        j = 0
+        while j < self.ncols:
+            x = work[j]
+            if x == 0:
+                j += 1
+                continue
+            piv = self._pivots.get(j)
+            if piv is None:
+                break
+            work = [u - x * v for u, v in zip(work, piv)]
+            j += 1
+        return work
+
+    def add(self, row) -> bool:
+        work = self.reduce(row)
+        j = next((i for i, x in enumerate(work) if x != 0), None)
+        if j is None:
+            return False
+        inv = scalar_inv(work[j])
+        self._pivots[j] = [x * inv for x in work]
+        return True
+
+    def contains(self, row) -> bool:
+        return all(x == 0 for x in self.reduce(row))
+
+
 def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Reduced echelon form over Z (rows primitive, pivot cols fully cleared)."""
     rs = IntRowSpace(ncols)
@@ -263,16 +273,17 @@ def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
 def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Primitive integer basis of the right kernel of the row matrix."""
     reduced, pivots = int_rref(rows, ncols)
+    # Scaling by the lcm of the pivot entries keeps every kernel entry integral.
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    factors = [scale // row[c] for row, c in zip(reduced, pivots)]
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        scale = 1
-        for r, _ in enumerate(pivots):
-            scale = lcm(scale, reduced[r][pivots[r]])
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(scale)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-reduced[r][f] * scale, reduced[r][pc])
-        basis.append(_primitive(scale_to_int(v)))
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for row, c, k in zip(reduced, pivots, factors):
+            v[c] = -row[f] * k
+        basis.append(_primitive(v))
     return basis

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import __version__
+
 
 @dataclass
 class Check:
@@ -37,7 +39,7 @@ class VerificationReport:
     config: dict
     checks: list[Check]
     timing_ms: int = 0
-    version: str = "0.1.0"
+    version: str = __version__
 
     def __post_init__(self):
         ids = [c.id for c in self.checks]

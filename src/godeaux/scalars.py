@@ -227,20 +227,6 @@ def coerce_scalar(x, order: int) -> Scalar:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-# Operation-style entry points (same semantics as the operators).
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    return _canon(a) + _canon(b)
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return _canon(a) * _canon(b)
-
-
-def scalar_neg(a: Scalar) -> Scalar:
-    return -_canon(a)
-
-
 def _canon(a):
     if isinstance(a, int):
         return Fraction(a)

@@ -228,7 +228,11 @@ def _numeric_checks(checks: list[Check], si: int, sample, max_degree: int):
     for (m, w), mons in sorted(param_free.items()):
         piece_dim = pres.quotient_dim(m, w)
         piece = pres._piece(m, w)
-        rows = [piece.unit_row(e) for e in mons]
+        try:
+            rows = [piece.unit_row(e) for e in mons]
+        except ValueError:  # a listed monomial of another bidegree
+            basis_results[f"{m}.{w}"] = False
+            continue
         rs = piece.rowspace.copy()
         independent = all(rs.add(row) for row in rows)
         basis_results[f"{m}.{w}"] = bool(independent and len(mons) == piece_dim)

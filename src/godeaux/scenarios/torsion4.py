@@ -29,19 +29,25 @@ def draw_relation(rng: random.Random, desc, degree: int, weight: int) -> Polynom
             return p
 
 
-def _sampled_table(seed: int, max_degree: int):
-    """Draw (q1, q2) from the seed and compute the quotient dimension table."""
+def sampled_presentation(seed: int) -> GradedPresentation:
+    """The presentation by (q1, q2) drawn from the seed."""
     desc = fixtures.z4_descriptor()
     rng = random.Random(seed)
-    relations = [draw_relation(rng, desc, m, w) for m, w in RELATION_BIDEGREES]
-    pres = GradedPresentation(desc, relations)
+    return GradedPresentation(
+        desc, [draw_relation(rng, desc, m, w) for m, w in RELATION_BIDEGREES]
+    )
+
+
+def _sampled_table(seed: int, max_degree: int):
+    """Draw (q1, q2) from the seed and compute the quotient dimension table."""
+    pres = sampled_presentation(seed)
     koszul_ok = pres.koszul_check(max_degree)
     table = {
         f"{m}.{w}": pres.quotient_dim(m, w)
         for m in range(max_degree + 1)
         for w in range(4)
     }
-    return relations, table, koszul_ok
+    return pres.relations, table, koszul_ok
 
 
 def expected_z4_table(max_degree: int) -> dict[str, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .graded import GradedPresentation
@@ -89,7 +90,6 @@ class MembershipPredicate:
         if m in self._cache:
             return self._cache[m]
         cols = self.ambient_monomials(m)
-        index = {mon: i for i, mon in enumerate(cols)}
         n = len(cols)
         basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
         for cond in self.conditions:
@@ -106,15 +106,8 @@ class MembershipPredicate:
         basis = self.subspace_basis(m)
         if self.modulus is None:
             return len(basis)
-        cols = self.ambient_monomials(m)
-        index = {mon: i for i, mon in enumerate(cols)}
-        rs = IntRowSpace(len(cols))
-        for row in self.modulus_rows(m, index):
-            rs.add(row)
-        base = rs.dim
-        for p in basis:
-            rs.add(_vector(p, index))
-        return rs.dim - base
+        index, rs = self.modulus_space(m)
+        return sum(rs.add(_vector(p, index)) for p in basis)
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in V at its own degree."""
@@ -124,23 +117,31 @@ class MembershipPredicate:
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
         m = dw[0]
-        cols = self.ambient_monomials(m)
-        index = {mon: i for i, mon in enumerate(cols)}
-        rs = IntRowSpace(len(cols))
-        for row in self.modulus_rows(m, index):
-            rs.add(row)
+        index, rs = self.modulus_space(m)
         for q in self.subspace_basis(m):
             rs.add(_vector(q, index))
         return rs.contains(_vector(p, index))
 
+    def modulus_space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace]:
+        """Column index of the degree-m monomials, and a row space seeded with
+        the degree-m piece of the modulus ideal."""
+        index = {mon: i for i, mon in enumerate(self.ambient_monomials(m))}
+        rs = IntRowSpace(len(index))
+        for row in self.modulus_rows(m, index):
+            rs.add(row)
+        return index, rs
+
 
 def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
-    row = [Fraction(0)] * len(index)
+    """Integer row of p with its denominators cleared."""
+    coeffs = p.terms.values()
+    if not all(is_rational_scalar(c) for c in coeffs):
+        raise ValueError("subring computations need rational coefficients")
+    mult = lcm(*(c.denominator for c in coeffs))
+    row = [0] * len(index)
     for mon, c in p.terms.items():
-        if not is_rational_scalar(c):
-            raise ValueError("subring computations need rational coefficients")
-        row[index[mon]] = c
-    return scale_to_int(row)
+        row[index[mon]] = c.numerator * (mult // c.denominator)
+    return row
 
 
 def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Polynomial:
@@ -252,11 +253,6 @@ class SubringBuilder:
         self.pred = predicate
         self.desc = predicate.descriptor
 
-    def _degree_context(self, m: int):
-        cols = self.pred.ambient_monomials(m)
-        index = {mon: i for i, mon in enumerate(cols)}
-        return cols, index
-
     def minimal_generators(self, max_degree: int) -> list[tuple[Polynomial, int]]:
         gens, _ = self._generators_with_spans(max_degree)
         return gens
@@ -266,28 +262,27 @@ class SubringBuilder:
         gens: list[tuple[Polynomial, int]] = []
         span_polys: dict[int, list[Polynomial]] = {0: [self.desc.one()]}
         for m in range(1, max_degree + 1):
-            cols, index = self._degree_context(m)
-            rs = IntRowSpace(len(cols))
-            for row in self.pred.modulus_rows(m, index):
-                rs.add(row)
-            piece: list[Polynomial] = []
-
-            def keep(poly: Polynomial) -> bool:
-                if rs.add(_vector(poly, index)):
-                    piece.append(poly)
-                    return True
-                return False
-
-            for g, dg in gens:
-                if dg <= m:
-                    for b in span_polys[m - dg]:
-                        keep(g * b)
+            index, rs, piece = self._product_span(gens, span_polys, m)
+            # Basis elements are primitive integer rows already (int_rref).
             for v in self.pred.subspace_basis(m):
-                if keep(v):
-                    gens.append((_primitive_poly(v, cols), m))
-                    piece[-1] = gens[-1][0]
+                if rs.add(_vector(v, index)):
+                    piece.append(v)
+                    gens.append((v, m))
             span_polys[m] = piece
         return gens, span_polys
+
+    def _product_span(self, gens, span_polys, m: int):
+        """Independent degree-m products g*b with b in span_polys[m - deg g],
+        reduced modulo the modulus; returns (index, row space, products)."""
+        index, rs = self.pred.modulus_space(m)
+        piece: list[Polynomial] = []
+        for g, dg in gens:
+            if dg <= m:
+                for b in span_polys[m - dg]:
+                    prod = g * b
+                    if rs.add(_vector(prod, index)):
+                        piece.append(prod)
+        return index, rs, piece
 
     def presentation(self, max_degree: int) -> SubringPresentation:
         gens, _ = self._generators_with_spans(max_degree)
@@ -324,14 +319,11 @@ class SubringBuilder:
             if not free_mons:
                 relation_census[m] = 0
                 continue
-            cols, index = self._degree_context(m)
+            index = {mon: i for i, mon in enumerate(self.pred.ambient_monomials(m))}
             # Kernel of the evaluation map, allowing for the modulus ideal.
             mod_rows = self.pred.modulus_rows(m, index)
             width = len(free_mons) + len(mod_rows)
-            stacked = []
-            for j in range(len(cols)):
-                row = [0] * width
-                stacked.append(row)
+            stacked = [[0] * width for _ in index]
             for u, mon in enumerate(free_mons):
                 vec = _vector(evaluate(mon), index)
                 for j, x in enumerate(vec):
@@ -342,31 +334,21 @@ class SubringBuilder:
                     if x:
                         stacked[j][len(free_mons) + k] = x
             kernel = int_kernel_basis(stacked, width)
+            free_index = {mon: i for i, mon in enumerate(free_mons)}
             ideal_rows = IntRowSpace(len(free_mons))
             for rel in relations:
                 dw = degree_and_weight(rel)
                 dr = dw[0] if isinstance(dw, tuple) else 0
                 for mult in enumerate_monomials(free, m - dr):
                     prod = Polynomial(free, {mult: Fraction(1)}) * rel
-                    ideal_rows.add(_free_vector(prod, free_mons))
+                    ideal_rows.add(_vector(prod, free_index))
             new_count = 0
             for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
                 xpart = k[: len(free_mons)]
                 if not any(xpart):
                     continue
                 if ideal_rows.add(xpart):
-                    rel_poly = _primitive_poly(
-                        Polynomial(
-                            free,
-                            {
-                                mon: Fraction(x)
-                                for mon, x in zip(free_mons, xpart)
-                                if x
-                            },
-                        ),
-                        free_mons,
-                    )
-                    relations.append(rel_poly)
+                    relations.append(_to_poly(free, free_mons, _primitive(xpart)))
                     new_count += 1
             relation_census[m] = new_count
         warning = None
@@ -397,21 +379,9 @@ class SubringBuilder:
         generation: dict[int, tuple[int, int, bool]] = {}
         span_polys: dict[int, list[Polynomial]] = {0: [self.desc.one()]}
         for m in range(1, max_degree + 1):
-            cols, index = self._degree_context(m)
-            rs = IntRowSpace(len(cols))
-            for row in self.pred.modulus_rows(m, index):
-                rs.add(row)
-            base = rs.dim
-            piece = []
-            for g, dg in degreed:
-                if dg <= m:
-                    for b in span_polys[m - dg]:
-                        prod = g * b
-                        if rs.add(_vector(prod, index)):
-                            piece.append(prod)
-            span_polys[m] = piece
+            _, _, span_polys[m] = self._product_span(degreed, span_polys, m)
             target = self.pred.dim(m)
-            achieved = rs.dim - base
+            achieved = len(span_polys[m])
             generation[m] = (target, achieved, achieved == target)
         return GeneratorListReport(memberships=memberships, generation=generation)
 
@@ -432,17 +402,6 @@ class SubringBuilder:
             q = _random_combination(self.pred.subspace_basis(j), rng)
             results.append((i, j, self.pred.contains(p * q)))
         return results
-
-
-def _free_vector(p: Polynomial, mons: list[tuple]) -> list[int]:
-    index = {mon: i for i, mon in enumerate(mons)}
-    return _vector(p, index)
-
-
-def _primitive_poly(p: Polynomial, cols: list[tuple]) -> Polynomial:
-    index = {mon: i for i, mon in enumerate(cols)}
-    row = _primitive(_vector(p, index))
-    return _to_poly(p.descriptor, cols, row)
 
 
 def _random_combination(basis: list[Polynomial], rng: random.Random) -> Polynomial:

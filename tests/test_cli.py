@@ -3,8 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import godeaux
 from godeaux.cli import main
+from godeaux.report import VerificationReport
 
 JSON_CHECK_KEYS = {"id", "description", "paper_ref", "status", "expected", "actual"}
 
@@ -105,6 +110,24 @@ class TestVerify:
 
         assert payload() == payload()
 
+    def test_misplaced_claimed_basis_monomial_fails_its_check(self, capsys, monkeypatch):
+        from godeaux.scenarios import fixtures
+
+        claimed = dict(fixtures.z3_claimed_bases())
+        x2_4 = (4,) + (0,) * 8  # bidegree (4, 2), listed under (4, 0)
+        claimed[(4, 0)] = claimed[(4, 0)][:-1] + [x2_4]
+        monkeypatch.setattr(fixtures, "z3_claimed_bases", lambda: claimed)
+        code, out, _ = run_cli(
+            ["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", "6",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 1
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        bases = checks["z3.table-bases.s0"]
+        assert bases["status"] == "fail"
+        assert {k for k, ok in bases["actual"].items() if not ok} == {"4.0"}
+
 
 class TestHilbert:
     def test_z3_preset_row_six(self, capsys):
@@ -201,3 +224,23 @@ class TestScBuild:
         )
         assert code == 2
         assert "cannot write" in err
+
+
+def test_one_version_literal(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == godeaux.__version__
+    assert VerificationReport("z5", {}, []).version == godeaux.__version__
+    # The literal is written once, in the package; pyproject reads it from there.
+    root = Path(__file__).resolve().parents[1]
+    literal = f'"{godeaux.__version__}"'
+    holders = [
+        p.relative_to(root).as_posix()
+        for p in sorted((root / "src" / "godeaux").rglob("*.py"))
+        if literal in p.read_text(encoding="utf-8")
+    ]
+    assert holders == ["src/godeaux/__init__.py"]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert literal not in pyproject
+    assert 'version = {attr = "godeaux.__version__"}' in pyproject

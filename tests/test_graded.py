@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from godeaux import (
     GradedPresentation,
+    Matrix,
     RingDescriptor,
     enumerate_monomials,
     parse_polynomial,
-    span_dim,
 )
 from godeaux.scenarios import fixtures
 from godeaux.scenarios.torsion3 import (
@@ -30,6 +30,11 @@ ZERO_PARAMS = (Fraction(0), Fraction(0), Fraction(0))
 
 def vec(p, mons):
     return [p.coefficient(e) for e in mons]
+
+
+def span_dim(rows):
+    """Rank by the Fraction rref, independent of the integer row space."""
+    return len(Matrix.from_rows(rows).rref()[1])
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +76,18 @@ def _numeric_relations(desc):
     ]
 
 
+class TestPieceIntegrity:
+    def test_unit_row_of_another_bidegree_leaves_piece_unchanged(self):
+        pres = numeric_presentation(ZERO_PARAMS)
+        assert pres.quotient_dim(4, 0) == 3
+        assert len(pres.quotient_monomial_basis(4, 0)) == 3
+        x2_4 = (4, 0, 0, 0, 0, 0)  # bidegree (4, 2)
+        with pytest.raises(ValueError, match="bidegree"):
+            pres._piece(4, 0).unit_row(x2_4)
+        assert len(pres.quotient_monomial_basis(4, 0)) == 3
+        assert pres.quotient_dim(4, 0) == 3
+
+
 class TestQuotientDim:
     def test_z3_small(self, z3num):
         assert z3num.quotient_dim(2, 1) == 2
@@ -106,6 +123,20 @@ class TestReducesToZero:
         sub = h_membership_presentation()
         membership = sub.reduces_to_zero(fixtures.z3_descriptor().variable("y0"))
         assert not membership.contained and membership.certificate is None
+
+    @pytest.mark.parametrize(
+        "relation, target",
+        [("x + y", "1/2*x^2 + 1/2*x*y"), ("1/3*x + y", "x^2 + 3*x*y")],
+    )
+    def test_certificate_over_q_recombines(self, relation, target):
+        # Non-integer coefficients: the certificate must use exact coordinates,
+        # not coordinates of rows scaled by their own denominators.
+        desc = RingDescriptor(("x", "y"), (1, 1), (0, 0))
+        pres = GradedPresentation(desc, [parse_polynomial(relation, desc)])
+        p = parse_polynomial(target, desc)
+        membership = pres.reduces_to_zero(p)
+        assert membership.contained
+        assert pres.verify_certificate(p, membership)
 
     def test_inhomogeneous_rejected(self):
         sub = h_membership_presentation()

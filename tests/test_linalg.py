@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godeaux import Matrix, in_span, kernel_basis, rref, span_dim, zeta
-from godeaux.linalg import IntRowSpace, int_kernel_basis, int_rref
+from godeaux import Matrix, kernel_basis, zeta
+from godeaux.linalg import IntRowSpace, int_kernel_basis, int_rref, solve_columns
 
 
 def F(x):
@@ -17,30 +17,30 @@ def F(x):
 class TestRref:
     def test_identity(self):
         m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        red, pivots = rref(m)
+        red, pivots = m.rref()
         assert red == m
         assert pivots == (0, 1, 2)
 
     def test_rank_one(self):
-        red, pivots = rref(Matrix.from_rows([[1, 2], [2, 4]]))
+        red, pivots = Matrix.from_rows([[1, 2], [2, 4]]).rref()
         assert red.entries == [[F(1), F(2)], [F(0), F(0)]]
         assert pivots == (0,)
 
     def test_empty(self):
-        red, pivots = rref(Matrix(0, 0, []))
+        red, pivots = Matrix(0, 0, []).rref()
         assert red.rows == 0 and red.cols == 0
         assert pivots == ()
 
     def test_idempotent(self):
         m = Matrix.from_rows([[2, 4, 1], [1, 3, 0], [3, 7, 1]])
-        red, _ = rref(m)
-        again, _ = rref(red)
+        red, _ = m.rref()
+        again, _ = red.rref()
         assert again == red
 
     def test_cyclotomic_entries(self):
         z = zeta(5)
         m = Matrix.from_rows([[1, z], [z**4, 1]])
-        _, pivots = rref(m)
+        _, pivots = m.rref()
         assert len(pivots) == 1  # second row is z^4 times the first
 
 
@@ -62,27 +62,28 @@ class TestKernel:
 
 class TestSpan:
     def test_dim(self):
-        assert span_dim([[1, 0], [0, 1], [1, 1]]) == 2
+        rs = IntRowSpace(2)
+        assert [rs.add(v) for v in ([1, 0], [0, 1], [1, 1])] == [True, True, False]
+        assert rs.dim == 2
 
     def test_in_span_true(self):
-        ok, coords = in_span([2, 2], [[1, 1]])
-        assert ok and coords == [F(2)]
+        assert solve_columns([[1, 1]], [2, 2]) == [F(2)]
 
     def test_in_span_false(self):
-        ok, coords = in_span([1, 0], [[1, 1]])
-        assert not ok and coords is None
+        assert solve_columns([[1, 1]], [1, 0]) is None
 
     def test_length_mismatch(self):
+        rs = IntRowSpace(2)
         with pytest.raises(ValueError, match="length mismatch"):
-            in_span([1, 0, 0], [[1, 1]])
+            rs.add([1, 1, 1])
         with pytest.raises(ValueError, match="length mismatch"):
-            span_dim([[1, 0], [1, 1, 1]])
+            rs.contains([1])
 
     def test_certificate_recombines(self):
         vectors = [[1, 2, 0], [0, 1, 1], [2, 0, 1]]
         target = [3, 5, 2]
-        ok, coords = in_span(target, vectors)
-        assert ok
+        coords = solve_columns(vectors, target)
+        assert coords is not None
         recombined = [
             sum(c * v[i] for c, v in zip(coords, vectors)) for i in range(3)
         ]
@@ -100,7 +101,7 @@ def int_rows(rows=st.integers(min_value=1, max_value=6), cols=4):
 @given(rows=int_rows())
 def test_rank_nullity(rows):
     m = Matrix.from_rows(rows)
-    _, pivots = rref(m)
+    _, pivots = m.rref()
     assert len(pivots) + len(kernel_basis(m)) == m.cols
 
 
@@ -110,7 +111,7 @@ def test_int_rowspace_matches_generic_rank(rows):
     rs = IntRowSpace(len(rows[0]))
     for row in rows:
         rs.add(row)
-    _, pivots = rref(Matrix.from_rows(rows))
+    _, pivots = Matrix.from_rows(rows).rref()
     assert rs.dim == len(pivots)
 
 

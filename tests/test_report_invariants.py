@@ -89,8 +89,7 @@ def test_cli_exit_1_on_failing_check(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_cli_all_with_worker_cap(monkeypatch, capsys):
-    monkeypatch.setenv("GODEAUX_MAX_WORKERS", "3")
+def test_cli_all_runs_every_suite(capsys):
     code = main(["verify", "--scenario", "all", "--max-degree", "10", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0

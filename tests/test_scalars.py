@@ -12,10 +12,7 @@ from godeaux import (
     format_scalar,
     make_cyclo,
     parse_scalar,
-    scalar_add,
     scalar_inv,
-    scalar_mul,
-    scalar_neg,
     scalar_pow,
     zeta,
 )
@@ -48,7 +45,7 @@ class TestExamples:
         assert zeta(4) * zeta(4) == Fraction(-1)
 
     def test_rational_add(self):
-        assert scalar_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
 
     def test_inv_zeta5(self):
         assert scalar_inv(zeta(5)) == zeta(5) ** 4
@@ -70,9 +67,9 @@ class TestExamples:
 
     def test_mismatched_orders(self):
         with pytest.raises(IncompatibleFieldsError, match="incompatible fields"):
-            scalar_add(zeta(3), zeta(5))
+            zeta(3) + zeta(5)
         with pytest.raises(IncompatibleFieldsError, match="incompatible fields"):
-            scalar_mul(zeta(4), zeta(3))
+            zeta(4) * zeta(3)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError, match="division by zero"):
@@ -106,9 +103,9 @@ class TestFieldAxioms:
     @given(data=st.data())
     def test_inverses(self, order, data):
         a = data.draw(elements(order))
-        assert a + scalar_neg(a) == 0
+        assert a + (-a) == 0
         if a != 0:
-            assert scalar_mul(a, scalar_inv(a)) == Fraction(1)
+            assert a * scalar_inv(a) == Fraction(1)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
