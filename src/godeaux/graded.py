@@ -11,10 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
 from .action import weight_space_dim
 from .linalg import GenericRowSpace, IntRowSpace, solve_columns
-from .poly import Polynomial, RingDescriptor, degree_and_weight, enumerate_monomials
+from .poly import (
+    Polynomial,
+    RingDescriptor,
+    degree_and_weight,
+    enumerate_monomials,
+    grevlex_key,
+)
 from .scalars import Scalar, is_rational_scalar
 
 
@@ -83,22 +90,26 @@ class GradedPresentation:
             self._pieces[key] = piece
         return piece
 
-    def ideal_dim(self, m: int, w: int) -> int:
-        return self._piece(m, w).rowspace.dim
-
     def quotient_dim(self, m: int, w) -> int:
-        """dim of the degree-(m, w) piece of the quotient (w="all" sums weights)."""
+        """dim of the degree-(m, w) piece of the quotient (w="all" sums weights).
+
+        With degree-0 parameters this is the span A of the capped ambient
+        monomials modulo its intersection with the ideal.
+        """
         if w == "all":
             return sum(
                 self.quotient_dim(m, ww) for ww in range(self.descriptor.torsion_order)
             )
-        return self.ambient_dim(m, w) - self.ideal_dim(m, w)
+        return self.ambient_dim(m, w) - len(self._piece(m, w).ambient_pivots())
 
     def quotient_monomial_basis(self, m: int, w: int) -> list[tuple]:
         """Monomials whose classes form a basis of the quotient piece."""
         piece = self._piece(m, w)
-        pivot = set(piece.rowspace.pivot_columns())
-        return [mon for i, mon in enumerate(piece.monomials) if i not in pivot]
+        pivot = set(piece.ambient_pivots())
+        start = piece.ambient_start
+        return [
+            mon for i, mon in enumerate(piece.monomials[start:], start) if i not in pivot
+        ]
 
     def ideal_piece(self, m: int, w: int) -> list[Polynomial]:
         """Exact basis of the span of monomial multiples of the relations."""
@@ -131,14 +142,16 @@ class GradedPresentation:
             raise ValueError("ideal membership needs a bihomogeneous polynomial")
         m, w = dw
         piece = self._piece(m, w)
+        # Local columns: a query never extends the memoised piece.
+        index = dict(piece.index)
         for mon in p.terms:
-            piece.register(mon)
+            index.setdefault(mon, len(index))
         columns = []
         tags = []
         for ri, mult, poly in piece.generating_multiples():
-            columns.append(piece.vector(poly))
+            columns.append(_row(poly.terms, index))
             tags.append((ri, mult))
-        target = piece.vector(p)
+        target = _row(p.terms, index)
         coords = solve_columns(columns, target)
         if coords is None:
             return Membership(False, None)
@@ -205,14 +218,18 @@ class GradedPresentation:
 
 
 class _IdealPiece:
-    """Reduced span of {monomial * relation} at one (degree, weight)."""
+    """Reduced span of {monomial * relation} at one (degree, weight).
+
+    Columns are fixed when the piece is built: first the monomials that
+    relation multiples reach beyond the parameter cap, then the ambient
+    monomials.  Rows pivoting among the ambient columns are zero on the
+    others, so they span the ideal's intersection with the ambient span.
+    """
 
     def __init__(self, pres: GradedPresentation, m: int, w: int):
         self.pres = pres
         self.m = m
         self.w = w
-        self.monomials = pres.ambient_monomials(m, w)
-        self.index = {mon: i for i, mon in enumerate(self.monomials)}
         self._multiples: list[tuple[int, tuple, Polynomial]] = []
         desc = pres.descriptor
         for ri, (r, (dr, wr)) in enumerate(zip(pres.relations, pres.relation_bidegrees)):
@@ -223,39 +240,39 @@ class _IdealPiece:
             ):
                 mono = Polynomial(desc, {mult: Fraction(1)})
                 self._multiples.append((ri, mult, mono * r))
+        ambient = pres.ambient_monomials(m, w)
+        known = set(ambient)
+        outside = {
+            mon for _, _, poly in self._multiples for mon in poly.terms if mon not in known
+        }
+        self.ambient_start = len(outside)
+        self.monomials = sorted(outside, key=grevlex_key) + ambient
+        self.index = {mon: i for i, mon in enumerate(self.monomials)}
         n = len(self.monomials)
         self.rowspace = IntRowSpace(n) if pres._rational else GenericRowSpace(n)
         for _, _, poly in self._multiples:
-            for mon in poly.terms:
-                self.register(mon)
-        for _, _, poly in self._multiples:
-            self.rowspace.add(self.vector(poly))
+            self.rowspace.add(_row(poly.terms, self.index))
 
-    def register(self, mon: tuple):
-        """Extend the coordinate columns; existing reduced rows stay valid."""
-        if mon not in self.index:
-            self.index[mon] = len(self.monomials)
-            self.monomials.append(mon)
-            rs = self.rowspace
-            rs.ncols += 1
-            for c, row in rs._pivots.items():
-                rs._pivots[c] = row + [0]
-
-    def vector(self, p: Polynomial) -> list:
-        """Exact coefficients of p in the column order."""
-        row: list = [0] * len(self.monomials)
-        for mon, c in p.terms.items():
-            row[self.index[mon]] = c
-        return row
+    def ambient_pivots(self) -> list[int]:
+        return [c for c in self.rowspace.pivot_columns() if c >= self.ambient_start]
 
     def unit_row(self, mon: tuple) -> list:
         desc = self.pres.descriptor
         if (desc.monomial_degree(mon), desc.monomial_weight(mon)) != (self.m, self.w):
             raise ValueError(f"monomial {mon} is not of bidegree ({self.m}, {self.w})")
-        self.register(mon)
+        if mon not in self.index:
+            raise ValueError(f"monomial {mon} is beyond the parameter cap")
         row = [0] * len(self.monomials)
         row[self.index[mon]] = 1
         return row
 
     def generating_multiples(self):
         return self._multiples
+
+
+def _row(terms: Mapping[tuple, Scalar], index: Mapping[tuple, int]) -> list:
+    """Dense row of the coefficients in terms, in the column order of index."""
+    row: list = [0] * len(index)
+    for mon, c in terms.items():
+        row[index[mon]] = c
+    return row

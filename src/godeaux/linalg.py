@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Q and Q(zeta_n).
+"""Exact linear algebra over Q and Q(zeta_n).
 
-`Matrix.rref`, `kernel_basis` and `solve_columns` work for any exact scalar.
-Incremental row spaces keep reduced pivot rows: `IntRowSpace` holds primitive
-integer rows for rational data, which is what the graded-ring code uses in its
-hot loops, and `GenericRowSpace` holds monic rows over any exact field.
+`Matrix.rref`, `kernel_basis` and `solve_columns` work on dense matrices of
+any exact scalar.  Incremental row spaces keep reduced pivot rows:
+`IntRowSpace` holds primitive integer rows for rational data and eliminates on
+their nonzero entries only, which is what the graded-ring code uses in its hot
+loops, and `GenericRowSpace` holds monic rows over any exact field.
 """
 
 from __future__ import annotations
@@ -172,48 +173,82 @@ class IntRowSpace(_RowSpace):
     """Incremental row space over Q with primitive integer rows.
 
     Rows are reduced against stored pivot rows by fraction-free elimination,
-    so all arithmetic stays in Z.
+    so all arithmetic stays in Z.  Reduction works on the nonzero entries
+    only: the working row is a {column: value} dict, and each pivot row keeps
+    its sorted nonzero columns next to the dense row.
     """
 
-    __slots__ = ()
+    __slots__ = ("_support",)
 
-    def reduce(self, row) -> list[int]:
-        """Fully reduce a row against the stored pivots (input not mutated)."""
+    def __init__(self, ncols: int):
+        super().__init__(ncols)
+        self._support: dict[int, tuple[int, ...]] = {}
+
+    def copy(self):
+        dup = super().copy()
+        dup._support = dict(self._support)
+        return dup
+
+    def _reduce(self, row) -> dict[int, int]:
+        """Nonzeros of the row, denominators cleared, after reducing its
+        leading entries by the stored pivots until one has no pivot."""
         if len(row) != self.ncols:
             raise ValueError("length mismatch")
-        work = scale_to_int(row) if not all(isinstance(x, int) for x in row) else list(row)
+        work = {j: x for j, x in enumerate(row) if x}
+        if not all(type(x) is int for x in work.values()):
+            mult = lcm(*(x.denominator for x in work.values()))
+            work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
         pivots = self._pivots
-        j = 0
-        n = self.ncols
-        while j < n:
-            x = work[j]
-            if x == 0:
-                j += 1
-                continue
+        support = self._support
+        while work:
+            j = min(work)
             piv = pivots.get(j)
             if piv is None:
                 break
-            p = piv[j]
-            g = gcd(p, x)
-            a, b = p // g, x // g
-            if a == 1:
-                work = [u - b * v for u, v in zip(work, piv)]
-            else:
-                work = [a * u - b * v for u, v in zip(work, piv)]
-            j += 1
+            work = _eliminate(work, j, piv, support[j])
         return work
 
     def add(self, row) -> bool:
         """Add a row; True iff it enlarged the space."""
-        work = self.reduce(row)
-        j = next((i for i, x in enumerate(work) if x), None)
-        if j is None:
+        work = self._reduce(row)
+        if not work:
             return False
-        self._pivots[j] = _primitive(work)
+        work = _primitive_sparse(work)
+        cols = tuple(sorted(work))
+        dense = [0] * self.ncols
+        for c in cols:
+            dense[c] = work[c]
+        self._pivots[cols[0]] = dense
+        self._support[cols[0]] = cols
         return True
 
     def contains(self, row) -> bool:
-        return all(x == 0 for x in self.reduce(row))
+        return not self._reduce(row)
+
+
+def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
+    """The fraction-free step a*work - b*piv that clears work's entry in
+    piv's leading column, taken over piv's nonzero columns `cols` only."""
+    p = piv[lead]
+    g = gcd(p, work[lead])
+    a, b = p // g, work[lead] // g
+    if a != 1:
+        work = {c: a * u for c, u in work.items()}
+    for c in cols:
+        u = work.get(c, 0) - b * piv[c]
+        if u:
+            work[c] = u
+        else:
+            del work[c]
+    return work
+
+
+def _primitive_sparse(work: dict[int, int]) -> dict[int, int]:
+    """Divide a nonzero sparse row by its content, leading entry positive."""
+    g = gcd(*work.values())
+    if work[min(work)] < 0:
+        g = -g
+    return {c: u // g for c, u in work.items()}
 
 
 class GenericRowSpace(_RowSpace):
@@ -255,18 +290,20 @@ def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     for row in rows:
         rs.add(row)
     cols = rs.pivot_columns()
-    reduced = [list(rs._pivots[c]) for c in cols]
+    sparse = [{j: rs._pivots[c][j] for j in rs._support[c]} for c in cols]
     # Clear pivot columns above each pivot.
     for i in range(len(cols) - 1, -1, -1):
         c = cols[i]
-        piv = reduced[i]
-        p = piv[c]
+        piv = sparse[i]
         for k in range(i):
-            x = reduced[k][c]
-            if x:
-                g = gcd(p, x)
-                a, b = p // g, x // g
-                reduced[k] = _primitive([a * u - b * v for u, v in zip(reduced[k], piv)])
+            if c in sparse[k]:
+                sparse[k] = _primitive_sparse(_eliminate(sparse[k], c, piv, piv))
+    reduced = []
+    for work in sparse:
+        dense = [0] * ncols
+        for j, x in work.items():
+            dense[j] = x
+        reduced.append(dense)
     return reduced, cols
 
 

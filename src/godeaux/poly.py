@@ -11,6 +11,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping
 
 from .scalars import (
@@ -157,7 +158,7 @@ class Polynomial:
         out: dict[tuple, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 s = out.get(key, 0) + c1 * c2
                 if s == 0:
                     out.pop(key, None)
@@ -209,15 +210,21 @@ class Polynomial:
             raise KeyError(f"missing image for variable(s): {', '.join(missing)}")
         result = Polynomial(target, {})
         power_cache: dict[tuple[str, int], Polynomial] = {}
+
+        def power(name: str, k: int) -> Polynomial:
+            # img^k is img^(k-1) * img, so each power costs one product.
+            key = (name, k)
+            cached = power_cache.get(key)
+            if cached is None:
+                cached = images[name] if k == 1 else power(name, k - 1) * images[name]
+                power_cache[key] = cached
+            return cached
+
         for exps, c in self.terms.items():
             term = target.constant(coerce_scalar(c, target.scalar_order))
             for i, k in enumerate(exps):
-                if not k:
-                    continue
-                key = (names[i], k)
-                if key not in power_cache:
-                    power_cache[key] = images[names[i]] ** k
-                term = term * power_cache[key]
+                if k:
+                    term = term * power(names[i], k)
             result = result + term
         return result
 

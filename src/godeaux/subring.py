@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
-from .graded import GradedPresentation
+from .graded import GradedPresentation, _row
 from .linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref, scale_to_int
 from .poly import (
     Polynomial,
@@ -134,14 +135,25 @@ class MembershipPredicate:
 
 def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
     """Integer row of p with its denominators cleared."""
-    coeffs = p.terms.values()
-    if not all(is_rational_scalar(c) for c in coeffs):
+    if not all(is_rational_scalar(c) for c in p.terms.values()):
         raise ValueError("subring computations need rational coefficients")
-    mult = lcm(*(c.denominator for c in coeffs))
-    row = [0] * len(index)
-    for mon, c in p.terms.items():
-        row[index[mon]] = c.numerator * (mult // c.denominator)
-    return row
+    return _row(_int_terms(p), index)
+
+
+def _int_terms(p: Polynomial) -> dict[tuple, int]:
+    """Terms of p scaled by the lcm of its denominators (1 for integer p)."""
+    mult = lcm(*(c.denominator for c in p.terms.values()))
+    return {mon: c.numerator * (mult // c.denominator) for mon, c in p.terms.items()}
+
+
+def _int_product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]:
+    """Product of two integer term dicts."""
+    out: dict[tuple, int] = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {mon: c for mon, c in out.items() if c}
 
 
 def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Polynomial:
@@ -258,29 +270,35 @@ class SubringBuilder:
         return gens
 
     def _generators_with_spans(self, max_degree: int):
-        """Selected generators plus reduced bases of the subalgebra pieces."""
+        """Selected generators plus spanning products of the subalgebra
+        pieces, as integer term dicts."""
         gens: list[tuple[Polynomial, int]] = []
-        span_polys: dict[int, list[Polynomial]] = {0: [self.desc.one()]}
+        span_terms = {0: [_int_terms(self.desc.one())]}
         for m in range(1, max_degree + 1):
-            index, rs, piece = self._product_span(gens, span_polys, m)
+            index, rs, piece = self._product_span(gens, span_terms, m)
             # Basis elements are primitive integer rows already (int_rref).
             for v in self.pred.subspace_basis(m):
-                if rs.add(_vector(v, index)):
-                    piece.append(v)
+                terms = _int_terms(v)
+                if rs.add(_row(terms, index)):
+                    piece.append(terms)
                     gens.append((v, m))
-            span_polys[m] = piece
-        return gens, span_polys
+            span_terms[m] = piece
+        return gens, span_terms
 
-    def _product_span(self, gens, span_polys, m: int):
-        """Independent degree-m products g*b with b in span_polys[m - deg g],
-        reduced modulo the modulus; returns (index, row space, products)."""
+    def _product_span(self, gens, span_terms, m: int):
+        """Independent degree-m products g*b with b in span_terms[m - deg g],
+        reduced modulo the modulus; returns (index, row space, products).
+
+        Factors are integer term dicts: scaling a factor does not change the
+        span, and the row space stores primitive rows."""
         index, rs = self.pred.modulus_space(m)
-        piece: list[Polynomial] = []
+        piece: list[dict[tuple, int]] = []
         for g, dg in gens:
             if dg <= m:
-                for b in span_polys[m - dg]:
-                    prod = g * b
-                    if rs.add(_vector(prod, index)):
+                g_terms = _int_terms(g)
+                for b in span_terms[m - dg]:
+                    prod = _int_product(g_terms, b)
+                    if rs.add(_row(prod, index)):
                         piece.append(prod)
         return index, rs, piece
 
@@ -297,16 +315,19 @@ class SubringBuilder:
             torsion_order=1,
             scalar_order=1,
         )
-        eval_memo: dict[tuple, Polynomial] = {(0,) * len(gens): self.desc.one()}
+        # Generators are primitive integer rows, so their integer term dicts
+        # are their exact values and the evaluation map is unscaled.
+        gen_terms = [_int_terms(g) for g, _ in gens]
+        eval_memo = {(0,) * len(gens): _int_terms(self.desc.one())}
 
-        def evaluate(exps: tuple) -> Polynomial:
+        def evaluate(exps: tuple) -> dict[tuple, int]:
             cached = eval_memo.get(exps)
             if cached is not None:
                 return cached
             i = next(k for k, e in enumerate(exps) if e)
             prev = list(exps)
             prev[i] -= 1
-            value = evaluate(tuple(prev)) * gens[i][0]
+            value = _int_product(evaluate(tuple(prev)), gen_terms[i])
             eval_memo[exps] = value
             return value
 
@@ -325,10 +346,8 @@ class SubringBuilder:
             width = len(free_mons) + len(mod_rows)
             stacked = [[0] * width for _ in index]
             for u, mon in enumerate(free_mons):
-                vec = _vector(evaluate(mon), index)
-                for j, x in enumerate(vec):
-                    if x:
-                        stacked[j][u] = x
+                for amb, x in evaluate(mon).items():
+                    stacked[index[amb]][u] = x
             for k, mrow in enumerate(mod_rows):
                 for j, x in enumerate(mrow):
                     if x:
@@ -337,11 +356,13 @@ class SubringBuilder:
             free_index = {mon: i for i, mon in enumerate(free_mons)}
             ideal_rows = IntRowSpace(len(free_mons))
             for rel in relations:
+                # Relations are primitive integer rows: their terms are exact.
+                rel_terms = _int_terms(rel)
                 dw = degree_and_weight(rel)
                 dr = dw[0] if isinstance(dw, tuple) else 0
                 for mult in enumerate_monomials(free, m - dr):
-                    prod = Polynomial(free, {mult: Fraction(1)}) * rel
-                    ideal_rows.add(_vector(prod, free_index))
+                    prod = _int_product({mult: 1}, rel_terms)
+                    ideal_rows.add(_row(prod, free_index))
             new_count = 0
             for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
                 xpart = k[: len(free_mons)]
@@ -377,11 +398,11 @@ class SubringBuilder:
             degreed.append((p, dw[0]))
             memberships.append((i, dw[0], self.pred.contains(p)))
         generation: dict[int, tuple[int, int, bool]] = {}
-        span_polys: dict[int, list[Polynomial]] = {0: [self.desc.one()]}
+        span_terms = {0: [_int_terms(self.desc.one())]}
         for m in range(1, max_degree + 1):
-            _, _, span_polys[m] = self._product_span(degreed, span_polys, m)
+            _, _, span_terms[m] = self._product_span(degreed, span_terms, m)
             target = self.pred.dim(m)
-            achieved = len(span_polys[m])
+            achieved = len(span_terms[m])
             generation[m] = (target, achieved, achieved == target)
         return GeneratorListReport(memberships=memberships, generation=generation)
 

@@ -19,6 +19,7 @@ from godeaux.scenarios import fixtures
 from godeaux.scenarios.torsion3 import (
     h_membership_presentation,
     numeric_presentation,
+    z3_presentation,
     _relation_map,
 )
 from godeaux.scenarios.torsion4 import draw_relation
@@ -86,6 +87,39 @@ class TestPieceIntegrity:
             pres._piece(4, 0).unit_row(x2_4)
         assert len(pres.quotient_monomial_basis(4, 0)) == 3
         assert pres.quotient_dim(4, 0) == 3
+
+    def test_unit_row_beyond_the_parameter_cap_is_rejected(self):
+        pres = h_membership_presentation()
+        piece = pres._piece(4, 0)
+        columns = list(piece.monomials)
+        alpha2_y0_sq = (0, 2, 0, 0, 0, 0, 2, 0, 0)  # bidegree (4, 0)
+        with pytest.raises(ValueError, match="parameter cap"):
+            piece.unit_row(alpha2_y0_sq)
+        assert piece.monomials == columns
+
+    @pytest.mark.parametrize(
+        "build", [z3_presentation, h_membership_presentation], ids=["z3", "h-membership"]
+    )
+    def test_basis_counts_quotient_dim_with_parameters(self, build):
+        # Degree-0 parameters: relation multiples reach monomials beyond the
+        # parameter cap, and membership queries must not change any answer.
+        pres = build()
+
+        def bases():
+            out = {}
+            for m in range(9):
+                for w in range(pres.descriptor.torsion_order):
+                    basis = pres.quotient_monomial_basis(m, w)
+                    assert len(basis) == pres.quotient_dim(m, w), (m, w)
+                    out[m, w] = basis
+            return out
+
+        before = bases()
+        rels = _relation_map()
+        x2sq = pres.descriptor.variable("x2") ** 2
+        for name in ("H0", "H1", "H2"):
+            pres.reduces_to_zero(x2sq * rels[name])
+        assert bases() == before
 
 
 class TestQuotientDim:

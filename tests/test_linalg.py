@@ -1,6 +1,7 @@
 """Exact row reduction, kernels, spans, and the integer row-space fast path."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -140,3 +141,151 @@ def test_int_rowspace_fraction_input():
     rs = IntRowSpace(2)
     assert rs.add([Fraction(1, 2), Fraction(1, 3)])
     assert rs.contains([3, 2])
+
+
+# ---------------------------------------------------------------------------
+# The dense elimination loop, kept as the oracle for the sparse kernels.
+
+
+def _dense_primitive(row):
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    if g > 1:
+        row = [x // g for x in row]
+    if next((x for x in row if x), 0) < 0:
+        row = [-x for x in row]
+    return row
+
+
+class DenseIntRowSpace:
+    """Fraction-free top reduction over whole dense rows."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._pivots = {}
+
+    def reduce(self, row):
+        if all(isinstance(x, int) for x in row):
+            work = list(row)
+        else:
+            mult = lcm(*(Fraction(x).denominator for x in row))
+            work = [Fraction(x).numerator * (mult // Fraction(x).denominator) for x in row]
+        j = 0
+        while j < self.ncols:
+            x = work[j]
+            if x == 0:
+                j += 1
+                continue
+            piv = self._pivots.get(j)
+            if piv is None:
+                break
+            g = gcd(piv[j], x)
+            a, b = piv[j] // g, x // g
+            work = [a * u - b * v for u, v in zip(work, piv)]
+            j += 1
+        return work
+
+    def add(self, row):
+        work = self.reduce(row)
+        j = next((i for i, x in enumerate(work) if x), None)
+        if j is None:
+            return False
+        self._pivots[j] = _dense_primitive(work)
+        return True
+
+    def contains(self, row):
+        return not any(self.reduce(row))
+
+
+def dense_int_rref(rows, ncols):
+    rs = DenseIntRowSpace(ncols)
+    for row in rows:
+        rs.add(row)
+    cols = sorted(rs._pivots)
+    reduced = [list(rs._pivots[c]) for c in cols]
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        piv = reduced[i]
+        for k in range(i):
+            x = reduced[k][c]
+            if x:
+                g = gcd(piv[c], x)
+                a, b = piv[c] // g, x // g
+                reduced[k] = _dense_primitive([a * u - b * v for u, v in zip(reduced[k], piv)])
+    return reduced, cols
+
+
+def dense_int_kernel_basis(rows, ncols):
+    reduced, pivots = dense_int_rref(rows, ncols)
+    scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for row, c in zip(reduced, pivots):
+            v[c] = -row[f] * (scale // row[c])
+        basis.append(_dense_primitive(v))
+    return basis
+
+
+@st.composite
+def sparse_rows(draw, fractions=False):
+    """Mostly-zero rows, with a duplicate, a negated copy and a zero row."""
+    ncols = draw(st.integers(min_value=1, max_value=12))
+    value = (
+        st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        if fractions
+        else st.integers(min_value=-30, max_value=30)
+    )
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=10)
+    )
+    first = rows[0]
+    extra = [list(first), [-x for x in first], [0] * ncols]
+    for row in extra:
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows, ncols
+
+
+def _matches_dense_oracle(rows, ncols):
+    sparse, dense = IntRowSpace(ncols), DenseIntRowSpace(ncols)
+    for row in rows:
+        assert sparse.contains(row) == dense.contains(row)
+        assert sparse.add(row) == dense.add(row)
+    assert list(sparse._pivots.items()) == list(dense._pivots.items())
+    for c, row in sparse._pivots.items():
+        assert sparse._support[c] == tuple(j for j, x in enumerate(row) if x)
+    for row in rows:
+        assert sparse.contains(row) and dense.contains(row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sparse_rows())
+def test_sparse_rowspace_matches_dense_oracle(case):
+    _matches_dense_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_rows(fractions=True))
+def test_sparse_rowspace_matches_dense_oracle_on_fractions(case):
+    _matches_dense_oracle(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_rows())
+def test_int_rref_and_kernel_match_dense_oracle(case):
+    rows, ncols = case
+    assert int_rref(rows, ncols) == dense_int_rref(rows, ncols)
+    assert int_kernel_basis(rows, ncols) == dense_int_kernel_basis(rows, ncols)
+
+
+def test_copy_keeps_supports_apart():
+    rs = IntRowSpace(3)
+    rs.add([0, 2, 4])
+    dup = rs.copy()
+    assert dup.add([1, 0, 1]) and not rs.contains([1, 0, 1])
+    assert dup._support == {0: (0, 2), 1: (1, 2)} and rs._support == {1: (1, 2)}

@@ -111,6 +111,24 @@ class TestSubstitution:
         assert (p * q).substitute(imgs) == p.substitute(imgs) * q.substitute(imgs)
         assert (p + q).substitute(imgs) == p.substitute(imgs) + q.substitute(imgs)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cached_powers_match_plain_powers(self, data):
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+        mons = st.tuples(*(st.integers(min_value=0, max_value=5) for _ in range(3)))
+        p = Polynomial(ABC, data.draw(st.dictionaries(mons, coeff, max_size=6)))
+        imgs = {
+            name: Polynomial(ABC, data.draw(st.dictionaries(mons, coeff, max_size=3)))
+            for name in ABC.variables
+        }
+        plain = ABC.zero()
+        for exps, c in p.terms.items():
+            term = ABC.constant(c)
+            for name, k in zip(ABC.variables, exps):
+                term = term * imgs[name] ** k
+            plain = plain + term
+        assert p.substitute(imgs) == plain
+
 
 class TestEnumeration:
     def test_z3_pieces(self):

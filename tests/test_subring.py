@@ -1,10 +1,16 @@
 """Membership predicates, generator selection, relation counting, verification."""
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godeaux import (
     GradedPresentation,
     MembershipPredicate,
+    Polynomial,
     RingDescriptor,
     WeightCondition,
     parse_polynomial,
@@ -12,7 +18,7 @@ from godeaux import (
 )
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
-from godeaux.subring import SubringBuilder
+from godeaux.subring import SubringBuilder, _int_product, _int_terms
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
 
@@ -146,3 +152,23 @@ class TestClosure:
         a = builder.closure_spot_checks(10, seed=5, trials=6)
         b = builder.closure_spot_checks(10, seed=5, trials=6)
         assert a == b
+
+
+@st.composite
+def rational_polys(draw):
+    mons = [(i, j, k) for i in range(3) for j in range(3) for k in range(2)]
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+    terms = draw(st.dictionaries(st.sampled_from(mons), coeff, max_size=6))
+    return Polynomial(ABC, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=rational_polys(), g=rational_polys())
+def test_integer_product_is_the_scaled_product(f, g):
+    def scale(p):
+        return lcm(*(c.denominator for c in p.terms.values()))
+
+    expected = (f * g).scale(Fraction(scale(f) * scale(g)))
+    got = _int_product(_int_terms(f), _int_terms(g))
+    assert all(type(c) is int for c in got.values())
+    assert Polynomial(ABC, got) == expected
