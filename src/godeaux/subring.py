@@ -17,7 +17,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .graded import GradedPresentation, _row
-from .linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref, scale_to_int
+from .linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref
 from .poly import (
     Polynomial,
     RingDescriptor,
@@ -142,8 +142,13 @@ def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
 
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
     """Terms of p scaled by the lcm of its denominators (1 for integer p)."""
+    return _scaled_terms(p)[0]
+
+
+def _scaled_terms(p: Polynomial) -> tuple[dict[tuple, int], int]:
+    """(integer terms, d) with p = terms / d, d the lcm of p's denominators."""
     mult = lcm(*(c.denominator for c in p.terms.values()))
-    return {mon: c.numerator * (mult // c.denominator) for mon, c in p.terms.items()}
+    return {mon: c.numerator * (mult // c.denominator) for mon, c in p.terms.items()}, mult
 
 
 def _int_product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]:
@@ -169,21 +174,8 @@ def _apply_condition(cond, desc, m, cols, basis):
         constraints = [[row[j] for j in wrong] for row in basis]
         return _combine(basis, int_kernel_basis(_transpose(constraints, len(wrong)), len(basis)))
     if isinstance(cond, SubstitutionParityCondition):
-        sign = cond.sign(m)
-        images = []
-        target_index: dict[tuple, int] = {}
-        for row in basis:
-            p = _to_poly(desc, cols, row)
-            val = p.substitute(cond.sigma1) - p.substitute(cond.sigma2).scale(sign)
-            for mon in val.terms:
-                target_index.setdefault(mon, len(target_index))
-            images.append(val)
-        constraint_rows = []
-        for t, ti in sorted(target_index.items(), key=lambda kv: kv[1]):
-            constraint_rows.append(
-                scale_to_int([img.coefficient(t) for img in images])
-            )
-        return _combine(basis, int_kernel_basis(constraint_rows, len(basis)))
+        constraints = _parity_constraints(cond, desc, m, cols, basis)
+        return _combine(basis, int_kernel_basis(constraints, len(basis)))
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
         span_rows = []
@@ -202,6 +194,75 @@ def _apply_condition(cond, desc, m, cols, basis):
                 span_rows.append(_vector(prod, index))
         return _intersect(basis, span_rows, len(cols))
     raise TypeError(f"unknown condition {cond!r}")
+
+
+def _parity_constraints(cond, desc, m, cols, basis) -> list[list[int]]:
+    """Integer rows of the map b -> sigma1(b) - sign * sigma2(b) on the basis,
+    one row per target monomial.
+
+    Both substitutions are ring maps, so each ambient monomial in use is
+    mapped once: phi_j = sigma1(cols[j]) - sign * sigma2(cols[j]), and entry
+    (t, b) is sum_j basis[b][j] * phi_j[t].  All rows carry one common
+    positive factor, which leaves their kernel unchanged."""
+    if not basis:
+        return []
+    sigma1 = _MonomialMap(cond.sigma1, desc)
+    sigma2 = _MonomialMap(cond.sigma2, desc)
+    if sigma1.target != sigma2.target:
+        raise ValueError("descriptor mismatch")
+    sign = cond.sign(m)
+    used = [j for j in range(len(cols)) if any(row[j] for row in basis)]
+    images = [(j, sigma1(cols[j]), sigma2(cols[j])) for j in used]
+    mult = lcm(*(d for _, (_, d1), (_, d2) in images for d in (d1, d2)))
+    rows: dict[tuple, list[int]] = {}
+    for j, (t1, d1), (t2, d2) in images:
+        phi = {t: c * (mult // d1) for t, c in t1.items()}
+        f2 = sign * (mult // d2)
+        for t, c in t2.items():
+            phi[t] = phi.get(t, 0) - f2 * c
+        phi = [(t, c) for t, c in phi.items() if c]
+        for b, row in enumerate(basis):
+            x = row[j]
+            if x:
+                for t, c in phi:
+                    r = rows.get(t)
+                    if r is None:
+                        r = rows[t] = [0] * len(basis)
+                    r[b] += x * c
+    return list(rows.values())
+
+
+class _MonomialMap:
+    """Images of monomials under a substitution, as (integer term dict,
+    denominator), memoised down the first nonzero exponent."""
+
+    def __init__(self, images: Mapping[str, Polynomial], desc: RingDescriptor):
+        targets = {img.descriptor for img in images.values()}
+        if len(targets) > 1:
+            raise ValueError("substitution images must share one descriptor")
+        self.target = targets.pop() if targets else desc
+        self.names = desc.variables
+        self.images = {}
+        for name, img in images.items():
+            if not all(is_rational_scalar(c) for c in img.terms.values()):
+                raise ValueError("subring computations need rational coefficients")
+            self.images[name] = _scaled_terms(img)
+        self.memo = {(0,) * desc.nvars: ({(0,) * self.target.nvars: 1}, 1)}
+
+    def __call__(self, mon: tuple) -> tuple[dict[tuple, int], int]:
+        cached = self.memo.get(mon)
+        if cached is not None:
+            return cached
+        i = next(k for k, e in enumerate(mon) if e)
+        img = self.images.get(self.names[i])
+        if img is None:
+            raise KeyError(f"missing image for variable(s): {self.names[i]}")
+        prev = list(mon)
+        prev[i] -= 1
+        terms, denom = self(tuple(prev))
+        value = (_int_product(terms, img[0]), denom * img[1])
+        self.memo[mon] = value
+        return value
 
 
 def _transpose(rows, ncols):
@@ -294,7 +355,8 @@ class SubringBuilder:
         index, rs = self.pred.modulus_space(m)
         piece: list[dict[tuple, int]] = []
         for g, dg in gens:
-            if dg <= m:
+            # A constant factor adds nothing to the span.
+            if 0 < dg <= m:
                 g_terms = _int_terms(g)
                 for b in span_terms[m - dg]:
                     prod = _int_product(g_terms, b)
@@ -303,7 +365,7 @@ class SubringBuilder:
         return index, rs, piece
 
     def presentation(self, max_degree: int) -> SubringPresentation:
-        gens, _ = self._generators_with_spans(max_degree)
+        gens, span_terms = self._generators_with_spans(max_degree)
         gen_census: dict[int, int] = {}
         for _, dg in gens:
             gen_census[dg] = gen_census.get(dg, 0) + 1
@@ -340,37 +402,25 @@ class SubringBuilder:
             if not free_mons:
                 relation_census[m] = 0
                 continue
-            index = {mon: i for i, mon in enumerate(self.pred.ambient_monomials(m))}
-            # Kernel of the evaluation map, allowing for the modulus ideal.
-            mod_rows = self.pred.modulus_rows(m, index)
-            width = len(free_mons) + len(mod_rows)
-            stacked = [[0] * width for _ in index]
-            for u, mon in enumerate(free_mons):
-                for amb, x in evaluate(mon).items():
-                    stacked[index[amb]][u] = x
-            for k, mrow in enumerate(mod_rows):
-                for j, x in enumerate(mrow):
-                    if x:
-                        stacked[j][len(free_mons) + k] = x
-            kernel = int_kernel_basis(stacked, width)
+            # span_terms[m] is a basis of the image of the evaluation map
+            # modulo the modulus, so the degree-m relations span a space of
+            # this dimension. The ideal lies inside it: at equal dimension
+            # the two are equal and no relation is new.
+            target = len(free_mons) - len(span_terms[m])
             free_index = {mon: i for i, mon in enumerate(free_mons)}
-            ideal_rows = IntRowSpace(len(free_mons))
-            for rel in relations:
-                # Relations are primitive integer rows: their terms are exact.
-                rel_terms = _int_terms(rel)
-                dw = degree_and_weight(rel)
-                dr = dw[0] if isinstance(dw, tuple) else 0
-                for mult in enumerate_monomials(free, m - dr):
-                    prod = _int_product({mult: 1}, rel_terms)
-                    ideal_rows.add(_row(prod, free_index))
+            ideal_rows = _ideal_rows(free, m, relations, free_index, target)
             new_count = 0
-            for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
-                xpart = k[: len(free_mons)]
-                if not any(xpart):
-                    continue
-                if ideal_rows.add(xpart):
-                    relations.append(_to_poly(free, free_mons, _primitive(xpart)))
-                    new_count += 1
+            if ideal_rows.dim < target:
+                kernel = self._evaluation_kernel(m, free_mons, evaluate)
+                for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
+                    xpart = k[: len(free_mons)]
+                    if not any(xpart):
+                        continue
+                    if ideal_rows.add(xpart):
+                        relations.append(_to_poly(free, free_mons, _primitive(xpart)))
+                        new_count += 1
+                        if ideal_rows.dim == target:
+                            break
             relation_census[m] = new_count
         warning = None
         if max_degree < 10:
@@ -385,6 +435,22 @@ class SubringBuilder:
             max_degree=max_degree,
             warning=warning,
         )
+
+    def _evaluation_kernel(self, m: int, free_mons: list[tuple], evaluate) -> list[list[int]]:
+        """Kernel of the degree-m evaluation map, allowing for the modulus
+        ideal: vectors (x, y) with eval(x) = sum_k y_k * modulus row k."""
+        index = {mon: i for i, mon in enumerate(self.pred.ambient_monomials(m))}
+        mod_rows = self.pred.modulus_rows(m, index)
+        width = len(free_mons) + len(mod_rows)
+        stacked = [[0] * width for _ in index]
+        for u, mon in enumerate(free_mons):
+            for amb, x in evaluate(mon).items():
+                stacked[index[amb]][u] = x
+        for k, mrow in enumerate(mod_rows):
+            for j, x in enumerate(mrow):
+                if x:
+                    stacked[j][len(free_mons) + k] = x
+        return int_kernel_basis(stacked, width)
 
     def verify_generator_list(
         self, claimed: Sequence[Polynomial], max_degree: int
@@ -423,6 +489,20 @@ class SubringBuilder:
             q = _random_combination(self.pred.subspace_basis(j), rng)
             results.append((i, j, self.pred.contains(p * q)))
         return results
+
+
+def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
+    """Row space of the degree-m multiples of the relations, in their order,
+    built only until its dimension reaches `target`."""
+    rows = IntRowSpace(len(free_index))
+    for rel in relations:
+        # Relations are primitive integer rows: their terms are exact.
+        terms = _int_terms(rel)
+        for mult in enumerate_monomials(free, m - degree_and_weight(rel)[0]):
+            if rows.dim == target:
+                return rows
+            rows.add(_row(_int_product({mult: 1}, terms), free_index))
+    return rows
 
 
 def _random_combination(basis: list[Polynomial], rng: random.Random) -> Polynomial:

@@ -16,9 +16,20 @@ from godeaux import (
     parse_polynomial,
     render_polynomial,
 )
+from godeaux.graded import _row
+from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis, scale_to_int
+from godeaux.poly import degree_and_weight, enumerate_monomials
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
-from godeaux.subring import SubringBuilder, _int_product, _int_terms
+from godeaux.subring import (
+    SubringBuilder,
+    SubstitutionParityCondition,
+    _apply_condition,
+    _combine,
+    _int_product,
+    _int_terms,
+    _to_poly,
+)
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
 
@@ -142,6 +153,19 @@ class TestVerifyGeneratorList:
         assert not report.ok
         assert report.generation[2] == (2, 0, False)
 
+    def test_degree_zero_generator_is_reported(self, builder):
+        # A constant lies in V_0 but spans nothing in positive degree.
+        report = builder.verify_generator_list([builder.desc.one()], 3)
+        assert report.memberships == [(0, 0, True)]
+        assert report.generation == {1: (0, 0, True), 2: (2, 0, False), 3: (4, 0, False)}
+        assert not report.ok
+
+    def test_degree_zero_generator_adds_nothing(self, builder):
+        claimed = [builder.desc.one(), *fixtures.sc_claimed_generators()]
+        report = builder.verify_generator_list(claimed, 8)
+        assert report.ok
+        assert report.generation == builder.verify_generator_list(claimed[1:], 8).generation
+
 
 class TestClosure:
     def test_spot_checks_pass(self, builder):
@@ -172,3 +196,184 @@ def test_integer_product_is_the_scaled_product(f, g):
     got = _int_product(_int_terms(f), _int_terms(g))
     assert all(type(c) is int for c in got.values())
     assert Polynomial(ABC, got) == expected
+
+
+# ---------------------------------------------------------------------------
+# The relation census as first written, kept as an oracle: at every degree it
+# adds every monomial multiple of every relation found so far, computes the
+# full kernel of the evaluation map and runs the full selection.
+
+
+def reference_census(builder, max_degree):
+    """(relations, relation census, hilbert, [(m, x-part rank, target)])."""
+    gens, span_terms = builder._generators_with_spans(max_degree)
+    free = RingDescriptor(
+        tuple(f"g{i+1}" for i in range(len(gens))),
+        tuple(dg for _, dg in gens),
+        (0,) * len(gens),
+    )
+    gen_terms = [_int_terms(g) for g, _ in gens]
+
+    def evaluate(exps):
+        out = _int_terms(builder.desc.one())
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                out = _int_product(out, gen_terms[i])
+        return out
+
+    pred = builder.pred
+    relations, census, hilbert, ranks = [], {}, {0: 1}, []
+    for m in range(1, max_degree + 1):
+        hilbert[m] = pred.dim(m)
+        free_mons = enumerate_monomials(free, m)
+        if not free_mons:
+            census[m] = 0
+            continue
+        index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+        mod_rows = pred.modulus_rows(m, index)
+        width = len(free_mons) + len(mod_rows)
+        stacked = [[0] * width for _ in index]
+        for u, mon in enumerate(free_mons):
+            for amb, x in evaluate(mon).items():
+                stacked[index[amb]][u] = x
+        for k, mrow in enumerate(mod_rows):
+            for j, x in enumerate(mrow):
+                if x:
+                    stacked[j][len(free_mons) + k] = x
+        kernel = int_kernel_basis(stacked, width)
+        xparts = IntRowSpace(len(free_mons))
+        for k in kernel:
+            xparts.add(k[: len(free_mons)])
+        ranks.append((m, xparts.dim, len(free_mons) - len(span_terms[m])))
+        free_index = {mon: i for i, mon in enumerate(free_mons)}
+        ideal_rows = IntRowSpace(len(free_mons))
+        for rel in relations:
+            dr = degree_and_weight(rel)[0]
+            for mult in enumerate_monomials(free, m - dr):
+                ideal_rows.add(_row(_int_product({mult: 1}, _int_terms(rel)), free_index))
+        new_count = 0
+        for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
+            xpart = k[: len(free_mons)]
+            if any(xpart) and ideal_rows.add(xpart):
+                relations.append(_to_poly(free, free_mons, _primitive(xpart)))
+                new_count += 1
+        census[m] = new_count
+    return relations, census, hilbert, ranks
+
+
+Z3 = RingDescriptor(("x", "y", "z"), (1, 1, 1), (0, 1, 2), torsion_order=3)
+
+
+def _weight_zero(desc, modulus=None):
+    return MembershipPredicate(
+        desc, [WeightCondition(0)],
+        modulus=None if modulus is None else GradedPresentation(desc, [modulus]),
+    )
+
+
+CENSUS_CASES = {
+    "sc": (sc_predicate, 11),
+    "quintic-quotient": (lambda: _weight_zero(z5_quintic().descriptor, z5_quintic()), 8),
+    "z3-cubic": (
+        lambda: _weight_zero(Z3, parse_polynomial("x^3 + y^3 + z^3 - 3/2*x*y*z", Z3)), 9
+    ),
+    "free": (lambda: _weight_zero(ABC), 6),
+}
+
+
+@pytest.mark.parametrize("case", list(CENSUS_CASES))
+def test_census_matches_the_full_elimination(case):
+    make, max_degree = CENSUS_CASES[case]
+    pres = SubringBuilder(make()).presentation(max_degree)
+    relations, census, hilbert, ranks = reference_census(
+        SubringBuilder(make()), max_degree
+    )
+    assert pres.relations == relations
+    assert pres.relation_census == census
+    assert pres.hilbert == hilbert
+    # The relation space has the dimension the census stops at.
+    assert all(rank == target for _, rank, target in ranks), ranks
+
+
+# ---------------------------------------------------------------------------
+# The glueing condition as first written, kept as an oracle: every basis row
+# is turned into a polynomial and substituted on its own.
+
+
+def reference_parity(cond, desc, m, cols, basis):
+    sign = cond.sign(m)
+    images = []
+    target_index = {}
+    for row in basis:
+        p = _to_poly(desc, cols, row)
+        val = p.substitute(cond.sigma1) - p.substitute(cond.sigma2).scale(sign)
+        for mon in val.terms:
+            target_index.setdefault(mon, len(target_index))
+        images.append(val)
+    constraint_rows = [
+        scale_to_int([img.coefficient(t) for img in images])
+        for t, _ in sorted(target_index.items(), key=lambda kv: kv[1])
+    ]
+    return _combine(basis, int_kernel_basis(constraint_rows, len(basis)))
+
+
+ST = RingDescriptor(("s", "t"), (1, 1), (0, 0))
+
+
+@st.composite
+def substitutions(draw, fault):
+    """Linear images of a, b, c in a and c with Fraction coefficients, so the
+    glueing condition has a kernel; `fault` drops one image or moves one onto
+    another descriptor."""
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    images = {
+        name: Polynomial(ABC, draw(st.dictionaries(
+            st.sampled_from([(1, 0, 0), (0, 0, 1)]), coeff, max_size=2
+        )))
+        for name in ABC.variables
+    }
+    name = draw(st.sampled_from(ABC.variables))
+    if fault == "missing":
+        del images[name]
+    elif fault == "two-descriptors":
+        images[name] = Polynomial(ST, {(1, 0): Fraction(1)})
+    return images
+
+
+def _outcome(f):
+    try:
+        return f()
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_parity_condition_matches_per_row_substitution(data):
+    m = data.draw(st.integers(1, 6))
+    cols = enumerate_monomials(ABC, m)
+    fault = data.draw(st.sampled_from([None, None, "missing", "two-descriptors"]))
+    which = data.draw(st.sampled_from(["sigma1", "sigma2"]))
+    maps = {"sigma1": data.draw(substitutions(None)), "sigma2": data.draw(substitutions(None))}
+    maps[which] = data.draw(substitutions(fault))
+    cond = SubstitutionParityCondition(
+        maps["sigma1"], maps["sigma2"], sign_base=data.draw(st.sampled_from([1, -1]))
+    )
+    entry = st.integers(-3, 3) | st.just(0)
+    basis = data.draw(
+        st.lists(st.lists(entry, min_size=len(cols), max_size=len(cols)), min_size=1, max_size=9)
+    )
+    ours = _outcome(lambda: _apply_condition(cond, ABC, m, cols, basis))
+    assert ours == _outcome(lambda: reference_parity(cond, ABC, m, cols, basis))
+
+
+def test_parity_condition_errors():
+    images = {name: Polynomial(ABC, {(1, 0, 0): Fraction(1, 2)}) for name in ABC.variables}
+    cols = enumerate_monomials(ABC, 2)
+    basis = [[1] * len(cols)]
+    missing = SubstitutionParityCondition({"a": images["a"]}, images)
+    with pytest.raises(KeyError):
+        _apply_condition(missing, ABC, 2, cols, basis)
+    apart = SubstitutionParityCondition(images, {**images, "b": Polynomial(ST, {})})
+    with pytest.raises(ValueError):
+        _apply_condition(apart, ABC, 2, cols, basis)
