@@ -58,9 +58,8 @@ class Membership:
 class GradedPresentation:
     """A ring given by a descriptor and homogeneous relation polynomials."""
 
-    def __init__(self, descriptor: RingDescriptor, relations, param_cap: int = 1):
+    def __init__(self, descriptor: RingDescriptor, relations):
         self.descriptor = descriptor
-        self.param_cap = param_cap
         self.relations: list[Polynomial] = []
         self.relation_bidegrees: list[tuple[int, int]] = []
         for r in relations:
@@ -77,10 +76,10 @@ class GradedPresentation:
         self._pieces: dict[tuple[int, int], _IdealPiece] = {}
 
     def ambient_dim(self, m: int, w) -> int:
-        return weight_space_dim(self.descriptor, m, w, param_cap=self.param_cap)
+        return weight_space_dim(self.descriptor, m, w)
 
     def ambient_monomials(self, m: int, w) -> list[tuple]:
-        return enumerate_monomials(self.descriptor, m, w, param_cap=self.param_cap)
+        return enumerate_monomials(self.descriptor, m, w)
 
     def _piece(self, m: int, w: int) -> "_IdealPiece":
         key = (m, w % self.descriptor.torsion_order)
@@ -206,15 +205,18 @@ class GradedPresentation:
                 source = self.quotient_monomial_basis(m, w)
                 if not source:
                     continue
-                target = self._piece(m + vdeg, (w + vwt) % desc.torsion_order)
-                probe = target.rowspace.copy()
-                for mon in source:
-                    shifted = list(mon)
-                    shifted[vi] += 1
-                    row = target.unit_row(tuple(shifted))
-                    if not probe.add(row):
-                        return False
+                shifted = [mon[:vi] + (mon[vi] + 1,) + mon[vi + 1 :] for mon in source]
+                if not self.independent_in_quotient(m + vdeg, w + vwt, shifted):
+                    return False
         return True
+
+    def independent_in_quotient(self, m: int, w: int, monomials) -> bool:
+        """True iff the classes of the monomials are linearly independent in
+        the quotient piece (m, w); ValueError for a monomial outside it."""
+        piece = self._piece(m, w)
+        rows = [piece.unit_row(mon) for mon in monomials]
+        probe = piece.rowspace.copy()
+        return all(probe.add(row) for row in rows)
 
 
 class _IdealPiece:
@@ -235,9 +237,7 @@ class _IdealPiece:
         for ri, (r, (dr, wr)) in enumerate(zip(pres.relations, pres.relation_bidegrees)):
             if dr > m:
                 continue
-            for mult in enumerate_monomials(
-                desc, m - dr, (w - wr) % desc.torsion_order, param_cap=pres.param_cap
-            ):
+            for mult in enumerate_monomials(desc, m - dr, (w - wr) % desc.torsion_order):
                 mono = Polynomial(desc, {mult: Fraction(1)})
                 self._multiples.append((ri, mult, mono * r))
         ambient = pres.ambient_monomials(m, w)

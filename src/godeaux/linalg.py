@@ -1,10 +1,13 @@
-"""Exact linear algebra over Q and Q(zeta_n).
+"""Exact linear algebra over Q and Q(zeta_n) on one sparse elimination engine.
 
-`Matrix.rref`, `kernel_basis` and `solve_columns` work on dense matrices of
-any exact scalar.  Incremental row spaces keep reduced pivot rows:
-`IntRowSpace` holds primitive integer rows for rational data and eliminates on
-their nonzero entries only, which is what the graded-ring code uses in its hot
-loops, and `GenericRowSpace` holds monic rows over any exact field.
+A row space keeps one reduced row per pivot column.  Rows are reduced as
+{column: value} dicts of their nonzeros, against pivot rows that keep their
+sorted nonzero columns, by one loop shared by two scalar backends:
+`IntRowSpace` holds primitive integer rows for rational data and eliminates
+fraction-free in Z, and `GenericRowSpace` holds monic rows over any exact
+field.  `int_rref` and `Matrix.rref` add their rows to a row space and
+back-substitute; `int_kernel_basis`, `kernel_basis` and `solve_columns` read
+their results off these echelon forms.
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ class Matrix:
         c = len(rows[0]) if rows else 0
         return cls(r, c, rows)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [row[:] for row in self.entries])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -58,26 +58,13 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with strictly increasing pivot columns."""
-        m = self.copy()
-        a = m.entries
-        pivots = []
-        r = 0
-        for c in range(m.cols):
-            pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            inv = scalar_inv(a[r][c])
-            a[r] = [x * inv for x in a[r]]
-            for i in range(m.rows):
-                if i != r and a[i][c] != 0:
-                    f = a[i][c]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-            pivots.append(c)
-            r += 1
-            if r == m.rows:
-                break
-        return m, tuple(pivots)
+        rs = GenericRowSpace(self.cols)
+        for row in self.entries:
+            rs.add(row)
+        reduced, pivots = rs._rref()
+        rows = [_dense(work, self.cols) for work in reduced]
+        rows += [[0] * self.cols for _ in range(self.rows - len(rows))]
+        return Matrix(self.rows, self.cols, rows), tuple(pivots)
 
 
 def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
@@ -115,19 +102,6 @@ def solve_columns(columns: list[list], target: list) -> list[Scalar] | None:
 # Incremental row spaces
 
 
-def scale_to_int(row) -> list[int]:
-    """Clear denominators of a rational row, returning an integer row."""
-    denoms = [x.denominator for x in row if isinstance(x, Fraction) and x.denominator != 1]
-    mult = lcm(*denoms) if denoms else 1
-    out = []
-    for x in row:
-        if isinstance(x, int):
-            out.append(x * mult)
-        else:
-            out.append(x.numerator * (mult // x.denominator))
-    return out
-
-
 def _primitive(row: list[int]) -> list[int]:
     g = 0
     for x in row:
@@ -143,15 +117,44 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
+def _dense(work: dict, ncols: int) -> list:
+    row = [0] * ncols
+    for j, x in work.items():
+        row[j] = x
+    return row
+
+
+def _subtract(work: dict, f, piv, cols) -> dict:
+    """work - f * piv in place, over piv's nonzero columns cols only."""
+    for c in cols:
+        u = work.get(c, 0) - f * piv[c]
+        if u:
+            work[c] = u
+        else:
+            del work[c]
+    return work
+
+
 class _RowSpace:
     """Reduced pivot rows keyed by pivot column; pivots are the leftmost
-    nonzero columns, in insertion order."""
+    nonzero columns, in insertion order.
 
-    __slots__ = ("ncols", "_pivots")
+    Each pivot row is stored dense, with its sorted nonzero columns in
+    `_support`.  A row is reduced as a {column: value} dict of its nonzeros:
+    while its leading column has a pivot, one elimination step clears that
+    entry.  A backend supplies the scalar steps as static methods:
+    `_nonzeros(row)` gives the dict of an input row,
+    `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
+    using pivot row piv, touching piv's nonzero columns cols only, and
+    `_normalise(work)` scales a new pivot row to canonical form.
+    """
+
+    __slots__ = ("ncols", "_pivots", "_support")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._pivots: dict[int, list] = {}
+        self._support: dict[int, tuple[int, ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -160,6 +163,7 @@ class _RowSpace:
     def copy(self):
         dup = type(self)(self.ncols)
         dup._pivots = dict(self._pivots)
+        dup._support = dict(self._support)
         return dup
 
     def pivot_columns(self) -> list[int]:
@@ -168,44 +172,21 @@ class _RowSpace:
     def rows(self) -> list[list]:
         return [self._pivots[c] for c in sorted(self._pivots)]
 
-
-class IntRowSpace(_RowSpace):
-    """Incremental row space over Q with primitive integer rows.
-
-    Rows are reduced against stored pivot rows by fraction-free elimination,
-    so all arithmetic stays in Z.  Reduction works on the nonzero entries
-    only: the working row is a {column: value} dict, and each pivot row keeps
-    its sorted nonzero columns next to the dense row.
-    """
-
-    __slots__ = ("_support",)
-
-    def __init__(self, ncols: int):
-        super().__init__(ncols)
-        self._support: dict[int, tuple[int, ...]] = {}
-
-    def copy(self):
-        dup = super().copy()
-        dup._support = dict(self._support)
-        return dup
-
-    def _reduce(self, row) -> dict[int, int]:
-        """Nonzeros of the row, denominators cleared, after reducing its
-        leading entries by the stored pivots until one has no pivot."""
+    def _reduce(self, row) -> dict:
+        """Nonzeros of the row after reducing its leading entries by the
+        stored pivots until one has no pivot."""
         if len(row) != self.ncols:
             raise ValueError("length mismatch")
-        work = {j: x for j, x in enumerate(row) if x}
-        if not all(type(x) is int for x in work.values()):
-            mult = lcm(*(x.denominator for x in work.values()))
-            work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
+        work = self._nonzeros(row)
         pivots = self._pivots
         support = self._support
+        eliminate = self._eliminate
         while work:
             j = min(work)
             piv = pivots.get(j)
             if piv is None:
                 break
-            work = _eliminate(work, j, piv, support[j])
+            work = eliminate(work, j, piv, support[j])
         return work
 
     def add(self, row) -> bool:
@@ -213,75 +194,94 @@ class IntRowSpace(_RowSpace):
         work = self._reduce(row)
         if not work:
             return False
-        work = _primitive_sparse(work)
+        work = self._normalise(work)
         cols = tuple(sorted(work))
-        dense = [0] * self.ncols
-        for c in cols:
-            dense[c] = work[c]
-        self._pivots[cols[0]] = dense
+        self._pivots[cols[0]] = _dense(work, self.ncols)
         self._support[cols[0]] = cols
         return True
 
     def contains(self, row) -> bool:
         return not self._reduce(row)
 
-
-def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
-    """The fraction-free step a*work - b*piv that clears work's entry in
-    piv's leading column, taken over piv's nonzero columns `cols` only."""
-    p = piv[lead]
-    g = gcd(p, work[lead])
-    a, b = p // g, work[lead] // g
-    if a != 1:
-        work = {c: a * u for c, u in work.items()}
-    for c in cols:
-        u = work.get(c, 0) - b * piv[c]
-        if u:
-            work[c] = u
-        else:
-            del work[c]
-    return work
+    def _rref(self) -> tuple[list[dict], list[int]]:
+        """The pivot rows as nonzero dicts in pivot-column order, with each
+        pivot column cleared from the rows above, and the pivot columns."""
+        cols = self.pivot_columns()
+        sparse = [{j: self._pivots[c][j] for j in self._support[c]} for c in cols]
+        for i in range(len(cols) - 1, -1, -1):
+            c = cols[i]
+            piv = sparse[i]
+            for k in range(i):
+                if c in sparse[k]:
+                    sparse[k] = self._normalise(self._eliminate(sparse[k], c, piv, piv))
+        return sparse, cols
 
 
-def _primitive_sparse(work: dict[int, int]) -> dict[int, int]:
-    """Divide a nonzero sparse row by its content, leading entry positive."""
-    g = gcd(*work.values())
-    if work[min(work)] < 0:
-        g = -g
-    return {c: u // g for c, u in work.items()}
+class IntRowSpace(_RowSpace):
+    """Incremental row space over Q with primitive integer rows.
 
-
-class GenericRowSpace(_RowSpace):
-    """Incremental row space over an exact field (used for cyclotomic scalars)."""
+    Rows are reduced against stored pivot rows by fraction-free elimination,
+    so all arithmetic stays in Z.
+    """
 
     __slots__ = ()
 
-    def reduce(self, row) -> list:
-        work = list(row)
-        j = 0
-        while j < self.ncols:
-            x = work[j]
-            if x == 0:
-                j += 1
-                continue
-            piv = self._pivots.get(j)
-            if piv is None:
-                break
-            work = [u - x * v for u, v in zip(work, piv)]
-            j += 1
+    # Bound on each backend as well, so that the two can be traced apart.
+    add = _RowSpace.add
+    contains = _RowSpace.contains
+
+    @staticmethod
+    def _nonzeros(row) -> dict[int, int]:
+        """Nonzeros of a rational row, denominators cleared."""
+        work = {j: x for j, x in enumerate(row) if x}
+        if not all(type(x) is int for x in work.values()):
+            mult = lcm(*(x.denominator for x in work.values()))
+            work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
         return work
 
-    def add(self, row) -> bool:
-        work = self.reduce(row)
-        j = next((i for i, x in enumerate(work) if x != 0), None)
-        if j is None:
-            return False
-        inv = scalar_inv(work[j])
-        self._pivots[j] = [x * inv for x in work]
-        return True
+    @staticmethod
+    def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
+        """The fraction-free step a*work - b*piv that clears work's entry in
+        column lead."""
+        p = piv[lead]
+        g = gcd(p, work[lead])
+        a, b = p // g, work[lead] // g
+        if a != 1:
+            work = {c: a * u for c, u in work.items()}
+        return _subtract(work, b, piv, cols)
 
-    def contains(self, row) -> bool:
-        return all(x == 0 for x in self.reduce(row))
+    @staticmethod
+    def _normalise(work: dict[int, int]) -> dict[int, int]:
+        """Divide a nonzero row by its content, leading entry positive."""
+        g = gcd(*work.values())
+        if work[min(work)] < 0:
+            g = -g
+        return {c: u // g for c, u in work.items()}
+
+
+class GenericRowSpace(_RowSpace):
+    """Incremental row space over an exact field with monic rows (Fraction
+    or cyclotomic scalars)."""
+
+    __slots__ = ()
+
+    add = _RowSpace.add
+    contains = _RowSpace.contains
+
+    @staticmethod
+    def _nonzeros(row) -> dict:
+        return {j: x for j, x in enumerate(row) if x}
+
+    @staticmethod
+    def _eliminate(work: dict, lead: int, piv, cols) -> dict:
+        """work - work[lead] * piv, for a monic piv."""
+        return _subtract(work, work[lead], piv, cols)
+
+    @staticmethod
+    def _normalise(work: dict) -> dict:
+        """Scale a nonzero row to leading entry 1."""
+        inv = scalar_inv(work[min(work)])
+        return {c: u * inv for c, u in work.items()}
 
 
 def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -289,22 +289,8 @@ def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
     rs = IntRowSpace(ncols)
     for row in rows:
         rs.add(row)
-    cols = rs.pivot_columns()
-    sparse = [{j: rs._pivots[c][j] for j in rs._support[c]} for c in cols]
-    # Clear pivot columns above each pivot.
-    for i in range(len(cols) - 1, -1, -1):
-        c = cols[i]
-        piv = sparse[i]
-        for k in range(i):
-            if c in sparse[k]:
-                sparse[k] = _primitive_sparse(_eliminate(sparse[k], c, piv, piv))
-    reduced = []
-    for work in sparse:
-        dense = [0] * ncols
-        for j, x in work.items():
-            dense[j] = x
-        reduced.append(dense)
-    return reduced, cols
+    reduced, cols = rs._rref()
+    return [_dense(work, ncols) for work in reduced], cols
 
 
 def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:

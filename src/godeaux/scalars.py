@@ -9,6 +9,7 @@ a value is a Cyclo only when it is genuinely irrational.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 SUPPORTED_ORDERS = (1, 3, 4, 5)
@@ -121,12 +122,17 @@ class Cyclo:
         return self
 
     def inverse(self) -> Scalar:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[t]."""
-        phi = [Fraction(1)] * (_PHI[self.order] + 1)
-        if self.order == 4:
-            phi = [Fraction(1), Fraction(0), Fraction(1)]
-        u = _poly_invmod(list(self.coeffs), phi)
-        return make_cyclo(self.order, u)
+        """Multiplicative inverse: the product of the other Galois conjugates
+        (zeta -> zeta^k, gcd(k, n) = 1) divided by the rational norm."""
+        n = self.order
+        conj: Scalar = Fraction(1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                image = [Fraction(0)] * n
+                for i, c in enumerate(self.coeffs):
+                    image[i * k % n] += c
+                conj = conj * make_cyclo(n, image)
+        return conj * (1 / (self * conj))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -254,60 +260,6 @@ def scalar_pow(a: Scalar, k: int) -> Scalar:
         base = base * base if k > 1 else base
         k >>= 1
     return result
-
-
-def _poly_divmod(a: list, b: list):
-    """Division with remainder in Q[t]; inputs are ascending coefficient lists."""
-    a = list(a)
-    b = list(b)
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    q = [Fraction(0)] * max(1, len(a) - db)
-    while a and len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        c = a[-1] / b[-1]
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _poly_invmod(a: list, mod: list) -> list:
-    """Inverse of a modulo mod in Q[t] (gcd is 1 since mod is irreducible)."""
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(c != 0 for c in r1):
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-    # r0 is the (constant) gcd; normalise.
-    lead = next(c for c in reversed(r0) if c != 0)
-    return [c / lead for c in s0]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def format_scalar(x: Scalar) -> str:

@@ -377,22 +377,9 @@ class SubringBuilder:
             torsion_order=1,
             scalar_order=1,
         )
-        # Generators are primitive integer rows, so their integer term dicts
-        # are their exact values and the evaluation map is unscaled.
-        gen_terms = [_int_terms(g) for g, _ in gens]
-        eval_memo = {(0,) * len(gens): _int_terms(self.desc.one())}
-
-        def evaluate(exps: tuple) -> dict[tuple, int]:
-            cached = eval_memo.get(exps)
-            if cached is not None:
-                return cached
-            i = next(k for k, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[i] -= 1
-            value = _int_product(evaluate(tuple(prev)), gen_terms[i])
-            eval_memo[exps] = value
-            return value
-
+        # Generators are primitive integer rows, so the evaluation map has
+        # denominator 1 throughout.
+        evaluate = _MonomialMap({name: g for name, (g, _) in zip(names, gens)}, free)
         relations: list[Polynomial] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
@@ -444,7 +431,8 @@ class SubringBuilder:
         width = len(free_mons) + len(mod_rows)
         stacked = [[0] * width for _ in index]
         for u, mon in enumerate(free_mons):
-            for amb, x in evaluate(mon).items():
+            terms, _ = evaluate(mon)
+            for amb, x in terms.items():
                 stacked[index[amb]][u] = x
         for k, mrow in enumerate(mod_rows):
             for j, x in enumerate(mrow):
@@ -479,6 +467,8 @@ class SubringBuilder:
         rng = random.Random(seed)
         results = []
         degrees = [m for m in range(1, max_degree) if self.pred.subspace_basis(m)]
+        if not degrees:
+            return []
         for _ in range(trials):
             i = rng.choice(degrees)
             j_choices = [j for j in degrees if i + j <= max_degree]

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from godeaux import Matrix, kernel_basis, zeta
-from godeaux.linalg import IntRowSpace, int_kernel_basis, int_rref, solve_columns
+from godeaux import Matrix, kernel_basis, make_cyclo, scalar_inv, zeta
+from godeaux.linalg import (
+    GenericRowSpace,
+    IntRowSpace,
+    int_kernel_basis,
+    int_rref,
+    solve_columns,
+)
+from godeaux.scenarios import fixtures
+from godeaux.scenarios.torsion3 import _relation_map, h_membership_presentation
 
 
 def F(x):
@@ -144,7 +152,7 @@ def test_int_rowspace_fraction_input():
 
 
 # ---------------------------------------------------------------------------
-# The dense elimination loop, kept as the oracle for the sparse kernels.
+# The dense elimination loops, kept as oracles for the sparse engine.
 
 
 def _dense_primitive(row):
@@ -251,8 +259,8 @@ def sparse_rows(draw, fractions=False):
     return rows, ncols
 
 
-def _matches_dense_oracle(rows, ncols):
-    sparse, dense = IntRowSpace(ncols), DenseIntRowSpace(ncols)
+def _matches_dense_oracle(rows, ncols, engine=IntRowSpace, oracle=DenseIntRowSpace):
+    sparse, dense = engine(ncols), oracle(ncols)
     for row in rows:
         assert sparse.contains(row) == dense.contains(row)
         assert sparse.add(row) == dense.add(row)
@@ -289,3 +297,136 @@ def test_copy_keeps_supports_apart():
     dup = rs.copy()
     assert dup.add([1, 0, 1]) and not rs.contains([1, 0, 1])
     assert dup._support == {0: (0, 2), 1: (1, 2)} and rs._support == {1: (1, 2)}
+
+
+def dense_rref(matrix):
+    """Gauss-Jordan elimination over whole dense rows."""
+    a = [row[:] for row in matrix.entries]
+    pivots = []
+    r = 0
+    for c in range(matrix.cols):
+        pivot_row = next((i for i in range(r, matrix.rows) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = scalar_inv(a[r][c])
+        a[r] = [x * inv for x in a[r]]
+        for i in range(matrix.rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == matrix.rows:
+            break
+    return Matrix(matrix.rows, matrix.cols, a), tuple(pivots)
+
+
+class DenseGenericRowSpace:
+    """Top reduction by monic pivot rows over whole dense rows."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._pivots = {}
+
+    def reduce(self, row):
+        work = list(row)
+        j = 0
+        while j < self.ncols:
+            x = work[j]
+            if x == 0:
+                j += 1
+                continue
+            piv = self._pivots.get(j)
+            if piv is None:
+                break
+            work = [u - x * v for u, v in zip(work, piv)]
+            j += 1
+        return work
+
+    def add(self, row):
+        work = self.reduce(row)
+        j = next((i for i, x in enumerate(work) if x != 0), None)
+        if j is None:
+            return False
+        inv = scalar_inv(work[j])
+        self._pivots[j] = [x * inv for x in work]
+        return True
+
+    def contains(self, row):
+        return all(x == 0 for x in self.reduce(row))
+
+
+PHI = {1: 1, 3: 2, 4: 2, 5: 4}
+
+
+def field_scalars(order):
+    """Rationals for order 1, else elements of Q(zeta_order)."""
+    frac = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    return st.lists(frac, min_size=PHI[order], max_size=PHI[order]).map(
+        lambda cs: make_cyclo(order, cs)
+    )
+
+
+@st.composite
+def field_rows(draw, order):
+    """Mostly-zero rows, with a duplicate, a scaled copy and a zero row."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(st.just(0), st.just(0), field_scalars(order))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6)
+    )
+    factor = draw(field_scalars(order).filter(lambda x: x != 0))
+    first = rows[0]
+    for row in (list(first), [factor * x for x in first], [0] * ncols):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows, ncols
+
+
+FIELD_ORDERS = pytest.mark.parametrize("order", [1, 3, 4, 5], ids=["Q", "z3", "z4", "z5"])
+
+
+@FIELD_ORDERS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_rowspace_matches_dense_oracle(order, data):
+    rows, ncols = data.draw(field_rows(order))
+    _matches_dense_oracle(rows, ncols, GenericRowSpace, DenseGenericRowSpace)
+
+
+def _solved_with(rref, matrix, rows, targets):
+    """rref, kernel basis and solutions, with Matrix.rref replaced by rref."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "rref", rref)
+        return matrix.rref(), kernel_basis(matrix), [solve_columns(rows, t) for t in targets]
+
+
+@FIELD_ORDERS
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_kernel_and_solve_match_dense_oracle(order, data):
+    rows, ncols = data.draw(field_rows(order))
+    m = Matrix.from_rows(rows)
+    # One target in the span of the rows, read as columns, and one drawn freely.
+    inside = [x + y for x, y in zip(rows[0], rows[-1])]
+    free = data.draw(st.lists(field_scalars(order), min_size=ncols, max_size=ncols))
+    targets = [inside, free]
+    assert _solved_with(Matrix.rref, m, rows, targets) == _solved_with(
+        dense_rref, m, rows, targets
+    )
+
+
+def test_h_membership_certificates_match_dense_oracle():
+    rels = _relation_map()
+    x2sq = fixtures.z3_descriptor().variable("x2") ** 2
+    targets = [x2sq * rels[name] for name in ("H0", "H1", "H2")]
+
+    def certificates():
+        pres = h_membership_presentation()
+        return [pres.reduces_to_zero(t).certificate for t in targets]
+
+    engine = certificates()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Matrix, "rref", dense_rref)
+        oracle = certificates()
+    assert all(engine) and engine == oracle

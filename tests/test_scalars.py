@@ -129,6 +129,16 @@ def test_embedding_consistency(p, q, order):
     assert (p + zero) * (q + zero) == p * q
 
 
+@pytest.mark.parametrize("order", [3, 4, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclo_inverse_is_exact(order, data):
+    x = data.draw(elements(order).filter(lambda a: isinstance(a, Cyclo)))
+    inv = scalar_inv(x)
+    assert isinstance(inv, Cyclo)
+    assert x * inv == 1 and scalar_inv(inv) == x
+
+
 def test_parse_scalar_literals():
     assert parse_scalar("5/6") == Fraction(5, 6)
     assert parse_scalar("-7") == Fraction(-7)

@@ -17,7 +17,7 @@ from godeaux import (
     render_polynomial,
 )
 from godeaux.graded import _row
-from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis, scale_to_int
+from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis
 from godeaux.poly import degree_and_weight, enumerate_monomials
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
@@ -177,6 +177,11 @@ class TestClosure:
         b = builder.closure_spot_checks(10, seed=5, trials=6)
         assert a == b
 
+    @pytest.mark.parametrize("max_degree", [1, 2])
+    def test_no_nonzero_piece_below_the_bound_gives_no_checks(self, builder, max_degree):
+        # V_1 = 0 on sc, so no degree below the bound has a nonzero piece.
+        assert builder.closure_spot_checks(max_degree) == []
+
 
 @st.composite
 def rational_polys(draw):
@@ -300,6 +305,12 @@ def test_census_matches_the_full_elimination(case):
 # is turned into a polynomial and substituted on its own.
 
 
+def _cleared(row):
+    """The rational row times the lcm of its denominators."""
+    mult = lcm(*(x.denominator for x in row))
+    return [x.numerator * (mult // x.denominator) for x in row]
+
+
 def reference_parity(cond, desc, m, cols, basis):
     sign = cond.sign(m)
     images = []
@@ -311,7 +322,7 @@ def reference_parity(cond, desc, m, cols, basis):
             target_index.setdefault(mon, len(target_index))
         images.append(val)
     constraint_rows = [
-        scale_to_int([img.coefficient(t) for img in images])
+        _cleared([img.coefficient(t) for img in images])
         for t, _ in sorted(target_index.items(), key=lambda kv: kv[1])
     ]
     return _combine(basis, int_kernel_basis(constraint_rows, len(basis)))
