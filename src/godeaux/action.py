@@ -66,12 +66,12 @@ def project_to_weight(p: Polynomial, w: int) -> Polynomial:
     )
 
 
-def weight_space_dim(desc: RingDescriptor, m: int, w, param_cap: int = 1) -> int:
+def weight_space_dim(desc: RingDescriptor, m: int, w) -> int:
     """Number of monomials of weighted degree m and torsion weight w.
 
     Pure integer combinatorics via dynamic programming over the variables;
     `w="all"` counts the whole degree-m piece.  Degree-0 variables are capped
-    at `param_cap` exponents, as in monomial enumeration.
+    at exponent 1, as in monomial enumeration.
     """
     if m < 0:
         return 0
@@ -80,7 +80,7 @@ def weight_space_dim(desc: RingDescriptor, m: int, w, param_cap: int = 1) -> int
     dp = {(0, 0): 1}
     for deg, wt in zip(desc.degrees, desc.weights):
         nxt: dict[tuple[int, int], int] = {}
-        top = param_cap if deg == 0 else m // deg
+        top = 1 if deg == 0 else m // deg
         for (used, ww), cnt in dp.items():
             for e in range(top + 1):
                 u = used + e * deg

@@ -246,12 +246,10 @@ def degree_and_weight(p: Polynomial):
     return next(iter(grades))
 
 
-def enumerate_monomials(
-    desc: RingDescriptor, m: int, w="all", param_cap: int = 1
-) -> list[tuple]:
+def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
     """All exponent tuples of weighted degree m (and torsion weight w), canonical order.
 
-    Degree-0 variables are capped at ``param_cap`` so the list stays finite.
+    Degree-0 variables are capped at exponent 1 so the list stays finite.
     """
     if m < 0:
         return []
@@ -264,7 +262,7 @@ def enumerate_monomials(
                 out.append(tuple(exps))
             return
         d = desc.degrees[i]
-        top = param_cap if d == 0 else remaining // d
+        top = 1 if d == 0 else remaining // d
         for k in range(top + 1):
             exps[i] = k
             rec(i + 1, remaining - k * d)

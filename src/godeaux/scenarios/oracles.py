@@ -16,12 +16,10 @@ def oracle_plurigenus(m: int) -> int:
     return 1 + comb(m, 2)
 
 
-def oracle_curve_dim(m: int, i: int, torsion_order: int = 3) -> int:
+def oracle_curve_dim(m: int, i: int) -> int:
     """Section-space dimensions on a paracanonical curve, per torsion weight i."""
-    if torsion_order < 3:
-        raise ValueError("curve table needs torsion order >= 3")
-    if not 0 <= i < torsion_order:
-        raise ValueError(f"weight {i} out of range for torsion order {torsion_order}")
+    if not 0 <= i < 3:
+        raise ValueError(f"weight {i} out of range for torsion order 3")
     if m < 0:
         raise ValueError("degree must be >= 0")
     if m == 0:

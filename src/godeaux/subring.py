@@ -1,8 +1,9 @@
 """Graded subrings cut out by degree-wise linear membership conditions.
 
-A predicate combines primitive linear conditions (torsion-weight selection,
-congruence to an even-power image modulo given polynomials, equality of two
-substitutions up to a parity sign) into exact bases of the subspaces V_m.
+In degree m each primitive condition (torsion-weight selection, congruence to
+an even-power image modulo given polynomials, equality of two substitutions up
+to a parity sign) gives integer linear functionals on the degree-m monomials;
+V_m is their common kernel, in reduced echelon form.
 On top of that the builder finds minimal generators, a relation census, and
 verifies claimed generator lists, all by exact integer linear algebra.
 """
@@ -92,12 +93,11 @@ class MembershipPredicate:
             return self._cache[m]
         cols = self.ambient_monomials(m)
         n = len(cols)
-        basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for cond in self.conditions:
-            basis = _apply_condition(cond, self.descriptor, m, cols, basis)
-            if not basis:
-                break
-        reduced, _ = int_rref(basis, n)
+        functionals = [
+            row for cond in self.conditions
+            for row in _constraints(cond, self.descriptor, m, cols)
+        ]
+        reduced, _ = int_rref(int_kernel_basis(functionals, n), n)
         polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
         self._cache[m] = polys
         return polys
@@ -167,24 +167,18 @@ def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Pol
     )
 
 
-def _apply_condition(cond, desc, m, cols, basis):
+def _constraints(cond, desc, m, cols) -> list[list[int]]:
+    """Integer functionals on the degree-m monomials whose common kernel is
+    the part of the degree-m piece that satisfies `cond`."""
     if isinstance(cond, WeightCondition):
         target = cond.weight % desc.torsion_order
-        wrong = [j for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
-        constraints = [[row[j] for j in wrong] for row in basis]
-        return _combine(basis, int_kernel_basis(_transpose(constraints, len(wrong)), len(basis)))
+        return _units(cols, lambda mon: desc.monomial_weight(mon) != target)
     if isinstance(cond, SubstitutionParityCondition):
-        constraints = _parity_constraints(cond, desc, m, cols, basis)
-        return _combine(basis, int_kernel_basis(constraints, len(basis)))
+        return _parity_constraints(cond, desc, m, cols)
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
-        span_rows = []
-        for j, mon in enumerate(cols):
-            if all(mon[i] % 2 == 0 for i in even_idx):
-                row = [0] * len(cols)
-                row[j] = 1
-                span_rows.append(row)
         index = {mon: i for i, mon in enumerate(cols)}
+        span_rows = _units(cols, lambda mon: all(mon[i] % 2 == 0 for i in even_idx))
         for f in cond.modulus:
             dw = degree_and_weight(f)
             if not isinstance(dw, tuple):
@@ -192,43 +186,41 @@ def _apply_condition(cond, desc, m, cols, basis):
             for mult in enumerate_monomials(desc, m - dw[0]):
                 prod = Polynomial(desc, {mult: Fraction(1)}) * f
                 span_rows.append(_vector(prod, index))
-        return _intersect(basis, span_rows, len(cols))
+        # Over Q, v lies in span(S) exactly when every functional that
+        # vanishes on S vanishes on v: the annihilator cuts out the span.
+        return int_kernel_basis(span_rows, len(cols))
     raise TypeError(f"unknown condition {cond!r}")
 
 
-def _parity_constraints(cond, desc, m, cols, basis) -> list[list[int]]:
-    """Integer rows of the map b -> sigma1(b) - sign * sigma2(b) on the basis,
-    one row per target monomial.
+def _units(cols: list[tuple], keep) -> list[list[int]]:
+    """Unit rows of the columns whose monomial satisfies `keep`."""
+    return [[int(i == j) for i in range(len(cols))] for j, mon in enumerate(cols) if keep(mon)]
 
-    Both substitutions are ring maps, so each ambient monomial in use is
-    mapped once: phi_j = sigma1(cols[j]) - sign * sigma2(cols[j]), and entry
-    (t, b) is sum_j basis[b][j] * phi_j[t].  All rows carry one common
-    positive factor, which leaves their kernel unchanged."""
-    if not basis:
-        return []
+
+def _parity_constraints(cond, desc, m, cols) -> list[list[int]]:
+    """Integer functionals of v -> sigma1(v) - sign * sigma2(v), one per
+    target monomial t: entry (t, j) is the coefficient of t in
+    sigma1(cols[j]) - sign * sigma2(cols[j]).
+
+    Both substitutions are ring maps, so each ambient monomial is mapped
+    once.  All rows carry one common positive factor, which leaves their
+    kernel unchanged."""
     sigma1 = _MonomialMap(cond.sigma1, desc)
     sigma2 = _MonomialMap(cond.sigma2, desc)
     if sigma1.target != sigma2.target:
         raise ValueError("descriptor mismatch")
     sign = cond.sign(m)
-    used = [j for j in range(len(cols)) if any(row[j] for row in basis)]
-    images = [(j, sigma1(cols[j]), sigma2(cols[j])) for j in used]
-    mult = lcm(*(d for _, (_, d1), (_, d2) in images for d in (d1, d2)))
+    images = [(sigma1(mon), sigma2(mon)) for mon in cols]
+    mult = lcm(*(d for (_, d1), (_, d2) in images for d in (d1, d2)))
     rows: dict[tuple, list[int]] = {}
-    for j, (t1, d1), (t2, d2) in images:
+    for j, ((t1, d1), (t2, d2)) in enumerate(images):
         phi = {t: c * (mult // d1) for t, c in t1.items()}
         f2 = sign * (mult // d2)
         for t, c in t2.items():
             phi[t] = phi.get(t, 0) - f2 * c
-        phi = [(t, c) for t, c in phi.items() if c]
-        for b, row in enumerate(basis):
-            x = row[j]
-            if x:
-                for t, c in phi:
-                    r = rows.get(t)
-                    if r is None:
-                        r = rows[t] = [0] * len(basis)
-                    r[b] += x * c
+        for t, c in phi.items():
+            if c:
+                rows.setdefault(t, [0] * len(cols))[j] = c
     return list(rows.values())
 
 
@@ -263,32 +255,6 @@ class _MonomialMap:
         value = (_int_product(terms, img[0]), denom * img[1])
         self.memo[mon] = value
         return value
-
-
-def _transpose(rows, ncols):
-    return [[row[j] for row in rows] for j in range(ncols)]
-
-
-def _combine(basis, coeff_vectors):
-    out = []
-    for coeffs in coeff_vectors:
-        row = [0] * len(basis[0]) if basis else []
-        for c, b in zip(coeffs, basis):
-            if c:
-                row = [u + c * v for u, v in zip(row, b)]
-        out.append(row)
-    return out
-
-
-def _intersect(basis, span_rows, ncols):
-    """Basis of span(basis) ∩ span(span_rows)."""
-    if not basis or not span_rows:
-        return []
-    stacked = []
-    for j in range(ncols):
-        stacked.append([row[j] for row in basis] + [-row[j] for row in span_rows])
-    kern = int_kernel_basis(stacked, len(basis) + len(span_rows))
-    return [row for row in (_combine(basis, [k[: len(basis)]])[0] for k in kern) if any(row)]
 
 
 # ---------------------------------------------------------------------------

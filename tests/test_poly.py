@@ -165,9 +165,9 @@ class TestEnumeration:
         assert set(enumerate_monomials(z3desc, m)) == expected
 
     def test_param_cap(self, z3desc):
-        capped = enumerate_monomials(z3desc, 0, param_cap=2)
-        # alpha, beta, gamma each up to exponent 2: 27 parameter monomials.
-        assert len(capped) == 27
+        capped = enumerate_monomials(z3desc, 0)
+        # alpha, beta, gamma each up to exponent 1: 8 parameter monomials.
+        assert len(capped) == 8
 
 
 class TestParsing:
@@ -229,8 +229,13 @@ def test_homogeneity_multiplicative(data):
     desc = fixtures.z3_descriptor()
     m1 = data.draw(st.integers(min_value=1, max_value=4))
     m2 = data.draw(st.integers(min_value=1, max_value=4))
-    mons1 = enumerate_monomials(desc, m1, param_cap=0)
-    mons2 = enumerate_monomials(desc, m2, param_cap=0)
+    params = [i for i, d in enumerate(desc.degrees) if d == 0]
+
+    def parameter_free(m):
+        return [e for e in enumerate_monomials(desc, m) if not any(e[i] for i in params)]
+
+    mons1 = parameter_free(m1)
+    mons2 = parameter_free(m2)
     e1 = data.draw(st.sampled_from(mons1))
     e2 = data.draw(st.sampled_from(mons2))
     p = Polynomial(desc, {e1: Fraction(3)})

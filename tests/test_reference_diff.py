@@ -86,6 +86,13 @@ def test_hilbert_presets_match(preset, tmp_path):
     assert ours[1:] == ref[1:]
 
 
+def test_hilbert_sc_past_the_census_bound_matches(tmp_path):
+    # dim V_m well past the degrees the sc-build cases reach.
+    ours, ref = run_both(["hilbert", "--preset", "sc", "--max-degree", "18"], tmp_path)
+    assert ours[0] == ref[0] == 0, ours[2]
+    assert ours[1:] == ref[1:]
+
+
 def test_hilbert_cyclotomic_ring_file_matches(tmp_path):
     ours, ref = run_both(
         ["hilbert", "--ring", "z5.ring", "--max-degree", "10", "--format", "json"], tmp_path

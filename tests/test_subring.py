@@ -17,18 +17,19 @@ from godeaux import (
     render_polynomial,
 )
 from godeaux.graded import _row
-from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis
+from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref
 from godeaux.poly import degree_and_weight, enumerate_monomials
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
 from godeaux.subring import (
+    CongruenceImageCondition,
     SubringBuilder,
     SubstitutionParityCondition,
-    _apply_condition,
-    _combine,
     _int_product,
     _int_terms,
+    _parity_constraints,
     _to_poly,
+    _vector,
 )
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -374,17 +375,170 @@ def test_parity_condition_matches_per_row_substitution(data):
     basis = data.draw(
         st.lists(st.lists(entry, min_size=len(cols), max_size=len(cols)), min_size=1, max_size=9)
     )
-    ours = _outcome(lambda: _apply_condition(cond, ABC, m, cols, basis))
-    assert ours == _outcome(lambda: reference_parity(cond, ABC, m, cols, basis))
+    n = len(cols)
+
+    def ours():
+        # span(basis) is cut out by its annihilator; add the parity functionals.
+        functionals = int_kernel_basis(basis, n) + _parity_constraints(cond, ABC, m, cols)
+        return int_rref(int_kernel_basis(functionals, n), n)[0]
+
+    # Every degree-m monomial is mapped, so a missing image raises whether or
+    # not the basis uses its variable.
+    expected = (
+        KeyError if fault == "missing"
+        else _outcome(lambda: int_rref(reference_parity(cond, ABC, m, cols, basis), n)[0])
+    )
+    assert _outcome(ours) == expected
 
 
 def test_parity_condition_errors():
     images = {name: Polynomial(ABC, {(1, 0, 0): Fraction(1, 2)}) for name in ABC.variables}
-    cols = enumerate_monomials(ABC, 2)
-    basis = [[1] * len(cols)]
     missing = SubstitutionParityCondition({"a": images["a"]}, images)
     with pytest.raises(KeyError):
-        _apply_condition(missing, ABC, 2, cols, basis)
+        MembershipPredicate(ABC, [missing]).subspace_basis(2)
     apart = SubstitutionParityCondition(images, {**images, "b": Polynomial(ST, {})})
     with pytest.raises(ValueError):
-        _apply_condition(apart, ABC, 2, cols, basis)
+        MembershipPredicate(ABC, [apart]).subspace_basis(2)
+
+
+def test_missing_image_raises_where_no_basis_element_uses_it():
+    # c has weight 1 mod 3, so in degree 2 the weight-0 condition removes
+    # every monomial in c; sigma1 still has no image for c.
+    desc = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 1), torsion_order=3)
+    images = {name: Polynomial(ST, {(1, 0): Fraction(1)}) for name in desc.variables}
+    cond = SubstitutionParityCondition({"a": images["a"], "b": images["b"]}, images)
+    pred = MembershipPredicate(desc, [WeightCondition(0), cond])
+    with pytest.raises(KeyError, match="c"):
+        pred.subspace_basis(2)
+
+
+# ---------------------------------------------------------------------------
+# V_m as first written, kept as an oracle: the conditions narrow a basis in
+# turn, each in its own matrix shape, and the parity condition substitutes
+# every basis row on its own (reference_parity above).
+
+
+def _apply_condition(cond, desc, m, cols, basis):
+    if isinstance(cond, WeightCondition):
+        target = cond.weight % desc.torsion_order
+        wrong = [j for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
+        constraints = [[row[j] for j in wrong] for row in basis]
+        return _combine(basis, int_kernel_basis(_transpose(constraints, len(wrong)), len(basis)))
+    if isinstance(cond, SubstitutionParityCondition):
+        return reference_parity(cond, desc, m, cols, basis)
+    if isinstance(cond, CongruenceImageCondition):
+        even_idx = [desc.index(v) for v in cond.even_variables]
+        span_rows = []
+        for j, mon in enumerate(cols):
+            if all(mon[i] % 2 == 0 for i in even_idx):
+                row = [0] * len(cols)
+                row[j] = 1
+                span_rows.append(row)
+        index = {mon: i for i, mon in enumerate(cols)}
+        for f in cond.modulus:
+            dw = degree_and_weight(f)
+            if not isinstance(dw, tuple):
+                raise ValueError("modulus polynomials must be homogeneous")
+            for mult in enumerate_monomials(desc, m - dw[0]):
+                prod = Polynomial(desc, {mult: Fraction(1)}) * f
+                span_rows.append(_vector(prod, index))
+        return _intersect(basis, span_rows, len(cols))
+    raise TypeError(f"unknown condition {cond!r}")
+
+
+def _transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def _combine(basis, coeff_vectors):
+    out = []
+    for coeffs in coeff_vectors:
+        row = [0] * len(basis[0]) if basis else []
+        for c, b in zip(coeffs, basis):
+            if c:
+                row = [u + c * v for u, v in zip(row, b)]
+        out.append(row)
+    return out
+
+
+def _intersect(basis, span_rows, ncols):
+    """Basis of span(basis) ∩ span(span_rows)."""
+    if not basis or not span_rows:
+        return []
+    stacked = []
+    for j in range(ncols):
+        stacked.append([row[j] for row in basis] + [-row[j] for row in span_rows])
+    kern = int_kernel_basis(stacked, len(basis) + len(span_rows))
+    return [row for row in (_combine(basis, [k[: len(basis)]])[0] for k in kern) if any(row)]
+
+
+def reference_subspace_basis(pred, m):
+    cols = pred.ambient_monomials(m)
+    n = len(cols)
+    basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    for cond in pred.conditions:
+        basis = _apply_condition(cond, pred.descriptor, m, cols, basis)
+        if not basis:
+            break
+    reduced, _ = int_rref(basis, n)
+    return [_to_poly(pred.descriptor, cols, row) for row in reduced]
+
+
+def reference_dim(pred, m):
+    index, rs = pred.modulus_space(m)
+    return sum(rs.add(_vector(p, index)) for p in reference_subspace_basis(pred, m))
+
+
+def test_sc_bases_match_the_sequential_narrowing(pred):
+    for m in range(13):
+        assert pred.subspace_basis(m) == reference_subspace_basis(pred, m), m
+
+
+@st.composite
+def homogeneous_polys(draw, desc):
+    """A nonzero polynomial of one degree in 1..3 and one torsion weight."""
+    m = draw(st.integers(1, 3))
+    mons = enumerate_monomials(desc, m, draw(st.integers(0, desc.torsion_order - 1)))
+    terms = draw(st.dictionaries(
+        st.sampled_from(mons), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+    ))
+    return Polynomial(desc, {mon: Fraction(c) for mon, c in terms.items()})
+
+
+@st.composite
+def linear_images(draw, desc, target):
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    units = [tuple(int(i == j) for i in range(target.nvars)) for j in range(target.nvars)]
+    return {
+        name: Polynomial(target, draw(st.dictionaries(st.sampled_from(units), coeff, max_size=2)))
+        for name in desc.variables
+    }
+
+
+@st.composite
+def predicates(draw):
+    """Weight, congruence and parity conditions on the Z/3-weighted (x, y, z),
+    each present or not, in a random order, optionally modulo a cubic."""
+    conditions = []
+    if draw(st.booleans()):
+        conditions.append(WeightCondition(draw(st.integers(0, 2))))
+    if draw(st.booleans()):
+        conditions.append(CongruenceImageCondition(
+            tuple(draw(st.sets(st.sampled_from(Z3.variables)))),
+            tuple(draw(st.lists(homogeneous_polys(Z3), max_size=2))),
+        ))
+    if draw(st.booleans()):
+        conditions.append(SubstitutionParityCondition(
+            draw(linear_images(Z3, ST)), draw(linear_images(Z3, ST)),
+            sign_base=draw(st.sampled_from([1, -1])),
+        ))
+    cubic = parse_polynomial("x^3 + y^3 + z^3 - 3/2*x*y*z", Z3)
+    modulus = draw(st.sampled_from([None, GradedPresentation(Z3, [cubic])]))
+    return MembershipPredicate(Z3, draw(st.permutations(conditions)), modulus=modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pred=predicates(), m=st.integers(0, 6))
+def test_one_kernel_matches_the_sequential_narrowing(pred, m):
+    assert pred.subspace_basis(m) == reference_subspace_basis(pred, m)
+    assert pred.dim(m) == reference_dim(pred, m)
