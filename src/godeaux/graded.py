@@ -1,9 +1,14 @@
 """Finitely presented bi-graded rings: graded pieces of ideals and quotients.
 
 Ideal pieces are spanned brute-force by monomial multiples of the relations
-and ranked exactly; no Groebner bases.  Rational presentations use the
-integer row space, cyclotomic ones the field row space (both in `linalg`).
-Per-(degree, weight) results are memoised write-once.
+and ranked exactly; no Groebner bases.  Each relation's terms are kept once
+as a row: integers (its terms times the lcm of their denominators) for a
+rational presentation, the scalars themselves for a cyclotomic one.  A
+multiple is that row shifted to the multiplier's columns, with no polynomial
+product; the monomials of each bidegree are enumerated once per process.
+Rational presentations use the integer row space, cyclotomic ones the field
+row space (both in `linalg`).  Per-(degree, weight) results are memoised
+write-once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add
 from typing import Mapping
 
 from .action import weight_space_dim
@@ -73,6 +80,7 @@ class GradedPresentation:
         self._rational = all(
             is_rational_scalar(c) for r in self.relations for c in r.terms.values()
         )
+        self._rows = [_relation_row(r, self._rational) for r in self.relations]
         self._pieces: dict[tuple[int, int], _IdealPiece] = {}
 
     def ambient_dim(self, m: int, w) -> int:
@@ -226,32 +234,38 @@ class _IdealPiece:
     relation multiples reach beyond the parameter cap, then the ambient
     monomials.  Rows pivoting among the ambient columns are zero on the
     others, so they span the ideal's intersection with the ambient span.
+    The row of mult * r is r's relation row at the columns of mult + e for
+    each exponent e of r; the piece keeps (relation index, mult) per row.
     """
 
     def __init__(self, pres: GradedPresentation, m: int, w: int):
         self.pres = pres
         self.m = m
         self.w = w
-        self._multiples: list[tuple[int, tuple, Polynomial]] = []
         desc = pres.descriptor
-        for ri, (r, (dr, wr)) in enumerate(zip(pres.relations, pres.relation_bidegrees)):
+        self._tags: list[tuple[int, tuple]] = []
+        shifted: list[list[tuple]] = []
+        for ri, (dr, wr) in enumerate(pres.relation_bidegrees):
             if dr > m:
                 continue
+            exps = pres._rows[ri][0]
             for mult in enumerate_monomials(desc, m - dr, (w - wr) % desc.torsion_order):
-                mono = Polynomial(desc, {mult: Fraction(1)})
-                self._multiples.append((ri, mult, mono * r))
+                self._tags.append((ri, mult))
+                shifted.append([tuple(map(add, mult, e)) for e in exps])
         ambient = pres.ambient_monomials(m, w)
         known = set(ambient)
-        outside = {
-            mon for _, _, poly in self._multiples for mon in poly.terms if mon not in known
-        }
+        outside = {mon for mons in shifted for mon in mons if mon not in known}
         self.ambient_start = len(outside)
         self.monomials = sorted(outside, key=grevlex_key) + ambient
         self.index = {mon: i for i, mon in enumerate(self.monomials)}
         n = len(self.monomials)
         self.rowspace = IntRowSpace(n) if pres._rational else GenericRowSpace(n)
-        for _, _, poly in self._multiples:
-            self.rowspace.add(_row(poly.terms, self.index))
+        index = self.index
+        for (ri, _), mons in zip(self._tags, shifted):
+            row = [0] * n
+            for mon, c in zip(mons, pres._rows[ri][1]):
+                row[index[mon]] = c
+            self.rowspace.add(row)
 
     def ambient_pivots(self) -> list[int]:
         return [c for c in self.rowspace.pivot_columns() if c >= self.ambient_start]
@@ -266,8 +280,26 @@ class _IdealPiece:
         row[self.index[mon]] = 1
         return row
 
-    def generating_multiples(self):
-        return self._multiples
+    def generating_multiples(self) -> list[tuple[int, tuple, Polynomial]]:
+        """(relation index, multiplier, multiplier * relation) per row added,
+        in order."""
+        desc = self.pres.descriptor
+        return [
+            (ri, mult, Polynomial(desc, {mult: Fraction(1)}) * self.pres.relations[ri])
+            for ri, mult in self._tags
+        ]
+
+
+def _relation_row(r: Polynomial, rational: bool) -> tuple[list[tuple], list]:
+    """(exponents, coefficients) of r: over Q the coefficients times the lcm
+    of their denominators, the integer row the row space would derive;
+    otherwise the scalars themselves."""
+    exps = list(r.terms)
+    coeffs = list(r.terms.values())
+    if rational:
+        mult = lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (mult // c.denominator) for c in coeffs]
+    return exps, coeffs
 
 
 def _row(terms: Mapping[tuple, Scalar], index: Mapping[tuple, int]) -> list:

@@ -18,9 +18,13 @@ from math import gcd, lcm
 from .scalars import Cyclo, Scalar, scalar_inv
 
 
+_ZERO = Fraction(0)
+
+
 def _canon_entry(x) -> Scalar:
+    # Fractions are immutable, so every integer zero can share one.
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _ZERO
     if isinstance(x, (Fraction, Cyclo)):
         return x
     raise TypeError(f"matrix entries must be exact scalars, got {type(x).__name__}")

@@ -52,6 +52,9 @@ class RingDescriptor:
             raise ValueError("torsion order must be >= 1")
         if self.scalar_order not in (1, 3, 4, 5):
             raise ValueError(f"unsupported scalar order {self.scalar_order}")
+        # Tuples throughout keep a descriptor hashable (it keys caches).
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(
             self, "weights", tuple(w % self.torsion_order for w in self.weights)
         )
@@ -246,13 +249,26 @@ def degree_and_weight(p: Polynomial):
     return next(iter(grades))
 
 
+_MONOMIALS: dict[tuple, list[tuple]] = {}
+
+
 def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
     """All exponent tuples of weighted degree m (and torsion weight w), canonical order.
 
     Degree-0 variables are capped at exponent 1 so the list stays finite.
+    Each (descriptor, m, w mod d) is enumerated once per process; every call
+    returns a fresh list.
     """
     if m < 0:
         return []
+    key = (desc, m, w if w == "all" else w % desc.torsion_order)
+    cached = _MONOMIALS.get(key)
+    if cached is None:
+        cached = _MONOMIALS[key] = _enumerate(desc, m, key[2])
+    return list(cached)
+
+
+def _enumerate(desc: RingDescriptor, m: int, w) -> list[tuple]:
     out: list[tuple] = []
     exps = [0] * desc.nvars
 
@@ -270,8 +286,7 @@ def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
 
     rec(0, m)
     if w != "all":
-        target = w % desc.torsion_order
-        out = [e for e in out if desc.monomial_weight(e) == target]
+        out = [e for e in out if desc.monomial_weight(e) == w]
     out.sort(key=grevlex_key)
     return out
 

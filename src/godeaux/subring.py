@@ -73,6 +73,9 @@ class MembershipPredicate:
         self.conditions = tuple(conditions)
         self.modulus = modulus
         self._cache: dict[int, list[Polynomial]] = {}
+        # Substitution maps of the parity conditions, by condition index,
+        # kept across degrees; a map that fails to build is not kept.
+        self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
 
     def ambient_monomials(self, m: int) -> list[tuple]:
         return enumerate_monomials(self.descriptor, m)
@@ -93,14 +96,29 @@ class MembershipPredicate:
             return self._cache[m]
         cols = self.ambient_monomials(m)
         n = len(cols)
-        functionals = [
-            row for cond in self.conditions
-            for row in _constraints(cond, self.descriptor, m, cols)
-        ]
+        functionals = []
+        for k, cond in enumerate(self.conditions):
+            if isinstance(cond, SubstitutionParityCondition):
+                rows = _parity_constraints(self._substitutions(k), cond.sign(m), cols)
+            else:
+                rows = _constraints(cond, self.descriptor, m, cols)
+            functionals += rows
         reduced, _ = int_rref(int_kernel_basis(functionals, n), n)
         polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
         self._cache[m] = polys
         return polys
+
+    def _substitutions(self, k: int) -> tuple["_MonomialMap", "_MonomialMap"]:
+        """The (sigma1, sigma2) maps of parity condition k, built once."""
+        maps = self._maps.get(k)
+        if maps is None:
+            cond = self.conditions[k]
+            maps = (_MonomialMap(cond.sigma1, self.descriptor),
+                    _MonomialMap(cond.sigma2, self.descriptor))
+            if maps[0].target != maps[1].target:
+                raise ValueError("descriptor mismatch")
+            self._maps[k] = maps
+        return maps
 
     def dim(self, m: int) -> int:
         """dim V_m, counted modulo the modulus ideal when one is present."""
@@ -169,12 +187,11 @@ def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Pol
 
 def _constraints(cond, desc, m, cols) -> list[list[int]]:
     """Integer functionals on the degree-m monomials whose common kernel is
-    the part of the degree-m piece that satisfies `cond`."""
+    the part of the degree-m piece that satisfies a weight or congruence
+    condition `cond` (parity conditions: `_parity_constraints`)."""
     if isinstance(cond, WeightCondition):
         target = cond.weight % desc.torsion_order
         return _units(cols, lambda mon: desc.monomial_weight(mon) != target)
-    if isinstance(cond, SubstitutionParityCondition):
-        return _parity_constraints(cond, desc, m, cols)
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
         index = {mon: i for i, mon in enumerate(cols)}
@@ -197,19 +214,15 @@ def _units(cols: list[tuple], keep) -> list[list[int]]:
     return [[int(i == j) for i in range(len(cols))] for j, mon in enumerate(cols) if keep(mon)]
 
 
-def _parity_constraints(cond, desc, m, cols) -> list[list[int]]:
+def _parity_constraints(maps, sign: int, cols) -> list[list[int]]:
     """Integer functionals of v -> sigma1(v) - sign * sigma2(v), one per
     target monomial t: entry (t, j) is the coefficient of t in
-    sigma1(cols[j]) - sign * sigma2(cols[j]).
+    sigma1(cols[j]) - sign * sigma2(cols[j]), for maps = (sigma1, sigma2).
 
-    Both substitutions are ring maps, so each ambient monomial is mapped
-    once.  All rows carry one common positive factor, which leaves their
-    kernel unchanged."""
-    sigma1 = _MonomialMap(cond.sigma1, desc)
-    sigma2 = _MonomialMap(cond.sigma2, desc)
-    if sigma1.target != sigma2.target:
-        raise ValueError("descriptor mismatch")
-    sign = cond.sign(m)
+    Both substitutions are ring maps, so each monomial is mapped once for
+    the maps' lifetime.  All rows carry one common positive factor, which
+    leaves their kernel unchanged."""
+    sigma1, sigma2 = maps
     images = [(sigma1(mon), sigma2(mon)) for mon in cols]
     mult = lcm(*(d for (_, d1), (_, d2) in images for d in (d1, d2)))
     rows: dict[tuple, list[int]] = {}

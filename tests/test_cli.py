@@ -105,6 +105,24 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_z3_tables_hold_through_degree_16(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", "16",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        checks = {c["id"]: c for c in json.loads(out)["checks"]}
+        samples = range(len(checks) // 3)
+        assert len(samples) >= 3
+        for s in samples:
+            table = checks[f"z3.hilbert.s{s}"]["actual"]
+            assert {k: v for k, v in table.items() if int(k.split(".")[0]) >= 3} == {
+                f"{m}.{w}": m - 1 for m in range(3, 17) for w in range(3)
+            }
+            assert checks[f"z3.x2-injective.s{s}"]["actual"] is True
+        assert all(c["status"] == "pass" for c in checks.values())
+
     def test_unknown_scenario_exits_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "godeaux.cli", "verify", "--scenario", "z9"],

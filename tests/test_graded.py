@@ -11,10 +11,14 @@ from hypothesis import strategies as st
 from godeaux import (
     GradedPresentation,
     Matrix,
+    Polynomial,
     RingDescriptor,
     enumerate_monomials,
     parse_polynomial,
 )
+from godeaux.linalg import GenericRowSpace, IntRowSpace
+from godeaux.poly import grevlex_key
+from godeaux.scalars import is_rational_scalar, make_cyclo
 from godeaux.scenarios import fixtures
 from godeaux.scenarios.torsion3 import (
     h_membership_presentation,
@@ -279,3 +283,77 @@ def test_parameter_samples_share_hilbert_function(seed):
         for w in range(3):
             expected = {1: (0, 0, 1), 2: (1, 2, 1)}.get(m, (m - 1,) * 3)[w]
             assert pres.quotient_dim(m, w) == expected
+
+
+# ---------------------------------------------------------------------------
+# Ideal pieces as first written, kept as an oracle: one Polynomial product
+# per multiple, each added as a dense row of its scalars.
+
+
+def reference_piece(pres, m, w):
+    """(monomials, ambient_start, row space, multiples) of the piece (m, w)
+    built from the products mult * r."""
+    desc = pres.descriptor
+    multiples = []
+    for ri, (r, (dr, wr)) in enumerate(zip(pres.relations, pres.relation_bidegrees)):
+        if dr > m:
+            continue
+        for mult in enumerate_monomials(desc, m - dr, (w - wr) % desc.torsion_order):
+            multiples.append((ri, mult, Polynomial(desc, {mult: Fraction(1)}) * r))
+    ambient = enumerate_monomials(desc, m, w)
+    known = set(ambient)
+    outside = {mon for _, _, p in multiples for mon in p.terms if mon not in known}
+    monomials = sorted(outside, key=grevlex_key) + ambient
+    index = {mon: i for i, mon in enumerate(monomials)}
+    rational = all(is_rational_scalar(c) for r in pres.relations for c in r.terms.values())
+    rs = IntRowSpace(len(monomials)) if rational else GenericRowSpace(len(monomials))
+    for _, _, p in multiples:
+        row = [0] * len(monomials)
+        for mon, c in p.terms.items():
+            row[index[mon]] = c
+        rs.add(row)
+    return monomials, len(outside), rs, multiples
+
+
+def _scalars(order):
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    if order == 1:
+        return rational
+    coeffs = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                      min_size=order - 1, max_size=order - 1)
+    return rational | coeffs.map(lambda cs: make_cyclo(order, cs)).filter(bool)
+
+
+@st.composite
+def presentations(draw):
+    """A few bihomogeneous relations on two to four variables of degree 0, 1
+    or 2 (degree 0: a parameter), over Q, Q(z3) or Q(z5)."""
+    order = draw(st.sampled_from([1, 3, 5]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=n, max_size=n)
+                   .filter(lambda ds: any(ds)))
+    weights = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    desc = RingDescriptor(tuple("abcd"[:n]), tuple(degrees), tuple(weights),
+                          torsion_order=d, scalar_order=order)
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = enumerate_monomials(desc, draw(st.integers(1, 3)), draw(st.integers(0, d - 1)))
+        if mons:
+            terms = draw(st.dictionaries(st.sampled_from(mons), _scalars(order),
+                                         min_size=1, max_size=4))
+            relations.append(Polynomial(desc, terms))
+    return GradedPresentation(desc, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pres=presentations(), m=st.integers(0, 5), w=st.integers(0, 2))
+def test_piece_matches_the_polynomial_products(pres, m, w):
+    piece = pres._piece(m, w)
+    monomials, start, rs, multiples = reference_piece(pres, m, w % pres.descriptor.torsion_order)
+    assert piece.monomials == monomials
+    assert piece.ambient_start == start
+    assert type(piece.rowspace) is type(rs)
+    assert piece.rowspace._pivots == rs._pivots
+    assert piece.rowspace._support == rs._support
+    assert piece.generating_multiples() == multiples

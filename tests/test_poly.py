@@ -169,6 +169,38 @@ class TestEnumeration:
         # alpha, beta, gamma each up to exponent 1: 8 parameter monomials.
         assert len(capped) == 8
 
+    @pytest.mark.parametrize("w", ["all", 0, 1, 2])
+    def test_mutating_a_result_leaves_later_results_intact(self, z3desc, w):
+        expected = list(enumerate_monomials(z3desc, 4, w))
+        first = enumerate_monomials(z3desc, 4, w)
+        first.append((9,) * z3desc.nvars)
+        first.pop(0)
+        first.sort(reverse=True)
+        second = enumerate_monomials(z3desc, 4, w)
+        assert second == expected and second is not first
+        second.clear()
+        assert enumerate_monomials(z3desc, 4, w) == expected
+
+    def test_equal_descriptors_and_weights_give_equal_lists(self, z3desc):
+        again = RingDescriptor(
+            tuple(z3desc.variables), tuple(z3desc.degrees),
+            tuple(w + 3 for w in z3desc.weights), torsion_order=3,
+            scalar_order=z3desc.scalar_order,
+        )
+        assert again == z3desc and again is not z3desc
+        for m in range(6):
+            assert enumerate_monomials(again, m) == enumerate_monomials(z3desc, m)
+            for w in range(3):
+                expected = enumerate_monomials(z3desc, m, w)
+                assert enumerate_monomials(again, m, w) == expected
+                assert enumerate_monomials(z3desc, m, w + 3) == expected
+                assert enumerate_monomials(z3desc, m, w - 3) == expected
+
+    def test_list_fields_give_a_hashable_descriptor(self):
+        desc = RingDescriptor(["a", "b"], [1, 2], [0, 1], torsion_order=2)
+        assert desc == RingDescriptor(("a", "b"), (1, 2), (0, 1), torsion_order=2)
+        assert enumerate_monomials(desc, 2, 0) == [(2, 0)]
+
 
 class TestParsing:
     def test_quartic_factor(self):

@@ -19,6 +19,7 @@ from godeaux import (
 from godeaux.graded import _row
 from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref
 from godeaux.poly import degree_and_weight, enumerate_monomials
+from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
 from godeaux.subring import (
@@ -379,7 +380,8 @@ def test_parity_condition_matches_per_row_substitution(data):
 
     def ours():
         # span(basis) is cut out by its annihilator; add the parity functionals.
-        functionals = int_kernel_basis(basis, n) + _parity_constraints(cond, ABC, m, cols)
+        maps = MembershipPredicate(ABC, [cond])._substitutions(0)
+        functionals = int_kernel_basis(basis, n) + _parity_constraints(maps, cond.sign(m), cols)
         return int_rref(int_kernel_basis(functionals, n), n)[0]
 
     # Every degree-m monomial is mapped, so a missing image raises whether or
@@ -410,6 +412,49 @@ def test_missing_image_raises_where_no_basis_element_uses_it():
     pred = MembershipPredicate(desc, [WeightCondition(0), cond])
     with pytest.raises(KeyError, match="c"):
         pred.subspace_basis(2)
+
+
+def test_parity_maps_are_kept_across_degrees():
+    images = {name: Polynomial(ST, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3)})
+              for name in ABC.variables}
+    cond = SubstitutionParityCondition(images, {**images, "a": images["b"]})
+    pred = MembershipPredicate(ABC, [cond])
+    for m in (3, 1, 4, 2):
+        fresh = MembershipPredicate(ABC, [cond]).subspace_basis(m)
+        assert pred.subspace_basis(m) == fresh, m
+        if m == 3:
+            maps = pred._maps[0]
+    assert pred._maps[0] is maps
+
+
+def test_failed_parity_images_are_not_kept():
+    # c has degree 2: degree 1 never maps it, every higher degree does.
+    desc = RingDescriptor(("a", "b", "c"), (1, 1, 2), (0, 0, 0))
+    images = {name: Polynomial(ST, {(1, 0): Fraction(1)}) for name in desc.variables}
+    cond = SubstitutionParityCondition(
+        {"a": images["a"], "b": images["b"]}, images, sign_base=1
+    )
+    pred = MembershipPredicate(desc, [cond])
+    assert len(pred.subspace_basis(1)) == 2
+    for m in (2, 3, 2, 4):
+        with pytest.raises(KeyError, match="c"):
+            pred.subspace_basis(m)
+    assert len(pred.subspace_basis(1)) == 2
+
+    z3 = RingDescriptor(("s", "t"), (1, 1), (0, 0), scalar_order=3)
+    cyclo = {name: Polynomial(z3, {(1, 0): zeta(3)}) for name in desc.variables}
+    bad = MembershipPredicate(desc, [SubstitutionParityCondition(cyclo, cyclo)])
+    for m in (1, 2, 1):
+        with pytest.raises(ValueError, match="rational"):
+            bad.subspace_basis(m)
+    assert bad._maps == {}
+
+    apart = {name: Polynomial(ABC, {(1, 0, 0): Fraction(1)}) for name in desc.variables}
+    mismatch = MembershipPredicate(desc, [SubstitutionParityCondition(images, apart)])
+    for m in (1, 2, 1):
+        with pytest.raises(ValueError, match="descriptor"):
+            mismatch.subspace_basis(m)
+    assert mismatch._maps == {}
 
 
 # ---------------------------------------------------------------------------
