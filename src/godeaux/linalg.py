@@ -2,12 +2,15 @@
 
 A row space keeps one reduced row per pivot column.  Rows are reduced as
 {column: value} dicts of their nonzeros, against pivot rows that keep their
-sorted nonzero columns, by one loop shared by two scalar backends:
+sorted nonzero columns, by one loop shared by three scalar backends:
 `IntRowSpace` holds primitive integer rows for rational data and eliminates
-fraction-free in Z, and `GenericRowSpace` holds monic rows over any exact
-field.  `int_rref` and `Matrix.rref` add their rows to a row space and
-back-substitute; `int_kernel_basis`, `kernel_basis` and `solve_columns` read
-their results off these echelon forms.
+fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
+field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
+certificates of integer data (the reductions mod p of integer vectors of a
+rational subspace span at most its dimension).  `int_rref` and
+`Matrix.rref` add their rows to a row space and back-substitute;
+`int_kernel_basis`, `kernel_basis` and `solve_columns` read their results
+off these echelon forms.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from .scalars import Cyclo, Scalar, scalar_inv
 
 
 _ZERO = Fraction(0)
+
+# The prime of `ModPRowSpace`: 2^31 - 1 keeps every product of two residues
+# below 2^62.
+PRIME = 2**31 - 1
 
 
 def _canon_entry(x) -> Scalar:
@@ -181,7 +188,9 @@ class _RowSpace:
         stored pivots until one has no pivot."""
         if len(row) != self.ncols:
             raise ValueError("length mismatch")
-        work = self._nonzeros(row)
+        return self._reduce_nonzeros(self._nonzeros(row))
+
+    def _reduce_nonzeros(self, work: dict) -> dict:
         pivots = self._pivots
         support = self._support
         eliminate = self._eliminate
@@ -195,7 +204,10 @@ class _RowSpace:
 
     def add(self, row) -> bool:
         """Add a row; True iff it enlarged the space."""
-        work = self._reduce(row)
+        return self._insert(self._reduce(row))
+
+    def _insert(self, work: dict) -> bool:
+        """Store a reduced row as a new pivot row, unless it is zero."""
         if not work:
             return False
         work = self._normalise(work)
@@ -286,6 +298,58 @@ class GenericRowSpace(_RowSpace):
         """Scale a nonzero row to leading entry 1."""
         inv = scalar_inv(work[min(work)])
         return {c: u * inv for c, u in work.items()}
+
+
+class ModPRowSpace(_RowSpace):
+    """Incremental row space over F_p, p = `PRIME`, with monic rows of
+    residues in [0, p).
+
+    Integer rows are reduced mod p on the way in.  Over Q the reductions of
+    integer vectors of a subspace span at most its dimension, so a rank
+    reached here is a lower bound for the rank over Q.
+    """
+
+    __slots__ = ()
+
+    add = _RowSpace.add
+    contains = _RowSpace.contains
+
+    def add_nonzeros(self, work: dict[int, int]) -> bool:
+        """Add a row given as {column: nonzero residue}; the dict is used up.
+        True iff it enlarged the space."""
+        return self._insert(self._reduce_nonzeros(work))
+
+    def row_nonzeros(self, col: int) -> dict[int, int]:
+        """{column: residue} of the pivot row whose pivot column is col."""
+        row = self._pivots[col]
+        return {c: row[c] for c in self._support[col]}
+
+    @staticmethod
+    def _nonzeros(row) -> dict[int, int]:
+        """Nonzero residues of an integer row."""
+        p = PRIME
+        return {j: r for j, x in enumerate(row) if x and (r := x % p)}
+
+    @staticmethod
+    def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
+        """work - work[lead] * piv mod p, for a monic piv."""
+        p = PRIME
+        f = work[lead]
+        get = work.get
+        for c in cols:
+            u = (get(c, 0) - f * piv[c]) % p
+            if u:
+                work[c] = u
+            else:
+                del work[c]
+        return work
+
+    @staticmethod
+    def _normalise(work: dict[int, int]) -> dict[int, int]:
+        """Scale a nonzero row to leading entry 1 mod p."""
+        p = PRIME
+        inv = pow(work[min(work)], -1, p)
+        return {c: u * inv % p for c, u in work.items()}
 
 
 def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:

@@ -6,6 +6,18 @@ to a parity sign) gives integer linear functionals on the degree-m monomials;
 V_m is their common kernel, in reduced echelon form.
 On top of that the builder finds minimal generators, a relation census, and
 verifies claimed generator lists, all by exact integer linear algebra.
+
+Products span V_m + M_m (M the modulus ideal) at most when V is closed under
+products, i.e. no weight condition has weight != 0 mod d, and every factor
+lies in V + M; there a product span stops at dim (V_m + M_m), and elsewhere
+it reduces every product.
+
+The relation census first tries a rank certificate mod p = 2^31 - 1 from
+mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
+its rows reduce integer vectors of the ideal over Q, so rank_p <= rank_Q <=
+target, the dimension of the relation space, and reaching target proves that
+no relation is new.  A certificate that falls short runs the exact path over
+Z.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .graded import GradedPresentation, _row
-from .linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref
+from .linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_rref
 from .poly import (
     Polynomial,
     RingDescriptor,
@@ -73,9 +85,21 @@ class MembershipPredicate:
         self.conditions = tuple(conditions)
         self.modulus = modulus
         self._cache: dict[int, list[Polynomial]] = {}
+        # Per degree: column index, the row space of V_m + M_m (never added
+        # to once built) and dim M_m.
+        self._spaces: dict[int, tuple[dict[tuple, int], IntRowSpace, int]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
+        d = descriptor.torsion_order
+        # Weight-0, congruence-image and parity conditions are multiplicative
+        # (the last two as even monomials and ring maps are), so V is then a
+        # subring: products of elements of V + M lie in V + M.
+        self.closed_under_products = all(
+            isinstance(c, (CongruenceImageCondition, SubstitutionParityCondition))
+            or (isinstance(c, WeightCondition) and c.weight % d == 0)
+            for c in self.conditions
+        )
 
     def ambient_monomials(self, m: int) -> list[tuple]:
         return enumerate_monomials(self.descriptor, m)
@@ -122,11 +146,13 @@ class MembershipPredicate:
 
     def dim(self, m: int) -> int:
         """dim V_m, counted modulo the modulus ideal when one is present."""
-        basis = self.subspace_basis(m)
-        if self.modulus is None:
-            return len(basis)
-        index, rs = self.modulus_space(m)
-        return sum(rs.add(_vector(p, index)) for p in basis)
+        _, rs, modulus_dim = self._space(m)
+        return rs.dim - modulus_dim
+
+    def span_dim(self, m: int) -> int:
+        """dim (V_m + M_m), M the modulus ideal: where a span of products of
+        elements of V stops growing when V is closed under products."""
+        return self._space(m)[1].dim
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in V at its own degree."""
@@ -135,11 +161,19 @@ class MembershipPredicate:
             return True
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
-        m = dw[0]
-        index, rs = self.modulus_space(m)
-        for q in self.subspace_basis(m):
-            rs.add(_vector(q, index))
+        index, rs, _ = self._space(dw[0])
         return rs.contains(_vector(p, index))
+
+    def _space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace, int]:
+        """(column index, row space of V_m + M_m, dim M_m), built once."""
+        space = self._spaces.get(m)
+        if space is None:
+            index, rs = self.modulus_space(m)
+            modulus_dim = rs.dim
+            for q in self.subspace_basis(m):
+                rs.add(_vector(q, index))
+            space = self._spaces[m] = (index, rs, modulus_dim)
+        return space
 
     def modulus_space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace]:
         """Column index of the degree-m monomials, and a row space seeded with
@@ -314,23 +348,30 @@ class SubringBuilder:
         pieces, as integer term dicts."""
         gens: list[tuple[Polynomial, int]] = []
         span_terms = {0: [_int_terms(self.desc.one())]}
+        # Selected generators lie in V.
+        closed = self.pred.closed_under_products
         for m in range(1, max_degree + 1):
-            index, rs, piece = self._product_span(gens, span_terms, m)
-            # Basis elements are primitive integer rows already (int_rref).
-            for v in self.pred.subspace_basis(m):
-                terms = _int_terms(v)
-                if rs.add(_row(terms, index)):
-                    piece.append(terms)
-                    gens.append((v, m))
+            full = self.pred.span_dim(m) if closed else None
+            index, rs, piece = self._product_span(gens, span_terms, m, full)
+            if rs.dim != full:
+                # Basis elements are primitive integer rows already (int_rref).
+                for v in self.pred.subspace_basis(m):
+                    terms = _int_terms(v)
+                    if rs.add(_row(terms, index)):
+                        piece.append(terms)
+                        gens.append((v, m))
             span_terms[m] = piece
         return gens, span_terms
 
-    def _product_span(self, gens, span_terms, m: int):
+    def _product_span(self, gens, span_terms, m: int, full: int | None = None):
         """Independent degree-m products g*b with b in span_terms[m - deg g],
         reduced modulo the modulus; returns (index, row space, products).
 
         Factors are integer term dicts: scaling a factor does not change the
-        span, and the row space stores primitive rows."""
+        span, and the row space stores primitive rows.  The caller passes
+        `full` = dim (V_m + M_m) only when every factor lies in V + M and V
+        is closed under products: then every product lies in V_m + M_m, and
+        no product after the span reaches that dimension can enlarge it."""
         index, rs = self.pred.modulus_space(m)
         piece: list[dict[tuple, int]] = []
         for g, dg in gens:
@@ -338,6 +379,8 @@ class SubringBuilder:
             if 0 < dg <= m:
                 g_terms = _int_terms(g)
                 for b in span_terms[m - dg]:
+                    if rs.dim == full:
+                        return index, rs, piece
                     prod = _int_product(g_terms, b)
                     if rs.add(_row(prod, index)):
                         piece.append(prod)
@@ -362,8 +405,12 @@ class SubringBuilder:
         relations: list[Polynomial] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
+        # Mod-p echelon forms of the ideal by degree, for the last top degrees.
+        echelons: dict[int, ModPRowSpace] = {}
+        top = max(free.degrees, default=0)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
+            echelons.pop(m - 1 - top, None)
             free_mons = enumerate_monomials(free, m)
             if not free_mons:
                 relation_census[m] = 0
@@ -374,19 +421,25 @@ class SubringBuilder:
             # the two are equal and no relation is new.
             target = len(free_mons) - len(span_terms[m])
             free_index = {mon: i for i, mon in enumerate(free_mons)}
-            ideal_rows = _ideal_rows(free, m, relations, free_index, target)
+            echelon = _leading_term_echelon(free, m, free_index, echelons, target)
             new_count = 0
-            if ideal_rows.dim < target:
-                kernel = self._evaluation_kernel(m, free_mons, evaluate)
-                for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
-                    xpart = k[: len(free_mons)]
-                    if not any(xpart):
-                        continue
-                    if ideal_rows.add(xpart):
-                        relations.append(_to_poly(free, free_mons, _primitive(xpart)))
-                        new_count += 1
-                        if ideal_rows.dim == target:
-                            break
+            if echelon.dim < target:
+                ideal_rows = _ideal_rows(free, m, relations, free_index, target)
+                if ideal_rows.dim < target:
+                    kernel = self._evaluation_kernel(m, free_mons, evaluate)
+                    for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
+                        xpart = k[: len(free_mons)]
+                        if not any(xpart):
+                            continue
+                        if ideal_rows.add(xpart):
+                            relations.append(_to_poly(free, free_mons, _primitive(xpart)))
+                            new_count += 1
+                            if ideal_rows.dim == target:
+                                break
+                echelon = ModPRowSpace(len(free_mons))
+                for row in ideal_rows.rows():
+                    echelon.add(row)
+            echelons[m] = echelon
             relation_census[m] = new_count
         warning = None
         if max_degree < 10:
@@ -432,8 +485,11 @@ class SubringBuilder:
             memberships.append((i, dw[0], self.pred.contains(p)))
         generation: dict[int, tuple[int, int, bool]] = {}
         span_terms = {0: [_int_terms(self.desc.one())]}
+        # A claim with a non-member must still show its excess span.
+        closed = self.pred.closed_under_products and all(ok for *_, ok in memberships)
         for m in range(1, max_degree + 1):
-            _, _, span_terms[m] = self._product_span(degreed, span_terms, m)
+            full = self.pred.span_dim(m) if closed else None
+            _, _, span_terms[m] = self._product_span(degreed, span_terms, m, full)
             target = self.pred.dim(m)
             achieved = len(span_terms[m])
             generation[m] = (target, achieved, achieved == target)
@@ -472,6 +528,61 @@ def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
                 return rows
             rows.add(_row(_int_product({mult: 1}, terms), free_index))
     return rows
+
+
+def _leading_term_echelon(free, m, free_index, echelons, target) -> ModPRowSpace:
+    """A mod-p echelon form of degree-m ideal elements, built from the
+    products g_i * r with r a row of echelons[m - deg g_i], until its
+    dimension reaches `target`.
+
+    Certificate: each echelon row is the reduction mod p of an integer
+    vector of the ideal over Q, and so is each product, as shifting
+    commutes with reduction.  So the dimension reached is at most the rank
+    of the degree-m ideal over Q, which is at most `target`; reaching
+    `target` proves that the ideal fills the relation space, and that no
+    relation in degree m is new.
+
+    Columns are in grevlex order, which is translation-invariant, so the
+    leading column of g_i * r is the shift of r's.  One product per distinct
+    leading column enters first with no elimination step; the colliding
+    products are then reduced, in reverse order, until `target`."""
+    space = ModPRowSpace(len(free_index))
+    sources = []
+    for i, dg in enumerate(free.degrees):
+        lower = echelons.get(m - dg)
+        if lower is not None and lower.dim:
+            sources.append((lower, _shift(free, m - dg, i, free_index)))
+    if sum(lower.dim for lower, _ in sources) < target:
+        return space
+
+    def product(lower, shift, col):
+        return {shift[c]: x for c, x in lower.row_nonzeros(col).items()}
+
+    leads, colliding = set(), []
+    for lower, shift in sources:
+        for col in lower.pivot_columns():
+            if space.dim == target:
+                return space
+            if shift[col] in leads:
+                colliding.append((lower, shift, col))
+            else:
+                leads.add(shift[col])
+                space.add_nonzeros(product(lower, shift, col))
+    for lower, shift, col in reversed(colliding):
+        if space.dim == target:
+            break
+        space.add_nonzeros(product(lower, shift, col))
+    return space
+
+
+def _shift(free, k, i, free_index) -> list[int]:
+    """Column in degree k + deg g_i of g_i times each degree-k monomial."""
+    out = []
+    for mon in enumerate_monomials(free, k):
+        mon = list(mon)
+        mon[i] += 1
+        out.append(free_index[tuple(mon)])
+    return out
 
 
 def _random_combination(basis: list[Polynomial], rng: random.Random) -> Polynomial:

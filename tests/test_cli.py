@@ -75,7 +75,6 @@ class TestVerify:
             "6": 6, "7": 12, "8": 18, "9": 12, "10": 6,
         }
 
-    @pytest.mark.slow
     def test_sc_census_stays_zero_through_degree_14(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--scenario", "sc", "--max-degree", "14", "--format", "json"], capsys
@@ -96,6 +95,17 @@ class TestVerify:
         assert all(c["status"] == "pass" for c in payload["checks"])
         census = next(c for c in payload["checks"] if c["id"] == "sc.relation-census")
         assert [census["actual"][str(m)] for m in range(11, 17)] == [0] * 6
+
+    @pytest.mark.slow
+    def test_sc_census_stays_zero_through_degree_18(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--scenario", "sc", "--max-degree", "18", "--format", "json"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert all(c["status"] == "pass" for c in payload["checks"])
+        census = next(c for c in payload["checks"] if c["id"] == "sc.relation-census")
+        assert [census["actual"][str(m)] for m in range(11, 19)] == [0] * 8
 
     def test_z3_with_parameters(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from godeaux import (
     parse_polynomial,
     render_polynomial,
 )
+from godeaux import linalg, subring
 from godeaux.graded import _row
-from godeaux.linalg import IntRowSpace, _primitive, int_kernel_basis, int_rref
+from godeaux.linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_rref
 from godeaux.poly import degree_and_weight, enumerate_monomials
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -27,7 +29,9 @@ from godeaux.subring import (
     SubringBuilder,
     SubstitutionParityCondition,
     _int_product,
+    _ideal_rows,
     _int_terms,
+    _leading_term_echelon,
     _parity_constraints,
     _to_poly,
     _vector,
@@ -138,6 +142,25 @@ class TestPresentation:
             assert rel.substitute(images).is_zero()
 
 
+Z3 = RingDescriptor(("x", "y", "z"), (1, 1, 1), (0, 1, 2), torsion_order=3)
+
+
+class TestClosedUnderProducts:
+    def test_which_conditions_are_multiplicative(self, pred):
+        assert pred.closed_under_products
+        assert MembershipPredicate(Z3, [WeightCondition(3)]).closed_under_products
+        assert not MembershipPredicate(Z3, [WeightCondition(1)]).closed_under_products
+        assert MembershipPredicate(ABC, [WeightCondition(1)]).closed_under_products
+
+    def test_weight_one_spans_past_dim_v(self):
+        # Products of weight-1 elements have weight 2: the span of products
+        # outgrows V_m, so generator selection must try every product.
+        pres = SubringBuilder(MembershipPredicate(Z3, [WeightCondition(1)])).presentation(6)
+        assert pres.generator_census == {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 5}
+        assert pres.relation_census == {1: 0, 2: 0, 3: 0, 4: 2, 5: 5, 6: 13}
+        assert len(pres.relations) == 20
+
+
 class TestVerifyGeneratorList:
     def test_claimed_thirteen(self, builder):
         report = builder.verify_generator_list(fixtures.sc_claimed_generators(), 8)
@@ -161,6 +184,22 @@ class TestVerifyGeneratorList:
         assert report.memberships == [(0, 0, True)]
         assert report.generation == {1: (0, 0, True), 2: (2, 0, False), 3: (4, 0, False)}
         assert not report.ok
+
+    def test_non_members_keep_their_excess_span(self, builder):
+        # Products with a non-member leave V_m: every degree must show the
+        # excess, so the span cannot stop at dim V_m.
+        claimed = [
+            *fixtures.sc_claimed_generators(),
+            parse_polynomial("a^2", ABC),
+            parse_polynomial("c^3", ABC),
+        ]
+        report = builder.verify_generator_list(claimed, 10)
+        assert report.memberships[-2:] == [(13, 2, False), (14, 3, False)]
+        assert report.generation == {
+            1: (0, 0, True), 2: (2, 3, False), 3: (4, 5, False), 4: (7, 9, False),
+            5: (11, 16, False), 6: (16, 25, False), 7: (22, 33, False),
+            8: (29, 43, False), 9: (37, 53, False), 10: (46, 64, False),
+        }
 
     def test_degree_zero_generator_adds_nothing(self, builder):
         claimed = [builder.desc.one(), *fixtures.sc_claimed_generators()]
@@ -211,9 +250,32 @@ def test_integer_product_is_the_scaled_product(f, g):
 # full kernel of the evaluation map and runs the full selection.
 
 
+def reference_spans(pred, max_degree):
+    """Generators and spanning products as first written: every product
+    g*b is reduced, with no stop at dim V_m."""
+    gens = []
+    span_terms = {0: [_int_terms(pred.descriptor.one())]}
+    for m in range(1, max_degree + 1):
+        index, rs = pred.modulus_space(m)
+        piece = []
+        for g, dg in gens:
+            if 0 < dg <= m:
+                for b in span_terms[m - dg]:
+                    prod = _int_product(_int_terms(g), b)
+                    if rs.add(_row(prod, index)):
+                        piece.append(prod)
+        for v in pred.subspace_basis(m):
+            terms = _int_terms(v)
+            if rs.add(_row(terms, index)):
+                piece.append(terms)
+                gens.append((v, m))
+        span_terms[m] = piece
+    return gens, span_terms
+
+
 def reference_census(builder, max_degree):
     """(relations, relation census, hilbert, [(m, x-part rank, target)])."""
-    gens, span_terms = builder._generators_with_spans(max_degree)
+    gens, span_terms = reference_spans(builder.pred, max_degree)
     free = RingDescriptor(
         tuple(f"g{i+1}" for i in range(len(gens))),
         tuple(dg for _, dg in gens),
@@ -268,9 +330,6 @@ def reference_census(builder, max_degree):
     return relations, census, hilbert, ranks
 
 
-Z3 = RingDescriptor(("x", "y", "z"), (1, 1, 1), (0, 1, 2), torsion_order=3)
-
-
 def _weight_zero(desc, modulus=None):
     return MembershipPredicate(
         desc, [WeightCondition(0)],
@@ -285,13 +344,30 @@ CENSUS_CASES = {
         lambda: _weight_zero(Z3, parse_polynomial("x^3 + y^3 + z^3 - 3/2*x*y*z", Z3)), 9
     ),
     "free": (lambda: _weight_zero(ABC), 6),
+    "z3-weight-one": (lambda: MembershipPredicate(Z3, [WeightCondition(1)]), 6),
 }
 
 
+def _exact_degrees(monkeypatch):
+    """The degrees in which the census takes the exact path, as a list that
+    fills while the census runs."""
+    degrees = []
+    ideal_rows = subring._ideal_rows
+
+    def spy(free, m, *args):
+        degrees.append(m)
+        return ideal_rows(free, m, *args)
+
+    monkeypatch.setattr(subring, "_ideal_rows", spy)
+    return degrees
+
+
 @pytest.mark.parametrize("case", list(CENSUS_CASES))
-def test_census_matches_the_full_elimination(case):
+def test_census_matches_the_full_elimination(case, monkeypatch):
     make, max_degree = CENSUS_CASES[case]
-    pres = SubringBuilder(make()).presentation(max_degree)
+    exact = _exact_degrees(monkeypatch)
+    builder = SubringBuilder(make())
+    pres = builder.presentation(max_degree)
     relations, census, hilbert, ranks = reference_census(
         SubringBuilder(make()), max_degree
     )
@@ -300,6 +376,74 @@ def test_census_matches_the_full_elimination(case):
     assert pres.hilbert == hilbert
     # The relation space has the dimension the census stops at.
     assert all(rank == target for _, rank, target in ranks), ranks
+    # Mod 2^31 - 1 every degree with no new relation is certified.
+    assert exact == [m for m, n in census.items() if n]
+    gens, span_terms = reference_spans(builder.pred, max_degree)
+    assert builder._generators_with_spans(max_degree) == (gens, span_terms)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+@pytest.mark.parametrize("case", list(CENSUS_CASES))
+def test_census_falls_back_to_the_exact_path_mod_a_tiny_prime(case, prime, monkeypatch):
+    make, max_degree = CENSUS_CASES[case]
+    monkeypatch.setattr(linalg, "PRIME", prime)
+    exact = _exact_degrees(monkeypatch)
+    pres = SubringBuilder(make()).presentation(max_degree)
+    relations, census, hilbert, _ = reference_census(SubringBuilder(make()), max_degree)
+    assert pres.relations == relations
+    assert pres.relation_census == census
+    assert pres.hilbert == hilbert
+    if case == "sc":
+        # Degree 11 has no new relation, but its certificate falls short.
+        assert exact == [6, 7, 8, 9, 10, 11]
+
+
+@st.composite
+def free_presentations(draw):
+    """A free ring on 2-3 generators of degrees 1-3, and 1-3 integer
+    relations of degrees 2-4 with small coefficients."""
+    degrees = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)))
+    names = tuple(f"g{i + 1}" for i in range(len(degrees)))
+    free = RingDescriptor(names, degrees, (0,) * len(degrees))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = enumerate_monomials(free, draw(st.integers(2, 4)))
+        if not mons:
+            continue
+        terms = draw(st.dictionaries(
+            st.sampled_from(mons), st.integers(-6, 6).filter(bool), min_size=1, max_size=4
+        ))
+        relations.append(Polynomial(free, {mon: Fraction(c) for mon, c in terms.items()}))
+    return free, relations
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=free_presentations(), prime=st.sampled_from([2, 3, 7, linalg.PRIME]))
+def test_certified_rank_never_exceeds_the_exact_rank(data, prime):
+    free, relations = data
+    echelons = {}
+    with patch.object(linalg, "PRIME", prime):
+        for m in range(1, 8):
+            free_mons = enumerate_monomials(free, m)
+            free_index = {mon: i for i, mon in enumerate(free_mons)}
+            older = [r for r in relations if degree_and_weight(r)[0] < m]
+            # Exact ranks: every multiple, at a target no rank reaches.
+            exact = _ideal_rows(free, m, relations, free_index, len(free_mons) + 1)
+            exact_older = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
+            # One more than the rank: every product mod p is tried.
+            every = _leading_term_echelon(free, m, free_index, echelons, exact_older + 1)
+            assert every.dim <= exact_older
+            # As in the census: the relation space is the whole degree-m ideal.
+            echelon = _leading_term_echelon(free, m, free_index, echelons, exact.dim)
+            assert echelon.dim <= exact_older
+            if echelon.dim == exact.dim:
+                # Certified: no relation of degree m is new to the ideal.
+                assert exact_older == exact.dim
+            else:
+                echelon = ModPRowSpace(len(free_mons))
+                for row in exact.rows():
+                    echelon.add(row)
+            echelons[m] = echelon
 
 
 # ---------------------------------------------------------------------------
@@ -587,3 +731,34 @@ def predicates(draw):
 def test_one_kernel_matches_the_sequential_narrowing(pred, m):
     assert pred.subspace_basis(m) == reference_subspace_basis(pred, m)
     assert pred.dim(m) == reference_dim(pred, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pred=predicates(), data=st.data())
+def test_interleaved_queries_answer_as_on_a_fresh_predicate(pred, data):
+    # One cached V_m + M_m space serves dim, span_dim and contains; contains
+    # must never add to it.
+    queries = data.draw(st.lists(
+        st.tuples(st.sampled_from(["dim", "span_dim", "basis", "contains"]), st.integers(0, 5)),
+        min_size=1, max_size=12,
+    ))
+    desc = pred.descriptor
+    for kind, m in queries:
+        fresh = MembershipPredicate(desc, pred.conditions, modulus=pred.modulus)
+        if kind == "contains":
+            # Basis elements of one torsion weight, and a random polynomial
+            # of degree m and one weight.
+            candidates = [
+                b for b in fresh.subspace_basis(m) if degree_and_weight(b) != "inhomogeneous"
+            ]
+            mons = enumerate_monomials(desc, m, data.draw(st.integers(0, 2)))
+            if mons:
+                terms = data.draw(st.dictionaries(
+                    st.sampled_from(mons), st.integers(-3, 3).filter(bool), min_size=1, max_size=3
+                ))
+                candidates.append(Polynomial(desc, {mon: Fraction(c) for mon, c in terms.items()}))
+            assert [pred.contains(q) for q in candidates] == [fresh.contains(q) for q in candidates]
+        elif kind == "basis":
+            assert pred.subspace_basis(m) == fresh.subspace_basis(m)
+        else:
+            assert getattr(pred, kind)(m) == getattr(fresh, kind)(m)
