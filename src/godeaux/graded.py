@@ -1,7 +1,7 @@
 """Finitely presented bi-graded rings: graded pieces of ideals and quotients.
 
-Ideal pieces are spanned brute-force by monomial multiples of the relations
-and ranked exactly; no Groebner bases.  Each relation's terms are kept once
+Ideal pieces are spanned by monomial multiples of the relations and ranked
+exactly; no Groebner basis is computed.  Each relation's terms are kept once
 as a row: integers (its terms times the lcm of their denominators) for a
 rational presentation, the scalars themselves for a cyclotomic one.  A
 multiple is that row shifted to the multiplier's columns, with no polynomial
@@ -9,13 +9,26 @@ product; the monomials of each bidegree are enumerated once per process.
 Rational presentations use the integer row space, cyclotomic ones the field
 row space (both in `linalg`).  Per-(degree, weight) results are memoised
 write-once.
+
+When every variable has positive degree, a piece skips the multiple t * r_j
+if t is the leading monomial (the pivot) of some g = t + (later terms) of
+the ideal (r_0, ..., r_{j-1}) in the bidegree of t: the criterion of
+Faugere's F5 algorithm.  Then t * r_j = g * r_j - (g - t) * r_j, where
+g * r_j is a combination of multiples of r_0 ... r_{j-1} and (g - t) * r_j
+one of multiples s * r_j with s after t, so by induction from the last
+column the span, rank and pivot columns do not change.  The induction needs
+every multiple of an earlier relation as a row.  The parameter cap on
+degree-0 variables drops some, so the pieces of such rings keep every
+multiple.  The leading monomials come from the memoised lower piece, as the
+pivots its rows of r_0 ... r_{j-1} found; a piece built before its lower
+piece keeps those multiples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from operator import add
 from typing import Mapping
@@ -141,31 +154,39 @@ class GradedPresentation:
         return HilbertTable(max_degree, d, entries)
 
     def reduces_to_zero(self, p: Polynomial) -> Membership:
-        """Truncated ideal membership with an exact certificate."""
+        """Truncated ideal membership with an exact certificate.
+
+        Solves over the multiples mult * r themselves, so no piece is built.
+        """
         dw = degree_and_weight(p)
         if dw == "zero":
             return Membership(True, [])
         if dw == "inhomogeneous":
             raise ValueError("ideal membership needs a bihomogeneous polynomial")
         m, w = dw
-        piece = self._piece(m, w)
-        # Local columns: a query never extends the memoised piece.
-        index = dict(piece.index)
-        for mon in p.terms:
-            index.setdefault(mon, len(index))
-        columns = []
-        tags = []
-        for ri, mult, poly in piece.generating_multiples():
-            columns.append(_row(poly.terms, index))
-            tags.append((ri, mult))
-        target = _row(p.terms, index)
-        coords = solve_columns(columns, target)
+        multiples = self._multiples(_tags(_multipliers(self, m, w)))
+        # Rows of the system in any order have the same reduced echelon form,
+        # so the same solution.
+        index: dict[tuple, int] = {}
+        for q in [*(q for _, _, q in multiples), p]:
+            for mon in q.terms:
+                index.setdefault(mon, len(index))
+        columns = [_row(q.terms, index) for _, _, q in multiples]
+        coords = solve_columns(columns, _row(p.terms, index))
         if coords is None:
             return Membership(False, None)
         certificate = [
-            (tags[i][0], tags[i][1], c) for i, c in enumerate(coords) if c != 0
+            (ri, mult, c) for (ri, mult, _), c in zip(multiples, coords) if c != 0
         ]
         return Membership(True, certificate)
+
+    def _multiples(self, tags) -> list[tuple[int, tuple, Polynomial]]:
+        """(relation index, mult, mult * relation) per (relation index, mult)."""
+        desc = self.descriptor
+        return [
+            (ri, mult, Polynomial(desc, {mult: Fraction(1)}) * self.relations[ri])
+            for ri, mult in tags
+        ]
 
     def verify_certificate(self, p: Polynomial, membership: Membership) -> bool:
         """Recombine a certificate and compare with p exactly."""
@@ -235,23 +256,23 @@ class _IdealPiece:
     monomials.  Rows pivoting among the ambient columns are zero on the
     others, so they span the ideal's intersection with the ambient span.
     The row of mult * r is r's relation row at the columns of mult + e for
-    each exponent e of r; the piece keeps (relation index, mult) per row.
+    each exponent e of r; the piece keeps (relation index, mult) for every
+    multiple, added or skipped.
+
+    When every variable has positive degree, the multiple mult * r_j is
+    skipped if mult leads an element of (r_0, ..., r_{j-1}) in its own
+    bidegree (the F5 criterion), read off that lower piece if it is memoised.
     """
 
     def __init__(self, pres: GradedPresentation, m: int, w: int):
         self.pres = pres
         self.m = m
         self.w = w
-        desc = pres.descriptor
-        self._tags: list[tuple[int, tuple]] = []
-        shifted: list[list[tuple]] = []
-        for ri, (dr, wr) in enumerate(pres.relation_bidegrees):
-            if dr > m:
-                continue
-            exps = pres._rows[ri][0]
-            for mult in enumerate_monomials(desc, m - dr, (w - wr) % desc.torsion_order):
-                self._tags.append((ri, mult))
-                shifted.append([tuple(map(add, mult, e)) for e in exps])
+        multipliers = _multipliers(pres, m, w)
+        self._tags = _tags(multipliers)
+        shifted = [
+            [tuple(map(add, mult, e)) for e in pres._rows[ri][0]] for ri, mult in self._tags
+        ]
         ambient = pres.ambient_monomials(m, w)
         known = set(ambient)
         outside = {mon for mons in shifted for mon in mons if mon not in known}
@@ -260,12 +281,36 @@ class _IdealPiece:
         self.index = {mon: i for i, mon in enumerate(self.monomials)}
         n = len(self.monomials)
         self.rowspace = IntRowSpace(n) if pres._rational else GenericRowSpace(n)
+        # The dimension before each relation's rows: a prefix of the pivots.
+        self._starts: list[int] = []
+        # Degree-0 variables are capped, so not every multiple the criterion
+        # relies on is a row; such pieces keep every multiple.  Only a lower
+        # piece already memoised is read: building it here would recurse once
+        # per degree, and callers build pieces in ascending degree anyway.
+        prune = all(pres.descriptor.degrees)
+        d = pres.descriptor.torsion_order
         index = self.index
-        for (ri, _), mons in zip(self._tags, shifted):
-            row = [0] * n
-            for mon, c in zip(mons, pres._rows[ri][1]):
-                row[index[mon]] = c
-            self.rowspace.add(row)
+        rows = iter(shifted)  # consumed in step with the multipliers
+        for ri, mults in enumerate(multipliers):
+            self._starts.append(self.rowspace.dim)
+            dr, wr = pres.relation_bidegrees[ri]
+            lower = pres._pieces.get((m - dr, (w - wr) % d)) if prune else None
+            skip = lower.leading_monomials(ri) if lower is not None else ()
+            coeffs = pres._rows[ri][1]
+            for mult, mons in zip(mults, rows):
+                if mult in skip:
+                    continue
+                row = [0] * n
+                for mon, c in zip(mons, coeffs):
+                    row[index[mon]] = c
+                self.rowspace.add(row)
+
+    def leading_monomials(self, j: int) -> set[tuple]:
+        """Leading monomials of the elements of (r_0, ..., r_{j-1}) in this
+        bidegree: the pivots of the rows of the relations before r_j."""
+        # Pivot rows are stored in the order they were found.
+        pivots = islice(self.rowspace._pivots, self._starts[j])
+        return {self.monomials[c] for c in pivots}
 
     def ambient_pivots(self) -> list[int]:
         return [c for c in self.rowspace.pivot_columns() if c >= self.ambient_start]
@@ -281,13 +326,24 @@ class _IdealPiece:
         return row
 
     def generating_multiples(self) -> list[tuple[int, tuple, Polynomial]]:
-        """(relation index, multiplier, multiplier * relation) per row added,
-        in order."""
-        desc = self.pres.descriptor
-        return [
-            (ri, mult, Polynomial(desc, {mult: Fraction(1)}) * self.pres.relations[ri])
-            for ri, mult in self._tags
-        ]
+        """(relation index, multiplier, multiplier * relation) per multiple,
+        in order, including the skipped ones."""
+        return self.pres._multiples(self._tags)
+
+
+def _multipliers(pres: GradedPresentation, m: int, w: int) -> list[list[tuple]]:
+    """Per relation r, in order, the monomials mult with mult * r of
+    bidegree (m, w)."""
+    desc = pres.descriptor
+    return [
+        enumerate_monomials(desc, m - dr, (w - wr) % desc.torsion_order) if dr <= m else []
+        for dr, wr in pres.relation_bidegrees
+    ]
+
+
+def _tags(multipliers: list[list[tuple]]) -> list[tuple[int, tuple]]:
+    """(relation index, mult) of every multiple, relation by relation."""
+    return [(ri, mult) for ri, mults in enumerate(multipliers) for mult in mults]
 
 
 def _relation_row(r: Polynomial, rational: bool) -> tuple[list[tuple], list]:

@@ -20,6 +20,27 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def assert_z3_tables_hold(max_degree, capsys):
+    """m - 1 sections per weight for 3 <= m <= max_degree, and x2 injective,
+    on every numeric sample."""
+    code, out, _ = run_cli(
+        ["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", str(max_degree),
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    samples = range(len(checks) // 3)
+    assert len(samples) >= 3
+    for s in samples:
+        table = checks[f"z3.hilbert.s{s}"]["actual"]
+        assert {k: v for k, v in table.items() if int(k.split(".")[0]) >= 3} == {
+            f"{m}.{w}": m - 1 for m in range(3, max_degree + 1) for w in range(3)
+        }
+        assert checks[f"z3.x2-injective.s{s}"]["actual"] is True
+    assert all(c["status"] == "pass" for c in checks.values())
+
+
 class TestVerify:
     def test_z5_table(self, capsys):
         code, out, _ = run_cli(["verify", "--scenario", "z5", "--max-degree", "6"], capsys)
@@ -116,22 +137,10 @@ class TestVerify:
         assert code == 0
 
     def test_z3_tables_hold_through_degree_16(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", "16",
-             "--format", "json"],
-            capsys,
-        )
-        assert code == 0
-        checks = {c["id"]: c for c in json.loads(out)["checks"]}
-        samples = range(len(checks) // 3)
-        assert len(samples) >= 3
-        for s in samples:
-            table = checks[f"z3.hilbert.s{s}"]["actual"]
-            assert {k: v for k, v in table.items() if int(k.split(".")[0]) >= 3} == {
-                f"{m}.{w}": m - 1 for m in range(3, 17) for w in range(3)
-            }
-            assert checks[f"z3.x2-injective.s{s}"]["actual"] is True
-        assert all(c["status"] == "pass" for c in checks.values())
+        assert_z3_tables_hold(16, capsys)
+
+    def test_z3_tables_hold_through_degree_20(self, capsys):
+        assert_z3_tables_hold(20, capsys)
 
     def test_unknown_scenario_exits_2(self):
         result = subprocess.run(

@@ -346,14 +346,105 @@ def presentations(draw):
     return GradedPresentation(desc, relations)
 
 
-@settings(max_examples=60, deadline=None)
-@given(pres=presentations(), m=st.integers(0, 5), w=st.integers(0, 2))
-def test_piece_matches_the_polynomial_products(pres, m, w):
+def assert_same_piece(pres, m, w):
+    """The piece (m, w) spans what the oracle spans, on the same columns,
+    with the same multiples; the stored pivot rows may differ."""
     piece = pres._piece(m, w)
     monomials, start, rs, multiples = reference_piece(pres, m, w % pres.descriptor.torsion_order)
     assert piece.monomials == monomials
     assert piece.ambient_start == start
     assert type(piece.rowspace) is type(rs)
-    assert piece.rowspace._pivots == rs._pivots
-    assert piece.rowspace._support == rs._support
+    assert piece.rowspace._rref() == rs._rref()
+    assert piece.rowspace.pivot_columns() == rs.pivot_columns()
     assert piece.generating_multiples() == multiples
+    ambient_pivots = [c for c in rs.pivot_columns() if c >= start]
+    assert pres.quotient_dim(m, w) == len(monomials) - start - len(ambient_pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pres=presentations(), m=st.integers(0, 5), w=st.integers(0, 2))
+def test_piece_matches_the_polynomial_products(pres, m, w):
+    assert_same_piece(pres, m, w)
+
+
+@st.composite
+def positive_presentations(draw):
+    """Two to five relations on two to four variables of degree 1 or 2, over
+    Q, Q(z3) or Q(z5); a relation may repeat an earlier one or be a monomial
+    multiple of it, so that many multiples are redundant."""
+    order = draw(st.sampled_from([1, 3, 5]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    degrees = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    desc = RingDescriptor(tuple("abcd"[:n]), tuple(degrees), tuple(weights),
+                          torsion_order=d, scalar_order=order)
+    bidegrees = [(k, ww) for k in range(1, 5) for ww in range(d)
+                 if enumerate_monomials(desc, k, ww)]
+    relations = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["new", "new", "new", "repeat", "multiple"]))
+        if kind == "new" or not relations:
+            mons = enumerate_monomials(desc, *draw(st.sampled_from(bidegrees)))
+            terms = draw(st.dictionaries(st.sampled_from(mons), _scalars(order),
+                                         min_size=1, max_size=4))
+            relations.append(Polynomial(desc, terms))
+            continue
+        earlier = draw(st.sampled_from(relations))
+        if kind == "multiple":
+            earlier = earlier * desc.variable(draw(st.sampled_from(desc.variables)))
+        relations.append(earlier)
+    return GradedPresentation(desc, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pres=positive_presentations(), m=st.integers(0, 8), data=st.data())
+def test_skipped_multiples_leave_every_piece_unchanged(pres, m, data):
+    # Every variable has positive degree, so a piece skips the multiples its
+    # memoised lower pieces prove redundant: all of them when the pieces are
+    # built in ascending degree, as every caller does, fewer in another order.
+    keys = [(k, w) for k in range(m + 1) for w in range(pres.descriptor.torsion_order)]
+    if data.draw(st.booleans()):
+        keys = data.draw(st.permutations(keys))
+    for k, w in keys:
+        assert_same_piece(pres, k, w)
+
+
+def test_parameter_pieces_keep_every_multiple():
+    # b is a parameter.  In (2, 0), ab leads b * (-2a) in (1, 0), but
+    # ab * (ab) = -1/2 * ab^2 * (-2a) needs the multiplier ab^2, which is
+    # beyond the parameter cap; skipping ab * (ab) would lose the column
+    # a^2 b^2 from the span.
+    desc = RingDescriptor(("a", "b"), (1, 0), (1, 1), torsion_order=2)
+    pres = GradedPresentation(desc, [parse_polynomial(r, desc) for r in ("-2*a", "a*b", "2*a^2")])
+    for m in range(4):
+        for w in range(2):
+            assert_same_piece(pres, m, w)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_constant_relation_spans_the_whole_piece(first):
+    # The lower piece of a degree-0 relation is the piece being built.
+    relations = [ABC.one(), parse_polynomial("a*b - c^2", ABC)]
+    pres = GradedPresentation(ABC, relations if first else relations[::-1])
+    for m in range(4):
+        assert_same_piece(pres, m, 0)
+        assert pres.quotient_dim(m, 0) == 0
+
+
+def test_numeric_z3_piece_skips_redundant_multiples(monkeypatch):
+    pres = numeric_presentation(ZERO_PARAMS)
+    for m in range(12):
+        for w in range(3):
+            pres._piece(m, w)
+    added = []
+    original = IntRowSpace.add
+
+    def counting_add(self, row):
+        added.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(IntRowSpace, "add", counting_add)
+    piece = pres._piece(12, 0)
+    assert len(added) < len(piece._tags)
+    assert_same_piece(pres, 12, 0)

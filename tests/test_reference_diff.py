@@ -32,6 +32,20 @@ rel x1^2*x3 + z5*x1*x2^2 - (z5^2 - 1/2)*x3^2*x4 + 3*x2*x4^2
 """
 
 
+# The ring of the benchmark's cyclo-z5 workload at seed 1: the quintic of the
+# five planes and a seeded cubic over Q(z5).
+CYCLO_Z5_RING = """\
+field Q(z5)
+torsion_order 5
+x1 1 1
+x2 1 2
+x3 1 3
+x4 1 4
+rel (x1 + x2 + x3 + x4)*(z5*x1 + z5^2*x2 + z5^3*x3 + z5^4*x4)*(z5^2*x1 + z5^4*x2 + z5*x3 + z5^3*x4)*(z5^3*x1 + z5*x2 + z5^4*x3 + z5^2*x4)*(z5^4*x1 + z5^3*x2 + z5^2*x3 + z5*x4)
+rel (-3 + 4*z5 - 4*z5^2 - z5^3)*x3^3 + (-4 + 2*z5 + 2*z5^2 + 2*z5^3)*x2*x3*x4 + (5 + z5 - 2*z5^2 - 4*z5^3)*x1*x4^2 + (2 - 5*z5 + z5^2 + z5^3)*x1^2*x2
+"""
+
+
 def run_both(args, tmp_path, files=()):
     """Run the CLI on both trees in sibling directories; return, per tree,
     the exit code, stdout, stderr and the bytes of the named output files."""
@@ -40,6 +54,7 @@ def run_both(args, tmp_path, files=()):
         workdir = tmp_path / tree
         workdir.mkdir()
         (workdir / "z5.ring").write_text(Z5_RING)
+        (workdir / "cyclo_z5.ring").write_text(CYCLO_Z5_RING)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
         proc = subprocess.run(
             [sys.executable, "-m", "godeaux.cli", *args],
@@ -73,8 +88,10 @@ def without_timing(text):
          "--alpha=16", "--beta=-4", "--gamma=11/2"],
         # Past the last relations the census computes no kernel at all.
         pytest.param(["--scenario", "sc", "--max-degree", "13"], marks=pytest.mark.slow),
+        # Ideal pieces of dense random relations, well past the default bound.
+        ["--scenario", "z4", "--max-degree", "16", "--seed", "140892"],
     ],
-    ids=["z3", "z4", "z5", "sc", "sc-census", "z3-fractions", "z3-tables", "sc-13"],
+    ids=["z3", "z4", "z5", "sc", "sc-census", "z3-fractions", "z3-tables", "sc-13", "z4-16"],
 )
 def test_verify_reports_match(args, tmp_path):
     ours, ref = run_both(["verify", *args, "--format", "json"], tmp_path)
@@ -99,6 +116,16 @@ def test_hilbert_sc_past_the_census_bound_matches(tmp_path):
 def test_hilbert_cyclotomic_ring_file_matches(tmp_path):
     ours, ref = run_both(
         ["hilbert", "--ring", "z5.ring", "--max-degree", "10", "--format", "json"], tmp_path
+    )
+    assert ours[0] == ref[0] == 0, ours[2]
+    assert ours[1:] == ref[1:]
+
+
+@pytest.mark.slow
+def test_hilbert_benchmark_cyclotomic_ring_matches(tmp_path):
+    ours, ref = run_both(
+        ["hilbert", "--ring", "cyclo_z5.ring", "--max-degree", "12", "--format", "json"],
+        tmp_path,
     )
     assert ours[0] == ref[0] == 0, ours[2]
     assert ours[1:] == ref[1:]
