@@ -5,7 +5,9 @@ exactly; no Groebner basis is computed.  Each relation's terms are kept once
 as a row: integers (its terms times the lcm of their denominators) for a
 rational presentation, the scalars themselves for a cyclotomic one.  A
 multiple is that row shifted to the multiplier's columns, with no polynomial
-product; the monomials of each bidegree are enumerated once per process.
+product, and enters the row space as a dict of its few nonzeros, never as a
+dense row of the piece's width; the monomials of each degree are enumerated
+once per process.
 Rational presentations use the integer row space, cyclotomic ones the field
 row space (both in `linalg`).  Per-(degree, weight) results are memoised
 write-once.
@@ -120,7 +122,9 @@ class GradedPresentation:
             return sum(
                 self.quotient_dim(m, ww) for ww in range(self.descriptor.torsion_order)
             )
-        return self.ambient_dim(m, w) - len(self._piece(m, w).ambient_pivots())
+        piece = self._piece(m, w)
+        ambient = len(piece.monomials) - piece.ambient_start
+        return ambient - len(piece.ambient_pivots())
 
     def quotient_monomial_basis(self, m: int, w: int) -> list[tuple]:
         """Monomials whose classes form a basis of the quotient piece."""
@@ -245,7 +249,7 @@ class GradedPresentation:
         piece = self._piece(m, w)
         rows = [piece.unit_row(mon) for mon in monomials]
         probe = piece.rowspace.copy()
-        return all(probe.add(row) for row in rows)
+        return all(probe.add_nonzeros(row) for row in rows)
 
 
 class _IdealPiece:
@@ -256,8 +260,10 @@ class _IdealPiece:
     monomials.  Rows pivoting among the ambient columns are zero on the
     others, so they span the ideal's intersection with the ambient span.
     The row of mult * r is r's relation row at the columns of mult + e for
-    each exponent e of r; the piece keeps (relation index, mult) for every
-    multiple, added or skipped.
+    each exponent e of r, handed to the row space as its {column: nonzero}
+    dict; the piece keeps (relation index, mult) for every multiple, added
+    or skipped.  Only pieces of rings with degree-0 variables can have
+    columns beyond the cap.
 
     When every variable has positive degree, the multiple mult * r_j is
     skipped if mult leads an element of (r_0, ..., r_{j-1}) in its own
@@ -270,40 +276,44 @@ class _IdealPiece:
         self.w = w
         multipliers = _multipliers(pres, m, w)
         self._tags = _tags(multipliers)
-        shifted = [
-            [tuple(map(add, mult, e)) for e in pres._rows[ri][0]] for ri, mult in self._tags
-        ]
+        # Degree-0 variables are capped, so multiples can reach monomials
+        # beyond the cap, and not every multiple the criterion relies on is a
+        # row; such pieces keep every multiple.  With every degree positive,
+        # each multiple lies in the ambient monomials.
+        prune = all(pres.descriptor.degrees)
         ambient = pres.ambient_monomials(m, w)
-        known = set(ambient)
-        outside = {mon for mons in shifted for mon in mons if mon not in known}
+        outside = set()
+        if not prune:
+            known = set(ambient)
+            for ri, mult in self._tags:
+                outside.update(
+                    mon
+                    for e in pres._rows[ri][0]
+                    if (mon := tuple(map(add, mult, e))) not in known
+                )
         self.ambient_start = len(outside)
         self.monomials = sorted(outside, key=grevlex_key) + ambient
-        self.index = {mon: i for i, mon in enumerate(self.monomials)}
+        self.index = index = {mon: i for i, mon in enumerate(self.monomials)}
         n = len(self.monomials)
         self.rowspace = IntRowSpace(n) if pres._rational else GenericRowSpace(n)
         # The dimension before each relation's rows: a prefix of the pivots.
         self._starts: list[int] = []
-        # Degree-0 variables are capped, so not every multiple the criterion
-        # relies on is a row; such pieces keep every multiple.  Only a lower
-        # piece already memoised is read: building it here would recurse once
-        # per degree, and callers build pieces in ascending degree anyway.
-        prune = all(pres.descriptor.degrees)
+        # Only a lower piece already memoised is read: building it here would
+        # recurse once per degree, and callers build pieces in ascending
+        # degree anyway.
         d = pres.descriptor.torsion_order
-        index = self.index
-        rows = iter(shifted)  # consumed in step with the multipliers
+        add_nonzeros = self.rowspace.add_nonzeros
         for ri, mults in enumerate(multipliers):
             self._starts.append(self.rowspace.dim)
             dr, wr = pres.relation_bidegrees[ri]
             lower = pres._pieces.get((m - dr, (w - wr) % d)) if prune else None
             skip = lower.leading_monomials(ri) if lower is not None else ()
-            coeffs = pres._rows[ri][1]
-            for mult, mons in zip(mults, rows):
-                if mult in skip:
-                    continue
-                row = [0] * n
-                for mon, c in zip(mons, coeffs):
-                    row[index[mon]] = c
-                self.rowspace.add(row)
+            exps, coeffs = pres._rows[ri]
+            for mult in mults:
+                if mult not in skip:
+                    add_nonzeros(
+                        {index[tuple(map(add, mult, e))]: c for e, c in zip(exps, coeffs)}
+                    )
 
     def leading_monomials(self, j: int) -> set[tuple]:
         """Leading monomials of the elements of (r_0, ..., r_{j-1}) in this
@@ -315,15 +325,14 @@ class _IdealPiece:
     def ambient_pivots(self) -> list[int]:
         return [c for c in self.rowspace.pivot_columns() if c >= self.ambient_start]
 
-    def unit_row(self, mon: tuple) -> list:
+    def unit_row(self, mon: tuple) -> dict[int, int]:
+        """The monomial as a {column: 1} row."""
         desc = self.pres.descriptor
         if (desc.monomial_degree(mon), desc.monomial_weight(mon)) != (self.m, self.w):
             raise ValueError(f"monomial {mon} is not of bidegree ({self.m}, {self.w})")
         if mon not in self.index:
             raise ValueError(f"monomial {mon} is beyond the parameter cap")
-        row = [0] * len(self.monomials)
-        row[self.index[mon]] = 1
-        return row
+        return {self.index[mon]: 1}
 
     def generating_multiples(self) -> list[tuple[int, tuple, Polynomial]]:
         """(relation index, multiplier, multiplier * relation) per multiple,

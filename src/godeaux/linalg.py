@@ -2,7 +2,9 @@
 
 A row space keeps one reduced row per pivot column.  Rows are reduced as
 {column: value} dicts of their nonzeros, against pivot rows that keep their
-sorted nonzero columns, by one loop shared by three scalar backends:
+sorted nonzero columns, by one loop shared by three scalar backends.  A
+caller that has a row's nonzeros passes them as that dict (`add_nonzeros`);
+dense rows (`add`, `contains`) are scanned into one first.  The backends:
 `IntRowSpace` holds primitive integer rows for rational data and eliminates
 fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
 field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
@@ -153,8 +155,10 @@ class _RowSpace:
     Each pivot row is stored dense, with its sorted nonzero columns in
     `_support`.  A row is reduced as a {column: value} dict of its nonzeros:
     while its leading column has a pivot, one elimination step clears that
-    entry.  A backend supplies the scalar steps as static methods:
-    `_nonzeros(row)` gives the dict of an input row,
+    entry.  Rows enter dense (`add`, `contains`) or already as that dict
+    (`add_nonzeros`), which skips building and scanning a mostly-zero row.
+    A backend supplies the scalar steps as static methods:
+    `_nonzeros(row)` gives the dict of a dense input row,
     `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
     using pivot row piv, touching piv's nonzero columns cols only, and
     `_normalise(work)` scales a new pivot row to canonical form.
@@ -203,8 +207,14 @@ class _RowSpace:
         return work
 
     def add(self, row) -> bool:
-        """Add a row; True iff it enlarged the space."""
+        """Add a dense row; True iff it enlarged the space."""
         return self._insert(self._reduce(row))
+
+    def add_nonzeros(self, work: dict) -> bool:
+        """Add a row given as {column: nonzero entry}, entries already in the
+        backend's form (integers, field scalars or residues mod p); the dict
+        is used up.  True iff it enlarged the space."""
+        return self._insert(self._reduce_nonzeros(work))
 
     def _insert(self, work: dict) -> bool:
         """Store a reduced row as a new pivot row, unless it is zero."""
@@ -313,11 +323,6 @@ class ModPRowSpace(_RowSpace):
 
     add = _RowSpace.add
     contains = _RowSpace.contains
-
-    def add_nonzeros(self, work: dict[int, int]) -> bool:
-        """Add a row given as {column: nonzero residue}; the dict is used up.
-        True iff it enlarged the space."""
-        return self._insert(self._reduce_nonzeros(work))
 
     def row_nonzeros(self, col: int) -> dict[int, int]:
         """{column: residue} of the pivot row whose pivot column is col."""

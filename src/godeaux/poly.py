@@ -256,19 +256,25 @@ def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
     """All exponent tuples of weighted degree m (and torsion weight w), canonical order.
 
     Degree-0 variables are capped at exponent 1 so the list stays finite.
-    Each (descriptor, m, w mod d) is enumerated once per process; every call
-    returns a fresh list.
+    Each (descriptor, m) is enumerated once per process, and each weight's
+    list is filtered once from that; every call returns a fresh list.
     """
     if m < 0:
         return []
     key = (desc, m, w if w == "all" else w % desc.torsion_order)
     cached = _MONOMIALS.get(key)
     if cached is None:
-        cached = _MONOMIALS[key] = _enumerate(desc, m, key[2])
+        full = _MONOMIALS.get((desc, m, "all"))
+        if full is None:
+            full = _MONOMIALS[desc, m, "all"] = _enumerate(desc, m)
+        # Filtering the sorted list of the whole degree keeps grevlex order.
+        cached = _MONOMIALS[key] = (
+            full if w == "all" else [e for e in full if desc.monomial_weight(e) == key[2]]
+        )
     return list(cached)
 
 
-def _enumerate(desc: RingDescriptor, m: int, w) -> list[tuple]:
+def _enumerate(desc: RingDescriptor, m: int) -> list[tuple]:
     out: list[tuple] = []
     exps = [0] * desc.nvars
 
@@ -285,8 +291,6 @@ def _enumerate(desc: RingDescriptor, m: int, w) -> list[tuple]:
         exps[i] = 0
 
     rec(0, m)
-    if w != "all":
-        out = [e for e in out if desc.monomial_weight(e) == w]
     out.sort(key=grevlex_key)
     return out
 

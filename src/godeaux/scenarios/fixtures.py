@@ -1,7 +1,9 @@
 """Loaders for the text fixtures shipped with the package.
 
 All scenario-specific polynomials live under ``godeaux/data`` in the plain
-polynomial grammar, so they can be audited without reading any code.
+polynomial grammar, so they can be audited without reading any code.  Each
+file is parsed once per process; every call returns fresh lists and dicts
+(the polynomials and descriptors in them are immutable and shared).
 """
 
 from __future__ import annotations
@@ -37,19 +39,29 @@ def z3_descriptor() -> RingDescriptor:
 
 def z3_relations() -> list[tuple[str, int, int, Polynomial]]:
     """(name, degree, weight, polynomial) for the ten relations, fixture order."""
+    return list(_z3_relations())
+
+
+@lru_cache(maxsize=None)
+def _z3_relations() -> tuple[tuple[str, int, int, Polynomial], ...]:
     desc = z3_descriptor()
     out = []
     for line in _stripped_lines("z3_relations.txt"):
         head, src = line.split(":", 1)
         name, deg, wt = head.split()
         out.append((name, int(deg), int(wt), parse_polynomial(src.strip(), desc)))
-    return out
+    return tuple(out)
 
 
 def z3_claimed_bases() -> dict[tuple[int, int], list[tuple]]:
     """Claimed quotient-piece monomial bases keyed by (degree, weight)."""
+    return {key: list(mons) for key, mons in _z3_claimed_bases()}
+
+
+@lru_cache(maxsize=None)
+def _z3_claimed_bases() -> tuple[tuple[tuple[int, int], tuple[tuple, ...]], ...]:
     desc = z3_descriptor()
-    out: dict[tuple[int, int], list[tuple]] = {}
+    out = []
     for line in _stripped_lines("z3_bases.txt"):
         head, body = line.split(":", 1)
         m, w = (int(x) for x in head.split())
@@ -60,8 +72,15 @@ def z3_claimed_bases() -> dict[tuple[int, int], list[tuple]]:
                 poly = parse_polynomial(piece, desc)
                 (exps,) = poly.terms
                 mons.append(exps)
-        out[(m, w)] = mons
-    return out
+        out.append(((m, w), tuple(mons)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _polynomial_lines(name: str, ring: str) -> tuple[Polynomial, ...]:
+    """One polynomial per line of a fixture, in the ring of that name."""
+    desc = descriptor(ring)
+    return tuple(parse_polynomial(line, desc) for line in _stripped_lines(name))
 
 
 def z4_descriptor() -> RingDescriptor:
@@ -73,8 +92,7 @@ def z5_descriptor() -> RingDescriptor:
 
 
 def z5_planes() -> list[Polynomial]:
-    desc = z5_descriptor()
-    return [parse_polynomial(line, desc) for line in _stripped_lines("z5_planes.txt")]
+    return list(_polynomial_lines("z5_planes.txt", "z5"))
 
 
 def sc_descriptor() -> RingDescriptor:
@@ -82,27 +100,27 @@ def sc_descriptor() -> RingDescriptor:
 
 
 def sc_conic() -> Polynomial:
-    (line,) = _stripped_lines("sc_conic.txt")
-    return parse_polynomial(line, sc_descriptor())
+    (conic,) = _polynomial_lines("sc_conic.txt", "sc")
+    return conic
 
 
-def _substitution(name: str) -> dict[str, Polynomial]:
+@lru_cache(maxsize=None)
+def _substitution(name: str) -> tuple[tuple[str, Polynomial], ...]:
     desc = sc_descriptor()
-    images = {}
+    images = []
     for line in _stripped_lines(name):
         var, src = line.split(":", 1)
-        images[var.strip()] = parse_polynomial(src.strip(), desc)
-    return images
+        images.append((var.strip(), parse_polynomial(src.strip(), desc)))
+    return tuple(images)
 
 
 def sc_restriction() -> dict[str, Polynomial]:
-    return _substitution("sc_restriction.txt")
+    return dict(_substitution("sc_restriction.txt"))
 
 
 def sc_involution() -> dict[str, Polynomial]:
-    return _substitution("sc_involution.txt")
+    return dict(_substitution("sc_involution.txt"))
 
 
 def sc_claimed_generators() -> list[Polynomial]:
-    desc = sc_descriptor()
-    return [parse_polynomial(line, desc) for line in _stripped_lines("sc_generators.txt")]
+    return list(_polynomial_lines("sc_generators.txt", "sc"))

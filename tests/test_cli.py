@@ -221,6 +221,43 @@ class TestHilbert:
         assert [rows[str(m)][0] for m in range(4)] == [1, 2, 2, 2]
 
 
+    def test_parameter_ring_table_is_pinned(self, capsys, tmp_path):
+        # The z3 ring with its degree-0 parameters alpha, beta, gamma and the
+        # relations f0, f1, f2, h0: pieces with columns beyond the parameter
+        # cap.  The table was recorded before ideal pieces took sparse rows.
+        ring = (Path(godeaux.__file__).parent / "data" / "z3.ring").read_text()
+        path = tmp_path / "h.ring"
+        path.write_text(
+            ring
+            + "rel x2*z1 + y0^2 - y1*y2\n"
+            + "rel x2*z2 + y0*y1 - y2^2\n"
+            + "rel x2^4 + y0*y2 - y1^2\n"
+            + "rel y0^3 - 2*y0*y1*y2 + y2^3 + alpha*x2^6 + beta*x2^4*y1"
+            + " + gamma*x2^2*y0*y2\n"
+        )
+        code, out, _ = run_cli(
+            ["hilbert", "--ring", str(path), "--max-degree", "8", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "ring": str(path),
+            "max_degree": 8,
+            "torsion_order": 3,
+            "rows": {
+                "0": [8, 0, 0],
+                "1": [0, 0, 8],
+                "2": [8, 16, 8],
+                "3": [16, 16, 16],
+                "4": [24, 24, 24],
+                "5": [40, 40, 40],
+                "6": [55, 48, 48],
+                "7": [64, 64, 71],
+                "8": [87, 94, 87],
+            },
+        }
+
+
 class TestScBuild:
     def test_truncated_run_warns(self, capsys, tmp_path):
         gens = tmp_path / "gens.txt"

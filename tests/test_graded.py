@@ -16,6 +16,7 @@ from godeaux import (
     enumerate_monomials,
     parse_polynomial,
 )
+from godeaux.action import weight_space_dim
 from godeaux.linalg import GenericRowSpace, IntRowSpace
 from godeaux.poly import grevlex_key
 from godeaux.scalars import is_rational_scalar, make_cyclo
@@ -26,7 +27,7 @@ from godeaux.scenarios.torsion3 import (
     z3_presentation,
     _relation_map,
 )
-from godeaux.scenarios.torsion4 import draw_relation
+from godeaux.scenarios.torsion4 import draw_relation, sampled_presentation
 from godeaux.scenarios.torsion5 import z5_quintic
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -124,6 +125,22 @@ class TestPieceIntegrity:
         for name in ("H0", "H1", "H2"):
             pres.reduces_to_zero(x2sq * rels[name])
         assert bases() == before
+
+    @pytest.mark.parametrize(
+        "build",
+        [z3_presentation, h_membership_presentation, lambda: sampled_presentation(42)],
+        ids=["z3", "h-membership", "z4"],
+    )
+    def test_ambient_columns_are_counted_by_weight_space_dim(self, build):
+        # quotient_dim reads the ambient count off the piece; the dynamic
+        # programme of weight_space_dim counts the same monomials on its own.
+        pres = build()
+        desc = pres.descriptor
+        for m in range(13):
+            for w in range(desc.torsion_order):
+                piece = pres._piece(m, w)
+                ambient = len(piece.monomials) - piece.ambient_start
+                assert ambient == weight_space_dim(desc, m, w), (m, w)
 
 
 class TestQuotientDim:
@@ -438,13 +455,13 @@ def test_numeric_z3_piece_skips_redundant_multiples(monkeypatch):
         for w in range(3):
             pres._piece(m, w)
     added = []
-    original = IntRowSpace.add
+    original = IntRowSpace.add_nonzeros
 
     def counting_add(self, row):
         added.append(row)
         return original(self, row)
 
-    monkeypatch.setattr(IntRowSpace, "add", counting_add)
+    monkeypatch.setattr(IntRowSpace, "add_nonzeros", counting_add)
     piece = pres._piece(12, 0)
-    assert len(added) < len(piece._tags)
+    assert 0 < len(added) < len(piece._tags)
     assert_same_piece(pres, 12, 0)

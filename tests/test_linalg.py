@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from godeaux import Matrix, kernel_basis, make_cyclo, scalar_inv, zeta
 from godeaux.linalg import (
+    PRIME,
     GenericRowSpace,
     IntRowSpace,
+    ModPRowSpace,
     int_kernel_basis,
     int_rref,
     solve_columns,
@@ -392,6 +394,45 @@ FIELD_ORDERS = pytest.mark.parametrize("order", [1, 3, 4, 5], ids=["Q", "z3", "z
 def test_field_rowspace_matches_dense_oracle(order, data):
     rows, ncols = data.draw(field_rows(order))
     _matches_dense_oracle(rows, ncols, GenericRowSpace, DenseGenericRowSpace)
+
+
+def _sparse_entry_matches_dense(rows, ncols, engine):
+    """add_nonzeros of each row's nonzeros answers and stores as add of the
+    dense row."""
+    dense, sparse = engine(ncols), engine(ncols)
+    for row in rows:
+        assert sparse.add_nonzeros({j: x for j, x in enumerate(row) if x}) == dense.add(row)
+        assert sparse._pivots == dense._pivots
+        assert sparse._support == dense._support
+    assert list(sparse._pivots) == list(dense._pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_rows())
+def test_sparse_entry_matches_dense_on_integer_rows(case):
+    _sparse_entry_matches_dense(*case, IntRowSpace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_rows(fractions=True))
+def test_sparse_entry_matches_dense_on_fraction_rows(case):
+    _sparse_entry_matches_dense(*case, GenericRowSpace)
+
+
+@FIELD_ORDERS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sparse_entry_matches_dense_on_field_rows(order, data):
+    rows, ncols = data.draw(field_rows(order))
+    _sparse_entry_matches_dense(rows, ncols, GenericRowSpace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sparse_rows(), scale=st.sampled_from([1, PRIME - 1, 2**40 + 3]))
+def test_sparse_entry_matches_dense_on_residues(case, scale):
+    rows, ncols = case
+    residues = [[x * scale % PRIME for x in row] for row in rows]
+    _sparse_entry_matches_dense(residues, ncols, ModPRowSpace)
 
 
 def _solved_with(rref, matrix, rows, targets):

@@ -19,6 +19,7 @@ from godeaux import (
     render_polynomial,
     zeta,
 )
+from godeaux.poly import grevlex_key
 from godeaux.scenarios import fixtures
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -130,6 +131,29 @@ class TestSubstitution:
         assert p.substitute(imgs) == plain
 
 
+def per_weight_monomials(desc, m, w):
+    """Monomials of degree m and weight w by one recursion per call, filtered
+    by weight and then sorted: the enumeration as first written."""
+    out = []
+    exps = [0] * desc.nvars
+
+    def rec(i, remaining):
+        if i == desc.nvars:
+            if remaining == 0:
+                out.append(tuple(exps))
+            return
+        d = desc.degrees[i]
+        for k in range((1 if d == 0 else remaining // d) + 1):
+            exps[i] = k
+            rec(i + 1, remaining - k * d)
+        exps[i] = 0
+
+    rec(0, m)
+    if w != "all":
+        out = [e for e in out if desc.monomial_weight(e) == w % desc.torsion_order]
+    return sorted(out, key=grevlex_key)
+
+
 class TestEnumeration:
     def test_z3_pieces(self):
         from godeaux.scenarios.torsion3 import numeric_descriptor
@@ -195,6 +219,24 @@ class TestEnumeration:
                 assert enumerate_monomials(again, m, w) == expected
                 assert enumerate_monomials(z3desc, m, w + 3) == expected
                 assert enumerate_monomials(z3desc, m, w - 3) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_weight_lists_match_the_per_weight_recursion(self, data):
+        # Degree-0 variables included; equal weights on a fresh descriptor
+        # object exercise entries shared through the cache.
+        n = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 4))
+        desc = RingDescriptor(
+            tuple("abcd"[:n]),
+            tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))),
+            tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))),
+            torsion_order=d,
+        )
+        m = data.draw(st.integers(0, 7))
+        for w in data.draw(st.permutations(range(d))):
+            assert enumerate_monomials(desc, m, w) == per_weight_monomials(desc, m, w)
+        assert enumerate_monomials(desc, m) == per_weight_monomials(desc, m, "all")
 
     def test_list_fields_give_a_hashable_descriptor(self):
         desc = RingDescriptor(["a", "b"], [1, 2], [0, 1], torsion_order=2)

@@ -7,6 +7,7 @@ import pytest
 
 from godeaux.report import Check, VerificationReport, merge_reports
 from godeaux.scenarios import (
+    fixtures,
     oracle_curve_dim,
     oracle_plurigenus,
     run_sc,
@@ -14,6 +15,47 @@ from godeaux.scenarios import (
     run_z4,
     run_z5,
 )
+
+
+LOADERS = [
+    "z3_relations",
+    "z3_claimed_bases",
+    "z5_planes",
+    "sc_restriction",
+    "sc_involution",
+    "sc_claimed_generators",
+]
+
+
+class TestFixtures:
+    @pytest.mark.parametrize("name", LOADERS)
+    def test_mutating_a_result_leaves_the_next_call_intact(self, name):
+        load = getattr(fixtures, name)
+        expected = load()
+        first = load()
+        assert first == expected and first is not expected
+        if isinstance(first, dict):
+            for value in first.values():
+                if isinstance(value, list):
+                    value.clear()
+            first[next(iter(first))] = None
+            first["stray"] = None
+        else:
+            first.reverse()
+            first.pop()
+            first.append(None)
+        assert load() == expected
+
+    @pytest.mark.parametrize("name", LOADERS + ["sc_conic"])
+    def test_each_file_is_parsed_once(self, name, monkeypatch):
+        load = getattr(fixtures, name)
+        expected = load()
+
+        def refuse(*args):
+            raise AssertionError("fixture parsed again")
+
+        monkeypatch.setattr(fixtures, "parse_polynomial", refuse)
+        assert load() == expected
 
 
 class TestOracles:
