@@ -16,8 +16,14 @@ The relation census first tries a rank certificate mod p = 2^31 - 1 from
 mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
 its rows reduce integer vectors of the ideal over Q, so rank_p <= rank_Q <=
 target, the dimension of the relation space, and reaching target proves that
-no relation is new.  A certificate that falls short runs the exact path over
-Z.
+no relation is new.  Colliding products are tried in S-pair order, those of
+Groebner rows first.  A certificate that falls short runs the exact path over
+Z (`SubringBuilder._exact_relations`): the evaluation kernel is built on the
+rows at the pivot columns of the degree's product span only, which have the
+full rank, and the new relations are the greedy choice from the sorted
+kernel, found by matroid duality in one elimination of the ideal multiples
+written in kernel coordinates (`_relations_by_duality`).  The short mod-p
+echelon plus the new relations mod p is the next degrees' echelon.
 """
 
 from __future__ import annotations
@@ -340,14 +346,15 @@ class SubringBuilder:
         self.desc = predicate.descriptor
 
     def minimal_generators(self, max_degree: int) -> list[tuple[Polynomial, int]]:
-        gens, _ = self._generators_with_spans(max_degree)
-        return gens
+        return self._generators_with_spans(max_degree)[0]
 
     def _generators_with_spans(self, max_degree: int):
-        """Selected generators plus spanning products of the subalgebra
-        pieces, as integer term dicts."""
+        """Selected generators, spanning products of the subalgebra pieces
+        as integer term dicts, and per degree the pivot columns of the span
+        of the image and M_m."""
         gens: list[tuple[Polynomial, int]] = []
         span_terms = {0: [_int_terms(self.desc.one())]}
+        span_pivots: dict[int, list[int]] = {}
         # Selected generators lie in V.
         closed = self.pred.closed_under_products
         for m in range(1, max_degree + 1):
@@ -361,7 +368,8 @@ class SubringBuilder:
                         piece.append(terms)
                         gens.append((v, m))
             span_terms[m] = piece
-        return gens, span_terms
+            span_pivots[m] = rs.pivot_columns()
+        return gens, span_terms, span_pivots
 
     def _product_span(self, gens, span_terms, m: int, full: int | None = None):
         """Independent degree-m products g*b with b in span_terms[m - deg g],
@@ -387,7 +395,7 @@ class SubringBuilder:
         return index, rs, piece
 
     def presentation(self, max_degree: int) -> SubringPresentation:
-        gens, span_terms = self._generators_with_spans(max_degree)
+        gens, span_terms, span_pivots = self._generators_with_spans(max_degree)
         gen_census: dict[int, int] = {}
         for _, dg in gens:
             gen_census[dg] = gen_census.get(dg, 0) + 1
@@ -403,10 +411,13 @@ class SubringBuilder:
         # denominator 1 throughout.
         evaluate = _MonomialMap({name: g for name, (g, _) in zip(names, gens)}, free)
         relations: list[Polynomial] = []
+        # (degree, [(exponents, coefficient)]) of each relation, for its multiples.
+        relation_terms: list[tuple[int, list[tuple[tuple, int]]]] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
-        # Mod-p echelon forms of the ideal by degree, for the last top degrees.
-        echelons: dict[int, ModPRowSpace] = {}
+        # Mod-p echelon forms of the ideal by degree, with their Groebner
+        # rows, for the last top degrees.
+        echelons: dict[int, tuple[ModPRowSpace, frozenset[int]]] = {}
         top = max(free.degrees, default=0)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
@@ -421,26 +432,21 @@ class SubringBuilder:
             # the two are equal and no relation is new.
             target = len(free_mons) - len(span_terms[m])
             free_index = {mon: i for i, mon in enumerate(free_mons)}
-            echelon = _leading_term_echelon(free, m, free_index, echelons, target)
-            new_count = 0
+            echelon, leads = _leading_term_echelon(free, m, free_index, echelons, target)
+            new = []
             if echelon.dim < target:
-                ideal_rows = _ideal_rows(free, m, relations, free_index, target)
-                if ideal_rows.dim < target:
-                    kernel = self._evaluation_kernel(m, free_mons, evaluate)
-                    for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
-                        xpart = k[: len(free_mons)]
-                        if not any(xpart):
-                            continue
-                        if ideal_rows.add(xpart):
-                            relations.append(_to_poly(free, free_mons, _primitive(xpart)))
-                            new_count += 1
-                            if ideal_rows.dim == target:
-                                break
-                echelon = ModPRowSpace(len(free_mons))
-                for row in ideal_rows.rows():
+                new = self._exact_relations(
+                    free, m, free_index, evaluate, span_pivots[m], relation_terms
+                )
+                for row in new:
+                    relations.append(_to_poly(free, free_mons, row))
+                    terms = [(free_mons[j], x) for j, x in enumerate(row) if x]
+                    relation_terms.append((m, terms))
+                    # The short echelon holds every product; later degrees
+                    # shift the new relations with it.
                     echelon.add(row)
-            echelons[m] = echelon
-            relation_census[m] = new_count
+            echelons[m] = (echelon, frozenset(echelon.pivot_columns()) - leads)
+            relation_census[m] = len(new)
         warning = None
         if max_degree < 10:
             warning = "census may be truncated"
@@ -455,21 +461,41 @@ class SubringBuilder:
             warning=warning,
         )
 
-    def _evaluation_kernel(self, m: int, free_mons: list[tuple], evaluate) -> list[list[int]]:
+    def _exact_relations(self, free, m, free_index, evaluate, pivots, relation_terms):
+        """The new degree-m relations over Z, as primitive integer rows over
+        the free monomials: the greedy choice from the sorted evaluation
+        kernel against the monomial multiples of the earlier relations."""
+        kernel = self._evaluation_kernel(m, list(free_index), evaluate, pivots)
+        multiples = (
+            {free_index[tuple(map(add, mult, e))]: c for e, c in terms}
+            for dr, terms in relation_terms
+            for mult in enumerate_monomials(free, m - dr)
+        )
+        return _relations_by_duality(kernel, len(free_index), multiples)
+
+    def _evaluation_kernel(self, m, free_mons, evaluate, pivots) -> list[list[int]]:
         """Kernel of the degree-m evaluation map, allowing for the modulus
-        ideal: vectors (x, y) with eval(x) = sum_k y_k * modulus row k."""
+        ideal: vectors (x, y) with eval(x) = sum_k y_k * modulus row k.
+
+        Only the rows at `pivots`, the pivot columns of the span of the image
+        and M_m, enter.  That span is the column space of the stacked matrix,
+        and its echelon rows are triangular on those columns, so these rows
+        have the full rank: they cut out the same kernel."""
         index = {mon: i for i, mon in enumerate(self.pred.ambient_monomials(m))}
+        row_of = {j: r for r, j in enumerate(pivots)}
         mod_rows = self.pred.modulus_rows(m, index)
         width = len(free_mons) + len(mod_rows)
-        stacked = [[0] * width for _ in index]
+        stacked = [[0] * width for _ in pivots]
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
             for amb, x in terms.items():
-                stacked[index[amb]][u] = x
+                r = row_of.get(index[amb])
+                if r is not None:
+                    stacked[r][u] = x
         for k, mrow in enumerate(mod_rows):
-            for j, x in enumerate(mrow):
-                if x:
-                    stacked[j][len(free_mons) + k] = x
+            for j, r in row_of.items():
+                if mrow[j]:
+                    stacked[r][len(free_mons) + k] = mrow[j]
         return int_kernel_basis(stacked, width)
 
     def verify_generator_list(
@@ -516,63 +542,128 @@ class SubringBuilder:
         return results
 
 
-def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
-    """Row space of the degree-m multiples of the relations, in their order,
-    built only until its dimension reaches `target`."""
-    rows = IntRowSpace(len(free_index))
-    for rel in relations:
-        # Relations are primitive integer rows: their terms are exact.
-        terms = _int_terms(rel)
-        for mult in enumerate_monomials(free, m - degree_and_weight(rel)[0]):
-            if rows.dim == target:
-                return rows
-            rows.add(_row(_int_product({mult: 1}, terms), free_index))
-    return rows
+def _relations_by_duality(kernel, n, multiples) -> list[list[int]]:
+    """The x-parts (first n entries, made primitive) of the kernel vectors
+    the greedy choice keeps, in its order: taken by sorted x-part, a vector
+    is kept when its x-part is outside the span of the multiples (integer
+    {column: value} dicts in the span of the x-parts) and the x-parts before
+    it.
+
+    `kernel` is the canonical basis of `int_kernel_basis`: each v_f is zero
+    past its free column f and at every other free column, so a kernel
+    vector w is the sum of (w[f] / v_f[f]) v_f.  A multiple z lifts to such
+    a w with x-part z; its coordinates on the v_f with f < n are read off z,
+    and those on the v_f with a modulus column f solve the small remainder
+    in the span of their x-parts, up to a dependency among those x-parts.
+    With the coordinate columns in reverse sorted order, the pivots of the
+    span of the coordinates of the multiples and of the dependencies are the
+    vectors whose x-part lies in the span of the multiples and of the
+    x-parts before it (matroid duality), so the rest are the greedy choice,
+    found in one elimination."""
+    size = len(kernel)
+    order = sorted(range(size), key=lambda i: kernel[i][:n])
+    column = [0] * size
+    for pos, i in enumerate(order):
+        column[i] = size - 1 - pos
+    free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    xfree = [i for i in range(size) if free[i] < n]
+    modular = [i for i in range(size) if free[i] >= n]
+    # The coordinate z[f] / v_f[f] times scale is z[f] * factor[f][1].
+    scale = lcm(*(kernel[i][free[i]] for i in xfree))
+    factor = {free[i]: (column[i], scale // kernel[i][free[i]]) for i in xfree}
+    coords = IntRowSpace(size)
+    if modular:
+        # Reduced echelon form of the rows (x-part of v_g | unit vector of g)
+        # over the g with a modulus column: a row with a pivot p < n writes
+        # its x-part R as a combination of those x-parts, and a row without
+        # one is a dependency among them.
+        reduced, pivots = int_rref(
+            [kernel[g][:n] + [int(g == h) for h in modular] for g in modular],
+            n + len(modular),
+        )
+        solve = []
+        for row, p in zip(reduced, pivots):
+            combo = {column[g]: t for g, t in zip(modular, row[n:]) if t}
+            if p < n:
+                solve.append((p, row[p], combo))
+            else:
+                coords.add_nonzeros(combo)
+        denom = lcm(*(d for _, d, _ in solve))
+        vector = {column[i]: kernel[i] for i in xfree}
+    for z in multiples:
+        if coords.dim == size:
+            break
+        row = {}
+        for f, x in z.items():
+            entry = factor.get(f)
+            if entry is not None:
+                row[entry[0]] = x * entry[1]
+        if modular:
+            # z minus its part on the v_f with f < n lies in the span of the
+            # rows R, with coefficient (its entry at R's pivot p) / R[p];
+            # the coordinates are scaled by denom as well.
+            rest = [
+                (scale * z.get(p, 0) - sum(y * vector[c][p] for c, y in row.items()))
+                * (denom // d)
+                for p, d, _ in solve
+            ]
+            row = {c: y * denom for c, y in row.items()}
+            for r, (_, _, combo) in zip(rest, solve):
+                for c, t in combo.items():
+                    row[c] = row.get(c, 0) + r * t
+            row = {c: y for c, y in row.items() if y}
+        coords.add_nonzeros(row)
+    pivots = set(coords.pivot_columns())
+    return [_primitive(kernel[i][:n]) for i in order if column[i] not in pivots]
 
 
-def _leading_term_echelon(free, m, free_index, echelons, target) -> ModPRowSpace:
+def _leading_term_echelon(free, m, free_index, echelons, target):
     """A mod-p echelon form of degree-m ideal elements, built from the
-    products g_i * r with r a row of echelons[m - deg g_i], until its
-    dimension reaches `target`.
+    products g_i * r with r a row of the echelon E_{m - deg g_i} in
+    echelons, until its dimension reaches `target`; returned with the set of
+    leading columns of the products.  echelons maps a degree k to (E_k, the
+    pivot columns of E_k's Groebner rows: those that are not leading columns
+    of products from lower degrees).
 
     Certificate: each echelon row is the reduction mod p of an integer
     vector of the ideal over Q, and so is each product, as shifting
     commutes with reduction.  So the dimension reached is at most the rank
     of the degree-m ideal over Q, which is at most `target`; reaching
     `target` proves that the ideal fills the relation space, and that no
-    relation in degree m is new.
+    relation in degree m is new.  A form that falls short holds every
+    product.
 
     Columns are in grevlex order, which is translation-invariant, so the
     leading column of g_i * r is the shift of r's.  One product per distinct
-    leading column enters first with no elimination step; the colliding
-    products are then reduced, in reverse order, until `target`."""
+    leading column enters first with no elimination step.  The colliding
+    products follow in S-pair order (Buchberger's criterion: only pairs of
+    Groebner basis elements matter): first those whose row and the row of
+    the product that owns the leading column are both Groebner rows, then
+    those whose row alone is one, then the rest, each group in reverse."""
     space = ModPRowSpace(len(free_index))
-    sources = []
+    # Leading column -> whether the row of its first product is a Groebner row.
+    owners: dict[int, bool] = {}
+    firsts, groups = [], ([], [], [])
     for i, dg in enumerate(free.degrees):
-        lower = echelons.get(m - dg)
-        if lower is not None and lower.dim:
-            sources.append((lower, _shift(free, m - dg, i, free_index)))
-    if sum(lower.dim for lower, _ in sources) < target:
-        return space
-
-    def product(lower, shift, col):
-        return {shift[c]: x for c, x in lower.row_nonzeros(col).items()}
-
-    leads, colliding = set(), []
-    for lower, shift in sources:
+        lower, groebner = echelons.get(m - dg, (None, None))
+        if lower is None or not lower.dim:
+            continue
+        shift = _shift(free, m - dg, i, free_index)
         for col in lower.pivot_columns():
-            if space.dim == target:
-                return space
-            if shift[col] in leads:
-                colliding.append((lower, shift, col))
+            lead = shift[col]
+            mine = col in groebner
+            if lead not in owners:
+                owners[lead] = mine
+                firsts.append((lower, shift, col))
             else:
-                leads.add(shift[col])
-                space.add_nonzeros(product(lower, shift, col))
-    for lower, shift, col in reversed(colliding):
+                groups[0 if mine and owners[lead] else 1 if mine else 2].append(
+                    (lower, shift, col)
+                )
+    for lower, shift, col in firsts + [p for group in groups for p in reversed(group)]:
         if space.dim == target:
             break
-        space.add_nonzeros(product(lower, shift, col))
-    return space
+        space.add_nonzeros({shift[c]: x for c, x in lower.row_nonzeros(col).items()})
+    return space, set(owners)
 
 
 def _shift(free, k, i, free_index) -> list[int]:

@@ -29,10 +29,10 @@ from godeaux.subring import (
     SubringBuilder,
     SubstitutionParityCondition,
     _int_product,
-    _ideal_rows,
     _int_terms,
     _leading_term_echelon,
     _parity_constraints,
+    _relations_by_duality,
     _to_poly,
     _vector,
 )
@@ -352,13 +352,13 @@ def _exact_degrees(monkeypatch):
     """The degrees in which the census takes the exact path, as a list that
     fills while the census runs."""
     degrees = []
-    ideal_rows = subring._ideal_rows
+    exact_relations = SubringBuilder._exact_relations
 
-    def spy(free, m, *args):
+    def spy(self, free, m, *args):
         degrees.append(m)
-        return ideal_rows(free, m, *args)
+        return exact_relations(self, free, m, *args)
 
-    monkeypatch.setattr(subring, "_ideal_rows", spy)
+    monkeypatch.setattr(SubringBuilder, "_exact_relations", spy)
     return degrees
 
 
@@ -379,7 +379,7 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     # Mod 2^31 - 1 every degree with no new relation is certified.
     assert exact == [m for m, n in census.items() if n]
     gens, span_terms = reference_spans(builder.pred, max_degree)
-    assert builder._generators_with_spans(max_degree) == (gens, span_terms)
+    assert builder._generators_with_spans(max_degree)[:2] == (gens, span_terms)
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -396,6 +396,51 @@ def test_census_falls_back_to_the_exact_path_mod_a_tiny_prime(case, prime, monke
     if case == "sc":
         # Degree 11 has no new relation, but its certificate falls short.
         assert exact == [6, 7, 8, 9, 10, 11]
+
+
+def _count_steps(monkeypatch, backend):
+    """A list that gains one entry per elimination step of a row-space
+    backend."""
+    steps = []
+    eliminate = backend._eliminate
+
+    def counted(*args):
+        steps.append(None)
+        return eliminate(*args)
+
+    monkeypatch.setattr(backend, "_eliminate", staticmethod(counted))
+    return steps
+
+
+def test_sc_presentation_to_degree_11_makes_few_integer_steps(monkeypatch):
+    # As in the sc suite, V_m is known before the presentation starts.
+    pred = sc_predicate()
+    for m in range(12):
+        pred.dim(m)
+    steps = _count_steps(monkeypatch, IntRowSpace)
+    pres = SubringBuilder(pred).presentation(11)
+    assert sum(pres.relation_census.values()) == 54
+    # 14,816 steps with the ideal rows, the full kernel and the greedy loop.
+    assert len(steps) <= 7_500
+
+
+@pytest.mark.slow
+def test_sc_census_certifies_degree_16_in_few_mod_p_steps(monkeypatch):
+    steps = _count_steps(monkeypatch, ModPRowSpace)
+    per_degree = {}
+    echelon = subring._leading_term_echelon
+
+    def spy(free, m, *args):
+        before = len(steps)
+        out = echelon(free, m, *args)
+        per_degree[m] = len(steps) - before
+        return out
+
+    monkeypatch.setattr(subring, "_leading_term_echelon", spy)
+    pres = SubringBuilder(sc_predicate()).presentation(16)
+    assert pres.relation_census[16] == 0
+    # 60,684 steps with the colliding products in plain reverse order.
+    assert per_degree[16] <= 10_000
 
 
 @st.composite
@@ -417,6 +462,20 @@ def free_presentations(draw):
     return free, relations
 
 
+def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
+    """Row space of the degree-m multiples of the relations, in their order,
+    built only until its dimension reaches `target`."""
+    rows = IntRowSpace(len(free_index))
+    for rel in relations:
+        # Relations are primitive integer rows: their terms are exact.
+        terms = _int_terms(rel)
+        for mult in enumerate_monomials(free, m - degree_and_weight(rel)[0]):
+            if rows.dim == target:
+                return rows
+            rows.add(_row(_int_product({mult: 1}, terms), free_index))
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=free_presentations(), prime=st.sampled_from([2, 3, 7, linalg.PRIME]))
 def test_certified_rank_never_exceeds_the_exact_rank(data, prime):
@@ -431,19 +490,90 @@ def test_certified_rank_never_exceeds_the_exact_rank(data, prime):
             exact = _ideal_rows(free, m, relations, free_index, len(free_mons) + 1)
             exact_older = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
             # One more than the rank: every product mod p is tried.
-            every = _leading_term_echelon(free, m, free_index, echelons, exact_older + 1)
+            every, _ = _leading_term_echelon(free, m, free_index, echelons, exact_older + 1)
             assert every.dim <= exact_older
             # As in the census: the relation space is the whole degree-m ideal.
-            echelon = _leading_term_echelon(free, m, free_index, echelons, exact.dim)
+            echelon, leads = _leading_term_echelon(free, m, free_index, echelons, exact.dim)
             assert echelon.dim <= exact_older
             if echelon.dim == exact.dim:
                 # Certified: no relation of degree m is new to the ideal.
                 assert exact_older == exact.dim
             else:
-                echelon = ModPRowSpace(len(free_mons))
-                for row in exact.rows():
-                    echelon.add(row)
-            echelons[m] = echelon
+                # As in the census: the short form holds every product, and
+                # the degree-m relations join it mod p.
+                assert echelon.dim == every.dim
+                for rel in relations:
+                    if degree_and_weight(rel)[0] == m:
+                        echelon.add(_row(_int_terms(rel), free_index))
+            echelons[m] = (echelon, frozenset(echelon.pivot_columns()) - leads)
+
+
+def greedy_relations(kernel, n, multiples):
+    """The selection as first written: the multiples enter a row space, then
+    every x-part in sorted order, and those that enlarge it are kept."""
+    rows = IntRowSpace(n)
+    for z in multiples:
+        rows.add(z)
+    kept = []
+    for k in sorted(kernel, key=lambda v: v[:n]):
+        xpart = k[:n]
+        if any(xpart) and rows.add(xpart):
+            kept.append(_primitive(xpart))
+    return kept
+
+
+def _by_duality(kernel, n, multiples):
+    return _relations_by_duality(
+        kernel, n, [{j: x for j, x in enumerate(z) if x} for z in multiples]
+    )
+
+
+@st.composite
+def stacked_systems(draw):
+    """(kernel, n, multiples): the kernel of a small integer matrix with n
+    x-columns and 0-3 modulus columns, some copies of other columns so that
+    they are free, and integer combinations of the kernel's x-parts."""
+    n = draw(st.integers(1, 6))
+    nrows = draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    cols = [draw(st.lists(entry, min_size=nrows, max_size=nrows)) for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        cols.append(list(draw(st.sampled_from(cols))) if draw(st.booleans())
+                    else draw(st.lists(entry, min_size=nrows, max_size=nrows)))
+    stacked = [[col[r] for col in cols] for r in range(nrows)]
+    kernel = int_kernel_basis(stacked, len(cols))
+    multiples = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(kernel), max_size=len(kernel)))
+        z = [0] * n
+        for c, k in zip(coeffs, kernel):
+            z = [u + c * x for u, x in zip(z, k[:n])]
+        multiples.append(z)
+    return kernel, n, multiples
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=stacked_systems())
+def test_relation_choice_by_duality_matches_the_greedy(system):
+    kernel, n, multiples = system
+    assert _by_duality(kernel, n, multiples) == greedy_relations(kernel, n, multiples)
+
+
+def test_relation_choice_by_duality_follows_the_sort_order():
+    # Kernel of [1 1 0]: (1, -1, 0) at free column 1, then (0, 0, 1) at free
+    # column 2, which sorts first.  The multiple (1, -1, 1) is the sum of
+    # the two, so the greedy keeps only the one that sorts first.
+    kernel = int_kernel_basis([[1, 1, 0]], 3)
+    assert kernel == [[1, -1, 0], [0, 0, 1]]
+    assert sorted(kernel) != kernel
+    assert _by_duality(kernel, 3, [[1, -1, 1]]) == [[0, 0, 1]]
+    assert greedy_relations(kernel, 3, [[1, -1, 1]]) == [[0, 0, 1]]
+    # Two free modulus columns whose x-parts coincide with a free x-column's.
+    kernel = int_kernel_basis([[1, 0, -1, -1]], 4)
+    assert [max(j for j, x in enumerate(v) if x) for v in kernel] == [1, 2, 3]
+    for multiples in ([], [[1, 0]], [[0, 2], [3, 0]]):
+        assert _by_duality(kernel, 2, multiples) == greedy_relations(kernel, 2, multiples)
+    assert _by_duality(kernel, 2, [[1, 0]]) == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------
