@@ -183,19 +183,20 @@ def cmd_sc_build(args) -> int:
     if args.max_degree < 1:
         print("error: --max-degree must be >= 1", file=sys.stderr)
         return 2
-    builder = SubringBuilder(sc_predicate())
-    presentation = builder.presentation(args.max_degree)
-    claimed = fixtures.sc_claimed_generators()
-    comparison = []
-    for i, p in enumerate(claimed):
-        ok = builder.pred.contains(p)
-        comparison.append(
+    try:
+        builder = SubringBuilder(sc_predicate())
+        presentation = builder.presentation(args.max_degree)
+        comparison = [
             {
                 "index": i,
                 "generator": render_polynomial(p),
-                "in_computed_subring": ok,
+                "in_computed_subring": builder.pred.contains(p),
             }
-        )
+            for i, p in enumerate(fixtures.sc_claimed_generators())
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         with open(args.generators_out, "w", encoding="utf-8") as fh:
             for g, _ in presentation.generators:

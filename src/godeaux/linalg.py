@@ -10,9 +10,12 @@ fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
 field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
 certificates of integer data (the reductions mod p of integer vectors of a
 rational subspace span at most its dimension).  `int_rref` and
-`Matrix.rref` add their rows to a row space and back-substitute;
-`int_kernel_basis`, `kernel_basis` and `solve_columns` read their results
-off these echelon forms.
+`Matrix.rref` add their rows to a row space and back-substitute, bringing
+each row to canonical form once, when it is fully reduced;
+`int_kernel_basis`, `int_kernel_rref`, `kernel_basis` and `solve_columns`
+read their results off these echelon forms.  Residues mod `PRIME` are
+one-digit CPython ints, so each step mod p takes the fast path of
+CPython's integer division.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .scalars import Cyclo, Scalar, scalar_inv
 
 _ZERO = Fraction(0)
 
-# The prime of `ModPRowSpace`: 2^31 - 1 keeps every product of two residues
-# below 2^62.
-PRIME = 2**31 - 1
+# The prime of `ModPRowSpace`: below 2^30, so every residue is one 30-bit
+# CPython digit and every product of two residues is below 2^60.
+PRIME = 2**30 - 35
 
 
 def _canon_entry(x) -> Scalar:
@@ -231,15 +234,23 @@ class _RowSpace:
 
     def _rref(self) -> tuple[list[dict], list[int]]:
         """The pivot rows as nonzero dicts in pivot-column order, with each
-        pivot column cleared from the rows above, and the pivot columns."""
+        pivot column cleared from the rows above, and the pivot columns.
+
+        A row is brought to canonical form once, when it becomes the pivot
+        of the rows above it: by then every later pivot column is cleared
+        from it, and a reduced row is unique up to scale."""
         cols = self.pivot_columns()
         sparse = [{j: self._pivots[c][j] for j in self._support[c]} for c in cols]
+        changed = [False] * len(cols)
         for i in range(len(cols) - 1, -1, -1):
             c = cols[i]
             piv = sparse[i]
+            if changed[i]:
+                piv = sparse[i] = self._normalise(piv)
             for k in range(i):
                 if c in sparse[k]:
-                    sparse[k] = self._normalise(self._eliminate(sparse[k], c, piv, piv))
+                    sparse[k] = self._eliminate(sparse[k], c, piv, piv)
+                    changed[k] = True
         return sparse, cols
 
 
@@ -311,8 +322,8 @@ class GenericRowSpace(_RowSpace):
 
 
 class ModPRowSpace(_RowSpace):
-    """Incremental row space over F_p, p = `PRIME`, with monic rows of
-    residues in [0, p).
+    """Incremental row space over F_p, p = `PRIME` < 2^30, with monic rows
+    of residues in [0, p), each one CPython digit.
 
     Integer rows are reduced mod p on the way in.  Over Q the reductions of
     integer vectors of a subspace span at most its dimension, so a rank
@@ -382,4 +393,23 @@ def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
         for row, c, k in zip(reduced, pivots, factors):
             v[c] = -row[f] * k
         basis.append(_primitive(v))
+    return basis
+
+
+def int_kernel_rref(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Reduced echelon basis of the right kernel of the row matrix, as
+    `int_rref` would give it, in one elimination.
+
+    The kernel basis of the matrix with its columns reversed is read back in
+    reverse: free column f of the reversed echelon form has pivots only to
+    its left, so its basis vector read back leads at f and is zero at every
+    other such column, which is the reduced echelon row with pivot f up to
+    sign."""
+    reversed_rows = [row[::-1] for row in rows]
+    basis = []
+    for v in reversed(int_kernel_basis(reversed_rows, ncols)):
+        v.reverse()
+        if next(x for x in v if x) < 0:
+            v = [-x for x in v]
+        basis.append(v)
     return basis

@@ -12,7 +12,7 @@ products, i.e. no weight condition has weight != 0 mod d, and every factor
 lies in V + M; there a product span stops at dim (V_m + M_m), and elsewhere
 it reduces every product.
 
-The relation census first tries a rank certificate mod p = 2^31 - 1 from
+The relation census first tries a rank certificate mod p = `PRIME` from
 mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
 its rows reduce integer vectors of the ideal over Q, so rank_p <= rank_Q <=
 target, the dimension of the relation space, and reaching target proves that
@@ -36,7 +36,14 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .graded import GradedPresentation, _row
-from .linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_rref
+from .linalg import (
+    IntRowSpace,
+    ModPRowSpace,
+    _primitive,
+    int_kernel_basis,
+    int_kernel_rref,
+    int_rref,
+)
 from .poly import (
     Polynomial,
     RingDescriptor,
@@ -125,7 +132,14 @@ class MembershipPredicate:
         if m in self._cache:
             return self._cache[m]
         cols = self.ambient_monomials(m)
-        n = len(cols)
+        reduced = int_kernel_rref(self._functionals(m, cols), len(cols))
+        polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
+        self._cache[m] = polys
+        return polys
+
+    def _functionals(self, m: int, cols: list[tuple]) -> list[list[int]]:
+        """Integer functionals of all the conditions on the degree-m
+        monomials cols; V_m is their common kernel."""
         functionals = []
         for k, cond in enumerate(self.conditions):
             if isinstance(cond, SubstitutionParityCondition):
@@ -133,10 +147,7 @@ class MembershipPredicate:
             else:
                 rows = _constraints(cond, self.descriptor, m, cols)
             functionals += rows
-        reduced, _ = int_rref(int_kernel_basis(functionals, n), n)
-        polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
-        self._cache[m] = polys
-        return polys
+        return functionals
 
     def _substitutions(self, k: int) -> tuple["_MonomialMap", "_MonomialMap"]:
         """The (sigma1, sigma2) maps of parity condition k, built once."""
@@ -169,6 +180,15 @@ class MembershipPredicate:
             raise ValueError("membership needs a homogeneous polynomial")
         index, rs, _ = self._space(dw[0])
         return rs.contains(_vector(p, index))
+
+    def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
+        """`contains` for a degree-m polynomial given as its nonzero integer
+        terms."""
+        desc = self.descriptor
+        if len({desc.monomial_weight(mon) for mon in terms}) > 1:
+            raise ValueError("membership needs a homogeneous polynomial")
+        index, rs, _ = self._space(m)
+        return rs.contains(_row(terms, index))
 
     def _space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace, int]:
         """(column index, row space of V_m + M_m, dim M_m), built once."""
@@ -361,7 +381,7 @@ class SubringBuilder:
             full = self.pred.span_dim(m) if closed else None
             index, rs, piece = self._product_span(gens, span_terms, m, full)
             if rs.dim != full:
-                # Basis elements are primitive integer rows already (int_rref).
+                # Basis elements are primitive integer rows already (int_kernel_rref).
                 for v in self.pred.subspace_basis(m):
                     terms = _int_terms(v)
                     if rs.add(_row(terms, index)):
@@ -536,10 +556,14 @@ class SubringBuilder:
             if not j_choices:
                 continue
             j = rng.choice(j_choices)
-            p = _random_combination(self.pred.subspace_basis(i), rng)
-            q = _random_combination(self.pred.subspace_basis(j), rng)
-            results.append((i, j, self.pred.contains(p * q)))
+            p = _random_combination(self._basis_terms(i), rng)
+            q = _random_combination(self._basis_terms(j), rng)
+            results.append((i, j, self.pred.contains_terms(i + j, _int_product(p, q))))
         return results
+
+    def _basis_terms(self, m: int) -> list[dict[tuple, int]]:
+        """Integer term dicts of the basis of V_m (its rows are integral)."""
+        return [_int_terms(b) for b in self.pred.subspace_basis(m)]
 
 
 def _relations_by_duality(kernel, n, multiples) -> list[list[int]]:
@@ -676,11 +700,18 @@ def _shift(free, k, i, free_index) -> list[int]:
     return out
 
 
-def _random_combination(basis: list[Polynomial], rng: random.Random) -> Polynomial:
-    desc = basis[0].descriptor
-    out = desc.zero()
-    while out.is_zero():
-        out = desc.zero()
+def _random_combination(
+    basis: list[dict[tuple, int]], rng: random.Random
+) -> dict[tuple, int]:
+    """A nonzero combination of integer term dicts with coefficients drawn
+    from -9..9, one draw per basis element, drawn again while it is zero."""
+    while True:
+        out: dict[tuple, int] = {}
         for b in basis:
-            out = out + b.scale(Fraction(rng.randint(-9, 9)))
-    return out
+            c = rng.randint(-9, 9)
+            if c:
+                for mon, x in b.items():
+                    out[mon] = out.get(mon, 0) + c * x
+        out = {mon: x for mon, x in out.items() if x}
+        if out:
+            return out

@@ -332,6 +332,26 @@ class TestScBuild:
         assert code == 2
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("loader", ["sc_conic", "sc_claimed_generators"])
+    def test_bad_fixture_exits_2(self, loader, capsys, tmp_path, monkeypatch):
+        from godeaux.scenarios import fixtures
+
+        def broken():
+            raise ValueError("bad fixture line")
+
+        monkeypatch.setattr(fixtures, loader, broken)
+        gens = tmp_path / "gens.txt"
+        report = tmp_path / "pres.json"
+        code, out, err = run_cli(
+            ["sc-build", "--max-degree", "3", "--generators-out", str(gens),
+             "--report", str(report)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: bad fixture line\n"
+        assert out == ""
+        assert not gens.exists() and not report.exists()
+
 
 def test_one_version_literal(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from godeaux import Matrix, kernel_basis, make_cyclo, scalar_inv, zeta
@@ -14,6 +14,7 @@ from godeaux.linalg import (
     IntRowSpace,
     ModPRowSpace,
     int_kernel_basis,
+    int_kernel_rref,
     int_rref,
     solve_columns,
 )
@@ -135,6 +136,47 @@ def test_int_kernel_annihilates(rows):
             assert sum(a * b for a, b in zip(row, v)) == 0
     reduced, pivots = int_rref(rows, ncols)
     assert len(pivots) + len(int_kernel_basis(rows, ncols)) == ncols
+
+
+def test_prime_is_a_one_digit_prime():
+    # Below 2^30 a residue is one CPython digit, and the product of two is
+    # below 2^60.
+    assert PRIME < 2**30
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(PRIME)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """0-6 integer rows of 1-8 columns, with a zero, a duplicate or a
+    multiple of an earlier row mixed in when drawn."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    extra = []
+    if rows and draw(st.booleans()):
+        extra.append(list(rows[0]))
+    if rows and draw(st.booleans()):
+        extra.append([-3 * x for x in rows[-1]])
+    if draw(st.booleans()):
+        extra.append([0] * ncols)
+    for row in extra[: 6 - len(rows)]:
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), row)
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kernel_matrices())
+@example(case=([], 1))
+@example(case=([], 5))
+@example(case=([[0, 0, 0]], 3))
+@example(case=([[1, 2, 3], [1, 2, 3]], 3))
+@example(case=([[2, 4], [3, 5]], 2))
+@example(case=([[0, 3, 0, 6], [1, 0, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]], 4))
+@example(case=([[1, 0, 2, 0, 3, 0, 4, 0], [0, 2, 0, 3, 0, 4, 0, 5]], 8))
+def test_reversed_kernel_is_the_reduced_kernel(case):
+    rows, ncols = case
+    assert int_kernel_rref(rows, ncols) == int_rref(int_kernel_basis(rows, ncols), ncols)[0]
 
 
 def test_int_rowspace_membership():
@@ -433,6 +475,52 @@ def test_sparse_entry_matches_dense_on_residues(case, scale):
     rows, ncols = case
     residues = [[x * scale % PRIME for x in row] for row in rows]
     _sparse_entry_matches_dense(residues, ncols, ModPRowSpace)
+
+
+def reference_rref(space):
+    """`_RowSpace._rref` with every back-substitution step normalised."""
+    cols = space.pivot_columns()
+    sparse = [{j: space._pivots[c][j] for j in space._support[c]} for c in cols]
+    for i in range(len(cols) - 1, -1, -1):
+        c = cols[i]
+        piv = sparse[i]
+        for k in range(i):
+            if c in sparse[k]:
+                sparse[k] = space._normalise(space._eliminate(sparse[k], c, piv, piv))
+    return sparse, cols
+
+
+def _rref_matches_reference(rows, ncols, engine):
+    space = engine(ncols)
+    for row in rows:
+        space.add(row)
+    assert space._rref() == reference_rref(space)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_rows())
+def test_back_substitution_matches_reference_on_integer_rows(case):
+    _rref_matches_reference(*case, IntRowSpace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sparse_rows(fractions=True))
+def test_back_substitution_matches_reference_on_fraction_rows(case):
+    _rref_matches_reference(*case, GenericRowSpace)
+
+
+@FIELD_ORDERS
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_back_substitution_matches_reference_on_field_rows(order, data):
+    _rref_matches_reference(*data.draw(field_rows(order)), GenericRowSpace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_rows(), scale=st.sampled_from([1, PRIME - 1, 2**40 + 3]))
+def test_back_substitution_matches_reference_on_residues(case, scale):
+    rows, ncols = case
+    _rref_matches_reference([[x * scale for x in row] for row in rows], ncols, ModPRowSpace)
 
 
 def _solved_with(rref, matrix, rows, targets):

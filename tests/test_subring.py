@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import lcm
 from unittest.mock import patch
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,14 @@ from godeaux import (
 )
 from godeaux import linalg, subring
 from godeaux.graded import _row
-from godeaux.linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_rref
+from godeaux.linalg import (
+    IntRowSpace,
+    ModPRowSpace,
+    _primitive,
+    int_kernel_basis,
+    int_kernel_rref,
+    int_rref,
+)
 from godeaux.poly import degree_and_weight, enumerate_monomials
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -223,6 +232,49 @@ class TestClosure:
         # V_1 = 0 on sc, so no degree below the bound has a nonzero piece.
         assert builder.closure_spot_checks(max_degree) == []
 
+    @pytest.mark.parametrize("seed", [1, 42, 137, 7919])
+    def test_integer_checks_match_the_polynomial_products(self, builder, seed):
+        assert builder.closure_spot_checks(11, seed=seed) == reference_closure_spot_checks(
+            builder, 11, seed
+        )
+
+    def test_integer_checks_match_where_products_leave_v(self):
+        builder = SubringBuilder(MembershipPredicate(Z3, [WeightCondition(1)]))
+        results = builder.closure_spot_checks(6, seed=3)
+        assert results == reference_closure_spot_checks(builder, 6, 3)
+        assert not all(ok for _, _, ok in results)
+
+
+def _reference_combination(basis, rng):
+    desc = basis[0].descriptor
+    out = desc.zero()
+    while out.is_zero():
+        out = desc.zero()
+        for b in basis:
+            out = out + b.scale(Fraction(rng.randint(-9, 9)))
+    return out
+
+
+def reference_closure_spot_checks(builder, max_degree, seed, trials=12):
+    """Closure spot checks as first written: Fraction combinations of the
+    basis polynomials, multiplied as polynomials and tested by contains."""
+    pred = builder.pred
+    rng = random.Random(seed)
+    results = []
+    degrees = [m for m in range(1, max_degree) if pred.subspace_basis(m)]
+    if not degrees:
+        return []
+    for _ in range(trials):
+        i = rng.choice(degrees)
+        j_choices = [j for j in degrees if i + j <= max_degree]
+        if not j_choices:
+            continue
+        j = rng.choice(j_choices)
+        p = _reference_combination(pred.subspace_basis(i), rng)
+        q = _reference_combination(pred.subspace_basis(j), rng)
+        results.append((i, j, pred.contains(p * q)))
+    return results
+
 
 @st.composite
 def rational_polys(draw):
@@ -376,7 +428,7 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     assert pres.hilbert == hilbert
     # The relation space has the dimension the census stops at.
     assert all(rank == target for _, rank, target in ranks), ranks
-    # Mod 2^31 - 1 every degree with no new relation is certified.
+    # Mod `PRIME` every degree with no new relation is certified.
     assert exact == [m for m, n in census.items() if n]
     gens, span_terms = reference_spans(builder.pred, max_degree)
     assert builder._generators_with_spans(max_degree)[:2] == (gens, span_terms)
@@ -808,6 +860,20 @@ def reference_dim(pred, m):
     return sum(rs.add(_vector(p, index)) for p in reference_subspace_basis(pred, m))
 
 
+@pytest.mark.parametrize("case", list(CENSUS_CASES))
+def test_reversed_kernel_matches_two_eliminations(case):
+    # The reduced echelon form of V_m, as the echelon form of its kernel
+    # basis once gave it.
+    make, max_degree = CENSUS_CASES[case]
+    pred = make()
+    for m in range(max_degree + 1):
+        cols = pred.ambient_monomials(m)
+        n = len(cols)
+        reduced, _ = int_rref(int_kernel_basis(pred._functionals(m, cols), n), n)
+        assert int_kernel_rref(pred._functionals(m, cols), n) == reduced
+        assert pred.subspace_basis(m) == [_to_poly(pred.descriptor, cols, r) for r in reduced]
+
+
 def test_sc_bases_match_the_sequential_narrowing(pred):
     for m in range(13):
         assert pred.subspace_basis(m) == reference_subspace_basis(pred, m), m
@@ -861,6 +927,17 @@ def predicates(draw):
 def test_one_kernel_matches_the_sequential_narrowing(pred, m):
     assert pred.subspace_basis(m) == reference_subspace_basis(pred, m)
     assert pred.dim(m) == reference_dim(pred, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pred=predicates(), seed=st.integers(0, 99))
+def test_closure_checks_match_the_polynomial_products(pred, seed):
+    # Without a weight condition a product can mix weights; both versions
+    # must then refuse it alike.
+    builder = SubringBuilder(pred)
+    assert _outcome(lambda: builder.closure_spot_checks(5, seed=seed, trials=4)) == _outcome(
+        lambda: reference_closure_spot_checks(builder, 5, seed, trials=4)
+    )
 
 
 @settings(max_examples=40, deadline=None)
