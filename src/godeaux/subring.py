@@ -10,7 +10,12 @@ verifies claimed generator lists, all by exact integer linear algebra.
 Products span V_m + M_m (M the modulus ideal) at most when V is closed under
 products, i.e. no weight condition has weight != 0 mod d, and every factor
 lies in V + M; there a product span stops at dim (V_m + M_m), and elsewhere
-it reduces every product.
+it reduces every product.  Generation is certified by leading monomials, as
+for SAGBI bases (Robbiano and Sweedler 1990, "Subalgebra bases"): the lead
+of a product g*b is lead(g) + lead(b), so one product per new leading
+column enters with no elimination step, before the colliding ones.  Once
+degree k's span reaches dim (V_k + M_k), later degrees take V_k's reduced
+echelon basis as the factors b, which spans the same modulo M.
 
 The relation census first tries a rank certificate mod p = `PRIME` from
 mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
@@ -49,6 +54,7 @@ from .poly import (
     RingDescriptor,
     degree_and_weight,
     enumerate_monomials,
+    grevlex_key,
 )
 from .scalars import is_rational_scalar
 
@@ -98,6 +104,8 @@ class MembershipPredicate:
         self.conditions = tuple(conditions)
         self.modulus = modulus
         self._cache: dict[int, list[Polynomial]] = {}
+        # Per degree: integer term dicts of subspace_basis(m).
+        self._terms: dict[int, list[dict[tuple, int]]] = {}
         # Per degree: column index, the row space of V_m + M_m (never added
         # to once built) and dim M_m.
         self._spaces: dict[int, tuple[dict[tuple, int], IntRowSpace, int]] = {}
@@ -136,6 +144,14 @@ class MembershipPredicate:
         polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
         self._cache[m] = polys
         return polys
+
+    def basis_terms(self, m: int) -> list[dict[tuple, int]]:
+        """Integer term dicts of `subspace_basis(m)` (its rows are primitive
+        integer rows), built once; callers must not change them."""
+        terms = self._terms.get(m)
+        if terms is None:
+            terms = self._terms[m] = [_int_terms(b) for b in self.subspace_basis(m)]
+        return terms
 
     def _functionals(self, m: int, cols: list[tuple]) -> list[list[int]]:
         """Integer functionals of all the conditions on the degree-m
@@ -196,8 +212,8 @@ class MembershipPredicate:
         if space is None:
             index, rs = self.modulus_space(m)
             modulus_dim = rs.dim
-            for q in self.subspace_basis(m):
-                rs.add(_vector(q, index))
+            for terms in self.basis_terms(m):
+                rs.add_nonzeros({index[mon]: c for mon, c in terms.items()})
             space = self._spaces[m] = (index, rs, modulus_dim)
         return space
 
@@ -358,6 +374,39 @@ class GeneratorListReport:
         )
 
 
+class _FactorSpans:
+    """The factors of a product span, each as (leading monomial, integer
+    term dict), the lead being the grevlex-least monomial: the generators
+    with their degrees, and per degree k the elements their products are
+    taken with.  Those are V_k's reduced echelon basis once degree k's span
+    reaches dim (V_k + M_k), for then the two have the same span modulo M
+    and every later product span is unchanged; a degree that falls short
+    keeps its own products."""
+
+    def __init__(self, pred: MembershipPredicate):
+        self.pred = pred
+        self.generators: list[tuple[int, tuple, dict[tuple, int]]] = []
+        one = _int_terms(pred.descriptor.one())
+        self._by_degree = {0: [(_lead(one), one)]}
+
+    def __getitem__(self, k: int) -> list[tuple[tuple, dict[tuple, int]]]:
+        return self._by_degree[k]
+
+    def add_generator(self, degree: int, terms: dict[tuple, int]) -> None:
+        self.generators.append((degree, _lead(terms), terms))
+
+    def close(self, m: int, products: list[dict[tuple, int]], full: bool) -> None:
+        """Fix the degree-m factors, from the products of a degree-m span
+        that reached dim (V_m + M_m) when `full`, or fell short."""
+        terms = self.pred.basis_terms(m) if full else products
+        self._by_degree[m] = [(_lead(t), t) for t in terms]
+
+
+def _lead(terms: Mapping[tuple, int]) -> tuple:
+    """Leading monomial of a nonzero term dict: its leftmost column."""
+    return min(terms, key=grevlex_key)
+
+
 class SubringBuilder:
     """Degree-by-degree generator selection and relation counting."""
 
@@ -373,45 +422,63 @@ class SubringBuilder:
         as integer term dicts, and per degree the pivot columns of the span
         of the image and M_m."""
         gens: list[tuple[Polynomial, int]] = []
+        factors = _FactorSpans(self.pred)
         span_terms = {0: [_int_terms(self.desc.one())]}
         span_pivots: dict[int, list[int]] = {}
         # Selected generators lie in V.
         closed = self.pred.closed_under_products
         for m in range(1, max_degree + 1):
             full = self.pred.span_dim(m) if closed else None
-            index, rs, piece = self._product_span(gens, span_terms, m, full)
+            index, rs, piece = self._product_span(factors, m, full)
             if rs.dim != full:
                 # Basis elements are primitive integer rows already (int_kernel_rref).
-                for v in self.pred.subspace_basis(m):
-                    terms = _int_terms(v)
-                    if rs.add(_row(terms, index)):
+                for v, terms in zip(self.pred.subspace_basis(m), self.pred.basis_terms(m)):
+                    if rs.add_nonzeros({index[mon]: c for mon, c in terms.items()}):
                         piece.append(terms)
                         gens.append((v, m))
+                        factors.add_generator(m, terms)
+            factors.close(m, piece, rs.dim == full)
             span_terms[m] = piece
             span_pivots[m] = rs.pivot_columns()
         return gens, span_terms, span_pivots
 
-    def _product_span(self, gens, span_terms, m: int, full: int | None = None):
-        """Independent degree-m products g*b with b in span_terms[m - deg g],
-        reduced modulo the modulus; returns (index, row space, products).
+    def _product_span(self, factors: _FactorSpans, m: int, full: int | None = None):
+        """Independent degree-m products g*b of a generator g and a factor b
+        of degree m - deg g, reduced modulo the modulus; returns (index, row
+        space, products).
 
         Factors are integer term dicts: scaling a factor does not change the
         span, and the row space stores primitive rows.  The caller passes
         `full` = dim (V_m + M_m) only when every factor lies in V + M and V
         is closed under products: then every product lies in V_m + M_m, and
-        no product after the span reaches that dimension can enlarge it."""
+        no product after the span reaches that dimension can enlarge it, so
+        the order in which products are tried does not change the span.
+
+        Columns are in grevlex order, a translation-invariant total order,
+        and Z is a domain, so the leading column of g*b is that of
+        lead(g) + lead(b), known before the product is formed.  One product
+        per leading column that is not a pivot yet enters first, with no
+        elimination step; the colliding products follow in reverse."""
         index, rs = self.pred.modulus_space(m)
-        piece: list[dict[tuple, int]] = []
-        for g, dg in gens:
+        taken = set(rs.pivot_columns())
+        firsts, colliding = [], []
+        for dg, g_lead, g in factors.generators:
             # A constant factor adds nothing to the span.
             if 0 < dg <= m:
-                g_terms = _int_terms(g)
-                for b in span_terms[m - dg]:
-                    if rs.dim == full:
-                        return index, rs, piece
-                    prod = _int_product(g_terms, b)
-                    if rs.add(_row(prod, index)):
-                        piece.append(prod)
+                for b_lead, b in factors[m - dg]:
+                    lead = index[tuple(map(add, g_lead, b_lead))]
+                    if lead in taken:
+                        colliding.append((g, b))
+                    else:
+                        taken.add(lead)
+                        firsts.append((g, b))
+        piece: list[dict[tuple, int]] = []
+        for g, b in firsts + colliding[::-1]:
+            if rs.dim == full:
+                break
+            prod = _int_product(g, b)
+            if rs.add_nonzeros({index[mon]: c for mon, c in prod.items()}):
+                piece.append(prod)
         return index, rs, piece
 
     def presentation(self, max_degree: int) -> SubringPresentation:
@@ -501,7 +568,7 @@ class SubringBuilder:
         and M_m, enter.  That span is the column space of the stacked matrix,
         and its echelon rows are triangular on those columns, so these rows
         have the full rank: they cut out the same kernel."""
-        index = {mon: i for i, mon in enumerate(self.pred.ambient_monomials(m))}
+        index = self.pred._space(m)[0]
         row_of = {j: r for r, j in enumerate(pivots)}
         mod_rows = self.pred.modulus_rows(m, index)
         width = len(free_mons) + len(mod_rows)
@@ -530,14 +597,17 @@ class SubringBuilder:
             degreed.append((p, dw[0]))
             memberships.append((i, dw[0], self.pred.contains(p)))
         generation: dict[int, tuple[int, int, bool]] = {}
-        span_terms = {0: [_int_terms(self.desc.one())]}
+        factors = _FactorSpans(self.pred)
+        for p, dg in degreed:
+            factors.add_generator(dg, _int_terms(p))
         # A claim with a non-member must still show its excess span.
         closed = self.pred.closed_under_products and all(ok for *_, ok in memberships)
         for m in range(1, max_degree + 1):
             full = self.pred.span_dim(m) if closed else None
-            _, _, span_terms[m] = self._product_span(degreed, span_terms, m, full)
+            _, rs, piece = self._product_span(factors, m, full)
+            factors.close(m, piece, rs.dim == full)
             target = self.pred.dim(m)
-            achieved = len(span_terms[m])
+            achieved = len(piece)
             generation[m] = (target, achieved, achieved == target)
         return GeneratorListReport(memberships=memberships, generation=generation)
 
@@ -556,14 +626,10 @@ class SubringBuilder:
             if not j_choices:
                 continue
             j = rng.choice(j_choices)
-            p = _random_combination(self._basis_terms(i), rng)
-            q = _random_combination(self._basis_terms(j), rng)
+            p = _random_combination(self.pred.basis_terms(i), rng)
+            q = _random_combination(self.pred.basis_terms(j), rng)
             results.append((i, j, self.pred.contains_terms(i + j, _int_product(p, q))))
         return results
-
-    def _basis_terms(self, m: int) -> list[dict[tuple, int]]:
-        """Integer term dicts of the basis of V_m (its rows are integral)."""
-        return [_int_terms(b) for b in self.pred.subspace_basis(m)]
 
 
 def _relations_by_duality(kernel, n, multiples) -> list[list[int]]:

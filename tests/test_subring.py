@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from unittest.mock import patch
 
 import random
@@ -29,12 +30,13 @@ from godeaux.linalg import (
     int_kernel_rref,
     int_rref,
 )
-from godeaux.poly import degree_and_weight, enumerate_monomials
+from godeaux.poly import degree_and_weight, enumerate_monomials, grevlex_key
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion5 import z5_quintic
 from godeaux.subring import (
     CongruenceImageCondition,
+    GeneratorListReport,
     SubringBuilder,
     SubstitutionParityCondition,
     _int_product,
@@ -296,6 +298,36 @@ def test_integer_product_is_the_scaled_product(f, g):
     assert Polynomial(ABC, got) == expected
 
 
+@st.composite
+def lead_test_polys(draw, desc):
+    """A nonzero integer term dict of one degree in 0..3 and one weight."""
+    m = draw(st.integers(0, 3))
+    mons = enumerate_monomials(desc, m, draw(st.integers(0, desc.torsion_order - 1)))
+    if not mons:
+        mons = enumerate_monomials(desc, 0)
+    return draw(st.dictionaries(
+        st.sampled_from(mons), st.integers(-5, 5).filter(bool), min_size=1, max_size=5
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_lead_is_the_sum_of_the_leads(data):
+    # Product spans read each product's leading column off its factors'.
+    nvars = data.draw(st.integers(1, 4))
+    order = data.draw(st.integers(1, 4))
+    desc = RingDescriptor(
+        tuple(f"v{i}" for i in range(nvars)),
+        tuple(data.draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))),
+        tuple(data.draw(st.lists(st.integers(0, order - 1), min_size=nvars, max_size=nvars))),
+        torsion_order=order,
+    )
+    f = data.draw(lead_test_polys(desc))
+    g = data.draw(lead_test_polys(desc))
+    lead = min(_int_product(f, g), key=grevlex_key)
+    assert lead == tuple(map(add, min(f, key=grevlex_key), min(g, key=grevlex_key)))
+
+
 # ---------------------------------------------------------------------------
 # The relation census as first written, kept as an oracle: at every degree it
 # adds every monomial multiple of every relation found so far, computes the
@@ -430,8 +462,24 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     assert all(rank == target for _, rank, target in ranks), ranks
     # Mod `PRIME` every degree with no new relation is certified.
     assert exact == [m for m, n in census.items() if n]
+    # Product spans try products in lead order, over V_k's basis as
+    # factors: the kept products differ, their span does not.
     gens, span_terms = reference_spans(builder.pred, max_degree)
-    assert builder._generators_with_spans(max_degree)[:2] == (gens, span_terms)
+    got_gens, got_terms, got_pivots = builder._generators_with_spans(max_degree)
+    assert got_gens == gens
+    assert {m: len(t) for m, t in got_terms.items()} == {m: len(t) for m, t in span_terms.items()}
+    for m, products in span_terms.items():
+        reduced, pivots = _span_echelon(builder.pred, m, products)
+        assert _span_echelon(builder.pred, m, got_terms[m]) == (reduced, pivots), m
+        if m:
+            assert got_pivots[m] == pivots, m
+
+
+def _span_echelon(pred, m, products):
+    """`int_rref` of the degree-m products together with the modulus rows."""
+    index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+    rows = [_row(p, index) for p in products] + pred.modulus_rows(m, index)
+    return int_rref(rows, len(index))
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -474,6 +522,39 @@ def test_sc_presentation_to_degree_11_makes_few_integer_steps(monkeypatch):
     assert sum(pres.relation_census.values()) == 54
     # 14,816 steps with the ideal rows, the full kernel and the greedy loop.
     assert len(steps) <= 7_500
+
+
+def _sc_spans_steps(monkeypatch, max_degree):
+    """IntRowSpace steps of the sc generators and product spans to
+    max_degree, with V_m known beforehand as in the sc suite."""
+    pred = sc_predicate()
+    for m in range(max_degree + 1):
+        pred.dim(m)
+    steps = _count_steps(monkeypatch, IntRowSpace)
+    SubringBuilder(pred)._generators_with_spans(max_degree)
+    return len(steps)
+
+
+def test_sc_spans_to_degree_11_make_few_integer_steps(monkeypatch):
+    # 3,059 steps with every product over the kept products, in plain order.
+    assert _sc_spans_steps(monkeypatch, 11) <= 1_000
+
+
+def test_sc_claimed_list_to_degree_10_makes_few_integer_steps(monkeypatch):
+    pred = sc_predicate()
+    for m in range(11):
+        pred.dim(m)
+    steps = _count_steps(monkeypatch, IntRowSpace)
+    report = SubringBuilder(pred).verify_generator_list(fixtures.sc_claimed_generators(), 10)
+    assert report.ok
+    # 2,274 steps with every product over the kept products, in plain order.
+    assert len(steps) <= 600
+
+
+@pytest.mark.slow
+def test_sc_spans_to_degree_20_make_few_integer_steps(monkeypatch):
+    # 92,304 steps with every product over the kept products, in plain order.
+    assert _sc_spans_steps(monkeypatch, 20) <= 8_000
 
 
 @pytest.mark.slow
@@ -969,3 +1050,72 @@ def test_interleaved_queries_answer_as_on_a_fresh_predicate(pred, data):
             assert pred.subspace_basis(m) == fresh.subspace_basis(m)
         else:
             assert getattr(pred, kind)(m) == getattr(fresh, kind)(m)
+
+
+def reference_verify_generator_list(builder, claimed, max_degree):
+    """`SubringBuilder.verify_generator_list` as it was when product spans
+    reduced every g*b, b a kept product, in plain order (the method body
+    verbatim, `self` renamed)."""
+    memberships = []
+    degreed = []
+    for i, p in enumerate(claimed):
+        dw = degree_and_weight(p)
+        if not isinstance(dw, tuple):
+            raise ValueError(f"claimed generator {i} is not homogeneous")
+        degreed.append((p, dw[0]))
+        memberships.append((i, dw[0], builder.pred.contains(p)))
+    generation = {}
+    span_terms = {0: [_int_terms(builder.desc.one())]}
+    # A claim with a non-member must still show its excess span.
+    closed = builder.pred.closed_under_products and all(ok for *_, ok in memberships)
+    for m in range(1, max_degree + 1):
+        full = builder.pred.span_dim(m) if closed else None
+        _, _, span_terms[m] = _reference_product_span(builder, degreed, span_terms, m, full)
+        target = builder.pred.dim(m)
+        achieved = len(span_terms[m])
+        generation[m] = (target, achieved, achieved == target)
+    return GeneratorListReport(memberships=memberships, generation=generation)
+
+
+def _reference_product_span(builder, gens, span_terms, m, full=None):
+    """`SubringBuilder._product_span` as it was for the oracle above."""
+    index, rs = builder.pred.modulus_space(m)
+    piece = []
+    for g, dg in gens:
+        # A constant factor adds nothing to the span.
+        if 0 < dg <= m:
+            g_terms = _int_terms(g)
+            for b in span_terms[m - dg]:
+                if rs.dim == full:
+                    return index, rs, piece
+                prod = _int_product(g_terms, b)
+                if rs.add(_row(prod, index)):
+                    piece.append(prod)
+    return index, rs, piece
+
+
+@settings(max_examples=30, deadline=None)
+@given(pred=predicates().filter(lambda p: p.closed_under_products), data=st.data())
+def test_generator_list_reports_match_the_plain_product_spans(pred, data):
+    # The selected generators; the same with one left out, so that a degree
+    # falls short and keeps its own products as factors; and the same with a
+    # non-member, so that no span stops early.
+    max_degree = 5
+    builder = SubringBuilder(pred)
+    claims = [[g for g, _ in builder.minimal_generators(max_degree)]]
+    if claims[0]:
+        claims.append(list(claims[0]))
+        del claims[1][data.draw(st.integers(0, len(claims[0]) - 1))]
+    outside = [
+        Polynomial(Z3, {mon: Fraction(1)})
+        for m in range(1, max_degree + 1)
+        for mon in enumerate_monomials(Z3, m)
+        if not pred.contains(Polynomial(Z3, {mon: Fraction(1)}))
+    ]
+    if outside:
+        claims.append([*claims[0], data.draw(st.sampled_from(outside))])
+    for claim in claims:
+        fresh = SubringBuilder(MembershipPredicate(Z3, pred.conditions, modulus=pred.modulus))
+        assert _outcome(lambda: builder.verify_generator_list(claim, max_degree)) == _outcome(
+            lambda: reference_verify_generator_list(fresh, claim, max_degree)
+        )
