@@ -261,9 +261,8 @@ class _IdealPiece:
     others, so they span the ideal's intersection with the ambient span.
     The row of mult * r is r's relation row at the columns of mult + e for
     each exponent e of r, handed to the row space as its {column: nonzero}
-    dict; the piece keeps (relation index, mult) for every multiple, added
-    or skipped.  Only pieces of rings with degree-0 variables can have
-    columns beyond the cap.
+    dict.  Only pieces of rings with degree-0 variables can have columns
+    beyond the cap.
 
     When every variable has positive degree, the multiple mult * r_j is
     skipped if mult leads an element of (r_0, ..., r_{j-1}) in its own
@@ -275,7 +274,6 @@ class _IdealPiece:
         self.m = m
         self.w = w
         multipliers = _multipliers(pres, m, w)
-        self._tags = _tags(multipliers)
         # Degree-0 variables are capped, so multiples can reach monomials
         # beyond the cap, and not every multiple the criterion relies on is a
         # row; such pieces keep every multiple.  With every degree positive,
@@ -285,7 +283,7 @@ class _IdealPiece:
         outside = set()
         if not prune:
             known = set(ambient)
-            for ri, mult in self._tags:
+            for ri, mult in _tags(multipliers):
                 outside.update(
                     mon
                     for e in pres._rows[ri][0]
@@ -333,11 +331,6 @@ class _IdealPiece:
         if mon not in self.index:
             raise ValueError(f"monomial {mon} is beyond the parameter cap")
         return {self.index[mon]: 1}
-
-    def generating_multiples(self) -> list[tuple[int, tuple, Polynomial]]:
-        """(relation index, multiplier, multiplier * relation) per multiple,
-        in order, including the skipped ones."""
-        return self.pres._multiples(self._tags)
 
 
 def _multipliers(pres: GradedPresentation, m: int, w: int) -> list[list[tuple]]:

@@ -7,15 +7,14 @@ V_m is their common kernel, in reduced echelon form.
 On top of that the builder finds minimal generators, a relation census, and
 verifies claimed generator lists, all by exact integer linear algebra.
 
-Products span V_m + M_m (M the modulus ideal) at most when V is closed under
-products, i.e. no weight condition has weight != 0 mod d, and every factor
-lies in V + M; there a product span stops at dim (V_m + M_m), and elsewhere
-it reduces every product.  Generation is certified by leading monomials, as
-for SAGBI bases (Robbiano and Sweedler 1990, "Subalgebra bases"): the lead
-of a product g*b is lead(g) + lead(b), so one product per new leading
-column enters with no elimination step, before the colliding ones.  Once
-degree k's span reaches dim (V_k + M_k), later degrees take V_k's reduced
-echelon basis as the factors b, which spans the same modulo M.
+Products lie in V_m when V is closed under products, i.e. no weight
+condition has weight != 0 mod d, and every factor lies in V; there a product
+span stops at dim V_m, and elsewhere it reduces every product.  Generation is
+certified by leading monomials, as for SAGBI bases (Robbiano and Sweedler
+1990, "Subalgebra bases"): the lead of a product g*b is lead(g) + lead(b), so
+one product per new leading column enters with no elimination step, before
+the colliding ones.  Once degree k's span reaches dim V_k, later degrees take
+V_k's reduced echelon basis as the factors b, which spans the same space.
 
 The relation census first tries a rank certificate mod p = `PRIME` from
 mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
@@ -40,15 +39,8 @@ from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
-from .graded import GradedPresentation, _row
-from .linalg import (
-    IntRowSpace,
-    ModPRowSpace,
-    _primitive,
-    int_kernel_basis,
-    int_kernel_rref,
-    int_rref,
-)
+from .graded import _row
+from .linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_kernel_rref
 from .poly import (
     Polynomial,
     RingDescriptor,
@@ -91,31 +83,24 @@ Condition = WeightCondition | CongruenceImageCondition | SubstitutionParityCondi
 
 
 class MembershipPredicate:
-    """Degree-wise intersection of primitive linear conditions, optionally
-    inside the quotient by a graded presentation (the modulus)."""
+    """Degree-wise intersection of primitive linear conditions."""
 
-    def __init__(
-        self,
-        descriptor: RingDescriptor,
-        conditions: Sequence[Condition],
-        modulus: GradedPresentation | None = None,
-    ):
+    def __init__(self, descriptor: RingDescriptor, conditions: Sequence[Condition]):
         self.descriptor = descriptor
         self.conditions = tuple(conditions)
-        self.modulus = modulus
         self._cache: dict[int, list[Polynomial]] = {}
         # Per degree: integer term dicts of subspace_basis(m).
         self._terms: dict[int, list[dict[tuple, int]]] = {}
-        # Per degree: column index, the row space of V_m + M_m (never added
-        # to once built) and dim M_m.
-        self._spaces: dict[int, tuple[dict[tuple, int], IntRowSpace, int]] = {}
+        # Per degree: column index and the row space of V_m (never added to
+        # once built).
+        self._spaces: dict[int, tuple[dict[tuple, int], IntRowSpace]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
         d = descriptor.torsion_order
         # Weight-0, congruence-image and parity conditions are multiplicative
         # (the last two as even monomials and ring maps are), so V is then a
-        # subring: products of elements of V + M lie in V + M.
+        # subring: products of elements of V lie in V.
         self.closed_under_products = all(
             isinstance(c, (CongruenceImageCondition, SubstitutionParityCondition))
             or (isinstance(c, WeightCondition) and c.weight % d == 0)
@@ -124,16 +109,6 @@ class MembershipPredicate:
 
     def ambient_monomials(self, m: int) -> list[tuple]:
         return enumerate_monomials(self.descriptor, m)
-
-    def modulus_rows(self, m: int, index: Mapping[tuple, int]) -> list[list[int]]:
-        if self.modulus is None:
-            return []
-        rows = []
-        d = self.descriptor.torsion_order
-        for w in range(d):
-            for p in self.modulus.ideal_piece(m, w):
-                rows.append(_vector(p, index))
-        return rows
 
     def subspace_basis(self, m: int) -> list[Polynomial]:
         """Exact canonical basis of V_m inside the ambient degree-m piece."""
@@ -178,13 +153,7 @@ class MembershipPredicate:
         return maps
 
     def dim(self, m: int) -> int:
-        """dim V_m, counted modulo the modulus ideal when one is present."""
-        _, rs, modulus_dim = self._space(m)
-        return rs.dim - modulus_dim
-
-    def span_dim(self, m: int) -> int:
-        """dim (V_m + M_m), M the modulus ideal: where a span of products of
-        elements of V stops growing when V is closed under products."""
+        """dim V_m."""
         return self._space(m)[1].dim
 
     def contains(self, p: Polynomial) -> bool:
@@ -194,7 +163,7 @@ class MembershipPredicate:
             return True
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
-        index, rs, _ = self._space(dw[0])
+        index, rs = self._space(dw[0])
         return rs.contains(_vector(p, index))
 
     def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
@@ -203,28 +172,20 @@ class MembershipPredicate:
         desc = self.descriptor
         if len({desc.monomial_weight(mon) for mon in terms}) > 1:
             raise ValueError("membership needs a homogeneous polynomial")
-        index, rs, _ = self._space(m)
+        index, rs = self._space(m)
         return rs.contains(_row(terms, index))
 
-    def _space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace, int]:
-        """(column index, row space of V_m + M_m, dim M_m), built once."""
+    def _space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace]:
+        """(column index of the degree-m monomials, row space of V_m), built
+        once."""
         space = self._spaces.get(m)
         if space is None:
-            index, rs = self.modulus_space(m)
-            modulus_dim = rs.dim
+            index = {mon: i for i, mon in enumerate(self.ambient_monomials(m))}
+            rs = IntRowSpace(len(index))
             for terms in self.basis_terms(m):
                 rs.add_nonzeros({index[mon]: c for mon, c in terms.items()})
-            space = self._spaces[m] = (index, rs, modulus_dim)
+            space = self._spaces[m] = (index, rs)
         return space
-
-    def modulus_space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace]:
-        """Column index of the degree-m monomials, and a row space seeded with
-        the degree-m piece of the modulus ideal."""
-        index = {mon: i for i, mon in enumerate(self.ambient_monomials(m))}
-        rs = IntRowSpace(len(index))
-        for row in self.modulus_rows(m, index):
-            rs.add(row)
-        return index, rs
 
 
 def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
@@ -379,9 +340,9 @@ class _FactorSpans:
     term dict), the lead being the grevlex-least monomial: the generators
     with their degrees, and per degree k the elements their products are
     taken with.  Those are V_k's reduced echelon basis once degree k's span
-    reaches dim (V_k + M_k), for then the two have the same span modulo M
-    and every later product span is unchanged; a degree that falls short
-    keeps its own products."""
+    reaches dim V_k, for then the two have the same span and every later
+    product span is unchanged; a degree that falls short keeps its own
+    products."""
 
     def __init__(self, pred: MembershipPredicate):
         self.pred = pred
@@ -397,7 +358,7 @@ class _FactorSpans:
 
     def close(self, m: int, products: list[dict[tuple, int]], full: bool) -> None:
         """Fix the degree-m factors, from the products of a degree-m span
-        that reached dim (V_m + M_m) when `full`, or fell short."""
+        that reached dim V_m when `full`, or fell short."""
         terms = self.pred.basis_terms(m) if full else products
         self._by_degree[m] = [(_lead(t), t) for t in terms]
 
@@ -411,16 +372,22 @@ class SubringBuilder:
     """Degree-by-degree generator selection and relation counting."""
 
     def __init__(self, predicate: MembershipPredicate):
+        desc = predicate.descriptor
+        # Monomial enumeration caps a degree-0 variable at exponent 1, so a
+        # product of two factors that both contain it would have no column.
+        flat = [v for v, dg in zip(desc.variables, desc.degrees) if dg == 0]
+        if flat:
+            raise ValueError(f"subring builder needs positive degrees; degree 0: {', '.join(flat)}")
         self.pred = predicate
-        self.desc = predicate.descriptor
+        self.desc = desc
 
     def minimal_generators(self, max_degree: int) -> list[tuple[Polynomial, int]]:
         return self._generators_with_spans(max_degree)[0]
 
     def _generators_with_spans(self, max_degree: int):
         """Selected generators, spanning products of the subalgebra pieces
-        as integer term dicts, and per degree the pivot columns of the span
-        of the image and M_m."""
+        as integer term dicts, and per degree the pivot columns of their
+        span."""
         gens: list[tuple[Polynomial, int]] = []
         factors = _FactorSpans(self.pred)
         span_terms = {0: [_int_terms(self.desc.one())]}
@@ -428,7 +395,7 @@ class SubringBuilder:
         # Selected generators lie in V.
         closed = self.pred.closed_under_products
         for m in range(1, max_degree + 1):
-            full = self.pred.span_dim(m) if closed else None
+            full = self.pred.dim(m) if closed else None
             index, rs, piece = self._product_span(factors, m, full)
             if rs.dim != full:
                 # Basis elements are primitive integer rows already (int_kernel_rref).
@@ -444,23 +411,23 @@ class SubringBuilder:
 
     def _product_span(self, factors: _FactorSpans, m: int, full: int | None = None):
         """Independent degree-m products g*b of a generator g and a factor b
-        of degree m - deg g, reduced modulo the modulus; returns (index, row
-        space, products).
+        of degree m - deg g; returns (index, row space, products).
 
         Factors are integer term dicts: scaling a factor does not change the
         span, and the row space stores primitive rows.  The caller passes
-        `full` = dim (V_m + M_m) only when every factor lies in V + M and V
-        is closed under products: then every product lies in V_m + M_m, and
-        no product after the span reaches that dimension can enlarge it, so
-        the order in which products are tried does not change the span.
+        `full` = dim V_m only when every factor lies in V and V is closed
+        under products: then every product lies in V_m, and no product after
+        the span reaches that dimension can enlarge it, so the order in which
+        products are tried does not change the span.
 
         Columns are in grevlex order, a translation-invariant total order,
         and Z is a domain, so the leading column of g*b is that of
         lead(g) + lead(b), known before the product is formed.  One product
         per leading column that is not a pivot yet enters first, with no
         elimination step; the colliding products follow in reverse."""
-        index, rs = self.pred.modulus_space(m)
-        taken = set(rs.pivot_columns())
+        index = self.pred._space(m)[0]
+        rs = IntRowSpace(len(index))
+        taken = set()
         firsts, colliding = [], []
         for dg, g_lead, g in factors.generators:
             # A constant factor adds nothing to the span.
@@ -513,10 +480,10 @@ class SubringBuilder:
             if not free_mons:
                 relation_census[m] = 0
                 continue
-            # span_terms[m] is a basis of the image of the evaluation map
-            # modulo the modulus, so the degree-m relations span a space of
-            # this dimension. The ideal lies inside it: at equal dimension
-            # the two are equal and no relation is new.
+            # span_terms[m] is a basis of the image of the evaluation map, so
+            # the degree-m relations span a space of this dimension. The
+            # ideal lies inside it: at equal dimension the two are equal and
+            # no relation is new.
             target = len(free_mons) - len(span_terms[m])
             free_index = {mon: i for i, mon in enumerate(free_mons)}
             echelon, leads = _leading_term_echelon(free, m, free_index, echelons, target)
@@ -558,32 +525,25 @@ class SubringBuilder:
             for dr, terms in relation_terms
             for mult in enumerate_monomials(free, m - dr)
         )
-        return _relations_by_duality(kernel, len(free_index), multiples)
+        return _relations_by_duality(kernel, multiples)
 
     def _evaluation_kernel(self, m, free_mons, evaluate, pivots) -> list[list[int]]:
-        """Kernel of the degree-m evaluation map, allowing for the modulus
-        ideal: vectors (x, y) with eval(x) = sum_k y_k * modulus row k.
+        """Kernel of the degree-m evaluation map.
 
-        Only the rows at `pivots`, the pivot columns of the span of the image
-        and M_m, enter.  That span is the column space of the stacked matrix,
-        and its echelon rows are triangular on those columns, so these rows
-        have the full rank: they cut out the same kernel."""
+        Only the rows at `pivots`, the pivot columns of the degree's product
+        span, enter.  That span is the image, the column space of the
+        matrix, and its echelon rows are triangular on those columns, so
+        these rows have the full rank: they cut out the same kernel."""
         index = self.pred._space(m)[0]
         row_of = {j: r for r, j in enumerate(pivots)}
-        mod_rows = self.pred.modulus_rows(m, index)
-        width = len(free_mons) + len(mod_rows)
-        stacked = [[0] * width for _ in pivots]
+        matrix = [[0] * len(free_mons) for _ in pivots]
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
             for amb, x in terms.items():
                 r = row_of.get(index[amb])
                 if r is not None:
-                    stacked[r][u] = x
-        for k, mrow in enumerate(mod_rows):
-            for j, r in row_of.items():
-                if mrow[j]:
-                    stacked[r][len(free_mons) + k] = mrow[j]
-        return int_kernel_basis(stacked, width)
+                    matrix[r][u] = x
+        return int_kernel_basis(matrix, len(free_mons))
 
     def verify_generator_list(
         self, claimed: Sequence[Polynomial], max_degree: int
@@ -603,7 +563,7 @@ class SubringBuilder:
         # A claim with a non-member must still show its excess span.
         closed = self.pred.closed_under_products and all(ok for *_, ok in memberships)
         for m in range(1, max_degree + 1):
-            full = self.pred.span_dim(m) if closed else None
+            full = self.pred.dim(m) if closed else None
             _, rs, piece = self._product_span(factors, m, full)
             factors.close(m, piece, rs.dim == full)
             target = self.pred.dim(m)
@@ -632,54 +592,30 @@ class SubringBuilder:
         return results
 
 
-def _relations_by_duality(kernel, n, multiples) -> list[list[int]]:
-    """The x-parts (first n entries, made primitive) of the kernel vectors
-    the greedy choice keeps, in its order: taken by sorted x-part, a vector
-    is kept when its x-part is outside the span of the multiples (integer
-    {column: value} dicts in the span of the x-parts) and the x-parts before
-    it.
+def _relations_by_duality(kernel, multiples) -> list[list[int]]:
+    """The kernel vectors the greedy choice keeps, made primitive, in its
+    order: taken in sorted order, a vector is kept when it is outside the
+    span of the multiples (integer {column: value} dicts in the span of the
+    kernel) and the vectors before it.
 
     `kernel` is the canonical basis of `int_kernel_basis`: each v_f is zero
     past its free column f and at every other free column, so a kernel
-    vector w is the sum of (w[f] / v_f[f]) v_f.  A multiple z lifts to such
-    a w with x-part z; its coordinates on the v_f with f < n are read off z,
-    and those on the v_f with a modulus column f solve the small remainder
-    in the span of their x-parts, up to a dependency among those x-parts.
-    With the coordinate columns in reverse sorted order, the pivots of the
-    span of the coordinates of the multiples and of the dependencies are the
-    vectors whose x-part lies in the span of the multiples and of the
-    x-parts before it (matroid duality), so the rest are the greedy choice,
-    found in one elimination."""
+    vector w is the sum of (w[f] / v_f[f]) v_f, and a multiple's
+    coordinates are read off its free columns.  With the coordinate columns
+    in reverse sorted order, the pivots of the span of the coordinates of
+    the multiples are the vectors that each lie in the span of the
+    multiples and of the vectors before it (matroid duality), so the rest
+    are the greedy choice, found in one elimination."""
     size = len(kernel)
-    order = sorted(range(size), key=lambda i: kernel[i][:n])
+    order = sorted(range(size), key=kernel.__getitem__)
     column = [0] * size
     for pos, i in enumerate(order):
         column[i] = size - 1 - pos
     free = [max(j for j, x in enumerate(v) if x) for v in kernel]
-    xfree = [i for i in range(size) if free[i] < n]
-    modular = [i for i in range(size) if free[i] >= n]
     # The coordinate z[f] / v_f[f] times scale is z[f] * factor[f][1].
-    scale = lcm(*(kernel[i][free[i]] for i in xfree))
-    factor = {free[i]: (column[i], scale // kernel[i][free[i]]) for i in xfree}
+    scale = lcm(*(v[f] for v, f in zip(kernel, free)))
+    factor = {f: (column[i], scale // kernel[i][f]) for i, f in enumerate(free)}
     coords = IntRowSpace(size)
-    if modular:
-        # Reduced echelon form of the rows (x-part of v_g | unit vector of g)
-        # over the g with a modulus column: a row with a pivot p < n writes
-        # its x-part R as a combination of those x-parts, and a row without
-        # one is a dependency among them.
-        reduced, pivots = int_rref(
-            [kernel[g][:n] + [int(g == h) for h in modular] for g in modular],
-            n + len(modular),
-        )
-        solve = []
-        for row, p in zip(reduced, pivots):
-            combo = {column[g]: t for g, t in zip(modular, row[n:]) if t}
-            if p < n:
-                solve.append((p, row[p], combo))
-            else:
-                coords.add_nonzeros(combo)
-        denom = lcm(*(d for _, d, _ in solve))
-        vector = {column[i]: kernel[i] for i in xfree}
     for z in multiples:
         if coords.dim == size:
             break
@@ -688,23 +624,9 @@ def _relations_by_duality(kernel, n, multiples) -> list[list[int]]:
             entry = factor.get(f)
             if entry is not None:
                 row[entry[0]] = x * entry[1]
-        if modular:
-            # z minus its part on the v_f with f < n lies in the span of the
-            # rows R, with coefficient (its entry at R's pivot p) / R[p];
-            # the coordinates are scaled by denom as well.
-            rest = [
-                (scale * z.get(p, 0) - sum(y * vector[c][p] for c, y in row.items()))
-                * (denom // d)
-                for p, d, _ in solve
-            ]
-            row = {c: y * denom for c, y in row.items()}
-            for r, (_, _, combo) in zip(rest, solve):
-                for c, t in combo.items():
-                    row[c] = row.get(c, 0) + r * t
-            row = {c: y for c, y in row.items() if y}
         coords.add_nonzeros(row)
     pivots = set(coords.pivot_columns())
-    return [_primitive(kernel[i][:n]) for i in order if column[i] not in pivots]
+    return [_primitive(kernel[i]) for i in order if column[i] not in pivots]
 
 
 def _leading_term_echelon(free, m, free_index, echelons, target):

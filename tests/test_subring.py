@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from godeaux import (
-    GradedPresentation,
     MembershipPredicate,
     Polynomial,
     RingDescriptor,
@@ -33,7 +32,6 @@ from godeaux.linalg import (
 from godeaux.poly import degree_and_weight, enumerate_monomials, grevlex_key
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
-from godeaux.scenarios.torsion5 import z5_quintic
 from godeaux.subring import (
     CongruenceImageCondition,
     GeneratorListReport,
@@ -97,22 +95,15 @@ class TestMinimalGenerators:
         gens = SubringBuilder(p).minimal_generators(4)
         assert [(render_polynomial(g), d) for g, d in gens] == [("x", 1)]
 
-    def test_invariants_of_quintic_quotient(self):
-        # Weight-0 predicate inside the quotient by the invariant quintic:
-        # generator counts follow dim (S/(q))^G_m minus products.
-        q = z5_quintic()
-        pred = MembershipPredicate(
-            q.descriptor,
-            [WeightCondition(0)],
-            modulus=GradedPresentation(q.descriptor, [q]),
-        )
-        gens = SubringBuilder(pred).minimal_generators(4)
-        census: dict[int, int] = {}
-        for _, d in gens:
-            census[d] = census.get(d, 0) + 1
-        assert census.get(1, 0) == 0
-        assert census[2] == 2
-        assert census[3] == 4
+    def test_degree_zero_variable_is_refused(self):
+        # Monomial enumeration caps u at exponent 1, so u * u has no column.
+        desc = RingDescriptor(("u", "x"), (0, 1), (0, 0))
+        pred = MembershipPredicate(desc, [WeightCondition(0)])
+        with pytest.raises(ValueError, match="degree 0: u"):
+            SubringBuilder(pred)
+        # The predicate alone still answers.
+        assert pred.dim(2) == len(pred.subspace_basis(2)) == 2
+        assert pred.contains(parse_polynomial("u*x^2", desc))
 
     def test_deterministic(self, builder):
         first = [(render_polynomial(g), d) for g, d in builder.minimal_generators(8)]
@@ -340,7 +331,8 @@ def reference_spans(pred, max_degree):
     gens = []
     span_terms = {0: [_int_terms(pred.descriptor.one())]}
     for m in range(1, max_degree + 1):
-        index, rs = pred.modulus_space(m)
+        index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+        rs = IntRowSpace(len(index))
         piece = []
         for g, dg in gens:
             if 0 < dg <= m:
@@ -383,21 +375,12 @@ def reference_census(builder, max_degree):
             census[m] = 0
             continue
         index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
-        mod_rows = pred.modulus_rows(m, index)
-        width = len(free_mons) + len(mod_rows)
-        stacked = [[0] * width for _ in index]
+        matrix = [[0] * len(free_mons) for _ in index]
         for u, mon in enumerate(free_mons):
             for amb, x in evaluate(mon).items():
-                stacked[index[amb]][u] = x
-        for k, mrow in enumerate(mod_rows):
-            for j, x in enumerate(mrow):
-                if x:
-                    stacked[j][len(free_mons) + k] = x
-        kernel = int_kernel_basis(stacked, width)
-        xparts = IntRowSpace(len(free_mons))
-        for k in kernel:
-            xparts.add(k[: len(free_mons)])
-        ranks.append((m, xparts.dim, len(free_mons) - len(span_terms[m])))
+                matrix[index[amb]][u] = x
+        kernel = int_kernel_basis(matrix, len(free_mons))
+        ranks.append((m, len(kernel), len(free_mons) - len(span_terms[m])))
         free_index = {mon: i for i, mon in enumerate(free_mons)}
         ideal_rows = IntRowSpace(len(free_mons))
         for rel in relations:
@@ -405,28 +388,22 @@ def reference_census(builder, max_degree):
             for mult in enumerate_monomials(free, m - dr):
                 ideal_rows.add(_row(_int_product({mult: 1}, _int_terms(rel)), free_index))
         new_count = 0
-        for k in sorted(kernel, key=lambda v: v[: len(free_mons)]):
-            xpart = k[: len(free_mons)]
-            if any(xpart) and ideal_rows.add(xpart):
-                relations.append(_to_poly(free, free_mons, _primitive(xpart)))
+        for k in sorted(kernel):
+            if ideal_rows.add(k):
+                relations.append(_to_poly(free, free_mons, _primitive(k)))
                 new_count += 1
         census[m] = new_count
     return relations, census, hilbert, ranks
 
 
-def _weight_zero(desc, modulus=None):
-    return MembershipPredicate(
-        desc, [WeightCondition(0)],
-        modulus=None if modulus is None else GradedPresentation(desc, [modulus]),
-    )
+def _weight_zero(desc):
+    return MembershipPredicate(desc, [WeightCondition(0)])
 
 
 CENSUS_CASES = {
     "sc": (sc_predicate, 11),
-    "quintic-quotient": (lambda: _weight_zero(z5_quintic().descriptor, z5_quintic()), 8),
-    "z3-cubic": (
-        lambda: _weight_zero(Z3, parse_polynomial("x^3 + y^3 + z^3 - 3/2*x*y*z", Z3)), 9
-    ),
+    "z5-invariants": (lambda: _weight_zero(fixtures.z5_descriptor()), 8),
+    "z3-invariants": (lambda: _weight_zero(Z3), 9),
     "free": (lambda: _weight_zero(ABC), 6),
     "z3-weight-one": (lambda: MembershipPredicate(Z3, [WeightCondition(1)]), 6),
 }
@@ -476,10 +453,9 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
 
 
 def _span_echelon(pred, m, products):
-    """`int_rref` of the degree-m products together with the modulus rows."""
+    """`int_rref` of the degree-m products."""
     index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
-    rows = [_row(p, index) for p in products] + pred.modulus_rows(m, index)
-    return int_rref(rows, len(index))
+    return int_rref([_row(p, index) for p in products], len(index))
 
 
 @pytest.mark.parametrize("prime", [2, 3])
@@ -655,41 +631,38 @@ def greedy_relations(kernel, n, multiples):
     return kept
 
 
-def _by_duality(kernel, n, multiples):
-    return _relations_by_duality(
-        kernel, n, [{j: x for j, x in enumerate(z) if x} for z in multiples]
-    )
+def _by_duality(kernel, multiples):
+    return _relations_by_duality(kernel, [{j: x for j, x in enumerate(z) if x} for z in multiples])
 
 
 @st.composite
-def stacked_systems(draw):
+def matrix_kernels(draw):
     """(kernel, n, multiples): the kernel of a small integer matrix with n
-    x-columns and 0-3 modulus columns, some copies of other columns so that
-    they are free, and integer combinations of the kernel's x-parts."""
-    n = draw(st.integers(1, 6))
+    columns, some copies of earlier columns so that they are free, and
+    integer combinations of the kernel vectors."""
+    n = draw(st.integers(1, 8))
     nrows = draw(st.integers(1, 5))
     entry = st.integers(-2, 2)
-    cols = [draw(st.lists(entry, min_size=nrows, max_size=nrows)) for _ in range(n)]
-    for _ in range(draw(st.integers(0, 3))):
+    cols = [draw(st.lists(entry, min_size=nrows, max_size=nrows))]
+    while len(cols) < n:
         cols.append(list(draw(st.sampled_from(cols))) if draw(st.booleans())
                     else draw(st.lists(entry, min_size=nrows, max_size=nrows)))
-    stacked = [[col[r] for col in cols] for r in range(nrows)]
-    kernel = int_kernel_basis(stacked, len(cols))
+    kernel = int_kernel_basis([[col[r] for col in cols] for r in range(nrows)], n)
     multiples = []
     for _ in range(draw(st.integers(0, 6))):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(kernel), max_size=len(kernel)))
         z = [0] * n
         for c, k in zip(coeffs, kernel):
-            z = [u + c * x for u, x in zip(z, k[:n])]
+            z = [u + c * x for u, x in zip(z, k)]
         multiples.append(z)
     return kernel, n, multiples
 
 
 @settings(max_examples=150, deadline=None)
-@given(system=stacked_systems())
+@given(system=matrix_kernels())
 def test_relation_choice_by_duality_matches_the_greedy(system):
     kernel, n, multiples = system
-    assert _by_duality(kernel, n, multiples) == greedy_relations(kernel, n, multiples)
+    assert _by_duality(kernel, multiples) == greedy_relations(kernel, n, multiples)
 
 
 def test_relation_choice_by_duality_follows_the_sort_order():
@@ -699,14 +672,8 @@ def test_relation_choice_by_duality_follows_the_sort_order():
     kernel = int_kernel_basis([[1, 1, 0]], 3)
     assert kernel == [[1, -1, 0], [0, 0, 1]]
     assert sorted(kernel) != kernel
-    assert _by_duality(kernel, 3, [[1, -1, 1]]) == [[0, 0, 1]]
+    assert _by_duality(kernel, [[1, -1, 1]]) == [[0, 0, 1]]
     assert greedy_relations(kernel, 3, [[1, -1, 1]]) == [[0, 0, 1]]
-    # Two free modulus columns whose x-parts coincide with a free x-column's.
-    kernel = int_kernel_basis([[1, 0, -1, -1]], 4)
-    assert [max(j for j, x in enumerate(v) if x) for v in kernel] == [1, 2, 3]
-    for multiples in ([], [[1, 0]], [[0, 2], [3, 0]]):
-        assert _by_duality(kernel, 2, multiples) == greedy_relations(kernel, 2, multiples)
-    assert _by_duality(kernel, 2, [[1, 0]]) == [[0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +904,8 @@ def reference_subspace_basis(pred, m):
 
 
 def reference_dim(pred, m):
-    index, rs = pred.modulus_space(m)
+    index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+    rs = IntRowSpace(len(index))
     return sum(rs.add(_vector(p, index)) for p in reference_subspace_basis(pred, m))
 
 
@@ -984,7 +952,7 @@ def linear_images(draw, desc, target):
 @st.composite
 def predicates(draw):
     """Weight, congruence and parity conditions on the Z/3-weighted (x, y, z),
-    each present or not, in a random order, optionally modulo a cubic."""
+    each present or not, in a random order."""
     conditions = []
     if draw(st.booleans()):
         conditions.append(WeightCondition(draw(st.integers(0, 2))))
@@ -998,9 +966,7 @@ def predicates(draw):
             draw(linear_images(Z3, ST)), draw(linear_images(Z3, ST)),
             sign_base=draw(st.sampled_from([1, -1])),
         ))
-    cubic = parse_polynomial("x^3 + y^3 + z^3 - 3/2*x*y*z", Z3)
-    modulus = draw(st.sampled_from([None, GradedPresentation(Z3, [cubic])]))
-    return MembershipPredicate(Z3, draw(st.permutations(conditions)), modulus=modulus)
+    return MembershipPredicate(Z3, draw(st.permutations(conditions)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1024,15 +990,15 @@ def test_closure_checks_match_the_polynomial_products(pred, seed):
 @settings(max_examples=40, deadline=None)
 @given(pred=predicates(), data=st.data())
 def test_interleaved_queries_answer_as_on_a_fresh_predicate(pred, data):
-    # One cached V_m + M_m space serves dim, span_dim and contains; contains
-    # must never add to it.
+    # One cached V_m space serves dim and contains; contains must never add
+    # to it.
     queries = data.draw(st.lists(
-        st.tuples(st.sampled_from(["dim", "span_dim", "basis", "contains"]), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["dim", "basis", "contains"]), st.integers(0, 5)),
         min_size=1, max_size=12,
     ))
     desc = pred.descriptor
     for kind, m in queries:
-        fresh = MembershipPredicate(desc, pred.conditions, modulus=pred.modulus)
+        fresh = MembershipPredicate(desc, pred.conditions)
         if kind == "contains":
             # Basis elements of one torsion weight, and a random polynomial
             # of degree m and one weight.
@@ -1069,7 +1035,7 @@ def reference_verify_generator_list(builder, claimed, max_degree):
     # A claim with a non-member must still show its excess span.
     closed = builder.pred.closed_under_products and all(ok for *_, ok in memberships)
     for m in range(1, max_degree + 1):
-        full = builder.pred.span_dim(m) if closed else None
+        full = builder.pred.dim(m) if closed else None
         _, _, span_terms[m] = _reference_product_span(builder, degreed, span_terms, m, full)
         target = builder.pred.dim(m)
         achieved = len(span_terms[m])
@@ -1079,7 +1045,8 @@ def reference_verify_generator_list(builder, claimed, max_degree):
 
 def _reference_product_span(builder, gens, span_terms, m, full=None):
     """`SubringBuilder._product_span` as it was for the oracle above."""
-    index, rs = builder.pred.modulus_space(m)
+    index = {mon: i for i, mon in enumerate(builder.pred.ambient_monomials(m))}
+    rs = IntRowSpace(len(index))
     piece = []
     for g, dg in gens:
         # A constant factor adds nothing to the span.
@@ -1115,7 +1082,7 @@ def test_generator_list_reports_match_the_plain_product_spans(pred, data):
     if outside:
         claims.append([*claims[0], data.draw(st.sampled_from(outside))])
     for claim in claims:
-        fresh = SubringBuilder(MembershipPredicate(Z3, pred.conditions, modulus=pred.modulus))
+        fresh = SubringBuilder(MembershipPredicate(Z3, pred.conditions))
         assert _outcome(lambda: builder.verify_generator_list(claim, max_degree)) == _outcome(
             lambda: reference_verify_generator_list(fresh, claim, max_degree)
         )
