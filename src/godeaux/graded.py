@@ -12,18 +12,32 @@ Rational presentations use the integer row space, cyclotomic ones the field
 row space (both in `linalg`).  Per-(degree, weight) results are memoised
 write-once.
 
-When every variable has positive degree, a piece skips the multiple t * r_j
-if t is the leading monomial (the pivot) of some g = t + (later terms) of
-the ideal (r_0, ..., r_{j-1}) in the bidegree of t: the criterion of
-Faugere's F5 algorithm.  Then t * r_j = g * r_j - (g - t) * r_j, where
-g * r_j is a combination of multiples of r_0 ... r_{j-1} and (g - t) * r_j
-one of multiples s * r_j with s after t, so by induction from the last
-column the span, rank and pivot columns do not change.  The induction needs
-every multiple of an earlier relation as a row.  The parameter cap on
-degree-0 variables drops some, so the pieces of such rings keep every
-multiple.  The leading monomials come from the memoised lower piece, as the
-pivots its rows of r_0 ... r_{j-1} found; a piece built before its lower
-piece keeps those multiples.
+When every variable has positive degree, a piece takes its rows in
+signature order, as in the Macaulay-matrix form of Faugere's F5 algorithm
+(Bardet, Faugere and Salvy): the signature of t * r_j is (j, t), relations
+in the given order, multipliers smallest first in grevlex, that is from the
+last column.  So the rows before t * r_j span every multiple of smaller
+signature, and a piece skips t * r_j in two cases.
+- Syzygy criterion: some t' dividing t had t' * r_j reduce to zero in an
+  earlier piece.  Then t' * r_j is a combination of multiples of smaller
+  signature, and times t / t' it writes t * r_j as one, since the monomial
+  order is translation-invariant.  These zero signatures are facts about
+  the ideal, kept per relation on the presentation, so they hold in pieces
+  built in any order.
+- F5 criterion (the Koszul syzygies): t leads some g = t + (smaller
+  terms) of the ideal (r_0, ..., r_{j-1}) in the bidegree of t.  Then
+  t * r_j = g * r_j - (g - t) * r_j, where g * r_j is a combination of
+  multiples of r_0 ... r_{j-1} and (g - t) * r_j one of multiples s * r_j
+  with s < t.
+  The leading monomials come from the memoised lower piece, as the pivots
+  its rows of r_0 ... r_{j-1} found; a piece built before its lower piece
+  keeps those multiples.
+By induction on the signature every skipped multiple lies in the span of
+the rows before it, so the span, rank, pivot columns and reduced echelon
+form do not change.  The induction needs every multiple of smaller
+signature as a row.  The parameter cap on degree-0 variables drops some,
+so the pieces of such rings keep every multiple, in their column order,
+and record no signature.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
-from operator import add
+from operator import add, le
 from typing import Mapping
 
 from .action import weight_space_dim
@@ -96,6 +110,9 @@ class GradedPresentation:
             is_rational_scalar(c) for r in self.relations for c in r.terms.values()
         )
         self._rows = [_relation_row(r, self._rational) for r in self.relations]
+        # Per relation r_j, the multipliers t whose t * r_j reduced to zero
+        # against the multiples of smaller signature (see `_IdealPiece`).
+        self._zero_signatures: list[list[tuple]] = [[] for _ in self.relations]
         self._pieces: dict[tuple[int, int], _IdealPiece] = {}
 
     def ambient_dim(self, m: int, w) -> int:
@@ -264,9 +281,14 @@ class _IdealPiece:
     dict.  Only pieces of rings with degree-0 variables can have columns
     beyond the cap.
 
-    When every variable has positive degree, the multiple mult * r_j is
-    skipped if mult leads an element of (r_0, ..., r_{j-1}) in its own
-    bidegree (the F5 criterion), read off that lower piece if it is memoised.
+    When every variable has positive degree, rows are taken in signature
+    order: relation by relation, each relation's multipliers from the last
+    column to the first.  The multiple mult * r_j is skipped if a recorded
+    zero signature of r_j divides mult (the syzygy criterion), or if mult
+    leads an element of (r_0, ..., r_{j-1}) in its own bidegree, read off
+    that lower piece if it is memoised (the F5 criterion).  A multiple
+    that reduces to zero is recorded as a zero signature of r_j on the
+    presentation.  The module docstring gives the proof.
     """
 
     def __init__(self, pres: GradedPresentation, m: int, w: int):
@@ -275,7 +297,7 @@ class _IdealPiece:
         self.w = w
         multipliers = _multipliers(pres, m, w)
         # Degree-0 variables are capped, so multiples can reach monomials
-        # beyond the cap, and not every multiple the criterion relies on is a
+        # beyond the cap, and not every multiple the criteria rely on is a
         # row; such pieces keep every multiple.  With every degree positive,
         # each multiple lies in the ambient monomials.
         prune = all(pres.descriptor.degrees)
@@ -303,15 +325,22 @@ class _IdealPiece:
         add_nonzeros = self.rowspace.add_nonzeros
         for ri, mults in enumerate(multipliers):
             self._starts.append(self.rowspace.dim)
-            dr, wr = pres.relation_bidegrees[ri]
-            lower = pres._pieces.get((m - dr, (w - wr) % d)) if prune else None
-            skip = lower.leading_monomials(ri) if lower is not None else ()
+            skip, zeros = (), None
+            if prune:
+                dr, wr = pres.relation_bidegrees[ri]
+                lower = pres._pieces.get((m - dr, (w - wr) % d))
+                if lower is not None:
+                    skip = lower.leading_monomials(ri)
+                zeros = pres._zero_signatures[ri]
+                # Smallest signature first: the multipliers from the last column.
+                mults = reversed(mults)
             exps, coeffs = pres._rows[ri]
             for mult in mults:
-                if mult not in skip:
-                    add_nonzeros(
-                        {index[tuple(map(add, mult, e))]: c for e, c in zip(exps, coeffs)}
-                    )
+                if mult in skip or zeros and any(all(map(le, t, mult)) for t in zeros):
+                    continue
+                row = {index[tuple(map(add, mult, e))]: c for e, c in zip(exps, coeffs)}
+                if not add_nonzeros(row) and zeros is not None:
+                    zeros.append(mult)
 
     def leading_monomials(self, j: int) -> set[tuple]:
         """Leading monomials of the elements of (r_0, ..., r_{j-1}) in this

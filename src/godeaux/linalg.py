@@ -289,10 +289,13 @@ class IntRowSpace(_RowSpace):
 
     @staticmethod
     def _normalise(work: dict[int, int]) -> dict[int, int]:
-        """Divide a nonzero row by its content, leading entry positive."""
+        """Divide a nonzero row by its content, leading entry positive; a
+        row of content 1 with a positive lead is returned as it is."""
         g = gcd(*work.values())
         if work[min(work)] < 0:
             g = -g
+        if g == 1:
+            return work
         return {c: u // g for c, u in work.items()}
 
 

@@ -164,6 +164,10 @@ class TestVerify:
     def test_z3_tables_hold_through_degree_20(self, capsys):
         assert_z3_tables_hold(20, capsys)
 
+    @pytest.mark.slow
+    def test_z3_tables_hold_through_degree_24(self, capsys):
+        assert_z3_tables_hold(24, capsys)
+
     def test_unknown_scenario_exits_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "godeaux.cli", "verify", "--scenario", "z9"],

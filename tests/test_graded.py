@@ -19,7 +19,7 @@ from godeaux import (
 from godeaux.action import weight_space_dim
 from godeaux.graded import _multipliers, _tags
 from godeaux.linalg import GenericRowSpace, IntRowSpace
-from godeaux.poly import grevlex_key
+from godeaux.poly import degree_and_weight, grevlex_key
 from godeaux.scalars import is_rational_scalar, make_cyclo
 from godeaux.scenarios import fixtures
 from godeaux.scenarios.torsion3 import (
@@ -388,8 +388,10 @@ def test_piece_matches_the_polynomial_products(pres, m, w):
 @st.composite
 def positive_presentations(draw):
     """Two to five relations on two to four variables of degree 1 or 2, over
-    Q, Q(z3) or Q(z5); a relation may repeat an earlier one or be a monomial
-    multiple of it, so that many multiples are redundant."""
+    Q, Q(z3) or Q(z5); a relation may repeat an earlier one, be a monomial
+    multiple of it, or be a combination of monomial multiples of two or more
+    earlier ones, perhaps plus a new term, so that many multiples are
+    redundant and whole relations and non-Koszul syzygies reduce to zero."""
     order = draw(st.sampled_from([1, 3, 5]))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 4))
@@ -401,8 +403,15 @@ def positive_presentations(draw):
                  if enumerate_monomials(desc, k, ww)]
     relations = []
     for _ in range(draw(st.integers(2, 5))):
-        kind = draw(st.sampled_from(["new", "new", "new", "repeat", "multiple"]))
-        if kind == "new" or not relations:
+        kind = draw(st.sampled_from(["new", "new", "new", "repeat", "multiple",
+                                     "combination", "combination"]))
+        if kind == "combination" and len(relations) >= 2:
+            combined = _combination(draw, desc, relations, order)
+            if combined is not None:
+                relations.append(combined)
+                continue
+            kind = "new"
+        if kind in ("new", "combination") or not relations:
             mons = enumerate_monomials(desc, *draw(st.sampled_from(bidegrees)))
             terms = draw(st.dictionaries(st.sampled_from(mons), _scalars(order),
                                          min_size=1, max_size=4))
@@ -413,6 +422,34 @@ def positive_presentations(draw):
             earlier = earlier * desc.variable(draw(st.sampled_from(desc.variables)))
         relations.append(earlier)
     return GradedPresentation(desc, relations)
+
+
+def _combination(draw, desc, relations, order):
+    """sum c_i * t_i * r_i over two or more earlier relations r_i, perhaps
+    plus c * t, all of one bidegree; None if no such bidegree is near or the
+    sum cancels."""
+    indices = draw(st.lists(st.sampled_from(range(len(relations))), min_size=2,
+                            max_size=3, unique=True))
+    picked = [relations[i] for i in indices]
+    grades = [degree_and_weight(r) for r in picked]
+    low = max(dr for dr, _ in grades)
+    d = desc.torsion_order
+    targets = [
+        (k, w) for k in range(low, low + 3) for w in range(d)
+        if all(enumerate_monomials(desc, k - dr, w - wr) for dr, wr in grades)
+    ]
+    if not targets:
+        return None
+    k, w = draw(st.sampled_from(targets))
+    total = desc.zero()
+    for r, (dr, wr) in zip(picked, grades):
+        mult = draw(st.sampled_from(enumerate_monomials(desc, k - dr, w - wr)))
+        c = draw(_scalars(order))
+        total = total + (Polynomial(desc, {mult: Fraction(1)}) * r).scale(c)
+    if draw(st.booleans()):
+        mon = draw(st.sampled_from(enumerate_monomials(desc, k, w)))
+        total = total + Polynomial(desc, {mon: draw(_scalars(order))})
+    return None if total.is_zero() else total
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,6 +475,7 @@ def test_parameter_pieces_keep_every_multiple():
     for m in range(4):
         for w in range(2):
             assert_same_piece(pres, m, w)
+    assert pres._zero_signatures == [[], [], []]
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -466,3 +504,37 @@ def test_numeric_z3_piece_skips_redundant_multiples(monkeypatch):
     piece = pres._piece(12, 0)
     assert 0 < len(added) < len(_tags(_multipliers(pres, piece.m, piece.w)))
     assert_same_piece(pres, 12, 0)
+
+
+def test_numeric_z3_signatures_settle_the_syzygies(monkeypatch):
+    # Sample (1, 1, 1), pieces m <= 13 in ascending degree.  Before rows were
+    # taken in signature order, these pieces made 414 zero reductions in
+    # 4,035 elimination steps.
+    counts = {"zero": 0, "steps": 0}
+    add_nonzeros, eliminate = IntRowSpace.add_nonzeros, IntRowSpace._eliminate
+
+    def counting_add(self, row):
+        enlarged = add_nonzeros(self, row)
+        counts["zero"] += not enlarged
+        return enlarged
+
+    def counting_eliminate(work, lead, piv, cols):
+        counts["steps"] += 1
+        return eliminate(work, lead, piv, cols)
+
+    monkeypatch.setattr(IntRowSpace, "add_nonzeros", counting_add)
+    monkeypatch.setattr(IntRowSpace, "_eliminate", staticmethod(counting_eliminate))
+    pres = numeric_presentation((Fraction(1),) * 3)
+    for m in range(14):
+        for w in range(3):
+            pres._piece(m, w)
+    assert counts["zero"] <= 40
+    assert counts["steps"] <= 1500
+    desc = pres.descriptor
+    x2 = tuple(int(v == "x2") for v in desc.variables)
+    signatures = {name: sigs for (name, *_), sigs
+                  in zip(fixtures.z3_relations(), pres._zero_signatures)}
+    # h0 lies in (f, g); x2*g0 and x2*g2 are the syzygies z3.syzygy.0 and
+    # z3.syzygy.2 check symbolically.
+    assert signatures["h0"] == [(0,) * desc.nvars]
+    assert x2 in signatures["g0"] and x2 in signatures["g2"]

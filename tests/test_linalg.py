@@ -195,6 +195,24 @@ def test_int_rowspace_fraction_input():
     assert rs.contains([3, 2])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.dictionaries(st.integers(0, 12), st.integers(-30, 30).filter(bool),
+                        min_size=1, max_size=6),
+    content=st.integers(1, 6),
+    negate=st.booleans(),
+)
+def test_normalise_matches_always_dividing(row, content, negate):
+    # Rows of content 1 and of larger content, with either sign of the lead.
+    sign = -1 if negate else 1
+    work = {c: sign * content * u for c, u in row.items()}
+    g = gcd(*work.values())
+    if work[min(work)] < 0:
+        g = -g
+    expected = {c: u // g for c, u in work.items()}
+    assert IntRowSpace._normalise(dict(work)) == expected
+
+
 # ---------------------------------------------------------------------------
 # The dense elimination loops, kept as oracles for the sparse engine.
 

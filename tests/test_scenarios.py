@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux.cli import main
 from godeaux.report import Check, VerificationReport, merge_reports
 from godeaux.scenarios import (
     fixtures,
@@ -135,6 +136,44 @@ class TestZ3:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             run_z3(mode="fast")
+
+    @pytest.mark.parametrize("mode", ["both", "symbolic", "numeric"])
+    @pytest.mark.parametrize("name", ["h0", "H1"])
+    def test_inhomogeneous_relation_gives_fail_checks(self, mode, name, monkeypatch, capsys):
+        # The report keeps every check id; each check that needs a
+        # presentation fails with the error text, and the exit code is 1.
+        args = ["verify", "--scenario", "z3", "--mode", mode, "--max-degree", "5",
+                "--format", "json"]
+        assert main(args) == 0
+        good = json.loads(capsys.readouterr().out)
+        relations = fixtures.z3_relations()
+
+        def bad_relations():
+            return [
+                (n, d, w, p + p.descriptor.variable("x2") if n == name else p)
+                for n, d, w, p in relations
+            ]
+
+        monkeypatch.setattr(fixtures, "z3_relations", bad_relations)
+        assert main(args) == 1
+        bad = json.loads(capsys.readouterr().out)
+        assert [c["id"] for c in bad["checks"]] == [c["id"] for c in good["checks"]]
+        failed = {c["id"]: c["actual"] for c in bad["checks"] if c["status"] == "fail"}
+        if mode != "numeric":
+            assert failed.pop(f"z3.placement.{name}") == "inhomogeneous"
+            failed.pop("z3.syzygy.1", None)  # h0 appears in the second syzygy
+        ids = {c["id"] for c in good["checks"]}
+        # Every numeric sample presents all ten relations; the membership
+        # subideal holds h0, and H1 is only the target of the second check.
+        expected = {i for i in ids if i.startswith(("z3.hilbert", "z3.table-bases",
+                                                    "z3.x2-injective"))}
+        if name == "h0":
+            expected |= {i for i in ids if i.startswith("z3.h-membership")}
+        else:
+            expected |= {"z3.h-membership.1"} & ids
+        assert set(failed) == expected
+        assert failed
+        assert all("bihomogeneous" in actual for actual in failed.values())
 
 
 class TestSC:
