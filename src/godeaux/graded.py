@@ -10,7 +10,9 @@ dense row of the piece's width; the monomials of each degree are enumerated
 once per process.
 Rational presentations use the integer row space, cyclotomic ones the field
 row space (both in `linalg`).  Per-(degree, weight) results are memoised
-write-once.
+write-once.  A membership certificate is solved on the same shifted rows,
+taken as the columns of a sparse system (`linalg.solve_columns`, fraction-free
+over Q); no dense matrix and no polynomial product is built.
 
 When every variable has positive degree, a piece takes its rows in
 signature order, as in the Macaulay-matrix form of Faugere's F5 algorithm
@@ -178,6 +180,11 @@ class GradedPresentation:
         """Truncated ideal membership with an exact certificate.
 
         Solves over the multiples mult * r themselves, so no piece is built.
+        The column of mult * r_j is r_j's relation row shifted to the
+        monomials mult + e, as in `_IdealPiece`, with no polynomial product,
+        and `solve_columns` solves the system on its nonzeros (fraction-free
+        over Q).  A relation row is r_j times its scale, so each coordinate
+        is multiplied back by that scale.
         """
         dw = degree_and_weight(p)
         if dw == "zero":
@@ -185,29 +192,20 @@ class GradedPresentation:
         if dw == "inhomogeneous":
             raise ValueError("ideal membership needs a bihomogeneous polynomial")
         m, w = dw
-        multiples = self._multiples(_tags(_multipliers(self, m, w)))
-        # Rows of the system in any order have the same reduced echelon form,
-        # so the same solution.
-        index: dict[tuple, int] = {}
-        for q in [*(q for _, _, q in multiples), p]:
-            for mon in q.terms:
-                index.setdefault(mon, len(index))
-        columns = [_row(q.terms, index) for _, _, q in multiples]
-        coords = solve_columns(columns, _row(p.terms, index))
+        tags = _tags(_multipliers(self, m, w))
+        columns = []
+        for ri, mult in tags:
+            exps, coeffs, _ = self._rows[ri]
+            columns.append({tuple(map(add, mult, e)): c for e, c in zip(exps, coeffs)})
+        coords = solve_columns(columns, p.terms)
         if coords is None:
             return Membership(False, None)
         certificate = [
-            (ri, mult, c) for (ri, mult, _), c in zip(multiples, coords) if c != 0
+            (ri, mult, c * self._rows[ri][2])
+            for (ri, mult), c in zip(tags, coords)
+            if c != 0
         ]
         return Membership(True, certificate)
-
-    def _multiples(self, tags) -> list[tuple[int, tuple, Polynomial]]:
-        """(relation index, mult, mult * relation) per (relation index, mult)."""
-        desc = self.descriptor
-        return [
-            (ri, mult, Polynomial(desc, {mult: Fraction(1)}) * self.relations[ri])
-            for ri, mult in tags
-        ]
 
     def verify_certificate(self, p: Polynomial, membership: Membership) -> bool:
         """Recombine a certificate and compare with p exactly."""
@@ -334,7 +332,7 @@ class _IdealPiece:
                 zeros = pres._zero_signatures[ri]
                 # Smallest signature first: the multipliers from the last column.
                 mults = reversed(mults)
-            exps, coeffs = pres._rows[ri]
+            exps, coeffs, _ = pres._rows[ri]
             for mult in mults:
                 if mult in skip or zeros and any(all(map(le, t, mult)) for t in zeros):
                     continue
@@ -377,16 +375,18 @@ def _tags(multipliers: list[list[tuple]]) -> list[tuple[int, tuple]]:
     return [(ri, mult) for ri, mults in enumerate(multipliers) for mult in mults]
 
 
-def _relation_row(r: Polynomial, rational: bool) -> tuple[list[tuple], list]:
-    """(exponents, coefficients) of r: over Q the coefficients times the lcm
-    of their denominators, the integer row the row space would derive;
-    otherwise the scalars themselves."""
+def _relation_row(r: Polynomial, rational: bool) -> tuple[list[tuple], list, int]:
+    """(exponents, coefficients, scale) of r, the coefficients being scale
+    times r's: over Q scale is the lcm of their denominators, giving the
+    integer row the row space would derive; otherwise 1."""
     exps = list(r.terms)
     coeffs = list(r.terms.values())
+    mult = 1
     if rational:
         mult = lcm(*(c.denominator for c in coeffs))
         coeffs = [c.numerator * (mult // c.denominator) for c in coeffs]
-    return exps, coeffs
+    return exps, coeffs, mult
+
 
 
 def _row(terms: Mapping[tuple, Scalar], index: Mapping[tuple, int]) -> list:

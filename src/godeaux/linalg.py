@@ -12,8 +12,11 @@ certificates of integer data (the reductions mod p of integer vectors of a
 rational subspace span at most its dimension).  `int_rref` and
 `Matrix.rref` add their rows to a row space and back-substitute, bringing
 each row to canonical form once, when it is fully reduced;
-`int_kernel_basis`, `int_kernel_rref`, `kernel_basis` and `solve_columns`
-read their results off these echelon forms.  Residues mod `PRIME` are
+`int_kernel_basis`, `int_kernel_rref` and `kernel_basis` read their results
+off these echelon forms.  `solve_columns` builds no dense matrix: it
+transposes its system to sparse {column: entry} rows and eliminates them
+fraction-free by `int_rref` over Q (each row's denominators cleared), or in
+`GenericRowSpace` over Q(zeta_n).  Residues mod `PRIME` are
 one-digit CPython ints, so each step mod p takes the fast path of
 CPython's integer division.
 """
@@ -98,19 +101,44 @@ def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
     return basis
 
 
-def solve_columns(columns: list[list], target: list) -> list[Scalar] | None:
-    """Solve sum_i x_i * columns[i] = target exactly, or None if inconsistent."""
-    n = len(target)
+def solve_columns(columns: list, target) -> list[Scalar] | None:
+    """Solve sum_i x_i * columns[i] = target exactly, or None if inconsistent.
+
+    Each column and the target is a dense list, or a {row: entry} dict of
+    its nonzeros keyed by any hashable row label.  The system is solved on
+    its nonzeros: transposed to one {column: entry} row per equation, with
+    the target as column k = len(columns), it is brought to reduced echelon
+    form, over Z (each row's denominators cleared, by `int_rref`) when every
+    entry is rational, else in the field row space.  The free variables are
+    0 and each pivot variable is row[k] / row[pc]; the reduced echelon form
+    of the system, and so this solution, is the same whatever the order and
+    scaling of its rows.
+    """
+    if len({len(v) for v in (*columns, target) if not isinstance(v, dict)}) > 1:
+        raise ValueError("length mismatch")
     k = len(columns)
-    if k == 0:
-        return [] if all(x == 0 for x in map(_canon_entry, target)) else None
-    aug = Matrix(n, k + 1, [[columns[j][i] for j in range(k)] + [target[i]] for i in range(n)])
-    red, pivots = aug.rref()
-    if k in pivots:
+    system: dict = {}
+    for j, vector in enumerate((*columns, target)):
+        for i, x in vector.items() if isinstance(vector, dict) else enumerate(vector):
+            if x:
+                system.setdefault(i, {})[j] = x
+    kinds = {type(x) for row in system.values() for x in row.values()}
+    for kind in kinds:
+        if not issubclass(kind, (int, Fraction, Cyclo)):
+            raise TypeError(f"matrix entries must be exact scalars, got {kind.__name__}")
+    if Cyclo in kinds:
+        rs = GenericRowSpace(k + 1)
+        for row in system.values():
+            rs.add_nonzeros(row)
+        reduced, pivots = rs._rref()
+        reduced = [_dense(work, k + 1) for work in reduced]
+    else:
+        reduced, pivots = int_rref([_clear_denominators(row) for row in system.values()], k + 1)
+    if pivots and pivots[-1] == k:
         return None
-    coords: list[Scalar] = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coords[pc] = red.entries[r][k]
+    coords: list[Scalar] = [_ZERO] * k
+    for row, pc in zip(reduced, pivots):
+        coords[pc] = row[k] * scalar_inv(row[pc])
     return coords
 
 
@@ -131,6 +159,14 @@ def _primitive(row: list[int]) -> list[int]:
     if lead < 0:
         row = [-x for x in row]
     return row
+
+
+def _clear_denominators(work: dict) -> dict[int, int]:
+    """A row of rational nonzeros times the lcm of their denominators."""
+    if not all(type(x) is int for x in work.values()):
+        mult = lcm(*(x.denominator for x in work.values()))
+        work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
+    return work
 
 
 def _dense(work: dict, ncols: int) -> list:
@@ -270,11 +306,7 @@ class IntRowSpace(_RowSpace):
     @staticmethod
     def _nonzeros(row) -> dict[int, int]:
         """Nonzeros of a rational row, denominators cleared."""
-        work = {j: x for j, x in enumerate(row) if x}
-        if not all(type(x) is int for x in work.values()):
-            mult = lcm(*(x.denominator for x in work.values()))
-            work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
-        return work
+        return _clear_denominators({j: x for j, x in enumerate(row) if x})
 
     @staticmethod
     def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
@@ -371,11 +403,17 @@ class ModPRowSpace(_RowSpace):
         return {c: u * inv % p for c, u in work.items()}
 
 
-def int_rref(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon form over Z (rows primitive, pivot cols fully cleared)."""
+def int_rref(rows: list, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon form over Z (rows primitive, pivot cols fully cleared).
+
+    Each row is a dense list of integers or a {column: nonzero integer} dict;
+    the result rows are dense."""
     rs = IntRowSpace(ncols)
     for row in rows:
-        rs.add(row)
+        if isinstance(row, dict):
+            rs.add_nonzeros(dict(row))
+        else:
+            rs.add(row)
     reduced, cols = rs._rref()
     return [_dense(work, ncols) for work in reduced], cols
 

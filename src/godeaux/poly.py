@@ -256,43 +256,48 @@ def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
     """All exponent tuples of weighted degree m (and torsion weight w), canonical order.
 
     Degree-0 variables are capped at exponent 1 so the list stays finite.
-    Each (descriptor, m) is enumerated once per process, and each weight's
-    list is filtered once from that; every call returns a fresh list.
+    Each (descriptor, m) is enumerated once per process, with the list of
+    every weight; every call returns a fresh list.
     """
     if m < 0:
         return []
     key = (desc, m, w if w == "all" else w % desc.torsion_order)
     cached = _MONOMIALS.get(key)
     if cached is None:
-        full = _MONOMIALS.get((desc, m, "all"))
-        if full is None:
-            full = _MONOMIALS[desc, m, "all"] = _enumerate(desc, m)
-        # Filtering the sorted list of the whole degree keeps grevlex order.
-        cached = _MONOMIALS[key] = (
-            full if w == "all" else [e for e in full if desc.monomial_weight(e) == key[2]]
-        )
+        _enumerate(desc, m)
+        cached = _MONOMIALS[key]
     return list(cached)
 
 
-def _enumerate(desc: RingDescriptor, m: int) -> list[tuple]:
-    out: list[tuple] = []
-    exps = [0] * desc.nvars
+def _enumerate(desc: RingDescriptor, m: int) -> None:
+    """Store the monomials of degree m, all and per weight, in grevlex order;
+    the recursion carries each monomial's weight."""
+    n = desc.nvars
+    d = desc.torsion_order
+    weight_of: dict[tuple, int] = {}
+    exps = [0] * n
 
-    def rec(i: int, remaining: int):
-        if i == desc.nvars:
+    def rec(i: int, remaining: int, weight: int):
+        if i == n:
             if remaining == 0:
-                out.append(tuple(exps))
+                weight_of[tuple(exps)] = weight % d
             return
-        d = desc.degrees[i]
-        top = 1 if d == 0 else remaining // d
+        deg = desc.degrees[i]
+        wt = desc.weights[i]
+        top = 1 if deg == 0 else remaining // deg
         for k in range(top + 1):
             exps[i] = k
-            rec(i + 1, remaining - k * d)
+            rec(i + 1, remaining - k * deg, weight + k * wt)
         exps[i] = 0
 
-    rec(0, m)
-    out.sort(key=grevlex_key)
-    return out
+    rec(0, m, 0)
+    full = sorted(weight_of, key=grevlex_key)
+    per_weight: list[list[tuple]] = [[] for _ in range(d)]
+    for e in full:
+        per_weight[weight_of[e]].append(e)
+    _MONOMIALS[desc, m, "all"] = full
+    for w, mons in enumerate(per_weight):
+        _MONOMIALS[desc, m, w] = mons
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +487,13 @@ _FIELD_NAMES = {"Q": 1, "Q(z3)": 3, "Q(z4)": 4, "Q(z5)": 5}
 
 def parse_ring_file(text: str) -> tuple[RingDescriptor, list[Polynomial]]:
     """Descriptor file: `field`/`torsion_order` headers, one `name degree weight`
-    per variable, then optional `rel <polynomial>` lines."""
+    per variable, then optional `rel <polynomial>` lines.
+
+    The torsion order must be at least 1 and every weight in 0..order-1;
+    the headers may come after the variables."""
     field = 1
     torsion = 1
-    rows: list[tuple[str, int, int]] = []
+    rows: list[tuple[str, int, int, int]] = []
     rel_sources: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -500,16 +508,24 @@ def parse_ring_file(text: str) -> tuple[RingDescriptor, list[Polynomial]]:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ValueError(f"line {lineno}: bad torsion_order {line!r}")
             torsion = int(parts[1])
+            if torsion < 1:
+                raise ValueError(f"line {lineno}: torsion_order must be at least 1")
         elif parts[0] == "rel":
             rel_sources.append(line[len("rel"):].strip())
         elif len(parts) == 3:
             name, deg, wt = parts
             try:
-                rows.append((name, int(deg), int(wt)))
+                rows.append((name, int(deg), int(wt), lineno))
             except ValueError:
                 raise ValueError(f"line {lineno}: bad variable line {line!r}") from None
         else:
             raise ValueError(f"line {lineno}: unrecognised line {line!r}")
+    for name, _, wt, lineno in rows:
+        if not 0 <= wt < torsion:
+            raise ValueError(
+                f"line {lineno}: weight {wt} of {name} is outside 0..{torsion - 1} "
+                f"(torsion_order {torsion})"
+            )
     desc = RingDescriptor(
         tuple(r[0] for r in rows),
         tuple(r[1] for r in rows),

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from godeaux import (
     parse_polynomial,
 )
 from godeaux.action import weight_space_dim
-from godeaux.graded import _multipliers, _tags
+from godeaux.graded import Membership, _multipliers, _tags
 from godeaux.linalg import GenericRowSpace, IntRowSpace
 from godeaux.poly import degree_and_weight, grevlex_key
 from godeaux.scalars import is_rational_scalar, make_cyclo
@@ -194,6 +195,20 @@ class TestReducesToZero:
         assert membership.contained
         assert pres.verify_certificate(p, membership)
 
+    def test_certificates_build_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense Matrix was built")
+
+        sub = h_membership_presentation()
+        rels = _relation_map()
+        x2sq = fixtures.z3_descriptor().variable("x2") ** 2
+        monkeypatch.setattr(Matrix, "__init__", refuse)
+        for name in ("H0", "H1", "H2"):
+            target = x2sq * rels[name]
+            membership = sub.reduces_to_zero(target)
+            assert membership.contained
+            assert sub.verify_certificate(target, membership)
+
     def test_inhomogeneous_rejected(self):
         sub = h_membership_presentation()
         desc = fixtures.z3_descriptor()
@@ -366,7 +381,9 @@ def presentations(draw):
 
 def assert_same_piece(pres, m, w):
     """The piece (m, w) spans what the oracle spans, on the same columns,
-    with the same multiples; the stored pivot rows may differ."""
+    with the same multiples, each relation row shifted by mult being the
+    product mult * r scaled by the lcm of r's denominators (over Q); the
+    stored pivot rows may differ."""
     piece = pres._piece(m, w)
     monomials, start, rs, multiples = reference_piece(pres, m, w % pres.descriptor.torsion_order)
     assert piece.monomials == monomials
@@ -374,15 +391,58 @@ def assert_same_piece(pres, m, w):
     assert type(piece.rowspace) is type(rs)
     assert piece.rowspace._rref() == rs._rref()
     assert piece.rowspace.pivot_columns() == rs.pivot_columns()
-    assert pres._multiples(_tags(_multipliers(pres, piece.m, piece.w))) == multiples
+    tags = _tags(_multipliers(pres, piece.m, piece.w))
+    assert tags == [(ri, mult) for ri, mult, _ in multiples]
+    for ri, mult, product in multiples:
+        exps, coeffs, _ = pres._rows[ri]
+        shifted = {tuple(map(add, mult, e)): c for e, c in zip(exps, coeffs)}
+        assert shifted == product.scale(_row_scale(pres, pres.relations[ri])).terms
     ambient_pivots = [c for c in rs.pivot_columns() if c >= start]
     assert pres.quotient_dim(m, w) == len(monomials) - start - len(ambient_pivots)
+
+
+def _row_scale(pres, r):
+    """The lcm of r's denominators over Q, else 1."""
+    if not all(is_rational_scalar(c) for q in pres.relations for c in q.terms.values()):
+        return 1
+    return lcm(*(c.denominator for c in r.terms.values()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(pres=presentations(), m=st.integers(0, 5), w=st.integers(0, 2))
 def test_piece_matches_the_polynomial_products(pres, m, w):
     assert_same_piece(pres, m, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pres=presentations(), data=st.data())
+def test_membership_certificates_recombine_and_non_members_are_refused(pres, data):
+    desc = pres.descriptor
+    order = desc.scalar_order
+    d = desc.torsion_order
+    # A random combination of relation multiples of a bidegree (m, w) that
+    # some relation reaches, if there is a relation.
+    m, w = 0, 0
+    if pres.relations:
+        dr, wr = data.draw(st.sampled_from(pres.relation_bidegrees))
+        m, w = dr + data.draw(st.integers(0, 2)), (wr + data.draw(st.integers(0, d - 1))) % d
+    member = desc.zero()
+    tags = _tags(_multipliers(pres, m, w))
+    if tags:
+        for ri, mult in data.draw(st.lists(st.sampled_from(tags), min_size=1, max_size=4)):
+            product = Polynomial(desc, {mult: Fraction(1)}) * pres.relations[ri]
+            member = member + product.scale(data.draw(_scalars(order)))
+    membership = pres.reduces_to_zero(member)
+    assert membership.contained and pres.verify_certificate(member, membership)
+    # Every relation has positive degree, so no multiple reaches degree 0.
+    constants = enumerate_monomials(desc, 0, 0)
+    terms = data.draw(st.dictionaries(st.sampled_from(constants), _scalars(order), min_size=1))
+    assert pres.reduces_to_zero(Polynomial(desc, terms)) == Membership(False, None)
+    # A monomial of the quotient basis is not in the span of the multiples.
+    basis = pres.quotient_monomial_basis(m, w)
+    if basis:
+        outside = member + Polynomial(desc, {data.draw(st.sampled_from(basis)): Fraction(1)})
+        assert pres.reduces_to_zero(outside) == Membership(False, None)
 
 
 @st.composite

@@ -18,6 +18,8 @@ from godeaux.linalg import (
     int_rref,
     solve_columns,
 )
+from godeaux.graded import _multipliers, _tags
+from godeaux.poly import Polynomial, degree_and_weight
 from godeaux.scenarios import fixtures
 from godeaux.scenarios.torsion3 import _relation_map, h_membership_presentation
 
@@ -90,6 +92,16 @@ class TestSpan:
             rs.add([1, 1, 1])
         with pytest.raises(ValueError, match="length mismatch"):
             rs.contains([1])
+        with pytest.raises(ValueError, match="length mismatch"):
+            solve_columns([[1, 1], [1, 0]], [1])
+
+    def test_columns_as_dicts_of_labelled_nonzeros(self):
+        columns = [{"x": 1, "y": Fraction(1, 2)}, {"y": 3}]
+        assert solve_columns(columns, {"x": 2, "y": 4}) == [F(2), F(1)]
+        assert solve_columns(columns, [1, 0]) is None  # rows 0, 1 are neither x nor y
+        assert solve_columns([], {}) == [] and solve_columns([], {"x": 1}) is None
+        with pytest.raises(TypeError, match="exact scalars"):
+            solve_columns([[1.0, 0]], [1, 0])
 
     def test_certificate_recombines(self):
         vectors = [[1, 2, 0], [0, 1, 1], [2, 0, 1]]
@@ -541,11 +553,25 @@ def test_back_substitution_matches_reference_on_residues(case, scale):
     _rref_matches_reference([[x * scale for x in row] for row in rows], ncols, ModPRowSpace)
 
 
-def _solved_with(rref, matrix, rows, targets):
-    """rref, kernel basis and solutions, with Matrix.rref replaced by rref."""
+def _solved_with(rref, matrix):
+    """rref and kernel basis, with Matrix.rref replaced by rref."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Matrix, "rref", rref)
-        return matrix.rref(), kernel_basis(matrix), [solve_columns(rows, t) for t in targets]
+        return matrix.rref(), kernel_basis(matrix)
+
+
+def dense_solve(columns, target):
+    """`solve_columns` read off `dense_rref` of the dense augmented matrix."""
+    k = len(columns)
+    n = len(target)
+    aug = Matrix(n, k + 1, [[col[i] for col in columns] + [target[i]] for i in range(n)])
+    red, pivots = dense_rref(aug)
+    if k in pivots:
+        return None
+    coords = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coords[pc] = red.entries[r][k]
+    return coords
 
 
 @FIELD_ORDERS
@@ -554,26 +580,51 @@ def _solved_with(rref, matrix, rows, targets):
 def test_rref_kernel_and_solve_match_dense_oracle(order, data):
     rows, ncols = data.draw(field_rows(order))
     m = Matrix.from_rows(rows)
+    assert _solved_with(Matrix.rref, m) == _solved_with(dense_rref, m)
     # One target in the span of the rows, read as columns, and one drawn freely.
     inside = [x + y for x, y in zip(rows[0], rows[-1])]
     free = data.draw(st.lists(field_scalars(order), min_size=ncols, max_size=ncols))
-    targets = [inside, free]
-    assert _solved_with(Matrix.rref, m, rows, targets) == _solved_with(
-        dense_rref, m, rows, targets
-    )
+    for target in (inside, free):
+        assert solve_columns(rows, target) == dense_solve(rows, target)
+
+
+def dense_certificate(pres, p):
+    """`reduces_to_zero`'s certificate from the dense system of the products
+    mult * r, solved by `dense_rref`; None if p is not in their span."""
+    desc = pres.descriptor
+    m, w = degree_and_weight(p)
+    multiples = [
+        (ri, mult, Polynomial(desc, {mult: Fraction(1)}) * pres.relations[ri])
+        for ri, mult in _tags(_multipliers(pres, m, w))
+    ]
+    index = {}
+    for q in [*(q for _, _, q in multiples), p]:
+        for mon in q.terms:
+            index.setdefault(mon, len(index))
+
+    def dense(q):
+        row = [0] * len(index)
+        for mon, c in q.terms.items():
+            row[index[mon]] = c
+        return row
+
+    coords = dense_solve([dense(q) for _, _, q in multiples], dense(p))
+    if coords is None:
+        return None
+    return [(ri, mult, c) for (ri, mult, _), c in zip(multiples, coords) if c != 0]
 
 
 def test_h_membership_certificates_match_dense_oracle():
     rels = _relation_map()
-    x2sq = fixtures.z3_descriptor().variable("x2") ** 2
+    desc = fixtures.z3_descriptor()
+    x2sq = desc.variable("x2") ** 2
+    pres = h_membership_presentation()
     targets = [x2sq * rels[name] for name in ("H0", "H1", "H2")]
-
-    def certificates():
-        pres = h_membership_presentation()
-        return [pres.reduces_to_zero(t).certificate for t in targets]
-
-    engine = certificates()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Matrix, "rref", dense_rref)
-        oracle = certificates()
-    assert all(engine) and engine == oracle
+    # x2^2 * H0 plus a monomial of the quotient basis in its bidegree is not
+    # in the ideal.
+    outside = pres.quotient_monomial_basis(*degree_and_weight(targets[0]))[0]
+    targets.append(targets[0] + Polynomial(desc, {outside: Fraction(1)}))
+    engine = [pres.reduces_to_zero(t).certificate for t in targets]
+    oracle = [dense_certificate(pres, t) for t in targets]
+    assert all(engine[:3]) and engine[3] is None
+    assert engine == oracle

@@ -296,6 +296,24 @@ class TestRingFiles:
         with pytest.raises(ValueError, match="unrecognised line"):
             parse_ring_file("field Q\nnonsense here beyond three tokens maybe\n")
 
+    def test_torsion_order_zero(self):
+        with pytest.raises(ValueError, match="line 2: torsion_order must be at least 1"):
+            parse_ring_file("field Q\ntorsion_order 0\nx 1 0\n")
+
+    @pytest.mark.parametrize("weight", ["3", "-1", "7"])
+    def test_weight_outside_the_torsion_order(self, weight):
+        text = f"field Q\ntorsion_order 3\nx 1 2\ny 2 {weight}\nrel x^2\n"
+        with pytest.raises(ValueError, match=rf"line 4: weight {weight} of y is outside 0\.\.2"):
+            parse_ring_file(text)
+
+    def test_headers_after_the_variables(self):
+        desc, rels = parse_ring_file("x 1 2\ny 2 3\ntorsion_order 4\nfield Q(z4)\nrel x^2*y\n")
+        assert (desc.torsion_order, desc.scalar_order, desc.weights) == (4, 4, (2, 3))
+        assert degree_and_weight(rels[0]) == (4, 3)
+        # The weights are checked against the order read last, not the default 1.
+        with pytest.raises(ValueError, match="line 1: weight 2 of x is outside 0..1"):
+            parse_ring_file("x 1 2\ntorsion_order 2\n")
+
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
