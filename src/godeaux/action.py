@@ -2,26 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import Polynomial, RingDescriptor
+from .record import Record
 from .scalars import Scalar, scalar_pow, zeta
 
 
-@dataclass(frozen=True)
-class CyclicAction:
+class CyclicAction(Record):
     """The generator acts by v -> root^weight(v) * v on each variable."""
 
-    descriptor: RingDescriptor
-    order: int
-    root: Scalar = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("descriptor", "order", "root")
 
-    def __post_init__(self):
-        if self.order != self.descriptor.torsion_order:
+    def __init__(self, descriptor: RingDescriptor, order: int, root: Scalar | None = None):
+        if order != descriptor.torsion_order:
             raise ValueError("action order must match the descriptor torsion order")
-        if self.root is None:
-            object.__setattr__(self, "root", zeta(self.order) if self.order > 1 else Fraction(1))
+        if root is None:
+            root = zeta(order) if order > 1 else Fraction(1)
+        self.descriptor, self.order, self.root = descriptor, order, root
         if scalar_pow(self.root, self.order) != 1:
             raise ValueError("root is not an order-th root of unity")
         for k in range(1, self.order):

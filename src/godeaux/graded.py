@@ -44,7 +44,6 @@ and record no signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
@@ -60,16 +59,17 @@ from .poly import (
     enumerate_monomials,
     grevlex_key,
 )
+from .record import Record
 from .scalars import Scalar, is_rational_scalar
 
 
-@dataclass
-class HilbertTable:
+class HilbertTable(Record):
     """Dimensions of the graded quotient pieces for 0 <= m <= max_degree."""
 
-    max_degree: int
-    torsion_order: int
-    entries: dict[tuple[int, int], int]
+    __slots__ = ("max_degree", "torsion_order", "entries")
+
+    def __init__(self, max_degree: int, torsion_order: int, entries: dict[tuple[int, int], int]):
+        self.max_degree, self.torsion_order, self.entries = max_degree, torsion_order, entries
 
     def dim(self, m: int, w: int) -> int:
         return self.entries[(m, w % self.torsion_order)]
@@ -81,16 +81,17 @@ class HilbertTable:
         return tuple(self.entries[(m, w)] for w in range(self.torsion_order))
 
 
-@dataclass
-class Membership:
+class Membership(Record):
     """Result of a truncated ideal-membership test.
 
     The certificate lists (relation index, multiplier exponents, coefficient)
     triples whose combination reproduces the polynomial exactly.
     """
 
-    contained: bool
-    certificate: list[tuple[int, tuple, Scalar]] | None
+    __slots__ = ("contained", "certificate")
+
+    def __init__(self, contained: bool, certificate: list[tuple[int, tuple, Scalar]] | None):
+        self.contained, self.certificate = contained, certificate
 
 
 class GradedPresentation:

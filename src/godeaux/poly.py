@@ -8,8 +8,6 @@ caps their exponents.
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Mapping
@@ -31,33 +29,47 @@ class ParseError(ValueError):
         super().__init__(message if pos is None else f"{message} (at position {pos})")
 
 
-@dataclass(frozen=True)
 class RingDescriptor:
-    """Variables with degree weights and torsion weights mod d, over Q(zeta_n)."""
+    """Variables with degree weights and torsion weights mod d, over Q(zeta_n).
+    Immutable; its key and hash are computed once, as it keys caches."""
 
-    variables: tuple[str, ...]
-    degrees: tuple[int, ...]
-    weights: tuple[int, ...]
-    torsion_order: int = 1
-    scalar_order: int = 1
+    __slots__ = ("variables", "degrees", "weights", "torsion_order", "scalar_order",
+                 "_key", "_hash")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables, degrees, weights, torsion_order: int = 1, scalar_order: int = 1):
+        variables, degrees = tuple(variables), tuple(degrees)
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
-        if not (len(self.variables) == len(self.degrees) == len(self.weights)):
+        if not (len(variables) == len(degrees) == len(weights)):
             raise ValueError("variables, degrees and weights must align")
-        if any(d < 0 for d in self.degrees):
+        if any(d < 0 for d in degrees):
             raise ValueError("degree weights must be >= 0")
-        if self.torsion_order < 1:
+        if torsion_order < 1:
             raise ValueError("torsion order must be >= 1")
-        if self.scalar_order not in (1, 3, 4, 5):
-            raise ValueError(f"unsupported scalar order {self.scalar_order}")
-        # Tuples throughout keep a descriptor hashable (it keys caches).
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        object.__setattr__(
-            self, "weights", tuple(w % self.torsion_order for w in self.weights)
-        )
+        if scalar_order not in (1, 3, 4, 5):
+            raise ValueError(f"unsupported scalar order {scalar_order}")
+        weights = tuple(w % torsion_order for w in weights)
+        key = (variables, degrees, weights, torsion_order, scalar_order)
+        for name, value in zip(self.__slots__, (*key, key, hash(key))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RingDescriptor values are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not RingDescriptor:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return RingDescriptor, self._key
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._key))
+        return f"RingDescriptor({fields})"
 
     @property
     def nvars(self) -> int:
@@ -133,12 +145,7 @@ class Polynomial:
             other = self.descriptor.constant(other)
         self._check_same_ring(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+        _accumulate(out, other.terms)
         return Polynomial(self.descriptor, out)
 
     __radd__ = __add__
@@ -158,16 +165,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_same_ring(other)
-        out: dict[tuple, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(map(add, e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return Polynomial(self.descriptor, out)
+        return Polynomial(self.descriptor, _product(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -211,7 +209,8 @@ class Polynomial:
         missing = sorted(used - set(images))
         if missing:
             raise KeyError(f"missing image for variable(s): {', '.join(missing)}")
-        result = Polynomial(target, {})
+        out: dict[tuple, Scalar] = {}
+        zero = (0,) * target.nvars
         power_cache: dict[tuple[str, int], Polynomial] = {}
 
         def power(name: str, k: int) -> Polynomial:
@@ -223,19 +222,44 @@ class Polynomial:
                 power_cache[key] = cached
             return cached
 
+        # Terms are expanded one by one and added into one dict in place.
         for exps, c in self.terms.items():
-            term = target.constant(coerce_scalar(c, target.scalar_order))
+            term = {zero: coerce_scalar(c, target.scalar_order)}
             for i, k in enumerate(exps):
                 if k:
-                    term = term * power(names[i], k)
-            result = result + term
-        return result
+                    term = _product(term, power(names[i], k).terms)
+            _accumulate(out, term)
+        return Polynomial(target, out)
 
     def __repr__(self):
         return f"Polynomial({render_polynomial(self)!r})"
 
     def __str__(self):
         return render_polynomial(self)
+
+
+def _accumulate(out: dict, terms: Mapping[tuple, Scalar]) -> None:
+    """Add terms into out in place, dropping every sum that cancels."""
+    for exps, c in terms.items():
+        s = out.get(exps, 0) + c
+        if s == 0:
+            out.pop(exps, None)
+        else:
+            out[exps] = s
+
+
+def _product(t1: Mapping[tuple, Scalar], t2: Mapping[tuple, Scalar]) -> dict:
+    """The term dict of a product, by the same rule as `_accumulate`."""
+    out: dict[tuple, Scalar] = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            key = tuple(map(add, e1, e2))
+            s = out.get(key, 0) + c1 * c2
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
 
 
 def degree_and_weight(p: Polynomial):
@@ -304,8 +328,8 @@ def _enumerate(desc: RingDescriptor, m: int) -> None:
 # Parsing and rendering
 
 
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_CHARS = set(string.ascii_letters + string.digits + "_")
+_NAME_START = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | set("0123456789")
 
 
 def _tokenize(text: str):

@@ -3,24 +3,20 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
+from .record import Record
 
 
-@dataclass
-class Check:
+class Check(Record):
     """One named comparison; status is derived from exact equality."""
 
-    id: str
-    description: str
-    paper_ref: str
-    expected: object
-    actual: object
-    status: str = field(init=False)
+    __slots__ = ("id", "description", "paper_ref", "expected", "actual", "status")
 
-    def __post_init__(self):
-        self.status = "pass" if self.expected == self.actual else "fail"
+    def __init__(self, id: str, description: str, paper_ref: str, expected, actual):
+        self.id, self.description, self.paper_ref = id, description, paper_ref
+        self.expected, self.actual = expected, actual
+        self.status = "pass" if expected == actual else "fail"
 
     def to_dict(self) -> dict:
         return {
@@ -33,16 +29,14 @@ class Check:
         }
 
 
-@dataclass
-class VerificationReport:
-    scenario: str
-    config: dict
-    checks: list[Check]
-    timing_ms: int = 0
-    version: str = __version__
+class VerificationReport(Record):
+    __slots__ = ("scenario", "config", "checks", "timing_ms", "version")
 
-    def __post_init__(self):
-        ids = [c.id for c in self.checks]
+    def __init__(self, scenario: str, config: dict, checks: list[Check], timing_ms: int = 0,
+                 version: str = __version__):
+        self.scenario, self.config, self.checks = scenario, config, checks
+        self.timing_ms, self.version = timing_ms, version
+        ids = [c.id for c in checks]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate check ids: {dupes}")

@@ -51,47 +51,55 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
     if max_degree < 10:
         raise ValueError("the sc suite needs max_degree >= 10")
     start = time.perf_counter()
-    pred = sc_predicate()
-    builder = SubringBuilder(pred)
+    claimed = fixtures.sc_claimed_generators()
+    try:
+        pred = sc_predicate()
+        builder = SubringBuilder(pred)
+        dims = {str(m): pred.dim(m) for m in range(max_degree + 1)}
+        spots = closure = [ok for *_, ok in builder.closure_spot_checks(max_degree, seed=seed)]
+        presentation = builder.presentation(max_degree)
+        census, warning = presentation.generator_census, presentation.warning
+        relations = {str(m): n for m, n in presentation.relation_census.items()}
+        total = sum(presentation.relation_census.values())
+        verification = builder.verify_generator_list(claimed, min(max_degree, 10))
+        members = verification.memberships
+        generation = {str(m): v[2] for m, v in verification.generation.items()}
+    except ValueError as exc:
+        # A broken fixture fails every check, with the error as actual value.
+        dims = closure = census = relations = total = generation = str(exc)
+        spots, warning = [], None
+        members = [(idx, "unknown", str(exc)) for idx in range(len(claimed))]
     checks: list[Check] = []
 
     expected_dims = {str(m): oracle_plurigenus(m) for m in range(max_degree + 1)}
-    actual_dims = {str(m): pred.dim(m) for m in range(max_degree + 1)}
     checks.append(
         Check(
             "sc.subspace-dimensions",
             f"dim V_m for 0 <= m <= {max_degree}",
             "plurigenus formula 1 + m(m-1)/2 with dims 1, 0 at m = 0, 1",
             expected=expected_dims,
-            actual=actual_dims,
+            actual=dims,
         )
     )
-
-    closure = builder.closure_spot_checks(max_degree, seed=seed)
     checks.append(
         Check(
             "sc.multiplicative-closure",
             "random products of subspace elements stay in the subspace",
             "the membership conditions cut out a subring",
-            expected=[True] * len(closure),
-            actual=[ok for _, _, ok in closure],
+            expected=[True] * len(spots),
+            actual=closure,
         )
     )
-
-    presentation = builder.presentation(max_degree)
     checks.append(
         Check(
             "sc.generator-census",
             "degrees of the minimal generators",
             "embedding in weighted projective space P(2^2, 3^4, 4^4, 5^3)",
             expected=EXPECTED_GENERATOR_CENSUS,
-            actual=presentation.generator_census,
+            actual=census,
         )
     )
-
-    claimed = fixtures.sc_claimed_generators()
-    verification = builder.verify_generator_list(claimed, min(max_degree, 10))
-    for idx, degree, ok in verification.memberships:
+    for idx, degree, ok in members:
         checks.append(
             Check(
                 f"sc.claimed-generator.{idx}",
@@ -106,8 +114,8 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
             "sc.claimed-generation",
             "products of the thirteen claimed generators span every piece up to 10",
             "the canonical ring is generated by the claimed list",
-            expected={str(m): True for m in verification.generation},
-            actual={str(m): v[2] for m, v in verification.generation.items()},
+            expected={str(m): True for m in range(1, min(max_degree, 10) + 1)},
+            actual=generation,
         )
     )
 
@@ -117,7 +125,7 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
             f"new relations per degree up to {max_degree}",
             "54 relations in degrees (6^6, 7^12, 8^18, 9^12, 10^6)",
             expected=expected_relation_census(max_degree),
-            actual={str(m): n for m, n in presentation.relation_census.items()},
+            actual=relations,
         )
     )
     checks.append(
@@ -126,7 +134,7 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
             "total number of minimal relations",
             "codimension 10 in a 12-dimensional weighted projective space",
             expected=54,
-            actual=sum(presentation.relation_census.values()),
+            actual=total,
         )
     )
 
@@ -135,8 +143,8 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
         "seed": seed,
         "truncation": f"generation and relations verified up to degree {max_degree}",
     }
-    if presentation.warning:
-        config["warning"] = presentation.warning
+    if warning:
+        config["warning"] = warning
     report = VerificationReport("sc", config, checks)
     report.timing_ms = int((time.perf_counter() - start) * 1000)
     return report

@@ -44,19 +44,23 @@ def numeric_descriptor() -> RingDescriptor:
     )
 
 
+def _specialisation(target: RingDescriptor, params) -> dict[str, Polynomial]:
+    """Images in target: each variable itself, alpha, beta, gamma the values."""
+    images = {name: target.variable(name) for name in target.variables}
+    images.update((name, target.constant(value)) for name, value in zip(PARAMETERS, params))
+    return images
+
+
 def specialise(p: Polynomial, params: tuple[Fraction, Fraction, Fraction]) -> Polynomial:
     """Substitute rational values for alpha, beta, gamma."""
-    target = numeric_descriptor()
-    images = {name: target.variable(name) for name in target.variables}
-    images.update(
-        {name: target.constant(value) for name, value in zip(PARAMETERS, params)}
-    )
-    return p.substitute(images)
+    return p.substitute(_specialisation(numeric_descriptor(), params))
 
 
 def numeric_presentation(params) -> GradedPresentation:
-    relations = [specialise(r, params) for _, _, _, r in fixtures.z3_relations()]
-    return GradedPresentation(numeric_descriptor(), relations)
+    target = numeric_descriptor()
+    images = _specialisation(target, params)
+    relations = [r.substitute(images) for _, _, _, r in fixtures.z3_relations()]
+    return GradedPresentation(target, relations)
 
 
 def _relation_map() -> dict[str, Polynomial]:

@@ -33,7 +33,6 @@ echelon plus the new relations mod p is the next degrees' echelon.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -48,32 +47,37 @@ from .poly import (
     enumerate_monomials,
     grevlex_key,
 )
+from .record import Record
 from .scalars import is_rational_scalar
 
 
-@dataclass(frozen=True)
-class WeightCondition:
+class WeightCondition(Record):
     """Torsion weight equals a constant."""
 
-    weight: int
+    __slots__ = ("weight",)
+
+    def __init__(self, weight: int):
+        self.weight = weight
 
 
-@dataclass(frozen=True)
-class CongruenceImageCondition:
+class CongruenceImageCondition(Record):
     """Membership in (span of monomials with even exponents in the listed
     variables) + (multiples of the given polynomials), degree by degree."""
 
-    even_variables: tuple[str, ...]
-    modulus: tuple[Polynomial, ...]
+    __slots__ = ("even_variables", "modulus")
+
+    def __init__(self, even_variables: tuple[str, ...], modulus: tuple[Polynomial, ...]):
+        self.even_variables, self.modulus = even_variables, modulus
 
 
-@dataclass(frozen=True)
-class SubstitutionParityCondition:
+class SubstitutionParityCondition(Record):
     """Linear condition sigma1(g) = sign_base^m * sigma2(g) in degree m."""
 
-    sigma1: Mapping[str, Polynomial]
-    sigma2: Mapping[str, Polynomial]
-    sign_base: int = -1
+    __slots__ = ("sigma1", "sigma2", "sign_base")
+
+    def __init__(self, sigma1: Mapping[str, Polynomial], sigma2: Mapping[str, Polynomial],
+                 sign_base: int = -1):
+        self.sigma1, self.sigma2, self.sign_base = sigma1, sigma2, sign_base
 
     def sign(self, m: int) -> int:
         return self.sign_base ** m
@@ -311,28 +315,30 @@ class _MonomialMap:
 # Generators, relations, verification
 
 
-@dataclass
-class SubringPresentation:
-    generators: list[tuple[Polynomial, int]]
-    generator_census: dict[int, int]
-    relation_census: dict[int, int]
-    relations: list[Polynomial]  # in the free ring on generator symbols
-    free_ring: RingDescriptor
-    hilbert: dict[int, int]  # dim V_m
-    max_degree: int
-    warning: str | None = None
+class SubringPresentation(Record):
+    __slots__ = ("generators", "generator_census", "relation_census", "relations",
+                 "free_ring", "hilbert", "max_degree", "warning")
+
+    def __init__(self, generators: list[tuple[Polynomial, int]],
+                 generator_census: dict[int, int], relation_census: dict[int, int],
+                 relations: list[Polynomial], free_ring: RingDescriptor,
+                 hilbert: dict[int, int], max_degree: int, warning: str | None = None):
+        self.generators, self.generator_census = generators, generator_census
+        # The relations lie in the free ring on generator symbols.
+        self.relation_census, self.relations = relation_census, relations
+        self.free_ring, self.hilbert = free_ring, hilbert  # hilbert[m] = dim V_m
+        self.max_degree, self.warning = max_degree, warning
 
 
-@dataclass
-class GeneratorListReport:
-    memberships: list[tuple[int, int, bool]]  # (index, degree, in V)
-    generation: dict[int, tuple[int, int, bool]]  # m -> (dim V_m, dim span, ok)
-    ok: bool = field(init=False)
+class GeneratorListReport(Record):
+    """memberships: (index, degree, in V); generation: m -> (dim V_m, span, ok)."""
 
-    def __post_init__(self):
-        self.ok = all(x[2] for x in self.memberships) and all(
-            v[2] for v in self.generation.values()
-        )
+    __slots__ = ("memberships", "generation", "ok")
+
+    def __init__(self, memberships: list[tuple[int, int, bool]],
+                 generation: dict[int, tuple[int, int, bool]]):
+        self.memberships, self.generation = memberships, generation
+        self.ok = all(x[2] for x in memberships) and all(v[2] for v in generation.values())
 
 
 class _FactorSpans:

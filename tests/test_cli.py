@@ -214,6 +214,72 @@ class TestVerify:
         assert {k for k, ok in bases["actual"].items() if not ok} == {"4.0"}
 
 
+class TestScFixtureErrors:
+    """A broken sc fixture fails every sc check, with the same ids as a good
+    run and the error text as each actual value; verify exits 1."""
+
+    def sc_checks(self, capsys, expected_code=1):
+        code, out, err = run_cli(
+            ["verify", "--scenario", "sc", "--max-degree", "10", "--format", "json"], capsys
+        )
+        assert (code, err) == (expected_code, "")
+        return json.loads(out)["checks"]
+
+    def assert_every_check_fails_with(self, checks, good, error):
+        assert [c["id"] for c in checks] == [c["id"] for c in good]
+        assert sum(c["id"].startswith("sc.claimed-generator.") for c in checks) == 13
+        for check in checks:
+            assert (check["status"], check["actual"]) == ("fail", error)
+
+    def test_raising_descriptor(self, capsys, monkeypatch):
+        from godeaux.scenarios import fixtures
+
+        good = self.sc_checks(capsys, expected_code=0)
+
+        def broken():
+            raise ValueError("bad fixture line")
+
+        monkeypatch.setattr(fixtures, "sc_descriptor", broken)
+        self.assert_every_check_fails_with(self.sc_checks(capsys), good, "bad fixture line")
+
+    def test_variable_of_degree_two(self, capsys, monkeypatch):
+        # `a 2 0` in sc.ring leaves the conic inhomogeneous.
+        from godeaux.scenarios import fixtures
+
+        good = self.sc_checks(capsys, expected_code=0)
+        read = fixtures._read
+        monkeypatch.setattr(
+            fixtures,
+            "_read",
+            lambda name: read(name).replace("a 1 0", "a 2 0") if name == "sc.ring" else read(name),
+        )
+        caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            checks = self.sc_checks(capsys)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        self.assert_every_check_fails_with(
+            checks, good, "modulus polynomials must be homogeneous"
+        )
+
+    def test_all_exits_1_with_the_other_suites_intact(self, capsys, monkeypatch):
+        from godeaux.scenarios import fixtures
+
+        def broken():
+            raise ValueError("bad fixture line")
+
+        monkeypatch.setattr(fixtures, "sc_descriptor", broken)
+        code, out, err = run_cli(
+            ["verify", "--scenario", "all", "--max-degree", "10", "--format", "json"], capsys
+        )
+        assert (code, err) == (1, "")
+        failed = {c["id"] for c in json.loads(out)["checks"] if c["status"] != "pass"}
+        assert failed and all(i.startswith("sc.") for i in failed)
+
+
 class TestHilbert:
     def test_z3_preset_row_six(self, capsys):
         code, out, _ = run_cli(["hilbert", "--preset", "z3", "--max-degree", "6"], capsys)
@@ -347,7 +413,7 @@ class TestScBuild:
         assert code == 2
         assert "cannot write" in err
 
-    @pytest.mark.parametrize("loader", ["sc_conic", "sc_claimed_generators"])
+    @pytest.mark.parametrize("loader", ["sc_conic", "sc_claimed_generators", "sc_descriptor"])
     def test_bad_fixture_exits_2(self, loader, capsys, tmp_path, monkeypatch):
         from godeaux.scenarios import fixtures
 

@@ -130,6 +130,63 @@ class TestSubstitution:
             plain = plain + term
         assert p.substitute(imgs) == plain
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_terms_and_their_order_match_the_quadratic_formula(self, data):
+        # Coefficients +-1 (and +-zeta over Q(z3)) on few monomials make
+        # cancelling terms common, both within a term and across terms.
+        desc = data.draw(st.sampled_from([ABC, ABC_Z3]))
+        coeffs = [Fraction(1), Fraction(-1)]
+        if desc.scalar_order == 3:
+            coeffs += [zeta(3), -zeta(3)]
+        coeff = st.sampled_from(coeffs)
+        mons = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(3)))
+        p = Polynomial(desc, data.draw(st.dictionaries(mons, coeff, max_size=8)))
+        small = st.tuples(*(st.integers(min_value=0, max_value=1) for _ in range(3)))
+        imgs = {
+            name: Polynomial(desc, data.draw(st.dictionaries(small, coeff, max_size=3)))
+            for name in desc.variables
+        }
+        expected = quadratic_substitute(p, imgs)
+        got = p.substitute(imgs)
+        assert list(got.terms.items()) == list(expected.terms.items())
+        assert got.descriptor is desc
+
+    def test_cancelling_terms_leave_no_entry(self):
+        imgs = {"a": poly("c"), "b": poly("c"), "c": poly("a - b")}
+        p = poly("a^2 - 2*a*b + b^2 + c + a - b")
+        got = p.substitute(imgs)
+        assert got == poly("a - b") and list(got.terms.items()) == list(
+            quadratic_substitute(p, imgs).terms.items()
+        )
+
+
+ABC_Z3 = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0), scalar_order=3)
+
+
+def quadratic_substitute(p, images):
+    """Substitution as first written: each term a chain of Polynomial
+    products, added to a growing result that is copied once per term."""
+    target = next(iter(images.values())).descriptor
+    names = p.descriptor.variables
+    result = Polynomial(target, {})
+    power_cache = {}
+
+    def power(name, k):
+        if (name, k) not in power_cache:
+            power_cache[name, k] = (
+                images[name] if k == 1 else power(name, k - 1) * images[name]
+            )
+        return power_cache[name, k]
+
+    for exps, c in p.terms.items():
+        term = target.constant(c)
+        for name, k in zip(names, exps):
+            if k:
+                term = term * power(name, k)
+        result = result + term
+    return result
+
 
 def per_weight_monomials(desc, m, w):
     """Monomials of degree m and weight w by one recursion per call, filtered
