@@ -194,8 +194,9 @@ def cmd_sc_build(args) -> int:
             }
             for i, p in enumerate(fixtures.sc_claimed_generators())
         ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:
+        # A substitution with a missing image raises KeyError.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     try:
         with open(args.generators_out, "w", encoding="utf-8") as fh:

@@ -46,12 +46,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
 from operator import add, le
-from typing import Mapping
 
 from .action import weight_space_dim
-from .linalg import GenericRowSpace, IntRowSpace, solve_columns
+from .linalg import GenericRowSpace, IntRowSpace, _clear_denominators, solve_columns
 from .poly import (
     Polynomial,
     RingDescriptor,
@@ -158,12 +156,12 @@ class GradedPresentation:
     def ideal_piece(self, m: int, w: int) -> list[Polynomial]:
         """Exact basis of the span of monomial multiples of the relations."""
         piece = self._piece(m, w)
+        rs = piece.rowspace
         basis = []
-        for row in piece.rowspace.rows():
+        for col in rs.pivot_columns():
             terms = {
-                mon: Fraction(x) if isinstance(x, int) else x
-                for mon, x in zip(piece.monomials, row)
-                if x != 0
+                piece.monomials[c]: Fraction(x) if isinstance(x, int) else x
+                for c, x in rs.row_nonzeros(col).items()
             }
             basis.append(Polynomial(self.descriptor, terms))
         return basis
@@ -380,19 +378,5 @@ def _relation_row(r: Polynomial, rational: bool) -> tuple[list[tuple], list, int
     """(exponents, coefficients, scale) of r, the coefficients being scale
     times r's: over Q scale is the lcm of their denominators, giving the
     integer row the row space would derive; otherwise 1."""
-    exps = list(r.terms)
-    coeffs = list(r.terms.values())
-    mult = 1
-    if rational:
-        mult = lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (mult // c.denominator) for c in coeffs]
-    return exps, coeffs, mult
-
-
-
-def _row(terms: Mapping[tuple, Scalar], index: Mapping[tuple, int]) -> list:
-    """Dense row of the coefficients in terms, in the column order of index."""
-    row: list = [0] * len(index)
-    for mon, c in terms.items():
-        row[index[mon]] = c
-    return row
+    terms, mult = _clear_denominators(r.terms) if rational else (r.terms, 1)
+    return list(terms), list(terms.values()), mult

@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and Q(zeta_n) on one sparse elimination engine.
 
-A row space keeps one reduced row per pivot column.  Rows are reduced as
-{column: value} dicts of their nonzeros, against pivot rows that keep their
-sorted nonzero columns, by one loop shared by three scalar backends.  A
-caller that has a row's nonzeros passes them as that dict (`add_nonzeros`);
-dense rows (`add`, `contains`) are scanned into one first.  The backends:
+A row space keeps one reduced row per pivot column, stored as its nonzero
+values aligned with its sorted nonzero columns.  Rows are reduced as
+{column: value} dicts of their nonzeros, against those pivot rows, by one
+loop shared by three scalar backends.  A caller that has a row's nonzeros
+passes them as that dict (`add_nonzeros`); dense rows (`add`, `contains`)
+are scanned into one first, and dense rows come out only of `rows()` and
+`_echelon`, the one reader behind `int_rref`, `Matrix.rref` and
+`solve_columns`.  The backends:
 `IntRowSpace` holds primitive integer rows for rational data and eliminates
 fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
 field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
@@ -77,11 +80,7 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with strictly increasing pivot columns."""
-        rs = GenericRowSpace(self.cols)
-        for row in self.entries:
-            rs.add(row)
-        reduced, pivots = rs._rref()
-        rows = [_dense(work, self.cols) for work in reduced]
+        rows, pivots = _echelon(GenericRowSpace(self.cols), self.entries)
         rows += [[0] * self.cols for _ in range(self.rows - len(rows))]
         return Matrix(self.rows, self.cols, rows), tuple(pivots)
 
@@ -127,13 +126,9 @@ def solve_columns(columns: list, target) -> list[Scalar] | None:
         if not issubclass(kind, (int, Fraction, Cyclo)):
             raise TypeError(f"matrix entries must be exact scalars, got {kind.__name__}")
     if Cyclo in kinds:
-        rs = GenericRowSpace(k + 1)
-        for row in system.values():
-            rs.add_nonzeros(row)
-        reduced, pivots = rs._rref()
-        reduced = [_dense(work, k + 1) for work in reduced]
+        reduced, pivots = _echelon(GenericRowSpace(k + 1), system.values())
     else:
-        reduced, pivots = int_rref([_clear_denominators(row) for row in system.values()], k + 1)
+        reduced, pivots = int_rref([_clear_denominators(row)[0] for row in system.values()], k + 1)
     if pivots and pivots[-1] == k:
         return None
     coords: list[Scalar] = [_ZERO] * k
@@ -161,12 +156,13 @@ def _primitive(row: list[int]) -> list[int]:
     return row
 
 
-def _clear_denominators(work: dict) -> dict[int, int]:
-    """A row of rational nonzeros times the lcm of their denominators."""
-    if not all(type(x) is int for x in work.values()):
-        mult = lcm(*(x.denominator for x in work.values()))
-        work = {j: x.numerator * (mult // x.denominator) for j, x in work.items()}
-    return work
+def _clear_denominators(work: dict) -> tuple[dict, int]:
+    """(work * d, d) for a dict of rational values, d the lcm of their
+    denominators; a dict of integers is returned as it is, with d = 1."""
+    if all(type(x) is int for x in work.values()):
+        return work, 1
+    mult = lcm(*(x.denominator for x in work.values()))
+    return {j: x.numerator * (mult // x.denominator) for j, x in work.items()}, mult
 
 
 def _dense(work: dict, ncols: int) -> list:
@@ -177,9 +173,9 @@ def _dense(work: dict, ncols: int) -> list:
 
 
 def _subtract(work: dict, f, piv, cols) -> dict:
-    """work - f * piv in place, over piv's nonzero columns cols only."""
-    for c in cols:
-        u = work.get(c, 0) - f * piv[c]
+    """work - f * piv in place, for piv's nonzero values at its columns cols."""
+    for c, x in zip(cols, piv):
+        u = work.get(c, 0) - f * x
         if u:
             work[c] = u
         else:
@@ -191,15 +187,17 @@ class _RowSpace:
     """Reduced pivot rows keyed by pivot column; pivots are the leftmost
     nonzero columns, in insertion order.
 
-    Each pivot row is stored dense, with its sorted nonzero columns in
-    `_support`.  A row is reduced as a {column: value} dict of its nonzeros:
+    Each pivot row is stored as the list of its nonzero values, aligned with
+    its sorted nonzero columns in `_support`; `row_nonzeros` reads it back as
+    a dict.  A row is reduced as a {column: value} dict of its nonzeros:
     while its leading column has a pivot, one elimination step clears that
     entry.  Rows enter dense (`add`, `contains`) or already as that dict
     (`add_nonzeros`), which skips building and scanning a mostly-zero row.
     A backend supplies the scalar steps as static methods:
     `_nonzeros(row)` gives the dict of a dense input row,
     `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
-    using pivot row piv, touching piv's nonzero columns cols only, and
+    using the pivot row with values piv at its columns cols (cols[0] =
+    lead), and
     `_normalise(work)` scales a new pivot row to canonical form.
     """
 
@@ -223,8 +221,12 @@ class _RowSpace:
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
+    def row_nonzeros(self, col: int) -> dict:
+        """{column: value} of the pivot row whose pivot column is col."""
+        return dict(zip(self._support[col], self._pivots[col]))
+
     def rows(self) -> list[list]:
-        return [self._pivots[c] for c in sorted(self._pivots)]
+        return [_dense(self.row_nonzeros(c), self.ncols) for c in sorted(self._pivots)]
 
     def _reduce(self, row) -> dict:
         """Nonzeros of the row after reducing its leading entries by the
@@ -261,7 +263,7 @@ class _RowSpace:
             return False
         work = self._normalise(work)
         cols = tuple(sorted(work))
-        self._pivots[cols[0]] = _dense(work, self.ncols)
+        self._pivots[cols[0]] = [work[c] for c in cols]
         self._support[cols[0]] = cols
         return True
 
@@ -276,16 +278,17 @@ class _RowSpace:
         of the rows above it: by then every later pivot column is cleared
         from it, and a reduced row is unique up to scale."""
         cols = self.pivot_columns()
-        sparse = [{j: self._pivots[c][j] for j in self._support[c]} for c in cols]
+        sparse = [self.row_nonzeros(c) for c in cols]
         changed = [False] * len(cols)
         for i in range(len(cols) - 1, -1, -1):
             c = cols[i]
-            piv = sparse[i]
             if changed[i]:
-                piv = sparse[i] = self._normalise(piv)
+                sparse[i] = self._normalise(sparse[i])
+            support = sorted(sparse[i])
+            piv = [sparse[i][j] for j in support]
             for k in range(i):
                 if c in sparse[k]:
-                    sparse[k] = self._eliminate(sparse[k], c, piv, piv)
+                    sparse[k] = self._eliminate(sparse[k], c, piv, support)
                     changed[k] = True
         return sparse, cols
 
@@ -306,13 +309,13 @@ class IntRowSpace(_RowSpace):
     @staticmethod
     def _nonzeros(row) -> dict[int, int]:
         """Nonzeros of a rational row, denominators cleared."""
-        return _clear_denominators({j: x for j, x in enumerate(row) if x})
+        return _clear_denominators({j: x for j, x in enumerate(row) if x})[0]
 
     @staticmethod
     def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
         """The fraction-free step a*work - b*piv that clears work's entry in
         column lead."""
-        p = piv[lead]
+        p = piv[0]
         g = gcd(p, work[lead])
         a, b = p // g, work[lead] // g
         if a != 1:
@@ -370,11 +373,6 @@ class ModPRowSpace(_RowSpace):
     add = _RowSpace.add
     contains = _RowSpace.contains
 
-    def row_nonzeros(self, col: int) -> dict[int, int]:
-        """{column: residue} of the pivot row whose pivot column is col."""
-        row = self._pivots[col]
-        return {c: row[c] for c in self._support[col]}
-
     @staticmethod
     def _nonzeros(row) -> dict[int, int]:
         """Nonzero residues of an integer row."""
@@ -387,8 +385,8 @@ class ModPRowSpace(_RowSpace):
         p = PRIME
         f = work[lead]
         get = work.get
-        for c in cols:
-            u = (get(c, 0) - f * piv[c]) % p
+        for c, x in zip(cols, piv):
+            u = (get(c, 0) - f * x) % p
             if u:
                 work[c] = u
             else:
@@ -408,14 +406,19 @@ def int_rref(rows: list, ncols: int) -> tuple[list[list[int]], list[int]]:
 
     Each row is a dense list of integers or a {column: nonzero integer} dict;
     the result rows are dense."""
-    rs = IntRowSpace(ncols)
+    return _echelon(IntRowSpace(ncols), rows)
+
+
+def _echelon(rs: _RowSpace, rows) -> tuple[list[list], list[int]]:
+    """Dense reduced echelon rows and pivot columns of the rows, dense lists
+    or {column: value} dicts, added to the empty row space rs."""
     for row in rows:
         if isinstance(row, dict):
             rs.add_nonzeros(dict(row))
         else:
             rs.add(row)
     reduced, cols = rs._rref()
-    return [_dense(work, ncols) for work in reduced], cols
+    return [_dense(work, rs.ncols) for work in reduced], cols
 
 
 def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-SUPPORTED_ORDERS = (1, 3, 4, 5)
-
 # Euler phi, i.e. the Q-dimension of Q(zeta_n).
 _PHI = {1: 1, 3: 2, 4: 2, 5: 4}
 
@@ -60,9 +58,6 @@ class Cyclo:
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
-
-    def is_rational(self) -> bool:
-        return False
 
     def _lift(self, other):
         """Coerce other into this field, or None if impossible."""
@@ -206,10 +201,6 @@ def zeta(order: int) -> Scalar:
     if order not in (3, 4, 5):
         raise ValueError(f"unsupported cyclotomic order {order}")
     return make_cyclo(order, [0, 1])
-
-
-def scalar_order(x: Scalar) -> int:
-    return x.order if isinstance(x, Cyclo) else 1
 
 
 def is_rational_scalar(x) -> bool:

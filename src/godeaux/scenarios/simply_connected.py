@@ -64,11 +64,13 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
         verification = builder.verify_generator_list(claimed, min(max_degree, 10))
         members = verification.memberships
         generation = {str(m): v[2] for m, v in verification.generation.items()}
-    except ValueError as exc:
-        # A broken fixture fails every check, with the error as actual value.
-        dims = closure = census = relations = total = generation = str(exc)
+    except (KeyError, ValueError) as exc:
+        # A broken fixture (a substitution with a missing image raises
+        # KeyError) fails every check, with the error as actual value.
+        error = str(exc.args[0] if isinstance(exc, KeyError) else exc)
+        dims = closure = census = relations = total = generation = error
         spots, warning = [], None
-        members = [(idx, "unknown", str(exc)) for idx in range(len(claimed))]
+        members = [(idx, "unknown", error) for idx in range(len(claimed))]
     checks: list[Check] = []
 
     expected_dims = {str(m): oracle_plurigenus(m) for m in range(max_degree + 1)}

@@ -38,11 +38,19 @@ from math import lcm
 from operator import add
 from typing import Mapping, Sequence
 
-from .graded import _row
-from .linalg import IntRowSpace, ModPRowSpace, _primitive, int_kernel_basis, int_kernel_rref
+from .linalg import (
+    IntRowSpace,
+    ModPRowSpace,
+    _clear_denominators,
+    _dense,
+    _primitive,
+    int_kernel_basis,
+    int_kernel_rref,
+)
 from .poly import (
     Polynomial,
     RingDescriptor,
+    _product,
     degree_and_weight,
     enumerate_monomials,
     grevlex_key,
@@ -93,11 +101,9 @@ class MembershipPredicate:
         self.descriptor = descriptor
         self.conditions = tuple(conditions)
         self._cache: dict[int, list[Polynomial]] = {}
-        # Per degree: integer term dicts of subspace_basis(m).
-        self._terms: dict[int, list[dict[tuple, int]]] = {}
-        # Per degree: column index and the row space of V_m (never added to
-        # once built).
-        self._spaces: dict[int, tuple[dict[tuple, int], IntRowSpace]] = {}
+        # Per degree: column index, integer term dicts of V_m's reduced
+        # echelon basis and the row space of V_m (never added to once built).
+        self._spaces: dict[int, tuple[dict[tuple, int], list[dict[tuple, int]], IntRowSpace]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
@@ -116,21 +122,18 @@ class MembershipPredicate:
 
     def subspace_basis(self, m: int) -> list[Polynomial]:
         """Exact canonical basis of V_m inside the ambient degree-m piece."""
-        if m in self._cache:
-            return self._cache[m]
-        cols = self.ambient_monomials(m)
-        reduced = int_kernel_rref(self._functionals(m, cols), len(cols))
-        polys = [_to_poly(self.descriptor, cols, row) for row in reduced]
-        self._cache[m] = polys
-        return polys
+        basis = self._cache.get(m)
+        if basis is None:
+            basis = self._cache[m] = [
+                Polynomial(self.descriptor, {mon: Fraction(x) for mon, x in terms.items()})
+                for terms in self.basis_terms(m)
+            ]
+        return basis
 
     def basis_terms(self, m: int) -> list[dict[tuple, int]]:
         """Integer term dicts of `subspace_basis(m)` (its rows are primitive
-        integer rows), built once; callers must not change them."""
-        terms = self._terms.get(m)
-        if terms is None:
-            terms = self._terms[m] = [_int_terms(b) for b in self.subspace_basis(m)]
-        return terms
+        integer rows), built with V_m; callers must not change them."""
+        return self._space(m)[1]
 
     def _functionals(self, m: int, cols: list[tuple]) -> list[list[int]]:
         """Integer functionals of all the conditions on the degree-m
@@ -158,7 +161,7 @@ class MembershipPredicate:
 
     def dim(self, m: int) -> int:
         """dim V_m."""
-        return self._space(m)[1].dim
+        return self._space(m)[2].dim
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in V at its own degree."""
@@ -167,7 +170,7 @@ class MembershipPredicate:
             return True
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
-        index, rs = self._space(dw[0])
+        index, _, rs = self._space(dw[0])
         return rs.contains(_vector(p, index))
 
     def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
@@ -176,19 +179,24 @@ class MembershipPredicate:
         desc = self.descriptor
         if len({desc.monomial_weight(mon) for mon in terms}) > 1:
             raise ValueError("membership needs a homogeneous polynomial")
-        index, rs = self._space(m)
-        return rs.contains(_row(terms, index))
+        index, _, rs = self._space(m)
+        return rs.contains(_dense({index[mon]: c for mon, c in terms.items()}, len(index)))
 
-    def _space(self, m: int) -> tuple[dict[tuple, int], IntRowSpace]:
-        """(column index of the degree-m monomials, row space of V_m), built
-        once."""
+    def _space(self, m: int):
+        """(column index of the degree-m monomials, integer term dicts of
+        V_m's reduced echelon basis, row space of V_m), built once: V_m is
+        the kernel of all the conditions' functionals."""
         space = self._spaces.get(m)
         if space is None:
-            index = {mon: i for i, mon in enumerate(self.ambient_monomials(m))}
-            rs = IntRowSpace(len(index))
-            for terms in self.basis_terms(m):
-                rs.add_nonzeros({index[mon]: c for mon, c in terms.items()})
-            space = self._spaces[m] = (index, rs)
+            cols = self.ambient_monomials(m)
+            index = {mon: i for i, mon in enumerate(cols)}
+            terms = []
+            rs = IntRowSpace(len(cols))
+            for row in int_kernel_rref(self._functionals(m, cols), len(cols)):
+                nonzeros = {j: x for j, x in enumerate(row) if x}
+                terms.append({cols[j]: x for j, x in nonzeros.items()})
+                rs.add_nonzeros(nonzeros)
+            space = self._spaces[m] = (index, terms, rs)
         return space
 
 
@@ -196,28 +204,12 @@ def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
     """Integer row of p with its denominators cleared."""
     if not all(is_rational_scalar(c) for c in p.terms.values()):
         raise ValueError("subring computations need rational coefficients")
-    return _row(_int_terms(p), index)
+    return _dense({index[mon]: c for mon, c in _int_terms(p).items()}, len(index))
 
 
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
     """Terms of p scaled by the lcm of its denominators (1 for integer p)."""
-    return _scaled_terms(p)[0]
-
-
-def _scaled_terms(p: Polynomial) -> tuple[dict[tuple, int], int]:
-    """(integer terms, d) with p = terms / d, d the lcm of p's denominators."""
-    mult = lcm(*(c.denominator for c in p.terms.values()))
-    return {mon: c.numerator * (mult // c.denominator) for mon, c in p.terms.items()}, mult
-
-
-def _int_product(f: Mapping[tuple, int], g: Mapping[tuple, int]) -> dict[tuple, int]:
-    """Product of two integer term dicts."""
-    out: dict[tuple, int] = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {mon: c for mon, c in out.items() if c}
+    return _clear_denominators(p.terms)[0]
 
 
 def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Polynomial:
@@ -292,7 +284,7 @@ class _MonomialMap:
         for name, img in images.items():
             if not all(is_rational_scalar(c) for c in img.terms.values()):
                 raise ValueError("subring computations need rational coefficients")
-            self.images[name] = _scaled_terms(img)
+            self.images[name] = _clear_denominators(img.terms)
         self.memo = {(0,) * desc.nvars: ({(0,) * self.target.nvars: 1}, 1)}
 
     def __call__(self, mon: tuple) -> tuple[dict[tuple, int], int]:
@@ -306,7 +298,7 @@ class _MonomialMap:
         prev = list(mon)
         prev[i] -= 1
         terms, denom = self(tuple(prev))
-        value = (_int_product(terms, img[0]), denom * img[1])
+        value = (_product(terms, img[0]), denom * img[1])
         self.memo[mon] = value
         return value
 
@@ -449,7 +441,7 @@ class SubringBuilder:
         for g, b in firsts + colliding[::-1]:
             if rs.dim == full:
                 break
-            prod = _int_product(g, b)
+            prod = _product(g, b)
             if rs.add_nonzeros({index[mon]: c for mon, c in prod.items()}):
                 piece.append(prod)
         return index, rs, piece
@@ -594,7 +586,7 @@ class SubringBuilder:
             j = rng.choice(j_choices)
             p = _random_combination(self.pred.basis_terms(i), rng)
             q = _random_combination(self.pred.basis_terms(j), rng)
-            results.append((i, j, self.pred.contains_terms(i + j, _int_product(p, q))))
+            results.append((i, j, self.pred.contains_terms(i + j, _product(p, q))))
         return results
 
 

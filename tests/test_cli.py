@@ -265,6 +265,21 @@ class TestScFixtureErrors:
             checks, good, "modulus polynomials must be homogeneous"
         )
 
+    def test_substitution_missing_an_image(self, capsys, monkeypatch):
+        # The restriction maps c nowhere: the parity condition meets a
+        # monomial in c with no image to substitute.
+        from godeaux.scenarios import fixtures
+
+        good = self.sc_checks(capsys, expected_code=0)
+        restriction = fixtures.sc_restriction
+        monkeypatch.setattr(
+            fixtures, "sc_restriction",
+            lambda: {v: img for v, img in restriction().items() if v != "c"},
+        )
+        self.assert_every_check_fails_with(
+            self.sc_checks(capsys), good, "missing image for variable(s): c"
+        )
+
     def test_all_exits_1_with_the_other_suites_intact(self, capsys, monkeypatch):
         from godeaux.scenarios import fixtures
 
@@ -431,6 +446,25 @@ class TestScBuild:
         assert code == 2
         assert err == "error: bad fixture line\n"
         assert out == ""
+        assert not gens.exists() and not report.exists()
+
+    def test_substitution_missing_an_image_exits_2(self, capsys, tmp_path, monkeypatch):
+        from godeaux.scenarios import fixtures
+
+        restriction = fixtures.sc_restriction
+        monkeypatch.setattr(
+            fixtures, "sc_restriction",
+            lambda: {v: img for v, img in restriction().items() if v != "c"},
+        )
+        gens = tmp_path / "gens.txt"
+        report = tmp_path / "pres.json"
+        code, out, err = run_cli(
+            ["sc-build", "--max-degree", "3", "--generators-out", str(gens),
+             "--report", str(report)],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: missing image for variable(s): c\n"
         assert not gens.exists() and not report.exists()
 
 

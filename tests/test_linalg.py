@@ -15,6 +15,7 @@ from godeaux.linalg import (
     ModPRowSpace,
     int_kernel_basis,
     int_kernel_rref,
+    _dense,
     int_rref,
     solve_columns,
 )
@@ -338,9 +339,14 @@ def _matches_dense_oracle(rows, ncols, engine=IntRowSpace, oracle=DenseIntRowSpa
     for row in rows:
         assert sparse.contains(row) == dense.contains(row)
         assert sparse.add(row) == dense.add(row)
-    assert list(sparse._pivots.items()) == list(dense._pivots.items())
-    for c, row in sparse._pivots.items():
+    # Each stored row, read back dense, is the oracle's, in insertion order.
+    assert list(sparse._pivots) == list(dense._pivots)
+    for c, row in dense._pivots.items():
+        assert _dense(sparse.row_nonzeros(c), ncols) == row
         assert sparse._support[c] == tuple(j for j, x in enumerate(row) if x)
+        # A pivot row is stored as its nonzero values only.
+        assert len(sparse._pivots[c]) == len(sparse._support[c])
+        assert all(x != 0 for x in sparse._pivots[c])
     for row in rows:
         assert sparse.contains(row) and dense.contains(row)
 
@@ -510,13 +516,14 @@ def test_sparse_entry_matches_dense_on_residues(case, scale):
 def reference_rref(space):
     """`_RowSpace._rref` with every back-substitution step normalised."""
     cols = space.pivot_columns()
-    sparse = [{j: space._pivots[c][j] for j in space._support[c]} for c in cols]
+    sparse = [space.row_nonzeros(c) for c in cols]
     for i in range(len(cols) - 1, -1, -1):
         c = cols[i]
-        piv = sparse[i]
+        support = sorted(sparse[i])
+        piv = [sparse[i][j] for j in support]
         for k in range(i):
             if c in sparse[k]:
-                sparse[k] = space._normalise(space._eliminate(sparse[k], c, piv, piv))
+                sparse[k] = space._normalise(space._eliminate(sparse[k], c, piv, support))
     return sparse, cols
 
 

@@ -20,16 +20,16 @@ from godeaux import (
     render_polynomial,
 )
 from godeaux import linalg, subring
-from godeaux.graded import _row
 from godeaux.linalg import (
     IntRowSpace,
     ModPRowSpace,
+    _dense,
     _primitive,
     int_kernel_basis,
     int_kernel_rref,
     int_rref,
 )
-from godeaux.poly import degree_and_weight, enumerate_monomials, grevlex_key
+from godeaux.poly import _product, degree_and_weight, enumerate_monomials, grevlex_key
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.subring import (
@@ -37,7 +37,6 @@ from godeaux.subring import (
     GeneratorListReport,
     SubringBuilder,
     SubstitutionParityCondition,
-    _int_product,
     _int_terms,
     _leading_term_echelon,
     _parity_constraints,
@@ -47,6 +46,11 @@ from godeaux.subring import (
 )
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
+
+
+def _row(terms, index):
+    """Dense row of a term dict, in the column order of index."""
+    return _dense({index[mon]: c for mon, c in terms.items()}, len(index))
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +288,7 @@ def test_integer_product_is_the_scaled_product(f, g):
         return lcm(*(c.denominator for c in p.terms.values()))
 
     expected = (f * g).scale(Fraction(scale(f) * scale(g)))
-    got = _int_product(_int_terms(f), _int_terms(g))
+    got = _product(_int_terms(f), _int_terms(g))
     assert all(type(c) is int for c in got.values())
     assert Polynomial(ABC, got) == expected
 
@@ -315,7 +319,7 @@ def test_product_lead_is_the_sum_of_the_leads(data):
     )
     f = data.draw(lead_test_polys(desc))
     g = data.draw(lead_test_polys(desc))
-    lead = min(_int_product(f, g), key=grevlex_key)
+    lead = min(_product(f, g), key=grevlex_key)
     assert lead == tuple(map(add, min(f, key=grevlex_key), min(g, key=grevlex_key)))
 
 
@@ -337,7 +341,7 @@ def reference_spans(pred, max_degree):
         for g, dg in gens:
             if 0 < dg <= m:
                 for b in span_terms[m - dg]:
-                    prod = _int_product(_int_terms(g), b)
+                    prod = _product(_int_terms(g), b)
                     if rs.add(_row(prod, index)):
                         piece.append(prod)
         for v in pred.subspace_basis(m):
@@ -363,7 +367,7 @@ def reference_census(builder, max_degree):
         out = _int_terms(builder.desc.one())
         for i, e in enumerate(exps):
             for _ in range(e):
-                out = _int_product(out, gen_terms[i])
+                out = _product(out, gen_terms[i])
         return out
 
     pred = builder.pred
@@ -386,7 +390,7 @@ def reference_census(builder, max_degree):
         for rel in relations:
             dr = degree_and_weight(rel)[0]
             for mult in enumerate_monomials(free, m - dr):
-                ideal_rows.add(_row(_int_product({mult: 1}, _int_terms(rel)), free_index))
+                ideal_rows.add(_row(_product({mult: 1}, _int_terms(rel)), free_index))
         new_count = 0
         for k in sorted(kernel):
             if ideal_rows.add(k):
@@ -581,7 +585,7 @@ def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
         for mult in enumerate_monomials(free, m - degree_and_weight(rel)[0]):
             if rows.dim == target:
                 return rows
-            rows.add(_row(_int_product({mult: 1}, terms), free_index))
+            rows.add(_row(_product({mult: 1}, terms), free_index))
     return rows
 
 
@@ -1055,7 +1059,7 @@ def _reference_product_span(builder, gens, span_terms, m, full=None):
             for b in span_terms[m - dg]:
                 if rs.dim == full:
                     return index, rs, piece
-                prod = _int_product(g_terms, b)
+                prod = _product(g_terms, b)
                 if rs.add(_row(prod, index)):
                     piece.append(prod)
     return index, rs, piece
