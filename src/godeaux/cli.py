@@ -9,10 +9,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import __version__
-from .action import weight_space_dim
 from .graded import GradedPresentation
 from .poly import load_ring_file, render_polynomial
 from .report import VerificationReport, merge_reports
@@ -151,10 +149,7 @@ def cmd_hilbert(args) -> int:
             name = args.preset
         else:
             desc, relations = load_ring_file(args.ring)
-            if relations:
-                dim = GradedPresentation(desc, relations).quotient_dim
-            else:
-                dim = partial(weight_space_dim, desc)
+            dim = GradedPresentation(desc, relations).quotient_dim
             torsion = desc.torsion_order
             rows = [
                 (m, [dim(m, w) for w in range(torsion)]) for m in range(args.max_degree + 1)

@@ -1,24 +1,26 @@
 """Exact linear algebra over Q and Q(zeta_n) on one sparse elimination engine.
 
 A row space keeps one reduced row per pivot column, stored as its nonzero
-values aligned with its sorted nonzero columns.  Rows are reduced as
-{column: value} dicts of their nonzeros, against those pivot rows, by one
-loop shared by three scalar backends.  A caller that has a row's nonzeros
-passes them as that dict (`add_nonzeros`); dense rows (`add`, `contains`)
-are scanned into one first, and dense rows come out only of `rows()` and
-`_echelon`, the one reader behind `int_rref`, `Matrix.rref` and
-`solve_columns`.  The backends:
+values aligned with its sorted nonzero columns.  A row is a {column: value}
+dict of its nonzeros, reduced against those pivot rows by one loop shared
+by three scalar backends: `add_nonzeros` and `contains` take such a dict,
+and `int_kernel_rref` and `solve_columns` take their systems as such
+dicts.  Dense rows are left only as input to `add`, `int_rref`,
+`int_kernel_basis` and `Matrix`, and as the output of `rows()`, the echelon
+forms (`_echelon`) and the kernels.  The backends:
 `IntRowSpace` holds primitive integer rows for rational data and eliminates
 fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
 field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
 certificates of integer data (the reductions mod p of integer vectors of a
-rational subspace span at most its dimension).  `int_rref` and
-`Matrix.rref` add their rows to a row space and back-substitute, bringing
-each row to canonical form once, when it is fully reduced;
-`int_kernel_basis`, `int_kernel_rref` and `kernel_basis` read their results
-off these echelon forms.  `solve_columns` builds no dense matrix: it
-transposes its system to sparse {column: entry} rows and eliminates them
-fraction-free by `int_rref` over Q (each row's denominators cleared), or in
+rational subspace span at most its dimension).  `IntRowSpace._normalise`
+is the one integer normal form: primitive, leading entry positive, for
+pivot rows and kernel vectors alike.  `int_rref` and `Matrix.rref` add
+their rows to a row space and back-substitute, bringing each row to
+canonical form once, when it is fully reduced; `int_kernel_basis`,
+`int_kernel_rref` and `kernel_basis` read their results off these echelon
+forms.  `solve_columns` builds no dense matrix: it transposes its columns
+to one {column: entry} row per equation and eliminates them fraction-free
+by `int_rref` over Q (each row's denominators cleared), or in
 `GenericRowSpace` over Q(zeta_n).  Residues mod `PRIME` are
 one-digit CPython ints, so each step mod p takes the fast path of
 CPython's integer division.
@@ -100,25 +102,23 @@ def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
     return basis
 
 
-def solve_columns(columns: list, target) -> list[Scalar] | None:
+def solve_columns(columns: list[dict], target: dict) -> list[Scalar] | None:
     """Solve sum_i x_i * columns[i] = target exactly, or None if inconsistent.
 
-    Each column and the target is a dense list, or a {row: entry} dict of
-    its nonzeros keyed by any hashable row label.  The system is solved on
-    its nonzeros: transposed to one {column: entry} row per equation, with
-    the target as column k = len(columns), it is brought to reduced echelon
-    form, over Z (each row's denominators cleared, by `int_rref`) when every
-    entry is rational, else in the field row space.  The free variables are
-    0 and each pivot variable is row[k] / row[pc]; the reduced echelon form
-    of the system, and so this solution, is the same whatever the order and
-    scaling of its rows.
+    Each column and the target is a {row: entry} dict of its nonzeros keyed
+    by any hashable row label.  The system is solved on its nonzeros:
+    transposed to one {column: entry} row per equation, with the target as
+    column k = len(columns), it is brought to reduced echelon form, over Z
+    (each row's denominators cleared, by `int_rref`) when every entry is
+    rational, else in the field row space.  The free variables are 0 and
+    each pivot variable is row[k] / row[pc]; the reduced echelon form of the
+    system, and so this solution, is the same whatever the order and scaling
+    of its rows.
     """
-    if len({len(v) for v in (*columns, target) if not isinstance(v, dict)}) > 1:
-        raise ValueError("length mismatch")
     k = len(columns)
     system: dict = {}
     for j, vector in enumerate((*columns, target)):
-        for i, x in vector.items() if isinstance(vector, dict) else enumerate(vector):
+        for i, x in vector.items():
             if x:
                 system.setdefault(i, {})[j] = x
     kinds = {type(x) for row in system.values() for x in row.values()}
@@ -139,21 +139,6 @@ def solve_columns(columns: list, target) -> list[Scalar] | None:
 
 # ---------------------------------------------------------------------------
 # Incremental row spaces
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g > 1:
-        row = [x // g for x in row]
-    lead = next((x for x in row if x), 0)
-    if lead < 0:
-        row = [-x for x in row]
-    return row
 
 
 def _clear_denominators(work: dict) -> tuple[dict, int]:
@@ -191,8 +176,8 @@ class _RowSpace:
     its sorted nonzero columns in `_support`; `row_nonzeros` reads it back as
     a dict.  A row is reduced as a {column: value} dict of its nonzeros:
     while its leading column has a pivot, one elimination step clears that
-    entry.  Rows enter dense (`add`, `contains`) or already as that dict
-    (`add_nonzeros`), which skips building and scanning a mostly-zero row.
+    entry.  Rows enter as that dict (`add_nonzeros`, `contains`) or dense
+    (`add`), scanned into one first.
     A backend supplies the scalar steps as static methods:
     `_nonzeros(row)` gives the dict of a dense input row,
     `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
@@ -228,14 +213,9 @@ class _RowSpace:
     def rows(self) -> list[list]:
         return [_dense(self.row_nonzeros(c), self.ncols) for c in sorted(self._pivots)]
 
-    def _reduce(self, row) -> dict:
-        """Nonzeros of the row after reducing its leading entries by the
-        stored pivots until one has no pivot."""
-        if len(row) != self.ncols:
-            raise ValueError("length mismatch")
-        return self._reduce_nonzeros(self._nonzeros(row))
-
     def _reduce_nonzeros(self, work: dict) -> dict:
+        """The row's nonzeros after reducing its leading entries by the
+        stored pivots until one has no pivot."""
         pivots = self._pivots
         support = self._support
         eliminate = self._eliminate
@@ -249,7 +229,9 @@ class _RowSpace:
 
     def add(self, row) -> bool:
         """Add a dense row; True iff it enlarged the space."""
-        return self._insert(self._reduce(row))
+        if len(row) != self.ncols:
+            raise ValueError("length mismatch")
+        return self._insert(self._reduce_nonzeros(self._nonzeros(row)))
 
     def add_nonzeros(self, work: dict) -> bool:
         """Add a row given as {column: nonzero entry}, entries already in the
@@ -267,8 +249,10 @@ class _RowSpace:
         self._support[cols[0]] = cols
         return True
 
-    def contains(self, row) -> bool:
-        return not self._reduce(row)
+    def contains(self, work: dict) -> bool:
+        """Whether a row given as for `add_nonzeros` lies in the space; the
+        dict is used up."""
+        return not self._reduce_nonzeros(work)
 
     def _rref(self) -> tuple[list[dict], list[int]]:
         """The pivot rows as nonzero dicts in pivot-column order, with each
@@ -395,9 +379,13 @@ class ModPRowSpace(_RowSpace):
 
     @staticmethod
     def _normalise(work: dict[int, int]) -> dict[int, int]:
-        """Scale a nonzero row to leading entry 1 mod p."""
+        """Scale a nonzero row to leading entry 1 mod p; a row whose lead
+        is 1 already is returned as it is."""
+        lead = work[min(work)]
+        if lead == 1:
+            return work
         p = PRIME
-        inv = pow(work[min(work)], -1, p)
+        inv = pow(lead, -1, p)
         return {c: u * inv % p for c, u in work.items()}
 
 
@@ -421,8 +409,9 @@ def _echelon(rs: _RowSpace, rows) -> tuple[list[list], list[int]]:
     return [_dense(work, rs.ncols) for work in reduced], cols
 
 
-def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel of the row matrix."""
+def int_kernel_basis(rows: list, ncols: int) -> list[list[int]]:
+    """Primitive integer basis of the right kernel of the rows, dense lists
+    or {column: nonzero integer} dicts; the basis vectors are dense."""
     reduced, pivots = int_rref(rows, ncols)
     # Scaling by the lcm of the pivot entries keeps every kernel entry integral.
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
@@ -432,24 +421,24 @@ def int_kernel_basis(rows: list[list[int]], ncols: int) -> list[list[int]]:
     for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [0] * ncols
-        v[f] = scale
+        v = {f: scale}
         for row, c, k in zip(reduced, pivots, factors):
-            v[c] = -row[f] * k
-        basis.append(_primitive(v))
+            if row[f]:
+                v[c] = -row[f] * k
+        basis.append(_dense(IntRowSpace._normalise(v), ncols))
     return basis
 
 
-def int_kernel_rref(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Reduced echelon basis of the right kernel of the row matrix, as
-    `int_rref` would give it, in one elimination.
+def int_kernel_rref(rows: list[dict], ncols: int) -> list[list[int]]:
+    """Reduced echelon basis of the right kernel of the {column: nonzero
+    integer} rows, as `int_rref` would give it, in one elimination.
 
     The kernel basis of the matrix with its columns reversed is read back in
     reverse: free column f of the reversed echelon form has pivots only to
     its left, so its basis vector read back leads at f and is zero at every
     other such column, which is the reduced echelon row with pivot f up to
     sign."""
-    reversed_rows = [row[::-1] for row in rows]
+    reversed_rows = [{ncols - 1 - j: x for j, x in row.items()} for row in rows]
     basis = []
     for v in reversed(int_kernel_basis(reversed_rows, ncols)):
         v.reverse()

@@ -101,9 +101,6 @@ class RingDescriptor:
         exps[self.index(name)] = 1
         return Polynomial(self, {tuple(exps): Fraction(1)})
 
-    def gens(self) -> list["Polynomial"]:
-        return [self.variable(v) for v in self.variables]
-
 
 def grevlex_key(exps):
     """Sort key: ascending gives grevlex-descending order when negated total is used."""
@@ -129,9 +126,6 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple, Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: grevlex_key(kv[0]))
-
-    def support(self) -> list[tuple]:
-        return sorted(self.terms, key=grevlex_key)
 
     def coefficient(self, exps) -> Scalar:
         return self.terms.get(tuple(exps), Fraction(0))

@@ -39,13 +39,7 @@ from operator import add
 from typing import Mapping, Sequence
 
 from .linalg import (
-    IntRowSpace,
-    ModPRowSpace,
-    _clear_denominators,
-    _dense,
-    _primitive,
-    int_kernel_basis,
-    int_kernel_rref,
+    IntRowSpace, ModPRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref,
 )
 from .poly import (
     Polynomial,
@@ -135,9 +129,10 @@ class MembershipPredicate:
         integer rows), built with V_m; callers must not change them."""
         return self._space(m)[1]
 
-    def _functionals(self, m: int, cols: list[tuple]) -> list[list[int]]:
+    def _functionals(self, m: int, cols: list[tuple]) -> list[dict[int, int]]:
         """Integer functionals of all the conditions on the degree-m
-        monomials cols; V_m is their common kernel."""
+        monomials cols, as {column: nonzero} rows; V_m is their common
+        kernel."""
         functionals = []
         for k, cond in enumerate(self.conditions):
             if isinstance(cond, SubstitutionParityCondition):
@@ -170,17 +165,15 @@ class MembershipPredicate:
             return True
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
-        index, _, rs = self._space(dw[0])
-        return rs.contains(_vector(p, index))
+        return self.contains_terms(dw[0], _int_terms(p))
 
     def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
         """`contains` for a degree-m polynomial given as its nonzero integer
         terms."""
-        desc = self.descriptor
-        if len({desc.monomial_weight(mon) for mon in terms}) > 1:
+        if len({self.descriptor.monomial_weight(mon) for mon in terms}) > 1:
             raise ValueError("membership needs a homogeneous polynomial")
         index, _, rs = self._space(m)
-        return rs.contains(_dense({index[mon]: c for mon, c in terms.items()}, len(index)))
+        return rs.contains({index[mon]: c for mon, c in terms.items()})
 
     def _space(self, m: int):
         """(column index of the degree-m monomials, integer term dicts of
@@ -200,15 +193,10 @@ class MembershipPredicate:
         return space
 
 
-def _vector(p: Polynomial, index: Mapping[tuple, int]) -> list[int]:
-    """Integer row of p with its denominators cleared."""
-    if not all(is_rational_scalar(c) for c in p.terms.values()):
-        raise ValueError("subring computations need rational coefficients")
-    return _dense({index[mon]: c for mon, c in _int_terms(p).items()}, len(index))
-
-
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
     """Terms of p scaled by the lcm of its denominators (1 for integer p)."""
+    if not all(is_rational_scalar(c) for c in p.terms.values()):
+        raise ValueError("subring computations need rational coefficients")
     return _clear_denominators(p.terms)[0]
 
 
@@ -218,39 +206,43 @@ def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Pol
     )
 
 
-def _constraints(cond, desc, m, cols) -> list[list[int]]:
-    """Integer functionals on the degree-m monomials whose common kernel is
-    the part of the degree-m piece that satisfies a weight or congruence
-    condition `cond` (parity conditions: `_parity_constraints`)."""
+def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
+    """Integer functionals, as {column: nonzero} rows, on the degree-m
+    monomials whose common kernel is the part of the degree-m piece that
+    satisfies a weight or congruence condition `cond` (parity conditions:
+    `_parity_constraints`)."""
     if isinstance(cond, WeightCondition):
         target = cond.weight % desc.torsion_order
-        return _units(cols, lambda mon: desc.monomial_weight(mon) != target)
+        return [{j: 1} for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
         index = {mon: i for i, mon in enumerate(cols)}
-        span_rows = _units(cols, lambda mon: all(mon[i] % 2 == 0 for i in even_idx))
+        span_rows = [
+            {j: 1} for j, mon in enumerate(cols) if all(mon[i] % 2 == 0 for i in even_idx)
+        ]
         for f in cond.modulus:
             dw = degree_and_weight(f)
             if not isinstance(dw, tuple):
                 raise ValueError("modulus polynomials must be homogeneous")
+            if f.descriptor != desc:
+                raise ValueError("descriptor mismatch")
+            # mult * f is f's cleared integer row shifted to mult + e.
+            terms = _int_terms(f)
             for mult in enumerate_monomials(desc, m - dw[0]):
-                prod = Polynomial(desc, {mult: Fraction(1)}) * f
-                span_rows.append(_vector(prod, index))
+                span_rows.append({index[tuple(map(add, mult, e))]: c for e, c in terms.items()})
         # Over Q, v lies in span(S) exactly when every functional that
         # vanishes on S vanishes on v: the annihilator cuts out the span.
-        return int_kernel_basis(span_rows, len(cols))
+        return [
+            {j: x for j, x in enumerate(v) if x} for v in int_kernel_basis(span_rows, len(cols))
+        ]
     raise TypeError(f"unknown condition {cond!r}")
 
 
-def _units(cols: list[tuple], keep) -> list[list[int]]:
-    """Unit rows of the columns whose monomial satisfies `keep`."""
-    return [[int(i == j) for i in range(len(cols))] for j, mon in enumerate(cols) if keep(mon)]
-
-
-def _parity_constraints(maps, sign: int, cols) -> list[list[int]]:
-    """Integer functionals of v -> sigma1(v) - sign * sigma2(v), one per
-    target monomial t: entry (t, j) is the coefficient of t in
-    sigma1(cols[j]) - sign * sigma2(cols[j]), for maps = (sigma1, sigma2).
+def _parity_constraints(maps, sign: int, cols) -> list[dict[int, int]]:
+    """Integer functionals of v -> sigma1(v) - sign * sigma2(v), one
+    {column: nonzero} row per target monomial t: entry (t, j) is the
+    coefficient of t in sigma1(cols[j]) - sign * sigma2(cols[j]), for maps =
+    (sigma1, sigma2).
 
     Both substitutions are ring maps, so each monomial is mapped once for
     the maps' lifetime.  All rows carry one common positive factor, which
@@ -258,7 +250,7 @@ def _parity_constraints(maps, sign: int, cols) -> list[list[int]]:
     sigma1, sigma2 = maps
     images = [(sigma1(mon), sigma2(mon)) for mon in cols]
     mult = lcm(*(d for (_, d1), (_, d2) in images for d in (d1, d2)))
-    rows: dict[tuple, list[int]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     for j, ((t1, d1), (t2, d2)) in enumerate(images):
         phi = {t: c * (mult // d1) for t, c in t1.items()}
         f2 = sign * (mult // d2)
@@ -266,7 +258,7 @@ def _parity_constraints(maps, sign: int, cols) -> list[list[int]]:
             phi[t] = phi.get(t, 0) - f2 * c
         for t, c in phi.items():
             if c:
-                rows.setdefault(t, [0] * len(cols))[j] = c
+                rows.setdefault(t, {})[j] = c
     return list(rows.values())
 
 
@@ -533,15 +525,14 @@ class SubringBuilder:
         matrix, and its echelon rows are triangular on those columns, so
         these rows have the full rank: they cut out the same kernel."""
         index = self.pred._space(m)[0]
-        row_of = {j: r for r, j in enumerate(pivots)}
-        matrix = [[0] * len(free_mons) for _ in pivots]
+        rows: dict[int, dict[int, int]] = {j: {} for j in pivots}
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
             for amb, x in terms.items():
-                r = row_of.get(index[amb])
-                if r is not None:
-                    matrix[r][u] = x
-        return int_kernel_basis(matrix, len(free_mons))
+                row = rows.get(index[amb])
+                if row is not None:
+                    row[u] = x
+        return int_kernel_basis(list(rows.values()), len(free_mons))
 
     def verify_generator_list(
         self, claimed: Sequence[Polynomial], max_degree: int
@@ -591,19 +582,19 @@ class SubringBuilder:
 
 
 def _relations_by_duality(kernel, multiples) -> list[list[int]]:
-    """The kernel vectors the greedy choice keeps, made primitive, in its
-    order: taken in sorted order, a vector is kept when it is outside the
-    span of the multiples (integer {column: value} dicts in the span of the
-    kernel) and the vectors before it.
+    """The kernel vectors the greedy choice keeps, in its order: taken in
+    sorted order, a vector is kept when it is outside the span of the
+    multiples (integer {column: value} dicts in the span of the kernel) and
+    the vectors before it.
 
-    `kernel` is the canonical basis of `int_kernel_basis`: each v_f is zero
-    past its free column f and at every other free column, so a kernel
-    vector w is the sum of (w[f] / v_f[f]) v_f, and a multiple's
-    coordinates are read off its free columns.  With the coordinate columns
-    in reverse sorted order, the pivots of the span of the coordinates of
-    the multiples are the vectors that each lie in the span of the
-    multiples and of the vectors before it (matroid duality), so the rest
-    are the greedy choice, found in one elimination."""
+    `kernel` is the canonical basis of `int_kernel_basis`, of primitive
+    vectors: each v_f is zero past its free column f and at every other
+    free column, so a kernel vector w is the sum of (w[f] / v_f[f]) v_f, and
+    a multiple's coordinates are read off its free columns.  With the
+    coordinate columns in reverse sorted order, the pivots of the span of
+    the coordinates of the multiples are the vectors that each lie in the
+    span of the multiples and of the vectors before it (matroid duality),
+    so the rest are the greedy choice, found in one elimination."""
     size = len(kernel)
     order = sorted(range(size), key=kernel.__getitem__)
     column = [0] * size
@@ -624,7 +615,7 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
                 row[entry[0]] = x * entry[1]
         coords.add_nonzeros(row)
     pivots = set(coords.pivot_columns())
-    return [_primitive(kernel[i]) for i in order if column[i] not in pivots]
+    return [kernel[i] for i in order if column[i] not in pivots]
 
 
 def _leading_term_echelon(free, m, free_index, echelons, target):

@@ -29,6 +29,11 @@ def F(x):
     return Fraction(x)
 
 
+def _nonzeros(row):
+    """{column: value} of a dense row's nonzeros."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
 class TestRref:
     def test_identity(self):
         m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -82,32 +87,28 @@ class TestSpan:
         assert rs.dim == 2
 
     def test_in_span_true(self):
-        assert solve_columns([[1, 1]], [2, 2]) == [F(2)]
+        assert solve_columns([{0: 1, 1: 1}], {0: 2, 1: 2}) == [F(2)]
 
     def test_in_span_false(self):
-        assert solve_columns([[1, 1]], [1, 0]) is None
+        assert solve_columns([{0: 1, 1: 1}], {0: 1}) is None
 
     def test_length_mismatch(self):
         rs = IntRowSpace(2)
         with pytest.raises(ValueError, match="length mismatch"):
             rs.add([1, 1, 1])
-        with pytest.raises(ValueError, match="length mismatch"):
-            rs.contains([1])
-        with pytest.raises(ValueError, match="length mismatch"):
-            solve_columns([[1, 1], [1, 0]], [1])
 
     def test_columns_as_dicts_of_labelled_nonzeros(self):
         columns = [{"x": 1, "y": Fraction(1, 2)}, {"y": 3}]
         assert solve_columns(columns, {"x": 2, "y": 4}) == [F(2), F(1)]
-        assert solve_columns(columns, [1, 0]) is None  # rows 0, 1 are neither x nor y
+        assert solve_columns(columns, {0: 1}) is None  # row 0 is neither x nor y
         assert solve_columns([], {}) == [] and solve_columns([], {"x": 1}) is None
         with pytest.raises(TypeError, match="exact scalars"):
-            solve_columns([[1.0, 0]], [1, 0])
+            solve_columns([{0: 1.0}], {0: 1})
 
     def test_certificate_recombines(self):
         vectors = [[1, 2, 0], [0, 1, 1], [2, 0, 1]]
         target = [3, 5, 2]
-        coords = solve_columns(vectors, target)
+        coords = solve_columns([_nonzeros(v) for v in vectors], _nonzeros(target))
         assert coords is not None
         recombined = [
             sum(c * v[i] for c, v in zip(coords, vectors)) for i in range(3)
@@ -189,6 +190,7 @@ def kernel_matrices(draw):
 @example(case=([[1, 0, 2, 0, 3, 0, 4, 0], [0, 2, 0, 3, 0, 4, 0, 5]], 8))
 def test_reversed_kernel_is_the_reduced_kernel(case):
     rows, ncols = case
+    rows = [_nonzeros(row) for row in rows]
     assert int_kernel_rref(rows, ncols) == int_rref(int_kernel_basis(rows, ncols), ncols)[0]
 
 
@@ -196,16 +198,16 @@ def test_int_rowspace_membership():
     rs = IntRowSpace(3)
     rs.add([1, 2, 3])
     rs.add([0, 1, 1])
-    assert rs.contains([1, 3, 4])
-    assert rs.contains([2, 4, 6])
-    assert not rs.contains([0, 0, 1])
+    assert rs.contains({0: 1, 1: 3, 2: 4})
+    assert rs.contains({0: 2, 1: 4, 2: 6})
+    assert not rs.contains({2: 1})
     assert rs.dim == 2
 
 
 def test_int_rowspace_fraction_input():
     rs = IntRowSpace(2)
     assert rs.add([Fraction(1, 2), Fraction(1, 3)])
-    assert rs.contains([3, 2])
+    assert rs.contains({0: 3, 1: 2})
 
 
 @settings(max_examples=100, deadline=None)
@@ -224,6 +226,21 @@ def test_normalise_matches_always_dividing(row, content, negate):
         g = -g
     expected = {c: u // g for c, u in work.items()}
     assert IntRowSpace._normalise(dict(work)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.dictionaries(st.integers(0, 12), st.integers(1, PRIME - 1), min_size=1, max_size=6),
+    monic=st.booleans(),
+)
+def test_modp_normalise_matches_always_scaling(row, monic):
+    # Rows whose lead is 1 already and rows whose lead is not.
+    work = dict(row)
+    if monic:
+        work[min(work)] = 1
+    inv = pow(work[min(work)], -1, PRIME)
+    expected = {c: u * inv % PRIME for c, u in work.items()}
+    assert ModPRowSpace._normalise(dict(work)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +354,7 @@ def sparse_rows(draw, fractions=False):
 def _matches_dense_oracle(rows, ncols, engine=IntRowSpace, oracle=DenseIntRowSpace):
     sparse, dense = engine(ncols), oracle(ncols)
     for row in rows:
-        assert sparse.contains(row) == dense.contains(row)
+        assert sparse.contains(engine._nonzeros(row)) == dense.contains(row)
         assert sparse.add(row) == dense.add(row)
     # Each stored row, read back dense, is the oracle's, in insertion order.
     assert list(sparse._pivots) == list(dense._pivots)
@@ -348,7 +365,7 @@ def _matches_dense_oracle(rows, ncols, engine=IntRowSpace, oracle=DenseIntRowSpa
         assert len(sparse._pivots[c]) == len(sparse._support[c])
         assert all(x != 0 for x in sparse._pivots[c])
     for row in rows:
-        assert sparse.contains(row) and dense.contains(row)
+        assert sparse.contains(engine._nonzeros(row)) and dense.contains(row)
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,13 +386,17 @@ def test_int_rref_and_kernel_match_dense_oracle(case):
     rows, ncols = case
     assert int_rref(rows, ncols) == dense_int_rref(rows, ncols)
     assert int_kernel_basis(rows, ncols) == dense_int_kernel_basis(rows, ncols)
+    # Dict rows give the same echelon form and kernel.
+    dicts = [_nonzeros(row) for row in rows]
+    assert int_rref(dicts, ncols) == dense_int_rref(rows, ncols)
+    assert int_kernel_basis(dicts, ncols) == dense_int_kernel_basis(rows, ncols)
 
 
 def test_copy_keeps_supports_apart():
     rs = IntRowSpace(3)
     rs.add([0, 2, 4])
     dup = rs.copy()
-    assert dup.add([1, 0, 1]) and not rs.contains([1, 0, 1])
+    assert dup.add([1, 0, 1]) and not rs.contains({0: 1, 2: 1})
     assert dup._support == {0: (0, 2), 1: (1, 2)} and rs._support == {1: (1, 2)}
 
 
@@ -592,7 +613,8 @@ def test_rref_kernel_and_solve_match_dense_oracle(order, data):
     inside = [x + y for x, y in zip(rows[0], rows[-1])]
     free = data.draw(st.lists(field_scalars(order), min_size=ncols, max_size=ncols))
     for target in (inside, free):
-        assert solve_columns(rows, target) == dense_solve(rows, target)
+        columns = [_nonzeros(row) for row in rows]
+        assert solve_columns(columns, _nonzeros(target)) == dense_solve(rows, target)
 
 
 def dense_certificate(pres, p):

@@ -46,6 +46,17 @@ rel (-3 + 4*z5 - 4*z5^2 - z5^3)*x3^3 + (-4 + 2*z5 + 2*z5^2 + 2*z5^3)*x2*x3*x4 + 
 """
 
 
+# No relations, and a degree-0 variable, which monomials carry at exponent
+# at most 1.
+FREE_RING = """\
+torsion_order 3
+x 1 0
+y 1 1
+z 2 2
+t 0 1
+"""
+
+
 def run_both(args, tmp_path, files=()):
     """Run the CLI on both trees in sibling directories; return, per tree,
     the exit code, stdout, stderr and the bytes of the named output files."""
@@ -55,6 +66,7 @@ def run_both(args, tmp_path, files=()):
         workdir.mkdir()
         (workdir / "z5.ring").write_text(Z5_RING)
         (workdir / "cyclo_z5.ring").write_text(CYCLO_Z5_RING)
+        (workdir / "free.ring").write_text(FREE_RING)
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
         proc = subprocess.run(
             [sys.executable, "-m", "godeaux.cli", *args],
@@ -117,6 +129,12 @@ def test_hilbert_cyclotomic_ring_file_matches(tmp_path):
     ours, ref = run_both(
         ["hilbert", "--ring", "z5.ring", "--max-degree", "10", "--format", "json"], tmp_path
     )
+    assert ours[0] == ref[0] == 0, ours[2]
+    assert ours[1:] == ref[1:]
+
+
+def test_hilbert_relation_free_ring_file_matches(tmp_path):
+    ours, ref = run_both(["hilbert", "--ring", "free.ring", "--max-degree", "10"], tmp_path)
     assert ours[0] == ref[0] == 0, ours[2]
     assert ours[1:] == ref[1:]
 

@@ -1,7 +1,7 @@
 """Membership predicates, generator selection, relation counting, verification."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from unittest.mock import patch
 
@@ -20,15 +20,7 @@ from godeaux import (
     render_polynomial,
 )
 from godeaux import linalg, subring
-from godeaux.linalg import (
-    IntRowSpace,
-    ModPRowSpace,
-    _dense,
-    _primitive,
-    int_kernel_basis,
-    int_kernel_rref,
-    int_rref,
-)
+from godeaux.linalg import IntRowSpace, ModPRowSpace, int_kernel_basis, int_kernel_rref, int_rref
 from godeaux.poly import _product, degree_and_weight, enumerate_monomials, grevlex_key
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -42,15 +34,37 @@ from godeaux.subring import (
     _parity_constraints,
     _relations_by_duality,
     _to_poly,
-    _vector,
 )
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
 
 
+# Dense rows and their normal form, written here so that the oracles below
+# do not share them with the engine.
+
+
 def _row(terms, index):
     """Dense row of a term dict, in the column order of index."""
-    return _dense({index[mon]: c for mon, c in terms.items()}, len(index))
+    row = [0] * len(index)
+    for mon, c in terms.items():
+        row[index[mon]] = c
+    return row
+
+
+def _vector(p, index):
+    """Dense integer row of p, its denominators cleared."""
+    mult = lcm(*(c.denominator for c in p.terms.values()))
+    return _row({mon: int(c * mult) for mon, c in p.terms.items()}, index)
+
+
+def _primitive(row):
+    """An integer row divided by its content, leading entry positive."""
+    g = gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    if next((x for x in row if x), 0) < 0:
+        row = [-x for x in row]
+    return row
 
 
 @pytest.fixture(scope="module")
@@ -781,6 +795,21 @@ def test_parity_condition_errors():
         MembershipPredicate(ABC, [apart]).subspace_basis(2)
 
 
+def test_congruence_condition_and_membership_errors():
+    # A modulus from another ring, or with cyclotomic coefficients, is
+    # refused, and so is a cyclotomic polynomial given to `contains`.
+    line = Polynomial(ST, {(1, 0): Fraction(1)})
+    apart = MembershipPredicate(ABC, [CongruenceImageCondition(("a",), (line,))])
+    with pytest.raises(ValueError, match="descriptor"):
+        apart.subspace_basis(2)
+    z3 = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0), scalar_order=3)
+    cyclo = Polynomial(z3, {(1, 0, 0): zeta(3)})
+    with pytest.raises(ValueError, match="rational"):
+        MembershipPredicate(z3, [CongruenceImageCondition(("a",), (cyclo,))]).subspace_basis(2)
+    with pytest.raises(ValueError, match="rational"):
+        MembershipPredicate(z3, [WeightCondition(0)]).contains(cyclo)
+
+
 def test_missing_image_raises_where_no_basis_element_uses_it():
     # c has weight 1 mod 3, so in degree 2 the weight-0 condition removes
     # every monomial in c; sigma1 still has no image for c.
@@ -925,6 +954,24 @@ def test_reversed_kernel_matches_two_eliminations(case):
         reduced, _ = int_rref(int_kernel_basis(pred._functionals(m, cols), n), n)
         assert int_kernel_rref(pred._functionals(m, cols), n) == reduced
         assert pred.subspace_basis(m) == [_to_poly(pred.descriptor, cols, r) for r in reduced]
+
+
+def test_sc_bases_match_sympy_nullspace(pred):
+    # V_m's basis is the primitive integer form of the reduced echelon basis
+    # of the kernel of the dense functional matrix, as sympy computes it.
+    sympy = pytest.importorskip("sympy")
+    for m in range(9):
+        cols = pred.ambient_monomials(m)
+        index = {mon: j for j, mon in enumerate(cols)}
+        functionals = pred._functionals(m, cols)
+        matrix = sympy.Matrix(len(functionals), len(cols), lambda i, j: functionals[i].get(j, 0))
+        kernel = matrix.nullspace()
+        reduced = sympy.Matrix.hstack(*kernel).T.rref()[0].tolist() if kernel else []
+        expected = []
+        for row in reduced:
+            mult = lcm(*(int(sympy.fraction(x)[1]) for x in row))
+            expected.append(_primitive([int(x * mult) for x in row]))
+        assert [_row(t, index) for t in pred.basis_terms(m)] == expected, m
 
 
 def test_sc_bases_match_the_sequential_narrowing(pred):
