@@ -2,8 +2,10 @@
 
 A row space keeps one reduced row per pivot column, stored as its nonzero
 values aligned with its sorted nonzero columns.  A row is a {column: value}
-dict of its nonzeros, reduced against those pivot rows by one loop shared
-by three scalar backends: `add_nonzeros` and `contains` take such a dict,
+dict of its nonzeros, reduced against those pivot rows by one dict loop
+shared by the integer and field backends; the mod-p backend reduces on a
+dense accumulator with lazy residues, which makes the same steps with no
+reduction mod p per entry.  `add_nonzeros` and `contains` take such a dict,
 and `int_kernel_rref` and `solve_columns` take their systems as such
 dicts.  Dense rows are left only as input to `add`, `int_rref`,
 `int_kernel_basis` and `Matrix`, and as the output of `rows()`, the echelon
@@ -22,13 +24,15 @@ forms.  `solve_columns` builds no dense matrix: it transposes its columns
 to one {column: entry} row per equation and eliminates them fraction-free
 by `int_rref` over Q (each row's denominators cleared), or in
 `GenericRowSpace` over Q(zeta_n).  Residues mod `PRIME` are
-one-digit CPython ints, so each step mod p takes the fast path of
-CPython's integer division.
+one-digit CPython ints, so the product of two is below 2^60 and each
+back-substitution step mod p takes the fast path of CPython's integer
+division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, islice
 from math import gcd, lcm
 
 from .scalars import Cyclo, Scalar, scalar_inv
@@ -177,7 +181,9 @@ class _RowSpace:
     a dict.  A row is reduced as a {column: value} dict of its nonzeros:
     while its leading column has a pivot, one elimination step clears that
     entry.  Rows enter as that dict (`add_nonzeros`, `contains`) or dense
-    (`add`), scanned into one first.
+    (`add`), scanned into one first.  `IntRowSpace` and `GenericRowSpace`
+    reduce by the dict loop here; `ModPRowSpace` has its own accumulator
+    loop, which makes the same steps.
     A backend supplies the scalar steps as static methods:
     `_nonzeros(row)` gives the dict of a dense input row,
     `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
@@ -356,6 +362,56 @@ class ModPRowSpace(_RowSpace):
 
     add = _RowSpace.add
     contains = _RowSpace.contains
+
+    def _reduce_nonzeros(self, work: dict[int, int]) -> dict[int, int]:
+        """The row's nonzero residues after reducing its leading entries by
+        the stored pivots until one has no pivot.
+
+        A row whose lead has no pivot is returned as it is.  Otherwise the
+        row is scattered into a dense accumulator indexed by column, and
+        each step subtracts f * piv with f the lead's residue, leaving every
+        entry unreduced: the accumulator stays congruent mod p to the dict
+        loop's working row, so each step has the same lead, pivot row and
+        f.  The next lead is the next entry that is nonzero mod p, up to the
+        highest column touched."""
+        if not work:
+            return work
+        pivots = self._pivots
+        lead = min(work)
+        if lead not in pivots:
+            return work
+        p = PRIME
+        support = self._support
+        get = pivots.get
+        acc = [0] * (max(work) + 1)
+        for c, x in work.items():
+            acc[c] = x
+        # Columns of the entries from the lead on that are not exactly 0,
+        # each read when the walk reaches it, so that later steps are seen.
+        ahead = compress(count(lead), islice(acc, lead, None))
+        k = lead
+        f = acc[k] % p
+        while True:
+            piv = get(k)
+            if piv is None:
+                break
+            cols = support[k]
+            if cols[-1] >= len(acc):
+                acc.extend([0] * (cols[-1] + 1 - len(acc)))
+            for c, x in zip(cols, piv):
+                acc[c] -= f * x
+            for k in ahead:
+                f = acc[k] % p
+                if f:
+                    break
+            else:
+                return {}
+        out = {k: f}
+        for c in ahead:
+            r = acc[c] % p
+            if r:
+                out[c] = r
+        return out
 
     @staticmethod
     def _nonzeros(row) -> dict[int, int]:

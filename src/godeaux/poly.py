@@ -289,26 +289,39 @@ def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
 
 def _enumerate(desc: RingDescriptor, m: int) -> None:
     """Store the monomials of degree m, all and per weight, in grevlex order;
-    the recursion carries each monomial's weight."""
+    the recursion carries each monomial's weight, and the last variable's
+    exponent is solved for, not looped over."""
     n = desc.nvars
     d = desc.torsion_order
     weight_of: dict[tuple, int] = {}
     exps = [0] * n
+    last = n - 1
 
     def rec(i: int, remaining: int, weight: int):
-        if i == n:
-            if remaining == 0:
-                weight_of[tuple(exps)] = weight % d
-            return
         deg = desc.degrees[i]
         wt = desc.weights[i]
+        if i == last:
+            # The degree left fixes the exponent: 0 or 1 for a degree-0
+            # variable, when nothing is left.
+            if deg == 0:
+                tops = (0, 1) if remaining == 0 else ()
+            else:
+                tops = (remaining // deg,) if remaining % deg == 0 else ()
+            for k in tops:
+                exps[i] = k
+                weight_of[tuple(exps)] = (weight + k * wt) % d
+            exps[i] = 0
+            return
         top = 1 if deg == 0 else remaining // deg
         for k in range(top + 1):
             exps[i] = k
             rec(i + 1, remaining - k * deg, weight + k * wt)
         exps[i] = 0
 
-    rec(0, m, 0)
+    if n:
+        rec(0, m, 0)
+    elif m == 0:
+        weight_of[()] = 0
     full = sorted(weight_of, key=grevlex_key)
     per_weight: list[list[tuple]] = [[] for _ in range(d)]
     for e in full:

@@ -566,7 +566,7 @@ class SubringBuilder:
         """Random products p*q with p in V_i, q in V_j must land in V_{i+j}."""
         rng = random.Random(seed)
         results = []
-        degrees = [m for m in range(1, max_degree) if self.pred.subspace_basis(m)]
+        degrees = [m for m in range(1, max_degree) if self.pred.dim(m)]
         if not degrees:
             return []
         for _ in range(trials):

@@ -49,3 +49,11 @@ def test_sc_to_degree_22_peaks_under_150_mb():
     code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "22")
     assert code == 0
     assert mb <= 150, f"peak {mb:.0f} MB"
+
+
+@needs_status
+@pytest.mark.slow
+def test_sc_to_degree_24_peaks_under_150_mb():
+    code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "24")
+    assert code == 0
+    assert mb <= 150, f"peak {mb:.0f} MB"

@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from godeaux import (
@@ -294,6 +294,34 @@ class TestEnumeration:
         for w in data.draw(st.permutations(range(d))):
             assert enumerate_monomials(desc, m, w) == per_weight_monomials(desc, m, w)
         assert enumerate_monomials(desc, m) == per_weight_monomials(desc, m, "all")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        d=st.integers(1, 3),
+        m=st.integers(0, 7),
+        data=st.data(),
+    )
+    @example(degrees=[1, 2, 0], d=2, m=0, data=None)
+    @example(degrees=[1, 2, 0], d=2, m=5, data=None)
+    @example(degrees=[0], d=1, m=0, data=None)
+    def test_product_brute_force_agreement(self, degrees, d, m, data):
+        # The last variable's exponent is solved for; a degree-0 one is 0 or 1.
+        n = len(degrees)
+        weights = [1] * n if data is None else data.draw(
+            st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+        )
+        desc = RingDescriptor(tuple("abcd"[:n]), tuple(degrees), tuple(weights), torsion_order=d)
+        boxes = [range(1 + (m // g if g else 1)) for g in degrees]
+        expected = sorted(
+            (e for e in product(*boxes) if sum(x * g for x, g in zip(e, degrees)) == m),
+            key=grevlex_key,
+        )
+        assert enumerate_monomials(desc, m) == expected
+        for w in range(d):
+            assert enumerate_monomials(desc, m, w) == [
+                e for e in expected if desc.monomial_weight(e) == w
+            ]
 
     def test_list_fields_give_a_hashable_descriptor(self):
         desc = RingDescriptor(["a", "b"], [1, 2], [0, 1], torsion_order=2)
