@@ -1,13 +1,17 @@
 """Finitely presented bi-graded rings: graded pieces of ideals and quotients.
 
 Ideal pieces are spanned by monomial multiples of the relations and ranked
-exactly; no Groebner basis is computed.  Each relation's terms are kept once
-as a row: integers (its terms times the lcm of their denominators) for a
-rational presentation, the scalars themselves for a cyclotomic one.  A
-multiple is that row shifted to the multiplier's columns, with no polynomial
-product, and enters the row space as a dict of its few nonzeros, never as a
-dense row of the piece's width; the monomials of each degree are enumerated
-once per process.
+exactly; no Groebner basis is computed.  A lead certificate
+(`LeadCertificate`) can still show, from the dimensions of the pieces up to
+one degree D, that the relations already are one in a weighted reverse-lex
+order.  The quotient dimensions past D are then counts of the monomials that
+no leading monomial divides, and no piece past D is needed.
+Each relation's terms are kept once as a row: integers (its terms times the
+lcm of their denominators) for a rational presentation, the scalars
+themselves for a cyclotomic one.  A multiple is that row shifted to the
+multiplier's columns, with no polynomial product, and enters the row space
+as a dict of its few nonzeros, never as a dense row of the piece's width;
+the monomials of each degree are enumerated once per process.
 Rational presentations use the integer row space, cyclotomic ones the field
 row space (both in `linalg`).  Per-(degree, weight) results are memoised
 write-once.  A membership certificate is solved on the same shifted rows,
@@ -56,6 +60,7 @@ from .poly import (
     degree_and_weight,
     enumerate_monomials,
     grevlex_key,
+    weighted_revlex_key,
 )
 from .record import Record
 from .scalars import Scalar, is_rational_scalar
@@ -264,6 +269,109 @@ class GradedPresentation:
         rows = [piece.unit_row(mon) for mon in monomials]
         probe = piece.rowspace.copy()
         return all(probe.add_nonzeros(row) for row in rows)
+
+
+# Standard-monomial counts per (descriptor, leads, top degree): presentations
+# that share their leads share the counts.
+_STANDARD_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
+
+
+class LeadCertificate:
+    """Buchberger's criterion (1965) read off dimensions, in the weighted
+    reverse-lex order with the variables ranked as given
+    (`poly.weighted_revlex_key`); every variable must have positive degree.
+
+    `leads` is L, the minimal leading monomials of the relations, largest
+    first.  `degree` is D, the larger of the top relation degree and the
+    largest lcm degree of two leads that share a variable.  The certificate
+    closes iff quotient_dim(m, w), from the pieces, equals the number of
+    monomials of bidegree (m, w) that no lead divides, for every m <= D.
+
+    Why closing makes G, one relation per lead, a Groebner basis of I:
+    (L)_m lies in in(I)_m and has the same dimension, so in(I)_m = (L)_m for
+    m <= D.  So in((G))_m contains in(I)_m, (G)_m = I_m, and every relation
+    lies in (G).  An S-pair of two elements of G whose leads share a variable
+    lies in I_k with k <= D, where every nonzero element has its lead in
+    (L)_k, so dividing it by G ends in zero.  Pairs with coprime leads reduce
+    to zero by Buchberger's first criterion.  Then in(I) = (L) in every
+    degree, and the counts are the quotient dimensions in every degree.
+    If a variable v divides no lead, multiplication by v is injective on
+    the quotient (as in Bayer and Stillman 1987): if v * f lies in I, let f'
+    be f's remainder by G.  If f' were nonzero, a lead would divide
+    in(v * f') = v * in(f'), so also in(f'), a term of a remainder.
+    """
+
+    __slots__ = ("pres", "leads", "degree")
+
+    def __init__(self, pres: GradedPresentation, ranking):
+        desc = pres.descriptor
+        if not all(desc.degrees):
+            raise ValueError("a lead certificate needs every variable of positive degree")
+        key = weighted_revlex_key(desc, ranking)
+        heads = {max(r.terms, key=key) for r in pres.relations}
+        self.pres = pres
+        self.leads = sorted(
+            (t for t in heads if not any(s != t and all(map(le, s, t)) for s in heads)),
+            key=key,
+            reverse=True,
+        )
+        lcm_degrees = [
+            desc.monomial_degree(map(max, s, t))
+            for s, t in combinations(self.leads, 2)
+            if any(map(min, s, t))
+        ]
+        self.degree = max(lcm_degrees + [d for d, _ in pres.relation_bidegrees], default=0)
+
+    def standard_counts(self, top: int) -> dict[tuple[int, int], int]:
+        """Per bidegree (m, w) with m <= top, the number of monomials that no
+        lead divides; counted once per descriptor, leads and top."""
+        desc = self.pres.descriptor
+        key = (desc, tuple(self.leads), top)
+        counts = _STANDARD_COUNTS.get(key)
+        if counts is None:
+            counts = _STANDARD_COUNTS[key] = _count_standard(desc, self.leads, top)
+        return dict(counts)
+
+    def closes(self) -> bool:
+        """True iff the pieces of degree <= D have the standard counts;
+        builds those pieces, in ascending degree, and no other."""
+        dim = self.pres.quotient_dim
+        return all(dim(m, w) == n for (m, w), n in self.standard_counts(self.degree).items())
+
+    def divides_no_lead(self, var: str) -> bool:
+        """True iff var divides no lead: once the certificate closes,
+        multiplication by var is then injective in every degree."""
+        i = self.pres.descriptor.index(var)
+        return not any(lead[i] for lead in self.leads)
+
+
+def _count_standard(desc: RingDescriptor, leads, top: int) -> dict[tuple[int, int], int]:
+    """Per (m, w) with m <= top, the monomials that no lead divides.  They
+    are closed under division, so each is reached once, from the monomial
+    with one unit less of its last variable.  A step that raises variable j
+    to k can only meet the leads whose exponent of j is k."""
+    n, d = desc.nvars, desc.torsion_order
+    counts = {(m, w): 0 for m in range(top + 1) for w in range(d)}
+    meets: list[dict[int, list[tuple]]] = [{} for _ in range(n)]
+    for lead in leads:
+        for j, k in enumerate(lead):
+            if k:
+                meets[j].setdefault(k, []).append(lead)
+    one = (0,) * n
+    stack = [] if one in leads else [(one, 0, 0, 0)]
+    while stack:
+        exps, m, w, first = stack.pop()
+        counts[m, w] += 1
+        for j in range(first, n):
+            mj = m + desc.degrees[j]
+            if mj > top:
+                continue
+            k = exps[j] + 1
+            step = exps[:j] + (k,) + exps[j + 1 :]
+            if any(all(map(le, lead, step)) for lead in meets[j].get(k, ())):
+                continue
+            stack.append((step, mj, (w + desc.weights[j]) % d, j))
+    return counts
 
 
 class _IdealPiece:

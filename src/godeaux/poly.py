@@ -9,7 +9,7 @@ caps their exponents.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Mapping
 
 from .scalars import (
@@ -105,6 +105,22 @@ class RingDescriptor:
 def grevlex_key(exps):
     """Sort key: ascending gives grevlex-descending order when negated total is used."""
     return (-sum(exps), tuple(reversed(exps)))
+
+
+def weighted_revlex_key(desc: RingDescriptor, ranking):
+    """Sort key of the weighted reverse-lex order, larger key for the larger
+    monomial: weighted degree first; on a tie, the smaller exponent of the
+    last variable in `ranking` (every variable, largest first) wins, then of
+    the one before it, and so on."""
+    if sorted(ranking) != sorted(desc.variables):
+        raise ValueError(f"ranking {ranking} does not list the variables {desc.variables}")
+    order = [desc.index(v) for v in reversed(ranking)]
+    degrees = desc.degrees
+
+    def key(exps):
+        return (sum(map(mul, exps, degrees)), [-exps[i] for i in order])
+
+    return key
 
 
 class Polynomial:

@@ -11,13 +11,22 @@ import random
 import time
 from fractions import Fraction
 
-from ..graded import GradedPresentation
+from ..graded import GradedPresentation, LeadCertificate
 from ..poly import Polynomial, RingDescriptor, degree_and_weight, parse_polynomial
 from ..report import Check, VerificationReport
 from . import fixtures
 from .oracles import oracle_curve_dim
 
 PARAMETERS = ("alpha", "beta", "gamma")
+
+# The ten relations of the table, in fixture order; the check ids name them.
+RELATIONS = ("f0", "f1", "f2", "g0", "g1", "g2", "h0", "H0", "H1", "H2")
+# Degrees of the tabulated quotient bases (all three weights each).
+BASIS_DEGREES = range(1, 7)
+# The variables largest first for the lead certificate: in this weighted
+# reverse-lex order the relations other than h0 are a Groebner basis at every
+# parameter value, closing at degree 9, and x2 lies in no lead.
+LEAD_RANKING = ("z1", "z2", "y0", "y1", "y2", "x2")
 
 SYZYGIES = (
     "x2*g0 - y0*f2 - y1*f1 + y2*f0",
@@ -144,13 +153,14 @@ def run_z3(
         "truncation": f"all claims verified up to degree {max_degree}",
     }
 
+    error = _fixture_error()
     if mode in ("symbolic", "both"):
-        _symbolic_checks(checks)
+        _symbolic_checks(checks, error)
     if mode in ("numeric", "both"):
         samples = numeric_samples(params, seed)
         config["samples"] = [[str(x) for x in s] for s in samples]
         for si, sample in enumerate(samples):
-            _numeric_checks(checks, si, sample, max_degree)
+            _numeric_checks(checks, si, sample, max_degree, error)
     else:
         config["hilbert"] = "skipped (symbolic mode: dimension tables need specialised parameters)"
 
@@ -159,9 +169,29 @@ def run_z3(
     return report
 
 
-def _symbolic_checks(checks: list[Check]):
-    for name, deg, wt, poly in fixtures.z3_relations():
-        grading = degree_and_weight(poly)
+def _fixture_error() -> str | None:
+    """The error text of a z3 fixture that does not parse, or whose relations
+    are not RELATIONS; None if they all load."""
+    try:
+        names = tuple(name for name, *_ in fixtures.z3_relations())
+        fixtures.z3_claimed_bases()
+    except ValueError as exc:
+        return str(exc)
+    if names != RELATIONS:
+        return f"the relations are {', '.join(names)}, not {', '.join(RELATIONS)}"
+    return None
+
+
+def _symbolic_checks(checks: list[Check], error: str | None):
+    """The symbolic checks; with a fixture error, each fails with its text."""
+    if error is None:
+        placements = fixtures.z3_relations()
+        values = [str(v) for v in syzygy_values()]
+    else:
+        placements = [(name, "unknown", "unknown", None) for name in RELATIONS]
+        values = [error] * len(SYZYGIES)
+    for name, deg, wt, poly in placements:
+        grading = degree_and_weight(poly) if error is None else error
         checks.append(
             Check(
                 f"z3.placement.{name}",
@@ -171,28 +201,26 @@ def _symbolic_checks(checks: list[Check]):
                 actual=list(grading) if isinstance(grading, tuple) else grading,
             )
         )
-    for i, (src, value) in enumerate(zip(SYZYGIES, syzygy_values())):
+    for i, (src, value) in enumerate(zip(SYZYGIES, values)):
         checks.append(
             Check(
                 f"z3.syzygy.{i}",
                 f"{src} expands to the zero polynomial (parameters symbolic)",
                 f"degree-6 syzygy: {src} = 0",
                 expected="0",
-                actual=str(value),
+                actual=value,
             )
         )
-    try:
-        sub = h_membership_presentation()
-    except ValueError as exc:  # a relation that is not bihomogeneous
-        sub, error = None, str(exc)
-    rels = _relation_map()
-    desc = fixtures.z3_descriptor()
-    x2sq = desc.variable("x2") ** 2
-    for i, name in enumerate(("H0", "H1", "H2")):
-        if sub is None:
-            actual = error
+    if error is None:
+        try:
+            sub = h_membership_presentation()
+        except ValueError as exc:  # a relation that is not bihomogeneous
+            error = str(exc)
         else:
-            actual = _h_membership(sub, x2sq * rels[name])
+            rels = _relation_map()
+            x2sq = fixtures.z3_descriptor().variable("x2") ** 2
+    for i, name in enumerate(("H0", "H1", "H2")):
+        actual = error if error is not None else _h_membership(sub, x2sq * rels[name])
         checks.append(
             Check(
                 f"z3.h-membership.{i}",
@@ -215,21 +243,24 @@ def _h_membership(sub: GradedPresentation, target: Polynomial) -> dict | str:
     return {"contained": membership.contained, "certificate_verified": verified}
 
 
-def _numeric_checks(checks: list[Check], si: int, sample, max_degree: int):
+def _numeric_checks(
+    checks: list[Check], si: int, sample, max_degree: int, error: str | None
+):
+    """The checks of one sample; with a fixture error, each fails with its
+    text."""
     label = f"({','.join(str(x) for x in sample)})"
-    claimed = fixtures.z3_claimed_bases()
-    try:
-        pres = numeric_presentation(sample)
-    except ValueError as exc:  # a relation not bihomogeneous, or zero here
-        table = bases = injective = str(exc)
+    if error is None:
+        claimed = fixtures.z3_claimed_bases()
+        basis_keys = sorted(claimed)
+        try:
+            pres = numeric_presentation(sample)
+            table, bases, injective = _numeric_values(pres, max_degree, claimed)
+        except ValueError as exc:  # a relation not bihomogeneous, or zero here
+            error = str(exc)
     else:
-        table = {
-            f"{m}.{w}": pres.quotient_dim(m, w)
-            for m in range(1, max_degree + 1)
-            for w in range(3)
-        }
-        bases = _claimed_bases_hold(pres, claimed)
-        injective = pres.multiplication_injectivity("x2", max_degree)
+        basis_keys = [(m, w) for m in BASIS_DEGREES for w in range(3)]
+    if error is not None:
+        table = bases = injective = error
     checks.append(
         Check(
             f"z3.hilbert.s{si}",
@@ -244,7 +275,7 @@ def _numeric_checks(checks: list[Check], si: int, sample, max_degree: int):
             f"z3.table-bases.s{si}",
             f"listed monomials are quotient-piece bases at parameters {label}",
             "basis columns of the relation table, degrees 1..6",
-            expected={f"{m}.{w}": True for m, w in sorted(claimed)},
+            expected={f"{m}.{w}": True for m, w in basis_keys},
             actual=bases,
         )
     )
@@ -257,6 +288,40 @@ def _numeric_checks(checks: list[Check], si: int, sample, max_degree: int):
             actual=injective,
         )
     )
+
+
+def _numeric_values(
+    pres: GradedPresentation, max_degree: int, claimed
+) -> tuple[dict, dict, bool]:
+    """(Hilbert table, claimed bases hold, x2 injective) of a specialised
+    presentation.
+
+    If the lead certificate closes below max_degree, the table is its
+    standard-monomial count, and x2, if in no lead, is injective in every
+    degree.  Otherwise both come from the pieces up to max_degree + 1.
+    """
+    cert = _closed_certificate(pres, max_degree)
+    counts = None if cert is None else cert.standard_counts(max_degree)
+    table = {
+        f"{m}.{w}": pres.quotient_dim(m, w) if counts is None else counts[m, w]
+        for m in range(1, max_degree + 1)
+        for w in range(3)
+    }
+    bases = _claimed_bases_hold(pres, claimed)
+    if cert is not None and cert.divides_no_lead("x2"):
+        injective = True
+    else:
+        injective = pres.multiplication_injectivity("x2", max_degree)
+    return table, bases, injective
+
+
+def _closed_certificate(pres: GradedPresentation, max_degree: int) -> LeadCertificate | None:
+    """The lead certificate in LEAD_RANKING if it closes below max_degree."""
+    try:
+        cert = LeadCertificate(pres, LEAD_RANKING)
+    except ValueError:  # variables other than the six ranked, or of degree 0
+        return None
+    return cert if cert.degree < max_degree and cert.closes() else None
 
 
 def _claimed_bases_hold(pres: GradedPresentation, claimed) -> dict[str, bool]:

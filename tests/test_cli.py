@@ -214,6 +214,73 @@ class TestVerify:
         assert {k for k, ok in bases["actual"].items() if not ok} == {"4.0"}
 
 
+def edited_fixture(monkeypatch, fixture, old, new):
+    """Serve the fixture file with old replaced by new; returns the cleanup
+    that empties the fixture caches again."""
+    from godeaux.scenarios import fixtures
+
+    read = fixtures._read
+    monkeypatch.setattr(
+        fixtures, "_read", lambda name: read(name).replace(old, new) if name == fixture else read(name)
+    )
+    caches = (fixtures.descriptor, fixtures._z3_relations, fixtures._z3_claimed_bases,
+              fixtures._polynomial_lines, fixtures._substitution)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    clear()
+    return clear
+
+
+class TestRingFileErrors:
+    """A ring file that does not parse fails every check of its suite, with
+    the ids of a good run and the parse error as each actual value; exit 1."""
+
+    @pytest.mark.parametrize(
+        "args, fixture, old, new, error",
+        [
+            (["--scenario", "z3", "--max-degree", "6"], "z3.ring", "x2 1 2", "x2 1",
+             "line 5: unrecognised line 'x2 1'"),
+            (["--scenario", "sc", "--max-degree", "10"], "sc.ring", "a 1 0", "a 1",
+             "line 4: unrecognised line 'a 1'"),
+        ],
+        ids=["z3.ring", "sc.ring"],
+    )
+    def test_every_check_fails_with_the_parse_error(
+        self, args, fixture, old, new, error, capsys, monkeypatch
+    ):
+        argv = ["verify", *args, "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        good = [c["id"] for c in json.loads(out)["checks"]]
+        clear = edited_fixture(monkeypatch, fixture, old, new)
+        try:
+            code, out, err = run_cli(argv, capsys)
+        finally:
+            clear()
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert [c["id"] for c in checks] == good
+        for check in checks:
+            assert (check["status"], check["actual"]) == ("fail", error)
+
+    def test_z3_relations_renamed_fail_every_check(self, capsys, monkeypatch):
+        clear = edited_fixture(monkeypatch, "z3_relations.txt", "H2 6 2", "H3 6 2")
+        try:
+            code, out, err = run_cli(
+                ["verify", "--scenario", "z3", "--max-degree", "6", "--format", "json"], capsys
+            )
+        finally:
+            clear()
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert sum(c["id"].startswith("z3.placement.") for c in checks) == 10
+        assert {c["status"] for c in checks} == {"fail"}
+        assert "H3" in checks[0]["actual"]
+
+
 class TestScFixtureErrors:
     """A broken sc fixture fails every sc check, with the same ids as a good
     run and the error text as each actual value; verify exits 1."""
@@ -244,23 +311,12 @@ class TestScFixtureErrors:
 
     def test_variable_of_degree_two(self, capsys, monkeypatch):
         # `a 2 0` in sc.ring leaves the conic inhomogeneous.
-        from godeaux.scenarios import fixtures
-
         good = self.sc_checks(capsys, expected_code=0)
-        read = fixtures._read
-        monkeypatch.setattr(
-            fixtures,
-            "_read",
-            lambda name: read(name).replace("a 1 0", "a 2 0") if name == "sc.ring" else read(name),
-        )
-        caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution)
-        for cache in caches:
-            cache.cache_clear()
+        clear = edited_fixture(monkeypatch, "sc.ring", "a 1 0", "a 2 0")
         try:
             checks = self.sc_checks(capsys)
         finally:
-            for cache in caches:
-                cache.cache_clear()
+            clear()
         self.assert_every_check_fails_with(
             checks, good, "modulus polynomials must be homogeneous"
         )

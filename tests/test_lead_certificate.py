@@ -1,0 +1,227 @@
+"""The lead certificate: z3 tables past degree 9 counted from the leading
+monomials of the relations, checked against the pieces, against sympy's
+Groebner basis, and against counts patched or relations perturbed."""
+
+from fractions import Fraction
+from operator import le
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from godeaux import GradedPresentation, Polynomial, enumerate_monomials, parse_polynomial
+from godeaux import graded
+from godeaux.graded import LeadCertificate
+from godeaux.poly import grevlex_key, weighted_revlex_key
+from godeaux.scenarios import fixtures, torsion3
+from godeaux.scenarios.torsion3 import LEAD_RANKING, numeric_presentation, numeric_samples, run_z3
+
+# The four samples of `verify --scenario z3 --alpha=3/2 --beta=-7 --gamma=5/3 --seed 5`.
+SAMPLES = numeric_samples((Fraction(3, 2), Fraction(-7), Fraction(5, 3)), 5)
+# y0^2, y0y1, y1^2, y1z2, y0z1, y0z2, z1z2, z2^2, z1^2, as in ROADMAP.
+NINE_LEADS = {"y0^2", "y0*y1", "y1^2", "y1*z2", "y0*z1", "y0*z2", "z1*z2", "z2^2", "z1^2"}
+# A ranking under which the certificate closes at degree 9 with x2 in a lead.
+X2_IN_A_LEAD = ("z1", "z2", "y0", "x2", "y1", "y2")
+
+
+def lead_names(cert):
+    desc = cert.pres.descriptor
+    return {str(Polynomial(desc, {lead: Fraction(1)})) for lead in cert.leads}
+
+
+def numeric_report(max_degree=12):
+    report = run_z3(params=SAMPLES[0], mode="numeric", max_degree=max_degree, seed=5).to_dict()
+    report.pop("timing_ms")
+    return report
+
+
+def spy_pieces(monkeypatch):
+    """The (degree, weight) of every `_IdealPiece` built from now on."""
+    built = []
+    init = graded._IdealPiece.__init__
+
+    def spy(self, pres, m, w):
+        built.append((m, w))
+        init(self, pres, m, w)
+
+    monkeypatch.setattr(graded._IdealPiece, "__init__", spy)
+    return built
+
+
+def assert_counts_match_pieces(pres, top=14):
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert cert.degree == 9
+    assert lead_names(cert) == NINE_LEADS
+    assert cert.closes()
+    counts = cert.standard_counts(top)
+    assert counts == {(m, w): pres.quotient_dim(m, w) for m in range(top + 1) for w in range(3)}
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=str)
+def test_counts_equal_the_pieces_at_the_z3_samples(sample):
+    assert_counts_match_pieces(numeric_presentation(sample))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.tuples(*[st.fractions(min_value=-30, max_value=30, max_denominator=9)] * 3))
+def test_counts_equal_the_pieces_at_rational_parameters(params):
+    assert_counts_match_pieces(numeric_presentation(params))
+
+
+def test_counts_are_the_monomials_no_lead_divides():
+    cert = LeadCertificate(numeric_presentation(SAMPLES[0]), LEAD_RANKING)
+    desc = cert.pres.descriptor
+    counts = cert.standard_counts(16)
+    for m in range(17):
+        for w in range(3):
+            standard = [
+                e for e in enumerate_monomials(desc, m, w)
+                if not any(all(map(le, lead, e)) for lead in cert.leads)
+            ]
+            assert counts[m, w] == len(standard)
+
+
+def test_h0_has_a_lead_that_is_not_minimal():
+    pres = numeric_presentation(SAMPLES[0])
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert len(pres.relations) == 10 and len(cert.leads) == 9
+    assert cert.divides_no_lead("x2") and cert.divides_no_lead("y2")
+
+
+def test_parameters_as_variables_are_refused():
+    with pytest.raises(ValueError, match="positive degree"):
+        LeadCertificate(torsion3.z3_presentation(), LEAD_RANKING + torsion3.PARAMETERS)
+
+
+def test_a_ranking_missing_a_variable_is_refused():
+    with pytest.raises(ValueError, match="does not list"):
+        LeadCertificate(numeric_presentation(SAMPLES[0]), LEAD_RANKING[:-1])
+
+
+def test_a_constant_relation_leaves_no_standard_monomial():
+    desc = numeric_presentation(SAMPLES[0]).descriptor
+    pres = GradedPresentation(desc, [desc.one()])
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert cert.degree == 0 and cert.closes()
+    assert set(cert.standard_counts(5).values()) == {0}
+
+
+def test_the_deep_table_builds_no_piece_past_the_certificate(monkeypatch):
+    built = spy_pieces(monkeypatch)
+    report = run_z3(mode="numeric", max_degree=16)
+    assert report.passed()
+    assert max(m for m, _ in built) == 9
+
+
+def test_a_patched_count_refuses_and_the_pieces_take_over(monkeypatch):
+    good = numeric_report()
+    count = graded._count_standard
+
+    def off_by_one(desc, leads, top):
+        counts = count(desc, leads, top)
+        counts[5, 1] += 1
+        return counts
+
+    monkeypatch.setattr(graded, "_STANDARD_COUNTS", {})
+    monkeypatch.setattr(graded, "_count_standard", off_by_one)
+    built = spy_pieces(monkeypatch)
+    assert numeric_report() == good
+    # Tables to 12 and injectivity into degree 13 come from the pieces.
+    assert max(m for m, _ in built) == 13
+
+
+@pytest.mark.parametrize("ri", range(10), ids=lambda ri: torsion3.RELATIONS[ri])
+def test_a_perturbed_relation_gives_the_table_of_the_pieces(ri):
+    pres = numeric_presentation(SAMPLES[1])
+    relations = list(pres.relations)
+    terms = dict(relations[ri].terms)
+    terms[min(terms, key=grevlex_key)] += 1
+    relations[ri] = Polynomial(pres.descriptor, terms)
+    claimed = fixtures.z3_claimed_bases()
+    table, bases, injective = torsion3._numeric_values(
+        GradedPresentation(pres.descriptor, relations), 12, claimed
+    )
+    alone = GradedPresentation(pres.descriptor, relations)
+    assert table == {f"{m}.{w}": alone.quotient_dim(m, w) for m in range(1, 13) for w in range(3)}
+    assert bases == torsion3._claimed_bases_hold(alone, claimed)
+    assert injective == alone.multiplication_injectivity("x2", 12)
+
+
+def test_x2_in_a_lead_sends_injectivity_to_the_pieces(monkeypatch):
+    good = numeric_report()
+    cert = LeadCertificate(numeric_presentation(SAMPLES[0]), X2_IN_A_LEAD)
+    assert cert.degree == 9 and cert.closes() and not cert.divides_no_lead("x2")
+    calls = []
+    injectivity = GradedPresentation.multiplication_injectivity
+
+    def spy(self, var, max_degree):
+        calls.append((var, max_degree))
+        return injectivity(self, var, max_degree)
+
+    monkeypatch.setattr(torsion3, "LEAD_RANKING", X2_IN_A_LEAD)
+    monkeypatch.setattr(GradedPresentation, "multiplication_injectivity", spy)
+    assert numeric_report() == good
+    assert calls == [("x2", 12)] * len(SAMPLES)
+
+
+@pytest.mark.parametrize("params", [(0, 0, 0), (1, 1, 1)], ids=str)
+def test_sympy_groebner_has_the_nine_leads(params):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import MonomialOrder
+
+    desc = numeric_presentation(SAMPLES[0]).descriptor
+    ranked = [desc.index(v) for v in LEAD_RANKING]
+    degrees = [desc.degrees[i] for i in ranked]
+
+    class WeightedRevlex(MonomialOrder):
+        """Weighted degree, then reverse lex, on exponents in ranking order."""
+
+        alias = "weighted_revlex"
+        is_global = True
+
+        def __call__(self, monomial):
+            degree = sum(d * e for d, e in zip(degrees, monomial))
+            return (degree, tuple(-e for e in reversed(monomial)))
+
+        def __eq__(self, other):
+            return isinstance(other, WeightedRevlex)
+
+        def __hash__(self):
+            return hash(self.alias)
+
+    gens = sympy.symbols(LEAD_RANKING)
+    names = dict(zip(LEAD_RANKING, gens))
+    pres = numeric_presentation(tuple(Fraction(x) for x in params))
+    relations = [sympy.sympify(str(r), locals=names) for r in pres.relations]
+    order = WeightedRevlex()
+    basis = sympy.groebner(relations, *gens, order=order)
+    leads = {
+        "*".join(
+            f"{v}^{e}" if e > 1 else v
+            for v, e in sorted(zip(LEAD_RANKING, sympy.Poly(g, *gens).monoms(order=order)[0]),
+                               key=lambda ve: desc.index(ve[0]))
+            if e
+        )
+        for g in basis.exprs
+    }
+    assert leads == NINE_LEADS
+
+
+@pytest.mark.slow
+def test_z3_numeric_to_degree_28_builds_no_piece_past_degree_9(monkeypatch, capsys):
+    from godeaux.cli import main
+
+    built = spy_pieces(monkeypatch)
+    code = main(["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", "28"])
+    assert code == 0
+    assert "0 failed" in capsys.readouterr().out
+    assert built and max(m for m, _ in built) <= 9
+
+
+def test_weighted_revlex_key_orders_the_z3_quadrics():
+    desc = numeric_presentation(SAMPLES[0]).descriptor
+    key = weighted_revlex_key(desc, LEAD_RANKING)
+    f0 = parse_polynomial("x2*z1 + y0^2 - y1*y2", desc)
+    assert sorted(f0.terms, key=key, reverse=True) == [
+        next(iter(parse_polynomial(t, desc).terms)) for t in ("y0^2", "y1*y2", "x2*z1")
+    ]
