@@ -15,7 +15,7 @@ from .graded import GradedPresentation
 from .poly import load_ring_file, render_polynomial
 from .report import VerificationReport, merge_reports
 from .scenarios import fixtures, run_sc, run_z3, run_z4, run_z5, sc_predicate, torsion5
-from .scenarios.torsion3 import numeric_presentation
+from .scenarios.torsion3 import _closed_certificate, numeric_presentation
 from .scenarios.torsion4 import sampled_presentation
 from .subring import SubringBuilder
 
@@ -130,7 +130,12 @@ def _preset_table(preset: str, max_degree: int, seed: int):
             (m, [torsion5.quotient_dim(m, w) for w in weights]) for m in degrees
         ]
     if preset == "z3":
+        # The lead certificate's counts when it closes, as in `verify`.
         pres = numeric_presentation((Fraction(0),) * 3)
+        cert = _closed_certificate(pres, max_degree)
+        if cert is not None:
+            counts, d = cert.standard_counts(max_degree), pres.descriptor.torsion_order
+            return d, [(m, [counts[m, w] for w in range(d)]) for m in degrees]
     elif preset == "z4":
         pres = sampled_presentation(seed)
     else:

@@ -384,6 +384,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Productions return term dicts (ints for integers), summed in place in the
+    key order of Polynomial.__add__; `parse` builds one Polynomial from them."""
+
     def __init__(self, text: str, desc: RingDescriptor):
         self.desc = desc
         self.tokens = _tokenize(text)
@@ -405,64 +408,62 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind == "END":
             raise ParseError("empty input", pos)
-        p = self.expr()
+        terms = self.expr()
         kind, val, pos = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected trailing {val!r}", pos)
-        return p
+        return Polynomial(self.desc, terms)
 
-    def expr(self) -> Polynomial:
-        sign = 1
-        if self.peek()[:2] in (("OP", "+"), ("OP", "-")):
-            sign = -1 if self.take()[1] == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
-        while self.peek()[:2] in (("OP", "+"), ("OP", "-")):
-            op = self.take()[1]
+    def expr(self) -> dict:
+        out: dict = {}
+        op = self.take()[1] if self.peek()[:2] in (("OP", "+"), ("OP", "-")) else "+"
+        while True:
             q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+            _accumulate(out, q if op == "+" else {e: -c for e, c in q.items()})
+            if self.peek()[:2] not in (("OP", "+"), ("OP", "-")):
+                return out
+            op = self.take()[1]
 
-    def term(self) -> Polynomial:
-        p = self.factor()
+    def term(self) -> dict:
+        out = self.factor()
         while self.peek()[:2] == ("OP", "*"):
             self.take()
-            p = p * self.factor()
-        return p
+            out = _product(out, self.factor())
+        return out
 
-    def factor(self) -> Polynomial:
-        p = self.base()
-        if self.peek()[:2] == ("OP", "^"):
-            self.take()
-            tok = self.take("INT")
-            p = p ** int(tok[1])
-        return p
+    def factor(self) -> dict:
+        base = self.base()
+        if self.peek()[:2] != ("OP", "^"):
+            return base
+        self.take()
+        out = {(0,) * self.desc.nvars: 1}  # ((1 * p) * p) ..., as in __pow__
+        for _ in range(int(self.take("INT")[1])):
+            out = _product(out, base)
+        return out
 
-    def base(self) -> Polynomial:
-        kind, val, pos = self.peek()
+    def base(self) -> dict:
+        kind, val, pos = self.take()
+        zero = (0,) * self.desc.nvars
         if kind == "INT":
-            self.take()
-            num = int(val)
+            value = int(val)
             if self.peek()[:2] == ("OP", "/"):
                 self.take()
                 den = int(self.take("INT")[1])
                 if den == 0:
                     raise ParseError("zero denominator", pos)
-                return self.desc.constant(Fraction(num, den))
-            return self.desc.constant(Fraction(num))
+                value = Fraction(value, den)
+            return {zero: value} if value else {}
         if kind == "NAME":
-            self.take()
             if val in self.desc.variables:
-                return self.desc.variable(val)
+                i = self.desc.index(val)
+                return {zero[:i] + (1,) + zero[i + 1 :]: 1}
             if val == f"z{self.desc.scalar_order}" and self.desc.scalar_order > 1:
-                return self.desc.constant(zeta(self.desc.scalar_order))
+                return {zero: zeta(self.desc.scalar_order)}
             raise ParseError(f"unknown variable {val!r}", pos)
         if (kind, val) == ("OP", "("):
-            self.take()
-            p = self.expr()
+            out = self.expr()
             self.take("OP", ")")
-            return p
+            return out
         raise ParseError(f"unexpected {val!r}" if val else "unexpected end of input", pos)
 
 
@@ -478,8 +479,7 @@ _SCALAR_DESCRIPTORS = {
 
 def parse_scalar(text: str, order: int = 1) -> Scalar:
     """Parse a scalar literal such as `5/6` or `z5^2-1/2`."""
-    p = _Parser(text, _SCALAR_DESCRIPTORS[order]).parse()
-    return p.coefficient(())
+    return _Parser(text, _SCALAR_DESCRIPTORS[order]).parse().coefficient(())
 
 
 def _format_coeff_monomial(c: Scalar, mon: str) -> tuple[str, str]:

@@ -2,20 +2,28 @@
 
 All scenario-specific polynomials live under ``godeaux/data`` in the plain
 polynomial grammar, so they can be audited without reading any code.  Each
-file is parsed once per process; every call returns fresh lists and dicts
-(the polynomials and descriptors in them are immutable and shared).
+file is read with `open` from the ``data`` directory beside the package's own
+files, not through `importlib.resources`, which would import `pathlib`,
+`tempfile` and about two dozen more modules into every fresh process.  Each
+file is parsed once per process, one `Polynomial` per line or image; every
+call returns fresh lists and dicts (the polynomials and descriptors in them
+are immutable and shared).
 """
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib import resources
 
 from ..poly import Polynomial, RingDescriptor, parse_polynomial, parse_ring_file
 
 
+_DATA = os.path.join(os.path.dirname(os.path.dirname(__file__)), "data")
+
+
 def _read(name: str) -> str:
-    return resources.files("godeaux").joinpath("data", name).read_text(encoding="utf-8")
+    with open(os.path.join(_DATA, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _stripped_lines(name: str) -> list[str]:

@@ -12,7 +12,13 @@ import time
 from fractions import Fraction
 
 from ..graded import GradedPresentation, LeadCertificate
-from ..poly import Polynomial, RingDescriptor, degree_and_weight, parse_polynomial
+from ..poly import (
+    Polynomial,
+    RingDescriptor,
+    _accumulate,
+    degree_and_weight,
+    parse_polynomial,
+)
 from ..report import Check, VerificationReport
 from . import fixtures
 from .oracles import oracle_curve_dim
@@ -53,23 +59,25 @@ def numeric_descriptor() -> RingDescriptor:
     )
 
 
-def _specialisation(target: RingDescriptor, params) -> dict[str, Polynomial]:
-    """Images in target: each variable itself, alpha, beta, gamma the values."""
-    images = {name: target.variable(name) for name in target.variables}
-    images.update((name, target.constant(value)) for name, value in zip(PARAMETERS, params))
-    return images
-
-
 def specialise(p: Polynomial, params: tuple[Fraction, Fraction, Fraction]) -> Polynomial:
-    """Substitute rational values for alpha, beta, gamma."""
-    return p.substitute(_specialisation(numeric_descriptor(), params))
+    """Substitute rational values for alpha, beta, gamma: each term
+    c*alpha^a*beta^b*gamma^g is read as that coefficient at its exponents with
+    the parameter slots dropped, and the terms are summed in p's term order."""
+    slots = [p.descriptor.index(name) for name in PARAMETERS]
+    keep = [i for i in range(p.descriptor.nvars) if i not in slots]
+    values = [Fraction(v) for v in params]
+    out: dict = {}
+    for exps, c in p.terms.items():
+        for i, v in zip(slots, values):
+            if exps[i]:
+                c *= v ** exps[i]
+        _accumulate(out, {tuple(exps[i] for i in keep): c})
+    return Polynomial(numeric_descriptor(), out)
 
 
 def numeric_presentation(params) -> GradedPresentation:
-    target = numeric_descriptor()
-    images = _specialisation(target, params)
-    relations = [r.substitute(images) for _, _, _, r in fixtures.z3_relations()]
-    return GradedPresentation(target, relations)
+    relations = [specialise(r, params) for _, _, _, r in fixtures.z3_relations()]
+    return GradedPresentation(numeric_descriptor(), relations)
 
 
 def _relation_map() -> dict[str, Polynomial]:

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, grading, enumeration, substitution, parsing."""
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -360,6 +361,73 @@ class TestParsing:
 
     def test_roundtrip_zero(self):
         assert parse_polynomial(render_polynomial(ABC.zero()), ABC) == ABC.zero()
+
+
+@st.composite
+def expression_texts(draw, depth=3):
+    """Texts of the grammar over a, b, c: integers, p/q, ^k with k <= 4, `*`,
+    unary and binary `+`/`-`, and parentheses nested up to `depth`."""
+
+    def factor():
+        kinds = ["int", "frac", "var", "var"] + ["paren"] * bool(depth)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            text = str(draw(st.integers(0, 12)))
+        elif kind == "frac":
+            text = f"{draw(st.integers(0, 12))}/{draw(st.integers(1, 9))}"
+        elif kind == "var":
+            text = draw(st.sampled_from("abc"))
+        else:
+            text = f"({draw(expression_texts(depth - 1))})"
+        k = draw(st.none() | st.integers(0, 4))
+        if k is None:
+            return text
+        # sympy reads p/q^k as p/(q^k); the grammar reads it as (p/q)^k.
+        return f"({text})^{k}" if kind == "frac" else f"{text}^{k}"
+
+    def term():
+        return "*".join(factor() for _ in range(draw(st.integers(1, 2))))
+
+    text = draw(st.sampled_from(["", "+", "-"])) + term()
+    for _ in range(draw(st.integers(0, 2))):
+        text += draw(st.sampled_from([" + ", " - "])) + term()
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=expression_texts())
+@example(text="-2/3*(a - a)^0 + (-b)^3")
+def test_parse_matches_sympy(text):
+    sympy = pytest.importorskip("sympy")
+    a, b, c = sympy.symbols("a b c")
+    expected = {
+        exps: Fraction(int(coeff.p), int(coeff.q))
+        for exps, coeff in sympy.Poly(sympy.sympify(text), a, b, c).terms()
+        if coeff != 0
+    }
+    terms = poly(text).terms
+    assert terms == expected
+    assert all(type(coeff) is Fraction for coeff in terms.values())
+
+
+def operator_form(text):
+    """text as a Python expression over ABC's Polynomial operators: each
+    literal a constant, `^k` as `**k`, a unary `+` dropped."""
+    text = re.sub(r"(^|\()\s*\+", r"\1", text)
+    return re.sub(
+        r"\^(\d+)|(\d+)/(\d+)|(\d+)",
+        lambda m: f"**{m[1]}" if m[1] else f"C({m[2] or m[4]}, {m[3] or 1})",
+        text,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=expression_texts())
+@example(text="(a + 2*b)*(c - a)*(b + c) - (a - b)^3")
+def test_parse_keeps_the_operators_term_order(text):
+    names = {v: ABC.variable(v) for v in "abc"}
+    expected = eval(operator_form(text), {"C": lambda p, q: ABC.constant(Fraction(p, q)), **names})
+    assert list(poly(text).terms.items()) == list(expected.terms.items())
 
 
 class TestRingFiles:

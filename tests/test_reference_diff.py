@@ -1,9 +1,9 @@
 """Differential test: this tree against the frozen copy in perfbench/reference.
 
-Both trees run through `python -m godeaux.cli` in subprocesses, with only the
-tree's own source directory on PYTHONPATH. Every output must be identical,
-apart from the `timing_ms` field of JSON reports. The frozen copy is read,
-never written.
+Both trees run through `python -m godeaux.cli` (or one `python -c` program)
+in subprocesses, with only the tree's own source directory on PYTHONPATH.
+Every output must be identical, apart from the `timing_ms` field of JSON
+reports. The frozen copy is read, never written.
 """
 
 import json
@@ -57,9 +57,32 @@ t 0 1
 """
 
 
-def run_both(args, tmp_path, files=()):
-    """Run the CLI on both trees in sibling directories; return, per tree,
-    the exit code, stdout, stderr and the bytes of the named output files."""
+# Relation lines that do not parse, each with its own error and position.
+BAD_RELATIONS = {"dangling-power": "a^ + 1", "zero-denominator": "1/0*a",
+                 "unclosed": "(a + b", "double-sign": "a + + b"}
+
+# Every polynomial of every fixture, as its list of (exponents, coefficient)
+# pairs in the key order the parser left, coefficient types included.
+FIXTURE_TERMS = """
+from godeaux.scenarios import fixtures as f
+dump = lambda p: repr(list(p.terms.items()))
+for name in ("z3", "z4", "z5", "sc"):
+    print(repr(f.descriptor(name)))
+for name, deg, wt, p in f.z3_relations():
+    print(name, deg, wt, dump(p))
+print(repr(sorted(f.z3_claimed_bases().items())))
+for p in [*f.z5_planes(), f.sc_conic(), *f.sc_claimed_generators()]:
+    print(dump(p))
+for images in (f.sc_restriction(), f.sc_involution()):
+    for var, p in images.items():
+        print(var, dump(p))
+"""
+
+
+def run_both(args, tmp_path, files=(), module=("-m", "godeaux.cli")):
+    """Run the CLI (or the given `-c` program) on both trees in sibling
+    directories; return, per tree, the exit code, stdout, stderr and the
+    bytes of the named output files."""
     results = {}
     for tree, src in TREES.items():
         workdir = tmp_path / tree
@@ -67,9 +90,11 @@ def run_both(args, tmp_path, files=()):
         (workdir / "z5.ring").write_text(Z5_RING)
         (workdir / "cyclo_z5.ring").write_text(CYCLO_Z5_RING)
         (workdir / "free.ring").write_text(FREE_RING)
+        for name, rel in BAD_RELATIONS.items():
+            (workdir / f"{name}.ring").write_text(f"a 1 0\nb 1 0\nrel {rel}\n")
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
         proc = subprocess.run(
-            [sys.executable, "-m", "godeaux.cli", *args],
+            [sys.executable, *module, *args],
             cwd=workdir, env=env, capture_output=True, text=True, timeout=300,
         )
         outputs = {name: (workdir / name).read_bytes() for name in files}
@@ -111,11 +136,30 @@ def test_verify_reports_match(args, tmp_path):
     assert without_timing(ours[1]) == without_timing(ref[1])
 
 
-@pytest.mark.parametrize("preset", ["z3", "z4", "z5", "z5-invariants", "sc"])
-def test_hilbert_presets_match(preset, tmp_path):
-    ours, ref = run_both(["hilbert", "--preset", preset, "--max-degree", "10"], tmp_path)
+@pytest.mark.parametrize(
+    "preset, max_degree",
+    [("z3", "10"), ("z4", "10"), ("z5", "10"), ("z5-invariants", "10"), ("sc", "10"),
+     # Past the z3 lead certificate's degree 9 the table is its count.
+     ("z3", "14")],
+    ids=["z3", "z4", "z5", "z5-invariants", "sc", "z3-14"],
+)
+def test_hilbert_presets_match(preset, max_degree, tmp_path):
+    ours, ref = run_both(["hilbert", "--preset", preset, "--max-degree", max_degree], tmp_path)
     assert ours[0] == ref[0] == 0, ours[2]
     assert ours[1:] == ref[1:]
+
+
+def test_fixture_terms_match(tmp_path):
+    ours, ref = run_both([], tmp_path, module=("-c", FIXTURE_TERMS))
+    assert ours[0] == ref[0] == 0, ours[2]
+    assert ours[1] and ours[1:] == ref[1:]
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RELATIONS))
+def test_hilbert_bad_relation_errors_match(name, tmp_path):
+    ours, ref = run_both(["hilbert", "--ring", f"{name}.ring"], tmp_path)
+    assert ours[0] == ref[0] == 2
+    assert ours[1:] == ref[1:] and ours[2].startswith("error: ")
 
 
 def test_hilbert_sc_past_the_census_bound_matches(tmp_path):
