@@ -15,7 +15,7 @@ from .graded import GradedPresentation
 from .poly import load_ring_file, render_polynomial
 from .report import VerificationReport, merge_reports
 from .scenarios import fixtures, run_sc, run_z3, run_z4, run_z5, sc_predicate, torsion5
-from .scenarios.torsion3 import _closed_certificate, numeric_presentation
+from .scenarios.torsion3 import _counted_certificate, _family_certificate, numeric_presentation
 from .scenarios.torsion4 import sampled_presentation
 from .subring import SubringBuilder
 
@@ -130,9 +130,9 @@ def _preset_table(preset: str, max_degree: int, seed: int):
             (m, [torsion5.quotient_dim(m, w) for w in weights]) for m in degrees
         ]
     if preset == "z3":
-        # The lead certificate's counts when it closes, as in `verify`.
+        # The lead certificate's counts when it holds, as in `verify`.
         pres = numeric_presentation((Fraction(0),) * 3)
-        cert = _closed_certificate(pres, max_degree)
+        cert = _counted_certificate(pres, max_degree, _family_certificate(max_degree))
         if cert is not None:
             counts, d = cert.standard_counts(max_degree), pres.descriptor.torsion_order
             return d, [(m, [counts[m, w] for w in range(d)]) for m in degrees]

@@ -2,10 +2,12 @@
 
 Ideal pieces are spanned by monomial multiples of the relations and ranked
 exactly; no Groebner basis is computed.  A lead certificate
-(`LeadCertificate`) can still show, from the dimensions of the pieces up to
-one degree D, that the relations already are one in a weighted reverse-lex
-order.  The quotient dimensions past D are then counts of the monomials that
-no leading monomial divides, and no piece past D is needed.
+(`LeadCertificate`) can still show, by Buchberger's criterion applied to the
+relations themselves, that they already are one in a weighted reverse-lex
+order, with no piece built.  Degree-0 variables are then coefficients, and
+a certificate over Q[alpha, beta, gamma] holds at every value of the
+parameters (Gianni 1987; Kalkbrener 1997).  The quotient dimensions are
+then counts of the monomials that no leading monomial divides.
 Each relation's terms are kept once as a row: integers (its terms times the
 lcm of their denominators) for a rational presentation, the scalars
 themselves for a cyclotomic one.  A multiple is that row shifted to the
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, islice
-from operator import add, le
+from operator import add, le, sub
 
 from .action import weight_space_dim
 from .linalg import GenericRowSpace, IntRowSpace, _clear_denominators, solve_columns
@@ -63,7 +65,7 @@ from .poly import (
     weighted_revlex_key,
 )
 from .record import Record
-from .scalars import Scalar, is_rational_scalar
+from .scalars import Scalar, is_rational_scalar, scalar_inv
 
 
 class HilbertTable(Record):
@@ -277,54 +279,63 @@ _STANDARD_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
 
 
 class LeadCertificate:
-    """Buchberger's criterion (1965) read off dimensions, in the weighted
-    reverse-lex order with the variables ranked as given
-    (`poly.weighted_revlex_key`); every variable must have positive degree.
+    """Buchberger's criterion (1965) in the weighted reverse-lex order with
+    the variables of positive degree ranked as given
+    (`poly.weighted_revlex_key`).  Degree-0 variables, such as symbolic
+    parameters, make up the coefficient ring: with parameters a, the
+    relations live in K[a][x], K the scalar field, and their leads are
+    monomials in x alone.
 
     `leads` is L, the minimal leading monomials of the relations, largest
-    first.  `degree` is D, the larger of the top relation degree and the
-    largest lcm degree of two leads that share a variable.  The certificate
-    closes iff quotient_dim(m, w), from the pieces, equals the number of
-    monomials of bidegree (m, w) that no lead divides, for every m <= D.
+    first; `pairs` are the pairs of leads that share a variable; `degree` is
+    D, the larger of the top relation degree and the largest lcm degree of
+    those pairs.  G takes, for each lead, the first relation with it.  The
+    certificate closes iff every lead coefficient of G is a nonzero
+    constant (no parameter in it), and, with G made monic, every relation
+    and the S-pair of every pair in `pairs` top-reduce to zero by G.
+    `closes` builds no piece.
 
-    Why closing makes G, one relation per lead, a Groebner basis of I:
-    (L)_m lies in in(I)_m and has the same dimension, so in(I)_m = (L)_m for
-    m <= D.  So in((G))_m contains in(I)_m, (G)_m = I_m, and every relation
-    lies in (G).  An S-pair of two elements of G whose leads share a variable
-    lies in I_k with k <= D, where every nonzero element has its lead in
-    (L)_k, so dividing it by G ends in zero.  Pairs with coprime leads reduce
-    to zero by Buchberger's first criterion.  Then in(I) = (L) in every
-    degree, and the counts are the quotient dimensions in every degree.
+    Why closing makes G a Groebner basis of the ideal I of the relations:
+    each relation reduces to zero, so (G) = I.  A top-reduction to zero of
+    the S-pair of g and h writes it as a sum of terms c * t * g_k with
+    t * lead(g_k) below lcm(lead(g), lead(h)); with Buchberger's first
+    criterion for the pairs of coprime leads, that is Buchberger's
+    criterion.  So in(I) = (L) in every degree, and the quotient dimensions
+    are the counts of the monomials that no lead divides.
+    Why it holds at every parameter value (Gianni 1987; Kalkbrener 1997):
+    G is monic, so every reduction step divides by nothing and only
+    multiplies and subtracts in K[a].  Substituting values for a maps each
+    step to a step of the same shape, with the same leads, for the
+    specialised relations.  So these representations survive, and the
+    specialised G is a Groebner basis of the specialised ideal with the
+    same leads and the same counts.
     If a variable v divides no lead, multiplication by v is injective on
     the quotient (as in Bayer and Stillman 1987): if v * f lies in I, let f'
     be f's remainder by G.  If f' were nonzero, a lead would divide
     in(v * f') = v * in(f'), so also in(f'), a term of a remainder.
     """
 
-    __slots__ = ("pres", "leads", "degree")
+    __slots__ = ("pres", "leads", "pairs", "degree", "_key", "_params")
 
     def __init__(self, pres: GradedPresentation, ranking):
         desc = pres.descriptor
-        if not all(desc.degrees):
-            raise ValueError("a lead certificate needs every variable of positive degree")
-        key = weighted_revlex_key(desc, ranking)
-        heads = {max(r.terms, key=key) for r in pres.relations}
+        self._key = key = weighted_revlex_key(desc, ranking)
+        self._params = params = [i for i, d in enumerate(desc.degrees) if not d]
+        heads = {max(_split(exps, coeffs, params), key=key) for exps, coeffs, _ in pres._rows}
         self.pres = pres
         self.leads = sorted(
             (t for t in heads if not any(s != t and all(map(le, s, t)) for s in heads)),
             key=key,
             reverse=True,
         )
-        lcm_degrees = [
-            desc.monomial_degree(map(max, s, t))
-            for s, t in combinations(self.leads, 2)
-            if any(map(min, s, t))
-        ]
+        self.pairs = [(s, t) for s, t in combinations(self.leads, 2) if any(map(min, s, t))]
+        lcm_degrees = [desc.monomial_degree(map(max, s, t)) for s, t in self.pairs]
         self.degree = max(lcm_degrees + [d for d, _ in pres.relation_bidegrees], default=0)
 
     def standard_counts(self, top: int) -> dict[tuple[int, int], int]:
-        """Per bidegree (m, w) with m <= top, the number of monomials that no
-        lead divides; counted once per descriptor, leads and top."""
+        """Per bidegree (m, w) with m <= top, the number of monomials in the
+        variables of positive degree that no lead divides; counted once per
+        descriptor, leads and top."""
         desc = self.pres.descriptor
         key = (desc, tuple(self.leads), top)
         counts = _STANDARD_COUNTS.get(key)
@@ -333,10 +344,29 @@ class LeadCertificate:
         return dict(counts)
 
     def closes(self) -> bool:
-        """True iff the pieces of degree <= D have the standard counts;
-        builds those pieces, in ascending degree, and no other."""
-        dim = self.pres.quotient_dim
-        return all(dim(m, w) == n for (m, w), n in self.standard_counts(self.degree).items())
+        """True iff G's lead coefficients are nonzero constants and every
+        relation and every S-pair in `pairs` top-reduce to zero by G made
+        monic."""
+        params, key = self._params, self._key
+        polys = [_split(exps, coeffs, params) for exps, coeffs, _ in self.pres._rows]
+        heads = [max(f, key=key) for f in polys]
+        unit = (0,) * len(params)
+        basis, chosen = {}, set()
+        for lead in self.leads:
+            i = heads.index(lead)
+            chosen.add(i)
+            tail = polys[i]
+            top = tail.pop(lead)
+            c = top.get(unit)
+            if len(top) != 1 or c is None:  # a lead coefficient with a parameter
+                return False
+            if c != 1:
+                inv = scalar_inv(c)
+                tail = {x: {q: v * inv for q, v in cell.items()} for x, cell in tail.items()}
+            basis[lead] = tail
+        rest = [f for i, f in enumerate(polys) if i not in chosen]
+        spairs = [_s_pair(s, basis[s], t, basis[t], unit) for s, t in self.pairs]
+        return all(_top_reduces_to_zero(f, basis, key) for f in rest + spairs)
 
     def divides_no_lead(self, var: str) -> bool:
         """True iff var divides no lead: once the certificate closes,
@@ -345,11 +375,71 @@ class LeadCertificate:
         return not any(lead[i] for lead in self.leads)
 
 
+def _split(exps, coeffs, params) -> dict[tuple, dict[tuple, Scalar]]:
+    """A relation as {monomial in x: {exponents of the parameters: scalar}},
+    the x-monomials with the parameter slots zeroed."""
+    out: dict[tuple, dict[tuple, Scalar]] = {}
+    for e, c in zip(exps, coeffs):
+        q = tuple(e[i] for i in params)
+        if any(q):
+            x = list(e)
+            for i in params:
+                x[i] = 0
+            e = tuple(x)
+        out.setdefault(e, {})[q] = c
+    return out
+
+
+def _subtract_shifted(f: dict, top: dict, shift: tuple, tail: dict) -> None:
+    """f -= top * x^shift * tail in place, for a coefficient top in K[a]."""
+    for x, cell in tail.items():
+        y = tuple(map(add, shift, x))
+        out = f.get(y)
+        if out is None:
+            out = f[y] = {}
+        for q, c in top.items():
+            for r, v in cell.items():
+                qr = tuple(map(add, q, r))
+                u = out.get(qr, 0) - c * v
+                if u:
+                    out[qr] = u
+                else:
+                    del out[qr]
+        if not out:
+            del f[y]
+
+
+def _s_pair(s: tuple, g: dict, t: tuple, h: dict, unit: tuple) -> dict:
+    """The S-pair of the monic elements with leads s and t and tails g and
+    h: the leads cancel, leaving (l / s) * g - (l / t) * h, l = lcm(s, t)."""
+    l = tuple(map(max, s, t))
+    out: dict = {}
+    _subtract_shifted(out, {unit: -1}, tuple(map(sub, l, s)), g)
+    _subtract_shifted(out, {unit: 1}, tuple(map(sub, l, t)), h)
+    return out
+
+
+def _top_reduces_to_zero(f: dict, basis: dict, key) -> bool:
+    """Whether f top-reduces to zero by the monic elements {lead: tail}: while
+    f is nonzero, its leading x-monomial must have a lead dividing it, and
+    its coefficient times that element is subtracted.  f is used up."""
+    while f:
+        x = max(f, key=key)
+        for lead, tail in basis.items():
+            if all(map(le, lead, x)):
+                break
+        else:
+            return False
+        _subtract_shifted(f, f.pop(x), tuple(map(sub, x, lead)), tail)
+    return True
+
+
 def _count_standard(desc: RingDescriptor, leads, top: int) -> dict[tuple[int, int], int]:
-    """Per (m, w) with m <= top, the monomials that no lead divides.  They
-    are closed under division, so each is reached once, from the monomial
-    with one unit less of its last variable.  A step that raises variable j
-    to k can only meet the leads whose exponent of j is k."""
+    """Per (m, w) with m <= top, the monomials in the variables of positive
+    degree that no lead divides.  They are closed under division, so each is
+    reached once, from the monomial with one unit less of its last variable.
+    A step that raises variable j to k can only meet the leads whose
+    exponent of j is k."""
     n, d = desc.nvars, desc.torsion_order
     counts = {(m, w): 0 for m in range(top + 1) for w in range(d)}
     meets: list[dict[int, list[tuple]]] = [{} for _ in range(n)]
@@ -364,7 +454,7 @@ def _count_standard(desc: RingDescriptor, leads, top: int) -> dict[tuple[int, in
         counts[m, w] += 1
         for j in range(first, n):
             mj = m + desc.degrees[j]
-            if mj > top:
+            if mj > top or not desc.degrees[j]:
                 continue
             k = exps[j] + 1
             step = exps[:j] + (k,) + exps[j + 1 :]

@@ -8,9 +8,9 @@ caps their exponents.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, mul
-from typing import Mapping
 
 from .scalars import (
     Cyclo,
@@ -110,10 +110,14 @@ def grevlex_key(exps):
 def weighted_revlex_key(desc: RingDescriptor, ranking):
     """Sort key of the weighted reverse-lex order, larger key for the larger
     monomial: weighted degree first; on a tie, the smaller exponent of the
-    last variable in `ranking` (every variable, largest first) wins, then of
-    the one before it, and so on."""
-    if sorted(ranking) != sorted(desc.variables):
-        raise ValueError(f"ranking {ranking} does not list the variables {desc.variables}")
+    last variable in `ranking` (every variable of positive degree, largest
+    first) wins, then of the one before it, and so on.  Degree-0 variables
+    are coefficients: monomials that differ only in them tie."""
+    graded = [v for v, d in zip(desc.variables, desc.degrees) if d]
+    if sorted(ranking) != sorted(graded):
+        raise ValueError(
+            f"ranking {ranking} does not list the variables of positive degree {tuple(graded)}"
+        )
     order = [desc.index(v) for v in reversed(ranking)]
     degrees = desc.degrees
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 # Euler phi, i.e. the Q-dimension of Q(zeta_n).
 _PHI = {1: 1, 3: 2, 4: 2, 5: 4}
@@ -21,9 +20,6 @@ _MINPOLY_TAIL = {
     4: (Fraction(1), Fraction(0)),
     5: (Fraction(1), Fraction(1), Fraction(1), Fraction(1)),
 }
-
-Scalar = Union[Fraction, "Cyclo"]
-
 
 class IncompatibleFieldsError(ValueError):
     """Combination of elements from distinct cyclotomic fields."""
@@ -165,6 +161,9 @@ class Cyclo:
 
     def __str__(self):
         return format_scalar(self)
+
+
+Scalar = Fraction | Cyclo
 
 
 def _reduce(order: int, coeffs: list) -> list:

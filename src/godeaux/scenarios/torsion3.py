@@ -30,8 +30,9 @@ RELATIONS = ("f0", "f1", "f2", "g0", "g1", "g2", "h0", "H0", "H1", "H2")
 # Degrees of the tabulated quotient bases (all three weights each).
 BASIS_DEGREES = range(1, 7)
 # The variables largest first for the lead certificate: in this weighted
-# reverse-lex order the relations other than h0 are a Groebner basis at every
-# parameter value, closing at degree 9, and x2 lies in no lead.
+# reverse-lex order the relations other than h0 are a Groebner basis over
+# Q[alpha, beta, gamma], so at every parameter value, closing at degree 9,
+# and x2 lies in no lead.
 LEAD_RANKING = ("z1", "z2", "y0", "y1", "y2", "x2")
 
 SYZYGIES = (
@@ -167,8 +168,9 @@ def run_z3(
     if mode in ("numeric", "both"):
         samples = numeric_samples(params, seed)
         config["samples"] = [[str(x) for x in s] for s in samples]
+        family = None if error is not None else _family_certificate(max_degree)
         for si, sample in enumerate(samples):
-            _numeric_checks(checks, si, sample, max_degree, error)
+            _numeric_checks(checks, si, sample, max_degree, error, family)
     else:
         config["hilbert"] = "skipped (symbolic mode: dimension tables need specialised parameters)"
 
@@ -252,17 +254,22 @@ def _h_membership(sub: GradedPresentation, target: Polynomial) -> dict | str:
 
 
 def _numeric_checks(
-    checks: list[Check], si: int, sample, max_degree: int, error: str | None
+    checks: list[Check],
+    si: int,
+    sample,
+    max_degree: int,
+    error: str | None,
+    family: LeadCertificate | None,
 ):
-    """The checks of one sample; with a fixture error, each fails with its
-    text."""
+    """The checks of one sample, counted from the family's lead certificate
+    if there is one; with a fixture error, each fails with its text."""
     label = f"({','.join(str(x) for x in sample)})"
     if error is None:
         claimed = fixtures.z3_claimed_bases()
         basis_keys = sorted(claimed)
         try:
             pres = numeric_presentation(sample)
-            table, bases, injective = _numeric_values(pres, max_degree, claimed)
+            table, bases, injective = _numeric_values(pres, max_degree, claimed, family)
         except ValueError as exc:  # a relation not bihomogeneous, or zero here
             error = str(exc)
     else:
@@ -299,16 +306,18 @@ def _numeric_checks(
 
 
 def _numeric_values(
-    pres: GradedPresentation, max_degree: int, claimed
+    pres: GradedPresentation, max_degree: int, claimed, cert: LeadCertificate | None = None
 ) -> tuple[dict, dict, bool]:
     """(Hilbert table, claimed bases hold, x2 injective) of a specialised
     presentation.
 
-    If the lead certificate closes below max_degree, the table is its
+    cert is the family's certificate, closed below max_degree, if pres is
+    one of its specialisations; otherwise pres's own certificate is tried.
+    If one holds (`_counted_certificate`), the table is its
     standard-monomial count, and x2, if in no lead, is injective in every
     degree.  Otherwise both come from the pieces up to max_degree + 1.
     """
-    cert = _closed_certificate(pres, max_degree)
+    cert = _counted_certificate(pres, max_degree, cert)
     counts = None if cert is None else cert.standard_counts(max_degree)
     table = {
         f"{m}.{w}": pres.quotient_dim(m, w) if counts is None else counts[m, w]
@@ -323,13 +332,43 @@ def _numeric_values(
     return table, bases, injective
 
 
+def _family_certificate(max_degree: int) -> LeadCertificate | None:
+    """The lead certificate of the symbolic presentation, with alpha, beta,
+    gamma as coefficients, if it closes below max_degree: its leads and
+    counts then hold at every parameter value."""
+    try:
+        pres = z3_presentation()
+    except ValueError:  # a relation that is not bihomogeneous
+        return None
+    return _closed_certificate(pres, max_degree)
+
+
 def _closed_certificate(pres: GradedPresentation, max_degree: int) -> LeadCertificate | None:
     """The lead certificate in LEAD_RANKING if it closes below max_degree."""
     try:
         cert = LeadCertificate(pres, LEAD_RANKING)
-    except ValueError:  # variables other than the six ranked, or of degree 0
+    except ValueError:  # variables of positive degree other than the six ranked
         return None
     return cert if cert.degree < max_degree and cert.closes() else None
+
+
+def _counted_certificate(
+    pres: GradedPresentation, max_degree: int, cert: LeadCertificate | None
+) -> LeadCertificate | None:
+    """cert, else pres's own closed certificate, once its counts equal
+    pres's quotient dimensions up to the top relation degree (pieces that
+    the claimed bases need anyway); None if there is no such certificate."""
+    if cert is None:
+        cert = _closed_certificate(pres, max_degree)
+    if cert is None:
+        return None
+    counts = cert.standard_counts(max_degree)
+    top = max((d for d, _ in pres.relation_bidegrees), default=0)
+    dim = pres.quotient_dim
+    weights = range(pres.descriptor.torsion_order)
+    if all(dim(m, w) == counts[m, w] for m in range(top + 1) for w in weights):
+        return cert
+    return None
 
 
 def _claimed_bases_hold(pres: GradedPresentation, claimed) -> dict[str, bool]:

@@ -33,10 +33,10 @@ echelon plus the new relations mod p is the next degrees' echelon.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Mapping, Sequence
 
 from .linalg import (
     IntRowSpace, ModPRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref,
@@ -523,7 +523,9 @@ class SubringBuilder:
         Only the rows at `pivots`, the pivot columns of the degree's product
         span, enter.  That span is the image, the column space of the
         matrix, and its echelon rows are triangular on those columns, so
-        these rows have the full rank: they cut out the same kernel."""
+        these rows have the full rank: they cut out the same kernel.  They
+        are eliminated sparsest first; the reduced echelon form, and so the
+        kernel basis, does not depend on their order."""
         index = self.pred._space(m)[0]
         rows: dict[int, dict[int, int]] = {j: {} for j in pivots}
         for u, mon in enumerate(free_mons):
@@ -532,7 +534,7 @@ class SubringBuilder:
                 row = rows.get(index[amb])
                 if row is not None:
                     row[u] = x
-        return int_kernel_basis(list(rows.values()), len(free_mons))
+        return int_kernel_basis(sorted(rows.values(), key=len), len(free_mons))
 
     def verify_generator_list(
         self, claimed: Sequence[Polynomial], max_degree: int
@@ -594,7 +596,9 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
     coordinate columns in reverse sorted order, the pivots of the span of
     the coordinates of the multiples are the vectors that each lie in the
     span of the multiples and of the vectors before it (matroid duality),
-    so the rest are the greedy choice, found in one elimination."""
+    so the rest are the greedy choice, found in one elimination.  The
+    coordinate rows are added sparsest first: the pivots of their span do
+    not depend on the order."""
     size = len(kernel)
     order = sorted(range(size), key=kernel.__getitem__)
     column = [0] * size
@@ -604,15 +608,18 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
     # The coordinate z[f] / v_f[f] times scale is z[f] * factor[f][1].
     scale = lcm(*(v[f] for v, f in zip(kernel, free)))
     factor = {f: (column[i], scale // kernel[i][f]) for i, f in enumerate(free)}
-    coords = IntRowSpace(size)
+    rows = []
     for z in multiples:
-        if coords.dim == size:
-            break
         row = {}
         for f, x in z.items():
             entry = factor.get(f)
             if entry is not None:
                 row[entry[0]] = x * entry[1]
+        rows.append(row)
+    coords = IntRowSpace(size)
+    for row in sorted(rows, key=len):
+        if coords.dim == size:
+            break
         coords.add_nonzeros(row)
     pivots = set(coords.pivot_columns())
     return [kernel[i] for i in order if column[i] not in pivots]

@@ -1,8 +1,10 @@
 """The lead certificate: z3 tables past degree 9 counted from the leading
-monomials of the relations, checked against the pieces, against sympy's
+monomials of the relations, certified once over Q[alpha, beta, gamma] by
+Buchberger's criterion, and checked against the pieces, against sympy's
 Groebner basis, and against counts patched or relations perturbed."""
 
 from fractions import Fraction
+from itertools import product
 from operator import le
 
 import pytest
@@ -110,7 +112,9 @@ def test_the_deep_table_builds_no_piece_past_the_certificate(monkeypatch):
     built = spy_pieces(monkeypatch)
     report = run_z3(mode="numeric", max_degree=16)
     assert report.passed()
-    assert max(m for m, _ in built) == 9
+    # The family's certificate builds no piece; the count check and the
+    # claimed bases read the pieces up to the top relation degree.
+    assert max(m for m, _ in built) == 6
 
 
 def test_a_patched_count_refuses_and_the_pieces_take_over(monkeypatch):
@@ -164,14 +168,11 @@ def test_x2_in_a_lead_sends_injectivity_to_the_pieces(monkeypatch):
     assert calls == [("x2", 12)] * len(SAMPLES)
 
 
-@pytest.mark.parametrize("params", [(0, 0, 0), (1, 1, 1)], ids=str)
-def test_sympy_groebner_has_the_nine_leads(params):
-    sympy = pytest.importorskip("sympy")
+def weighted_revlex(desc):
+    """sympy's form of `weighted_revlex_key` on exponents in LEAD_RANKING order."""
     from sympy.polys.orderings import MonomialOrder
 
-    desc = numeric_presentation(SAMPLES[0]).descriptor
-    ranked = [desc.index(v) for v in LEAD_RANKING]
-    degrees = [desc.degrees[i] for i in ranked]
+    degrees = [desc.degrees[desc.index(v)] for v in LEAD_RANKING]
 
     class WeightedRevlex(MonomialOrder):
         """Weighted degree, then reverse lex, on exponents in ranking order."""
@@ -189,13 +190,23 @@ def test_sympy_groebner_has_the_nine_leads(params):
         def __hash__(self):
             return hash(self.alias)
 
+    return WeightedRevlex()
+
+
+def sympy_basis(sympy, pres, domain=None):
+    """sympy's reduced Groebner basis of pres's relations in the weighted
+    order, with the parameters as coefficients, and the order."""
+    desc = pres.descriptor
     gens = sympy.symbols(LEAD_RANKING)
-    names = dict(zip(LEAD_RANKING, gens))
-    pres = numeric_presentation(tuple(Fraction(x) for x in params))
+    names = {v: sympy.Symbol(v) for v in desc.variables}
     relations = [sympy.sympify(str(r), locals=names) for r in pres.relations]
-    order = WeightedRevlex()
-    basis = sympy.groebner(relations, *gens, order=order)
-    leads = {
+    order = weighted_revlex(desc)
+    options = {} if domain is None else {"domain": domain}
+    return sympy.groebner(relations, *gens, order=order, **options), gens, order
+
+
+def sympy_lead_names(sympy, basis, gens, order, desc):
+    return {
         "*".join(
             f"{v}^{e}" if e > 1 else v
             for v, e in sorted(zip(LEAD_RANKING, sympy.Poly(g, *gens).monoms(order=order)[0]),
@@ -204,18 +215,147 @@ def test_sympy_groebner_has_the_nine_leads(params):
         )
         for g in basis.exprs
     }
-    assert leads == NINE_LEADS
+
+
+@pytest.mark.parametrize("params", [(0, 0, 0), (1, 1, 1)], ids=str)
+def test_sympy_groebner_has_the_nine_leads(params):
+    sympy = pytest.importorskip("sympy")
+    pres = numeric_presentation(tuple(Fraction(x) for x in params))
+    basis, gens, order = sympy_basis(sympy, pres)
+    assert sympy_lead_names(sympy, basis, gens, order, pres.descriptor) == NINE_LEADS
+
+
+def test_sympy_groebner_over_the_parameters_has_the_nine_monic_leads():
+    """Over Q(alpha, beta, gamma) the reduced basis has the certificate's
+    leads, and no coefficient has a denominator: it lies in
+    Q[alpha, beta, gamma][x], as the certificate's monic reductions do."""
+    sympy = pytest.importorskip("sympy")
+    pres = torsion3.z3_presentation()
+    field = sympy.QQ.frac_field(*sympy.symbols(torsion3.PARAMETERS))
+    basis, gens, order = sympy_basis(sympy, pres, field)
+    assert sympy_lead_names(sympy, basis, gens, order, pres.descriptor) == NINE_LEADS
+    for g in basis.polys:
+        assert g.LC(order=order) == 1
+        assert all(sympy.denom(sympy.together(c)) == 1 for c in g.coeffs())
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert cert.closes() and lead_names(cert) == NINE_LEADS
+
+
+def test_the_symbolic_certificate_closes_with_nine_leads_and_18_pairs():
+    cert = LeadCertificate(torsion3.z3_presentation(), LEAD_RANKING)
+    assert cert.closes()
+    assert lead_names(cert) == NINE_LEADS
+    assert len(cert.pairs) == 18 and cert.degree == 9
+    assert cert.divides_no_lead("x2") and cert.divides_no_lead("y2")
+    # The parameters are coefficients: the counts are those of a sample.
+    sample = LeadCertificate(numeric_presentation(SAMPLES[0]), LEAD_RANKING)
+    assert cert.standard_counts(14) == sample.standard_counts(14)
+
+
+def with_relation(pres, ri, terms):
+    relations = list(pres.relations)
+    relations[ri] = Polynomial(pres.descriptor, terms)
+    return GradedPresentation(pres.descriptor, relations)
+
+
+def test_a_parametric_lead_coefficient_refuses_and_the_pieces_agree(monkeypatch):
+    good = numeric_report()
+    # f0 with lead coefficient 1 + alpha: not a unit of Q[alpha, beta, gamma].
+    edited = fixtures.z3_relations()
+    name, deg, wt, f0 = edited[0]
+    alpha_y0_sq = parse_polynomial("alpha*y0^2", f0.descriptor)
+    edited[0] = (name, deg, wt, f0 + alpha_y0_sq)
+    monkeypatch.setattr(fixtures, "z3_relations", lambda: list(edited))
+    pres = torsion3.z3_presentation()
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert lead_names(cert) == NINE_LEADS and not cert.closes()
+    assert torsion3._family_certificate(12) is None
+    report = numeric_report()
+    assert report != good
+    # Every certificate off: the report of the pieces alone.
+    monkeypatch.setattr(torsion3, "_closed_certificate", lambda pres, max_degree: None)
+    assert numeric_report() == report
+
+
+def mutants(pres):
+    """Each relation with one coefficient raised or lowered by 1, in turn."""
+    for ri, r in enumerate(pres.relations):
+        for exps, delta in product(r.terms, (1, -1)):
+            terms = dict(r.terms)
+            terms[exps] += delta
+            yield ri, exps, delta, with_relation(pres, ri, terms)
+
+
+def test_a_perturbed_family_closes_only_with_the_counts_of_its_pieces():
+    """No single-coefficient mutant of the symbolic relations may close
+    unless its counts are the tables of the specialised pieces; the family
+    itself comes first, so the comparison runs at least once."""
+    family = torsion3.z3_presentation()
+    cases = [(None, None, 0, family), *mutants(family)]
+    closed = 0
+    for ri, exps, delta, pres in cases:
+        cert = LeadCertificate(pres, LEAD_RANKING)
+        if not cert.closes():
+            continue
+        closed += 1
+        counts = cert.standard_counts(12)
+        for sample in (SAMPLES[0], SAMPLES[3]):
+            special = GradedPresentation(
+                torsion3.numeric_descriptor(),
+                [torsion3.specialise(r, sample) for r in pres.relations],
+            )
+            pieces = {(m, w): special.quotient_dim(m, w) for m in range(13) for w in range(3)}
+            assert counts == pieces, (ri, exps, delta, sample)
+    assert closed >= 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_closing_agrees_with_the_pieces_up_to_the_certificate_degree(data):
+    """On a sample's relations with one coefficient perturbed, or with a
+    multiple of another relation below its lead added (the same ideal and
+    leads), Buchberger's criterion closes iff the pieces of degree <= D have
+    the standard counts: the criterion the pieces applied before."""
+    pres = numeric_presentation(data.draw(st.sampled_from(SAMPLES)))
+    key = weighted_revlex_key(pres.descriptor, LEAD_RANKING)
+    ri = data.draw(st.integers(0, 9))
+    terms = dict(pres.relations[ri].terms)
+    if data.draw(st.booleans()):
+        terms[data.draw(st.sampled_from(sorted(terms)))] += data.draw(st.sampled_from((1, -1, 2)))
+    else:
+        lead = max(terms, key=key)
+        rj = data.draw(st.sampled_from(
+            [j for j, (d, _) in enumerate(pres.relation_bidegrees) if d < pres.relation_bidegrees[ri][0]]
+            or [ri]))
+        other = pres.relations[rj]
+        d, w = (a - b for a, b in zip(pres.relation_bidegrees[ri], pres.relation_bidegrees[rj]))
+        mults = [t for t in enumerate_monomials(pres.descriptor, d, w % 3)
+                 if key(tuple(a + b for a, b in zip(t, max(other.terms, key=key)))) < key(lead)]
+        if rj != ri and mults:
+            t = data.draw(st.sampled_from(mults))
+            c = Fraction(data.draw(st.integers(-3, 3)))
+            shifted = Polynomial(pres.descriptor, {t: c}) * other
+            for e, v in shifted.terms.items():
+                terms[e] = terms.get(e, 0) + v
+    try:
+        mutant = with_relation(pres, ri, terms)
+    except ValueError:  # the relation became zero
+        return
+    cert = LeadCertificate(mutant, LEAD_RANKING)
+    counts = cert.standard_counts(cert.degree)
+    by_pieces = all(mutant.quotient_dim(m, w) == n for (m, w), n in counts.items())
+    assert cert.closes() == by_pieces
 
 
 @pytest.mark.slow
-def test_z3_numeric_to_degree_28_builds_no_piece_past_degree_9(monkeypatch, capsys):
+def test_z3_numeric_to_degree_28_builds_no_piece_past_degree_6(monkeypatch, capsys):
     from godeaux.cli import main
 
     built = spy_pieces(monkeypatch)
     code = main(["verify", "--scenario", "z3", "--mode", "numeric", "--max-degree", "28"])
     assert code == 0
     assert "0 failed" in capsys.readouterr().out
-    assert built and max(m for m, _ in built) <= 9
+    assert built and max(m for m, _ in built) == 6
 
 
 def test_weighted_revlex_key_orders_the_z3_quadrics():

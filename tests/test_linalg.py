@@ -196,6 +196,19 @@ def test_reversed_kernel_is_the_reduced_kernel(case):
     assert int_kernel_rref(rows, ncols) == int_rref(int_kernel_basis(rows, ncols), ncols)[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=kernel_matrices(), data=st.data())
+def test_int_kernel_basis_ignores_the_row_order(case, data):
+    """The kernel basis is read off the reduced echelon form, which does not
+    depend on the order of the rows, so callers may sort them (the sc
+    evaluation kernels go sparsest first)."""
+    rows, ncols = case
+    shuffled = data.draw(st.permutations(rows))
+    assert int_kernel_basis(shuffled, ncols) == int_kernel_basis(rows, ncols)
+    sparse = [_nonzeros(row) for row in shuffled]
+    assert int_kernel_basis(sparse, ncols) == int_kernel_basis(rows, ncols)
+
+
 def test_int_rowspace_membership():
     rs = IntRowSpace(3)
     rs.add([1, 2, 3])

@@ -2,7 +2,9 @@
 library module.  `dataclasses` alone brings `inspect`, `ast`, `dis` and
 `tokenize`, about half of a fresh `godeaux verify` process's import time.
 `importlib.resources` brings `pathlib`, `tempfile` and about two dozen more;
-fixtures are read with `open` relative to the package instead."""
+fixtures are read with `open` relative to the package instead.  `typing`
+is not needed either: annotations are lazy, `Mapping` and `Sequence` come
+from `collections.abc`, and `Scalar` is the union `Fraction | Cyclo`."""
 
 import json
 import os
@@ -15,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "string")
 # Only visible without `site`: a `.pth` file of an installed package may
 # import `importlib.resources` before any probe runs.
-NO_SITE_HEAVY = ("importlib.resources", "pathlib", "tempfile", "zipfile")
+NO_SITE_HEAVY = ("importlib.resources", "pathlib", "tempfile", "zipfile", "typing")
 
 PROBE = """
 import json, sys
