@@ -315,13 +315,16 @@ class LeadCertificate:
     in(v * f') = v * in(f'), so also in(f'), a term of a remainder.
     """
 
-    __slots__ = ("pres", "leads", "pairs", "degree", "_key", "_params")
+    __slots__ = ("pres", "leads", "pairs", "degree", "_key", "_unit", "_polys", "_heads")
 
     def __init__(self, pres: GradedPresentation, ranking):
         desc = pres.descriptor
         self._key = key = weighted_revlex_key(desc, ranking)
-        self._params = params = [i for i, d in enumerate(desc.degrees) if not d]
-        heads = {max(_split(exps, coeffs, params), key=key) for exps, coeffs, _ in pres._rows}
+        params = [i for i, d in enumerate(desc.degrees) if not d]
+        self._unit = (0,) * len(params)
+        self._polys = [_split(exps, coeffs, params) for exps, coeffs, _ in pres._rows]
+        self._heads = [max(f, key=key) for f in self._polys]
+        heads = set(self._heads)
         self.pres = pres
         self.leads = sorted(
             (t for t in heads if not any(s != t and all(map(le, s, t)) for s in heads)),
@@ -347,15 +350,12 @@ class LeadCertificate:
         """True iff G's lead coefficients are nonzero constants and every
         relation and every S-pair in `pairs` top-reduce to zero by G made
         monic."""
-        params, key = self._params, self._key
-        polys = [_split(exps, coeffs, params) for exps, coeffs, _ in self.pres._rows]
-        heads = [max(f, key=key) for f in polys]
-        unit = (0,) * len(params)
+        polys, unit = self._polys, self._unit
         basis, chosen = {}, set()
         for lead in self.leads:
-            i = heads.index(lead)
+            i = self._heads.index(lead)
             chosen.add(i)
-            tail = polys[i]
+            tail = dict(polys[i])
             top = tail.pop(lead)
             c = top.get(unit)
             if len(top) != 1 or c is None:  # a lead coefficient with a parameter
@@ -364,9 +364,13 @@ class LeadCertificate:
                 inv = scalar_inv(c)
                 tail = {x: {q: v * inv for q, v in cell.items()} for x, cell in tail.items()}
             basis[lead] = tail
-        rest = [f for i, f in enumerate(polys) if i not in chosen]
+        rest = [
+            {x: dict(cell) for x, cell in f.items()}
+            for i, f in enumerate(polys)
+            if i not in chosen
+        ]
         spairs = [_s_pair(s, basis[s], t, basis[t], unit) for s, t in self.pairs]
-        return all(_top_reduces_to_zero(f, basis, key) for f in rest + spairs)
+        return all(_top_reduces_to_zero(f, basis, self._key) for f in rest + spairs)
 
     def divides_no_lead(self, var: str) -> bool:
         """True iff var divides no lead: once the certificate closes,

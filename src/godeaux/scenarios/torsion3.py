@@ -306,18 +306,18 @@ def _numeric_checks(
 
 
 def _numeric_values(
-    pres: GradedPresentation, max_degree: int, claimed, cert: LeadCertificate | None = None
+    pres: GradedPresentation, max_degree: int, claimed, family: LeadCertificate | None = None
 ) -> tuple[dict, dict, bool]:
     """(Hilbert table, claimed bases hold, x2 injective) of a specialised
     presentation.
 
-    cert is the family's certificate, closed below max_degree, if pres is
-    one of its specialisations; otherwise pres's own certificate is tried.
-    If one holds (`_counted_certificate`), the table is its
-    standard-monomial count, and x2, if in no lead, is injective in every
-    degree.  Otherwise both come from the pieces up to max_degree + 1.
+    family is the family's closed certificate (`_family_certificate`) if
+    pres is one of its specialisations.  If its counts hold for pres
+    (`_counted_certificate`), the table is its standard-monomial count,
+    and x2, if in no lead, is injective in every degree.  Otherwise, and
+    with no family, both come from the pieces up to max_degree + 1.
     """
-    cert = _counted_certificate(pres, max_degree, cert)
+    cert = _counted_certificate(pres, max_degree, family)
     counts = None if cert is None else cert.standard_counts(max_degree)
     table = {
         f"{m}.{w}": pres.quotient_dim(m, w) if counts is None else counts[m, w]
@@ -333,41 +333,30 @@ def _numeric_values(
 
 
 def _family_certificate(max_degree: int) -> LeadCertificate | None:
-    """The lead certificate of the symbolic presentation, with alpha, beta,
-    gamma as coefficients, if it closes below max_degree: its leads and
-    counts then hold at every parameter value."""
+    """The lead certificate in LEAD_RANKING of the symbolic presentation,
+    with alpha, beta, gamma as coefficients, if it closes below max_degree:
+    its leads and counts then hold at every parameter value."""
     try:
-        pres = z3_presentation()
-    except ValueError:  # a relation that is not bihomogeneous
-        return None
-    return _closed_certificate(pres, max_degree)
-
-
-def _closed_certificate(pres: GradedPresentation, max_degree: int) -> LeadCertificate | None:
-    """The lead certificate in LEAD_RANKING if it closes below max_degree."""
-    try:
-        cert = LeadCertificate(pres, LEAD_RANKING)
-    except ValueError:  # variables of positive degree other than the six ranked
+        cert = LeadCertificate(z3_presentation(), LEAD_RANKING)
+    except ValueError:  # a relation not bihomogeneous, or an unranked variable
         return None
     return cert if cert.degree < max_degree and cert.closes() else None
 
 
 def _counted_certificate(
-    pres: GradedPresentation, max_degree: int, cert: LeadCertificate | None
+    pres: GradedPresentation, max_degree: int, family: LeadCertificate | None
 ) -> LeadCertificate | None:
-    """cert, else pres's own closed certificate, once its counts equal
-    pres's quotient dimensions up to the top relation degree (pieces that
-    the claimed bases need anyway); None if there is no such certificate."""
-    if cert is None:
-        cert = _closed_certificate(pres, max_degree)
-    if cert is None:
+    """family once its counts equal pres's quotient dimensions up to the
+    top relation degree (pieces that the claimed bases need anyway); None
+    if there is no family or a count differs."""
+    if family is None:
         return None
-    counts = cert.standard_counts(max_degree)
+    counts = family.standard_counts(max_degree)
     top = max((d for d, _ in pres.relation_bidegrees), default=0)
     dim = pres.quotient_dim
     weights = range(pres.descriptor.torsion_order)
     if all(dim(m, w) == counts[m, w] for m in range(top + 1) for w in weights):
-        return cert
+        return family
     return None
 
 
