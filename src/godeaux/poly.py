@@ -276,6 +276,55 @@ def _product(t1: Mapping[tuple, Scalar], t2: Mapping[tuple, Scalar]) -> dict:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Packed monomials (Monagan and Pearce, CASC 2007): an exponent tuple as one
+# int with a FIELD_BITS-bit field per variable, the first variable in the
+# highest field.  Fields add independently, so pack(e1) + pack(e2) ==
+# pack(e1 + e2) as long as every exponent of e1 + e2 fits its field; a caller
+# adds two packed monomials only where it knows the sum fits.
+
+
+FIELD_BITS = 8  # one byte per variable: exponents 0..255
+
+
+def pack(exps) -> int:
+    """The packed monomial of an exponent tuple; an exponent outside
+    0..2**FIELD_BITS - 1 is refused with ValueError."""
+    try:
+        return int.from_bytes(bytes(exps), "big")
+    except ValueError:
+        raise ValueError(
+            f"exponents {tuple(exps)} do not fit {FIELD_BITS}-bit packed fields"
+        ) from None
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    return tuple(key.to_bytes(nvars, "big"))
+
+
+def packed_index(mons) -> dict[int, int]:
+    """{packed monomial: position} of a list of exponent tuples."""
+    return dict(zip(map(pack, mons), range(len(mons))))
+
+
+def _packed_product(t1: Mapping[int, Scalar], t2: Mapping[int, Scalar]) -> dict:
+    """`_product` of two term dicts keyed by packed monomials: each monomial
+    product is one int addition."""
+    out: dict[int, Scalar] = {}
+    get = out.get
+    items = t2.items()
+    for e1, c1 in t1.items():
+        for e2, c2 in items:
+            key = e1 + e2
+            s = get(key, 0) + c1 * c2
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
 def degree_and_weight(p: Polynomial):
     """(degree, weight) of a bihomogeneous polynomial, else "zero"/"inhomogeneous"."""
     if p.is_zero():

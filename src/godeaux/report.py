@@ -86,11 +86,14 @@ def _compact(value, limit: int = 120) -> str:
 
 def merge_reports(reports: list[VerificationReport], config: dict) -> VerificationReport:
     """Concatenate suite reports into a single `all` report; ids stay unique
-    because every suite prefixes its scenario id on each check."""
+    because every suite prefixes its scenario id on each check.  Each
+    suite's own config (its parameters, samples, truncation and warning)
+    is kept under config["suites"][scenario]."""
     checks: list[Check] = []
     for rep in reports:
         checks.extend(rep.checks)
     total_ms = sum(r.timing_ms for r in reports)
-    merged = VerificationReport("all", config, checks)
+    suites = {rep.scenario: rep.config for rep in reports}
+    merged = VerificationReport("all", {**config, "suites": suites}, checks)
     merged.timing_ms = total_ms
     return merged

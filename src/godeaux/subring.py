@@ -28,6 +28,22 @@ full rank, and the new relations are the greedy choice from the sorted
 kernel, found by matroid duality in one elimination of the ideal multiples
 written in kernel coordinates (`_relations_by_duality`).  The short mod-p
 echelon plus the new relations mod p is the next degrees' echelon.
+
+Wherever terms are multiplied or shifted, they are keyed by packed monomials
+(`godeaux.poly.pack`: one int with an 8-bit field per variable, Monagan and
+Pearce 2007), so a monomial product is one int addition: the substitution
+and evaluation maps' images and memo values, the product spans and their
+factors, the closure products, the congruence multiples, and over the free
+ring the census shifts and the relation multiples.  A field holds exponents
+0..255; packing refuses a larger one with ValueError.  A sum never carries
+into the next field: every packed product lands in a degree all of whose
+monomials were packed first (the packed twin of a degree's column index,
+`MembershipPredicate._packed_space`, or the census's packed free index), the
+maps bound their image exponents before multiplying, and the closure checks
+refuse a degree above 255 (every variable of the builder has positive
+degree, so no exponent exceeds the degree).  Tuples stay at the edges:
+`basis_terms`, `subspace_basis`, `contains_terms`, the outputs of
+`_generators_with_spans` (kept products are unpacked) and the relations.
 """
 
 from __future__ import annotations
@@ -36,18 +52,22 @@ import random
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import mul
 
 from .linalg import (
     IntRowSpace, ModPRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref,
 )
 from .poly import (
+    FIELD_BITS,
     Polynomial,
     RingDescriptor,
-    _product,
+    _packed_product,
     degree_and_weight,
     enumerate_monomials,
     grevlex_key,
+    pack,
+    packed_index,
+    unpack,
 )
 from .record import Record
 from .scalars import is_rational_scalar
@@ -98,6 +118,9 @@ class MembershipPredicate:
         # Per degree: column index, integer term dicts of V_m's reduced
         # echelon basis and the row space of V_m (never added to once built).
         self._spaces: dict[int, tuple[dict[tuple, int], list[dict[tuple, int]], IntRowSpace]] = {}
+        # Per degree: the packed twin of that column index (packed monomial
+        # -> column) and V_m's basis as term dicts keyed by packed monomials.
+        self._packed: dict[int, tuple[dict[int, int], list[dict[int, int]]]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
@@ -192,12 +215,29 @@ class MembershipPredicate:
             space = self._spaces[m] = (index, terms, rs)
         return space
 
+    def _packed_space(self, m: int) -> tuple[dict[int, int], list[dict[int, int]]]:
+        """(packed monomial -> column of the degree-m monomials, V_m's
+        reduced echelon basis keyed by packed monomials), built once.  Every
+        degree-m monomial is packed here, so a product that lands in degree
+        m has exponents that fit their fields."""
+        packed = self._packed.get(m)
+        if packed is None:
+            index, terms, _ = self._space(m)
+            basis = [_packed_terms(t) for t in terms]
+            packed = self._packed[m] = (packed_index(list(index)), basis)
+        return packed
+
 
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
     """Terms of p scaled by the lcm of its denominators (1 for integer p)."""
     if not all(is_rational_scalar(c) for c in p.terms.values()):
         raise ValueError("subring computations need rational coefficients")
     return _clear_denominators(p.terms)[0]
+
+
+def _packed_terms(terms: Mapping[tuple, int]) -> dict[int, int]:
+    """A term dict keyed by packed monomials."""
+    return {pack(mon): c for mon, c in terms.items()}
 
 
 def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Polynomial:
@@ -216,7 +256,7 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
         return [{j: 1} for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
-        index = {mon: i for i, mon in enumerate(cols)}
+        index = packed_index(cols)
         span_rows = [
             {j: 1} for j, mon in enumerate(cols) if all(mon[i] % 2 == 0 for i in even_idx)
         ]
@@ -226,10 +266,11 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
                 raise ValueError("modulus polynomials must be homogeneous")
             if f.descriptor != desc:
                 raise ValueError("descriptor mismatch")
-            # mult * f is f's cleared integer row shifted to mult + e.
-            terms = _int_terms(f)
-            for mult in enumerate_monomials(desc, m - dw[0]):
-                span_rows.append({index[tuple(map(add, mult, e))]: c for e, c in terms.items()})
+            # mult * f is f's cleared integer row shifted to mult + e, all
+            # in degree m, whose monomials index packed.
+            terms = _packed_terms(_int_terms(f))
+            for mult in map(pack, enumerate_monomials(desc, m - dw[0])):
+                span_rows.append({index[mult + e]: c for e, c in terms.items()})
         # Over Q, v lies in span(S) exactly when every functional that
         # vanishes on S vanishes on v: the annihilator cuts out the span.
         return [
@@ -263,8 +304,11 @@ def _parity_constraints(maps, sign: int, cols) -> list[dict[int, int]]:
 
 
 class _MonomialMap:
-    """Images of monomials under a substitution, as (integer term dict,
-    denominator), memoised down the first nonzero exponent."""
+    """Images of monomials under a substitution, as (integer term dict keyed
+    by packed target monomials, denominator), memoised down the first
+    nonzero exponent.  No exponent of the image of mon exceeds the sum of
+    mon[i] * tops[i], tops[i] the largest exponent in variable i's image; a
+    monomial whose bound does not fit a packed field is refused."""
 
     def __init__(self, images: Mapping[str, Polynomial], desc: RingDescriptor):
         targets = {img.descriptor for img in images.values()}
@@ -276,10 +320,16 @@ class _MonomialMap:
         for name, img in images.items():
             if not all(is_rational_scalar(c) for c in img.terms.values()):
                 raise ValueError("subring computations need rational coefficients")
-            self.images[name] = _clear_denominators(img.terms)
-        self.memo = {(0,) * desc.nvars: ({(0,) * self.target.nvars: 1}, 1)}
+            terms, denom = _clear_denominators(img.terms)
+            self.images[name] = (_packed_terms(terms), denom)
+        # The largest exponent in each variable's image (0 with no image).
+        self.tops = [
+            max((max(e, default=0) for e in images[v].terms), default=0) if v in images else 0
+            for v in self.names
+        ]
+        self.memo = {(0,) * desc.nvars: ({0: 1}, 1)}
 
-    def __call__(self, mon: tuple) -> tuple[dict[tuple, int], int]:
+    def __call__(self, mon: tuple) -> tuple[dict[int, int], int]:
         cached = self.memo.get(mon)
         if cached is not None:
             return cached
@@ -287,10 +337,12 @@ class _MonomialMap:
         img = self.images.get(self.names[i])
         if img is None:
             raise KeyError(f"missing image for variable(s): {self.names[i]}")
+        if sum(map(mul, mon, self.tops)) >> FIELD_BITS:
+            raise ValueError(f"the image of {mon} may not fit {FIELD_BITS}-bit packed fields")
         prev = list(mon)
         prev[i] -= 1
         terms, denom = self(tuple(prev))
-        value = (_product(terms, img[0]), denom * img[1])
+        value = (_packed_product(terms, img[0]), denom * img[1])
         self.memo[mon] = value
         return value
 
@@ -327,30 +379,34 @@ class GeneratorListReport(Record):
 
 class _FactorSpans:
     """The factors of a product span, each as (leading monomial, integer
-    term dict), the lead being the grevlex-least monomial: the generators
-    with their degrees, and per degree k the elements their products are
-    taken with.  Those are V_k's reduced echelon basis once degree k's span
-    reaches dim V_k, for then the two have the same span and every later
-    product span is unchanged; a degree that falls short keeps its own
-    products."""
+    term dict), both packed, the lead being the grevlex-least monomial: the
+    generators with their degrees, and per degree k the elements their
+    products are taken with.  Those are V_k's reduced echelon basis once
+    degree k's span reaches dim V_k, for then the two have the same span and
+    every later product span is unchanged; a degree that falls short keeps
+    its own products."""
 
     def __init__(self, pred: MembershipPredicate):
         self.pred = pred
-        self.generators: list[tuple[int, tuple, dict[tuple, int]]] = []
-        one = _int_terms(pred.descriptor.one())
-        self._by_degree = {0: [(_lead(one), one)]}
+        self.generators: list[tuple[int, int, dict[int, int]]] = []
+        # The constant 1, at the packed unit monomial 0.
+        self._by_degree = {0: [(0, {0: 1})]}
 
-    def __getitem__(self, k: int) -> list[tuple[tuple, dict[tuple, int]]]:
+    def __getitem__(self, k: int) -> list[tuple[int, dict[int, int]]]:
         return self._by_degree[k]
 
     def add_generator(self, degree: int, terms: dict[tuple, int]) -> None:
-        self.generators.append((degree, _lead(terms), terms))
+        self.generators.append((degree, pack(_lead(terms)), _packed_terms(terms)))
 
-    def close(self, m: int, products: list[dict[tuple, int]], full: bool) -> None:
-        """Fix the degree-m factors, from the products of a degree-m span
-        that reached dim V_m when `full`, or fell short."""
-        terms = self.pred.basis_terms(m) if full else products
-        self._by_degree[m] = [(_lead(t), t) for t in terms]
+    def close(self, m: int, products: list[dict[int, int]], full: bool) -> None:
+        """Fix the degree-m factors, from the packed products of a degree-m
+        span that reached dim V_m when `full`, or fell short.  Columns are in
+        grevlex order, so a lead is the monomial of the least column."""
+        index, basis = self.pred._packed_space(m)
+        cols = list(index)
+        self._by_degree[m] = [
+            (cols[min(map(index.__getitem__, t))], t) for t in (basis if full else products)
+        ]
 
 
 def _lead(terms: Mapping[tuple, int]) -> tuple:
@@ -387,24 +443,33 @@ class SubringBuilder:
         for m in range(1, max_degree + 1):
             full = self.pred.dim(m) if closed else None
             index, rs, piece = self._product_span(factors, m, full)
+            # The kept products, unpacked through their columns.
+            cols = self.pred.ambient_monomials(m)
+            kept = [{cols[index[k]]: c for k, c in p.items()} for p in piece]
             if rs.dim != full:
                 # Basis elements are primitive integer rows already (int_kernel_rref).
-                for v, terms in zip(self.pred.subspace_basis(m), self.pred.basis_terms(m)):
-                    if rs.add_nonzeros({index[mon]: c for mon, c in terms.items()}):
-                        piece.append(terms)
+                basis = zip(self.pred.subspace_basis(m), self.pred.basis_terms(m),
+                            self.pred._packed_space(m)[1])
+                for v, terms, packed in basis:
+                    if rs.add_nonzeros({index[k]: c for k, c in packed.items()}):
+                        piece.append(packed)
+                        kept.append(terms)
                         gens.append((v, m))
                         factors.add_generator(m, terms)
             factors.close(m, piece, rs.dim == full)
-            span_terms[m] = piece
+            span_terms[m] = kept
             span_pivots[m] = rs.pivot_columns()
         return gens, span_terms, span_pivots
 
     def _product_span(self, factors: _FactorSpans, m: int, full: int | None = None):
         """Independent degree-m products g*b of a generator g and a factor b
-        of degree m - deg g; returns (index, row space, products).
+        of degree m - deg g; returns (packed index, row space, products).
 
-        Factors are integer term dicts: scaling a factor does not change the
-        span, and the row space stores primitive rows.  The caller passes
+        Factors and products are integer term dicts keyed by packed
+        monomials; each product lands in degree m, every monomial of which
+        `_packed_space(m)` has packed, so no field carries.  Scaling a
+        factor does not change the span, and the row space stores primitive
+        rows.  The caller passes
         `full` = dim V_m only when every factor lies in V and V is closed
         under products: then every product lies in V_m, and no product after
         the span reaches that dimension can enlarge it, so the order in which
@@ -415,7 +480,7 @@ class SubringBuilder:
         lead(g) + lead(b), known before the product is formed.  One product
         per leading column that is not a pivot yet enters first, with no
         elimination step; the colliding products follow in reverse."""
-        index = self.pred._space(m)[0]
+        index = self.pred._packed_space(m)[0]
         rs = IntRowSpace(len(index))
         taken = set()
         firsts, colliding = [], []
@@ -423,18 +488,18 @@ class SubringBuilder:
             # A constant factor adds nothing to the span.
             if 0 < dg <= m:
                 for b_lead, b in factors[m - dg]:
-                    lead = index[tuple(map(add, g_lead, b_lead))]
+                    lead = index[g_lead + b_lead]
                     if lead in taken:
                         colliding.append((g, b))
                     else:
                         taken.add(lead)
                         firsts.append((g, b))
-        piece: list[dict[tuple, int]] = []
+        piece: list[dict[int, int]] = []
         for g, b in firsts + colliding[::-1]:
             if rs.dim == full:
                 break
-            prod = _product(g, b)
-            if rs.add_nonzeros({index[mon]: c for mon, c in prod.items()}):
+            prod = _packed_product(g, b)
+            if rs.add_nonzeros({index[k]: c for k, c in prod.items()}):
                 piece.append(prod)
         return index, rs, piece
 
@@ -455,18 +520,22 @@ class SubringBuilder:
         # denominator 1 throughout.
         evaluate = _MonomialMap({name: g for name, (g, _) in zip(names, gens)}, free)
         relations: list[Polynomial] = []
-        # (degree, [(exponents, coefficient)]) of each relation, for its multiples.
-        relation_terms: list[tuple[int, list[tuple[tuple, int]]]] = []
+        # (degree, [(packed exponents, coefficient)]) of each relation, for
+        # its multiples.
+        relation_terms: list[tuple[int, list[tuple[int, int]]]] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
         # Mod-p echelon forms of the ideal by degree, with their Groebner
         # rows, for the last top degrees.
         echelons: dict[int, tuple[ModPRowSpace, frozenset[int]]] = {}
         top = max(free.degrees, default=0)
+        # Per degree: packed free monomial -> column.
+        free_index = {0: packed_index(enumerate_monomials(free, 0))}
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
             echelons.pop(m - 1 - top, None)
             free_mons = enumerate_monomials(free, m)
+            free_index[m] = packed_index(free_mons)
             if not free_mons:
                 relation_census[m] = 0
                 continue
@@ -475,16 +544,16 @@ class SubringBuilder:
             # ideal lies inside it: at equal dimension the two are equal and
             # no relation is new.
             target = len(free_mons) - len(span_terms[m])
-            free_index = {mon: i for i, mon in enumerate(free_mons)}
             echelon, leads = _leading_term_echelon(free, m, free_index, echelons, target)
             new = []
             if echelon.dim < target:
                 new = self._exact_relations(
                     free, m, free_index, evaluate, span_pivots[m], relation_terms
                 )
+                packed = list(free_index[m])
                 for row in new:
                     relations.append(_to_poly(free, free_mons, row))
-                    terms = [(free_mons[j], x) for j, x in enumerate(row) if x]
+                    terms = [(packed[j], x) for j, x in enumerate(row) if x]
                     relation_terms.append((m, terms))
                     # The short echelon holds every product; later degrees
                     # shift the new relations with it.
@@ -508,12 +577,15 @@ class SubringBuilder:
     def _exact_relations(self, free, m, free_index, evaluate, pivots, relation_terms):
         """The new degree-m relations over Z, as primitive integer rows over
         the free monomials: the greedy choice from the sorted evaluation
-        kernel against the monomial multiples of the earlier relations."""
-        kernel = self._evaluation_kernel(m, list(free_index), evaluate, pivots)
+        kernel against the monomial multiples of the earlier relations;
+        free_index maps each degree up to m to its packed free monomial ->
+        column."""
+        kernel = self._evaluation_kernel(m, enumerate_monomials(free, m), evaluate, pivots)
+        index = free_index[m]
         multiples = (
-            {free_index[tuple(map(add, mult, e))]: c for e, c in terms}
+            {index[mult + e]: c for e, c in terms}
             for dr, terms in relation_terms
-            for mult in enumerate_monomials(free, m - dr)
+            for mult in free_index[m - dr]
         )
         return _relations_by_duality(kernel, multiples)
 
@@ -526,7 +598,7 @@ class SubringBuilder:
         these rows have the full rank: they cut out the same kernel.  They
         are eliminated sparsest first; the reduced echelon form, and so the
         kernel basis, does not depend on their order."""
-        index = self.pred._space(m)[0]
+        index = self.pred._packed_space(m)[0]
         rows: dict[int, dict[int, int]] = {j: {} for j in pivots}
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
@@ -566,6 +638,11 @@ class SubringBuilder:
         self, max_degree: int, seed: int = 42, trials: int = 12
     ) -> list[tuple[int, int, bool]]:
         """Random products p*q with p in V_i, q in V_j must land in V_{i+j}."""
+        # Every variable has positive degree, so the exponents of a product
+        # are at most its degree, here at most max_degree.
+        if max_degree >> FIELD_BITS:
+            raise ValueError(f"degree {max_degree} does not fit {FIELD_BITS}-bit packed fields")
+        n = self.desc.nvars
         rng = random.Random(seed)
         results = []
         degrees = [m for m in range(1, max_degree) if self.pred.dim(m)]
@@ -577,9 +654,10 @@ class SubringBuilder:
             if not j_choices:
                 continue
             j = rng.choice(j_choices)
-            p = _random_combination(self.pred.basis_terms(i), rng)
-            q = _random_combination(self.pred.basis_terms(j), rng)
-            results.append((i, j, self.pred.contains_terms(i + j, _product(p, q))))
+            p = _random_combination(self.pred._packed_space(i)[1], rng)
+            q = _random_combination(self.pred._packed_space(j)[1], rng)
+            prod = {unpack(k, n): c for k, c in _packed_product(p, q).items()}
+            results.append((i, j, self.pred.contains_terms(i + j, prod)))
         return results
 
 
@@ -631,7 +709,8 @@ def _leading_term_echelon(free, m, free_index, echelons, target):
     echelons, until its dimension reaches `target`; returned with the set of
     leading columns of the products.  echelons maps a degree k to (E_k, the
     pivot columns of E_k's Groebner rows: those that are not leading columns
-    of products from lower degrees).
+    of products from lower degrees), and free_index maps each degree up to m
+    to its packed free monomial -> column.
 
     Certificate: each echelon row is the reduction mod p of an integer
     vector of the ideal over Q, and so is each product, as shifting
@@ -648,7 +727,7 @@ def _leading_term_echelon(free, m, free_index, echelons, target):
     Groebner basis elements matter): first those whose row and the row of
     the product that owns the leading column are both Groebner rows, then
     those whose row alone is one, then the rest, each group in reverse."""
-    space = ModPRowSpace(len(free_index))
+    space = ModPRowSpace(len(free_index[m]))
     # Leading column -> whether the row of its first product is a Groebner row.
     owners: dict[int, bool] = {}
     firsts, groups = [], ([], [], [])
@@ -676,17 +755,12 @@ def _leading_term_echelon(free, m, free_index, echelons, target):
 
 def _shift(free, k, i, free_index) -> list[int]:
     """Column in degree k + deg g_i of g_i times each degree-k monomial."""
-    out = []
-    for mon in enumerate_monomials(free, k):
-        mon = list(mon)
-        mon[i] += 1
-        out.append(free_index[tuple(mon)])
-    return out
+    unit = pack(tuple(int(j == i) for j in range(free.nvars)))
+    index = free_index[k + free.degrees[i]]
+    return [index[key + unit] for key in free_index[k]]
 
 
-def _random_combination(
-    basis: list[dict[tuple, int]], rng: random.Random
-) -> dict[tuple, int]:
+def _random_combination(basis: list[dict[int, int]], rng: random.Random) -> dict[int, int]:
     """A nonzero combination of integer term dicts with coefficients drawn
     from -9..9, one draw per basis element, drawn again while it is zero."""
     while True:

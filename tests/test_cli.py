@@ -9,6 +9,7 @@ import pytest
 
 import godeaux
 from godeaux.cli import main
+from godeaux.poly import Polynomial, parse_polynomial
 from godeaux.report import VerificationReport
 
 JSON_CHECK_KEYS = {"id", "description", "paper_ref", "status", "expected", "actual"}
@@ -349,6 +350,107 @@ class TestScFixtureErrors:
         assert (code, err) == (1, "")
         failed = {c["id"] for c in json.loads(out)["checks"] if c["status"] != "pass"}
         assert failed and all(i.startswith("sc.") for i in failed)
+
+
+# Each polynomial line of the sc fixtures, mutated three ways: its sign
+# flipped, its last term dropped, and its first coefficient raised by 1.
+SC_MUTATED_FIXTURES = ("sc_generators.txt", "sc_conic.txt", "sc_involution.txt",
+                       "sc_restriction.txt")
+
+
+def _mutants(p):
+    """The three mutants of p that differ from it, by name."""
+    terms = p.sorted_terms()
+    out = {"flip": -p}
+    if terms:
+        out["drop"] = Polynomial(p.descriptor, dict(terms[:-1]))
+        e, c = terms[0]
+        out["raise"] = Polynomial(p.descriptor, {**p.terms, e: c + 1})
+    return {kind: q for kind, q in out.items() if q != p}
+
+
+def _is_multiple(q, p):
+    """Whether q is a nonzero rational multiple of p."""
+    if q.is_zero() or set(q.terms) != set(p.terms):
+        return False
+    e = next(iter(p.terms))
+    return q == p.scale(q.terms[e] / p.terms[e])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fixture", SC_MUTATED_FIXTURES)
+def test_every_sc_fixture_mutant_fails_a_check(fixture, capsys, monkeypatch):
+    from godeaux.scenarios import fixtures
+
+    read = fixtures._read
+    lines = read(fixture).splitlines()
+    desc = fixtures.sc_descriptor()
+    served = {}
+    monkeypatch.setattr(fixtures, "_read", lambda name: served.get(name) or read(name))
+    caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution)
+    outcomes = []
+    try:
+        for k, raw in enumerate(lines):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            var, _, src = line.rpartition(":")
+            for kind, q in _mutants(parse_polynomial(src, desc)).items():
+                text = f"{var.strip()} : {q}" if var else str(q)
+                served[fixture] = "\n".join([*lines[:k], text, *lines[k + 1:]])
+                for cache in caches:
+                    cache.cache_clear()
+                code, out, err = run_cli(
+                    ["verify", "--scenario", "sc", "--max-degree", "10", "--format", "json"],
+                    capsys,
+                )
+                failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+                # A nonzero multiple of a claimed generator lies in V and
+                # generates the same algebra over Q, and a multiple of the
+                # conic generates the same ideal: those mutants are still
+                # valid fixtures, and every claim must hold.  Every other
+                # mutant must fail a check.
+                valid = fixture in SC_MUTATED_FIXTURES[:2] and _is_multiple(
+                    q, parse_polynomial(src, desc)
+                )
+                outcomes.append((k + 1, kind, text, code, bool(failed), err, valid))
+    finally:
+        served.clear()
+        for cache in caches:
+            cache.cache_clear()
+    assert outcomes
+    for line, kind, text, code, failed, err, valid in outcomes:
+        expected = (0, False, "") if valid else (1, True, "")
+        assert (code, failed, err) == expected, (fixture, line, kind, text)
+
+
+def test_all_keeps_each_suite_config(capsys):
+    # The merged report records what each suite ran with: here the
+    # parameters and samples that --alpha changes.
+    def report(*extra):
+        # argparse keeps the last --scenario given.
+        code, out, _ = run_cli(
+            ["verify", "--scenario", "all", "--max-degree", "10", "--format", "json",
+             *extra],
+            capsys,
+        )
+        assert code == 0
+        return json.loads(out)
+
+    plain, moved = report(), report("--alpha=3/2")
+    assert plain["config"] != moved["config"]
+    suites = moved["config"]["suites"]
+    assert list(suites) == ["z3", "z4", "z5", "sc"]
+    assert suites["z3"]["params"] == ["3/2", "0", "0"]
+    assert suites["z3"]["samples"][0] == ["3/2", "0", "0"]
+    assert plain["config"]["suites"]["z3"]["params"] == ["0", "0", "0"]
+    assert suites["sc"]["truncation"] == "generation and relations verified up to degree 10"
+    # Each suite's config as its own report gives it, and the merged
+    # check list is each suite's, in suite order.
+    singles = {name: report("--scenario", name, "--alpha=3/2") for name in suites}
+    for name, single in singles.items():
+        assert suites[name] == single["config"], name
+    assert moved["checks"] == [c for single in singles.values() for c in single["checks"]]
 
 
 class TestHilbert:

@@ -20,7 +20,7 @@ from godeaux import (
     render_polynomial,
     zeta,
 )
-from godeaux.poly import grevlex_key
+from godeaux.poly import FIELD_BITS, _packed_product, _product, grevlex_key, pack, unpack
 from godeaux.scenarios import fixtures
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -488,3 +488,73 @@ def test_homogeneity_multiplicative(data):
     d1, w1 = degree_and_weight(p)
     d2, w2 = degree_and_weight(q)
     assert degree_and_weight(p * q) == (d1 + d2, (w1 + w2) % 3)
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials
+
+# The sc ring, and the free ring on its thirteen generators.
+SC_FREE = RingDescriptor(
+    tuple(f"g{i + 1}" for i in range(13)), (2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5), (0,) * 13
+)
+PACKED_RINGS = [ABC, SC_FREE]
+
+
+def int_term_dicts(nvars, top):
+    """Integer term dicts with exponents 0..top and small coefficients, so
+    that products cancel now and then."""
+    exps = st.tuples(*[st.integers(0, top)] * nvars)
+    return st.dictionaries(exps, st.integers(-3, 3).filter(bool), max_size=8)
+
+
+def packed(terms):
+    return {pack(e): c for e, c in terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), desc=st.sampled_from(PACKED_RINGS))
+def test_packed_product_is_the_tuple_product(data, desc):
+    # Exponents below half the field, so that no product exponent leaves it.
+    top = data.draw(st.sampled_from([1, 3, (1 << FIELD_BITS - 1) - 1]))
+    t1 = data.draw(int_term_dicts(desc.nvars, top))
+    t2 = data.draw(int_term_dicts(desc.nvars, top))
+    got = _packed_product(packed(t1), packed(t2))
+    # Same terms in the same key order.
+    assert [(unpack(k, desc.nvars), c) for k, c in got.items()] == list(_product(t1, t2).items())
+
+
+def test_packed_product_drops_cancelled_terms_in_place():
+    # (a + b) * (a - b): a*b cancels and leaves the dict where it stood.
+    t1, t2 = {(1, 0, 0): 1, (0, 1, 0): 1}, {(1, 0, 0): 1, (0, 1, 0): -1}
+    got = _packed_product(packed(t1), packed(t2))
+    assert [(unpack(k, 3), c) for k, c in got.items()] == [((2, 0, 0), 1), ((0, 2, 0), -1)]
+    assert list(_product(t1, t2).items()) == [((2, 0, 0), 1), ((0, 2, 0), -1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pack_then_unpack_is_the_identity(data):
+    nvars = data.draw(st.integers(0, 13))
+    field = st.integers(0, (1 << FIELD_BITS) - 1)
+    exps = data.draw(st.tuples(*[field] * nvars))
+    assert unpack(pack(exps), nvars) == exps
+    other = data.draw(st.tuples(*[field] * nvars))
+    assert (pack(exps) == pack(other)) == (exps == other)
+    total = tuple(x + y for x, y in zip(exps, other))
+    if all(x < 1 << FIELD_BITS for x in total):
+        assert pack(exps) + pack(other) == pack(total)
+
+
+@pytest.mark.parametrize("desc", PACKED_RINGS, ids=["sc", "sc-free"])
+def test_an_exponent_outside_its_field_is_refused(desc):
+    top = (1 << FIELD_BITS) - 1
+    for i in range(desc.nvars):
+        exps = [0] * desc.nvars
+        exps[i] = top
+        assert unpack(pack(exps), desc.nvars) == tuple(exps)
+        for bad in (top + 1, -1):
+            exps[i] = bad
+            # Never carried into the next field: (.., 256) is not (.., 1, 0).
+            with pytest.raises(ValueError, match="do not fit"):
+                pack(exps)
+

@@ -127,8 +127,12 @@ def without_timing(text):
         pytest.param(["--scenario", "sc", "--max-degree", "13"], marks=pytest.mark.slow),
         # Ideal pieces of dense random relations, well past the default bound.
         ["--scenario", "z4", "--max-degree", "16", "--seed", "140892"],
+        # The CLI default degree: the packed evaluation map and product
+        # spans one degree past the benchmark's pass.
+        ["--scenario", "sc", "--max-degree", "12"],
     ],
-    ids=["z3", "z4", "z5", "sc", "sc-census", "z3-fractions", "z3-tables", "sc-13", "z4-16"],
+    ids=["z3", "z4", "z5", "sc", "sc-census", "z3-fractions", "z3-tables", "sc-13", "z4-16",
+         "sc-12"],
 )
 def test_verify_reports_match(args, tmp_path):
     ours, ref = run_both(["verify", *args, "--format", "json"], tmp_path)
@@ -206,6 +210,12 @@ def _sc_build_outputs(max_degree, tmp_path):
 def test_sc_build_outputs_match(tmp_path):
     # Relation lists depend on pivot order, so this pins it.
     ours, ref = _sc_build_outputs("11", tmp_path)
+    assert ours[0] == ref[0] == 0, ours[2]
+    assert ours[1:] == ref[1:]
+
+
+def test_sc_build_outputs_match_at_the_default_degree(tmp_path):
+    ours, ref = _sc_build_outputs("12", tmp_path)
     assert ours[0] == ref[0] == 0, ours[2]
     assert ours[1:] == ref[1:]
 

@@ -23,7 +23,9 @@ from godeaux import linalg, subring
 from godeaux.linalg import (
     IntRowSpace, ModPRowSpace, _RowSpace, int_kernel_basis, int_kernel_rref, int_rref,
 )
-from godeaux.poly import _product, degree_and_weight, enumerate_monomials, grevlex_key
+from godeaux.poly import (
+    _product, degree_and_weight, enumerate_monomials, grevlex_key, packed_index,
+)
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.subring import (
@@ -615,19 +617,22 @@ def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
 def test_certified_rank_never_exceeds_the_exact_rank(data, prime):
     free, relations = data
     echelons = {}
+    # As in the census: per degree, packed free monomial -> column.
+    packed = {0: packed_index(enumerate_monomials(free, 0))}
     with patch.object(linalg, "PRIME", prime):
         for m in range(1, 8):
             free_mons = enumerate_monomials(free, m)
             free_index = {mon: i for i, mon in enumerate(free_mons)}
+            packed[m] = packed_index(free_mons)
             older = [r for r in relations if degree_and_weight(r)[0] < m]
             # Exact ranks: every multiple, at a target no rank reaches.
             exact = _ideal_rows(free, m, relations, free_index, len(free_mons) + 1)
             exact_older = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
             # One more than the rank: every product mod p is tried.
-            every, _ = _leading_term_echelon(free, m, free_index, echelons, exact_older + 1)
+            every, _ = _leading_term_echelon(free, m, packed, echelons, exact_older + 1)
             assert every.dim <= exact_older
             # As in the census: the relation space is the whole degree-m ideal.
-            echelon, leads = _leading_term_echelon(free, m, free_index, echelons, exact.dim)
+            echelon, leads = _leading_term_echelon(free, m, packed, echelons, exact.dim)
             assert echelon.dim <= exact_older
             if echelon.dim == exact.dim:
                 # Certified: no relation of degree m is new to the ideal.
@@ -1144,3 +1149,45 @@ def test_generator_list_reports_match_the_plain_product_spans(pred, data):
         assert _outcome(lambda: builder.verify_generator_list(claim, max_degree)) == _outcome(
             lambda: reference_verify_generator_list(fresh, claim, max_degree)
         )
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials on the subring path
+
+
+def test_the_subring_path_makes_no_tuple_product(monkeypatch):
+    from godeaux import poly
+
+    # Fixtures are parsed, by tuple products, before the spy.
+    pred = sc_predicate()
+    claimed = fixtures.sc_claimed_generators()
+    calls = []
+    product = poly._product
+
+    def spy(*args):
+        calls.append(None)
+        return product(*args)
+
+    monkeypatch.setattr(poly, "_product", spy)
+    builder = SubringBuilder(pred)
+    assert all(ok for *_, ok in builder.closure_spot_checks(11))
+    assert sum(builder.presentation(11).relation_census.values()) == 54
+    assert builder.verify_generator_list(claimed, 10).ok
+    assert calls == []
+    # No name in the module that the spy would miss.
+    assert not hasattr(subring, "_product")
+
+
+def test_images_that_may_leave_a_packed_field_are_refused():
+    # x -> s^100: the image of x^2 still fits, that of x^3 may not.
+    desc = RingDescriptor(("x",), (1,), (0,))
+    images = {"x": Polynomial(ST, {(100, 0): Fraction(1)})}
+    pred = MembershipPredicate(desc, [SubstitutionParityCondition(images, images, 1)])
+    assert pred.dim(2) == 1
+    with pytest.raises(ValueError, match="packed"):
+        pred.dim(3)
+
+
+def test_closure_checks_refuse_a_degree_past_the_packed_fields(builder):
+    with pytest.raises(ValueError, match="packed"):
+        builder.closure_spot_checks(256)
