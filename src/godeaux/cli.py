@@ -15,7 +15,7 @@ from .graded import GradedPresentation
 from .poly import load_ring_file, render_polynomial
 from .report import VerificationReport, merge_reports
 from .scenarios import fixtures, run_sc, run_z3, run_z4, run_z5, sc_predicate, torsion5
-from .scenarios.torsion3 import _counted_certificate, _family_certificate, numeric_presentation
+from .scenarios.torsion3 import family_certificate, hilbert_table, numeric_presentation
 from .scenarios.torsion4 import sampled_presentation
 from .subring import SubringBuilder
 
@@ -132,15 +132,11 @@ def _preset_table(preset: str, max_degree: int, seed: int):
     if preset == "z3":
         # The lead certificate's counts when it holds, as in `verify`.
         pres = numeric_presentation((Fraction(0),) * 3)
-        cert = _counted_certificate(pres, max_degree, _family_certificate(max_degree))
-        if cert is not None:
-            counts, d = cert.standard_counts(max_degree), pres.descriptor.torsion_order
-            return d, [(m, [counts[m, w] for w in range(d)]) for m in degrees]
+        table = hilbert_table(pres, max_degree, family_certificate())[0]
     elif preset == "z4":
-        pres = sampled_presentation(seed)
+        table = sampled_presentation(seed).hilbert(max_degree)
     else:
         raise ValueError(f"unknown preset {preset!r}")
-    table = pres.hilbert(max_degree)
     return table.torsion_order, [(m, list(table.row(m))) for m in degrees]
 
 

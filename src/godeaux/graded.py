@@ -2,50 +2,36 @@
 
 Ideal pieces are spanned by monomial multiples of the relations and ranked
 exactly; no Groebner basis is computed.  A lead certificate
-(`LeadCertificate`) can still show, by Buchberger's criterion applied to the
-relations themselves, that they already are one in a weighted reverse-lex
-order, with no piece built.  Degree-0 variables are then coefficients, and
-a certificate over Q[alpha, beta, gamma] holds at every value of the
-parameters (Gianni 1987; Kalkbrener 1997).  The quotient dimensions are
-then counts of the monomials that no leading monomial divides.
+(`LeadCertificate`) can still show, by Buchberger's criterion, that the
+relations already are one in a weighted reverse-lex order, with no piece
+built; the quotient dimensions are then counts of the monomials that no
+lead divides, at every value of the degree-0 variables.
 Each relation's terms are kept once as a row: integers (its terms times the
 lcm of their denominators) for a rational presentation, the scalars
 themselves for a cyclotomic one.  A multiple is that row shifted to the
 multiplier's columns, with no polynomial product, and enters the row space
-as a dict of its few nonzeros, never as a dense row of the piece's width;
-the monomials of each degree are enumerated once per process.
-Rational presentations use the integer row space, cyclotomic ones the field
-row space (both in `linalg`).  Per-(degree, weight) results are memoised
-write-once.  A membership certificate is solved on the same shifted rows,
-taken as the columns of a sparse system (`linalg.solve_columns`, fraction-free
-over Q); no dense matrix and no polynomial product is built.
+(`linalg`: the integer one over Q, the field one otherwise) as a dict of
+its few nonzeros.  The monomials of each degree are enumerated once per
+process, and per-(degree, weight) results are memoised write-once.  A
+membership certificate is solved on the same shifted rows, taken as the
+columns of a sparse system (`linalg.solve_columns`, fraction-free over Q).
 
-When every variable has positive degree, a piece takes its rows in
-signature order, as in the Macaulay-matrix form of Faugere's F5 algorithm
-(Bardet, Faugere and Salvy): the signature of t * r_j is (j, t), relations
-in the given order, multipliers smallest first in grevlex, that is from the
-last column.  So the rows before t * r_j span every multiple of smaller
-signature, and a piece skips t * r_j in two cases.
-- Syzygy criterion: some t' dividing t had t' * r_j reduce to zero in an
-  earlier piece.  Then t' * r_j is a combination of multiples of smaller
-  signature, and times t / t' it writes t * r_j as one, since the monomial
-  order is translation-invariant.  These zero signatures are facts about
-  the ideal, kept per relation on the presentation, so they hold in pieces
-  built in any order.
-- F5 criterion (the Koszul syzygies): t leads some g = t + (smaller
-  terms) of the ideal (r_0, ..., r_{j-1}) in the bidegree of t.  Then
-  t * r_j = g * r_j - (g - t) * r_j, where g * r_j is a combination of
-  multiples of r_0 ... r_{j-1} and (g - t) * r_j one of multiples s * r_j
-  with s < t.
-  The leading monomials come from the memoised lower piece, as the pivots
-  its rows of r_0 ... r_{j-1} found; a piece built before its lower piece
-  keeps those multiples.
-By induction on the signature every skipped multiple lies in the span of
-the rows before it, so the span, rank, pivot columns and reduced echelon
-form do not change.  The induction needs every multiple of smaller
-signature as a row.  The parameter cap on degree-0 variables drops some,
-so the pieces of such rings keep every multiple, in their column order,
-and record no signature.
+When every variable has positive degree, a piece skips the multiples that
+the F5 criterion (Faugere 2002, the Koszul syzygies) proves redundant, as in
+the Macaulay-matrix form of F5 (Bardet, Faugere and Salvy).  Relations enter
+in the given order, so the pivots of a piece's rows of r_0, ..., r_{j-1} are
+the leading monomials, first in column order, of the elements of
+(r_0, ..., r_{j-1}) in its bidegree.  The multiple t * r_j is skipped if t
+is one of them in the memoised piece of t's bidegree: t leads some
+g = t + (later terms) of (r_0, ..., r_{j-1}), and in
+t * r_j = g * r_j - (g - t) * r_j, g * r_j is a combination of multiples of
+r_0 ... r_{j-1} and (g - t) * r_j one of multiples s * r_j, s after t.
+By induction on (j, t), t from the last column, every skipped multiple lies
+in the span of the rows kept, so the span, rank, pivot columns and reduced
+echelon form do not change, whatever order one relation's rows enter in.
+A piece built before its lower piece keeps those multiples.  The parameter
+cap on degree-0 variables drops some multiples the induction needs, so the
+pieces of such rings keep every multiple.
 """
 
 from __future__ import annotations
@@ -59,6 +45,7 @@ from .linalg import GenericRowSpace, IntRowSpace, _clear_denominators, solve_col
 from .poly import (
     Polynomial,
     RingDescriptor,
+    _accumulate,
     degree_and_weight,
     enumerate_monomials,
     grevlex_key,
@@ -118,9 +105,6 @@ class GradedPresentation:
             is_rational_scalar(c) for r in self.relations for c in r.terms.values()
         )
         self._rows = [_relation_row(r, self._rational) for r in self.relations]
-        # Per relation r_j, the multipliers t whose t * r_j reduced to zero
-        # against the multiples of smaller signature (see `_IdealPiece`).
-        self._zero_signatures: list[list[tuple]] = [[] for _ in self.relations]
         self._pieces: dict[tuple[int, int], _IdealPiece] = {}
 
     def ambient_dim(self, m: int, w) -> int:
@@ -282,18 +266,17 @@ class LeadCertificate:
     """Buchberger's criterion (1965) in the weighted reverse-lex order with
     the variables of positive degree ranked as given
     (`poly.weighted_revlex_key`).  Degree-0 variables, such as symbolic
-    parameters, make up the coefficient ring: with parameters a, the
-    relations live in K[a][x], K the scalar field, and their leads are
-    monomials in x alone.
+    parameters a, make up the coefficient ring: the relations live in
+    K[a][x], K the scalar field.  A relation is its term dict, and the
+    x-monomial of a term is its exponents with the degree-0 slots set to 0.
 
-    `leads` is L, the minimal leading monomials of the relations, largest
+    `leads` is L, the minimal leading x-monomials of the relations, largest
     first; `pairs` are the pairs of leads that share a variable; `degree` is
     D, the larger of the top relation degree and the largest lcm degree of
     those pairs.  G takes, for each lead, the first relation with it.  The
-    certificate closes iff every lead coefficient of G is a nonzero
-    constant (no parameter in it), and, with G made monic, every relation
-    and the S-pair of every pair in `pairs` top-reduce to zero by G.
-    `closes` builds no piece.
+    certificate closes iff each lead coefficient of G is one term, at the
+    lead itself, and, with G made monic, every relation and the S-pair of
+    every pair in `pairs` top-reduce to zero by G; no piece is built.
 
     Why closing makes G a Groebner basis of the ideal I of the relations:
     each relation reduces to zero, so (G) = I.  A top-reduction to zero of
@@ -315,17 +298,13 @@ class LeadCertificate:
     in(v * f') = v * in(f'), so also in(f'), a term of a remainder.
     """
 
-    __slots__ = ("pres", "leads", "pairs", "degree", "_key", "_unit", "_polys", "_heads")
+    __slots__ = ("pres", "leads", "pairs", "degree", "_key")
 
     def __init__(self, pres: GradedPresentation, ranking):
         desc = pres.descriptor
         self._key = key = weighted_revlex_key(desc, ranking)
-        params = [i for i, d in enumerate(desc.degrees) if not d]
-        self._unit = (0,) * len(params)
-        self._polys = [_split(exps, coeffs, params) for exps, coeffs, _ in pres._rows]
-        self._heads = [max(f, key=key) for f in self._polys]
-        heads = set(self._heads)
         self.pres = pres
+        heads = set(self._heads())
         self.leads = sorted(
             (t for t in heads if not any(s != t and all(map(le, s, t)) for s in heads)),
             key=key,
@@ -334,6 +313,15 @@ class LeadCertificate:
         self.pairs = [(s, t) for s, t in combinations(self.leads, 2) if any(map(min, s, t))]
         lcm_degrees = [desc.monomial_degree(map(max, s, t)) for s, t in self.pairs]
         self.degree = max(lcm_degrees + [d for d, _ in pres.relation_bidegrees], default=0)
+
+    def _heads(self) -> list[tuple]:
+        """Per relation, the x-monomial of its leading term: its exponents
+        with the degree-0 slots set to 0."""
+        degrees = self.pres.descriptor.degrees
+        return [
+            tuple(k if d else 0 for k, d in zip(max(exps, key=self._key), degrees))
+            for exps, _, _ in self.pres._rows
+        ]
 
     def standard_counts(self, top: int) -> dict[tuple[int, int], int]:
         """Per bidegree (m, w) with m <= top, the number of monomials in the
@@ -349,28 +337,30 @@ class LeadCertificate:
     def closes(self) -> bool:
         """True iff G's lead coefficients are nonzero constants and every
         relation and every S-pair in `pairs` top-reduce to zero by G made
-        monic."""
-        polys, unit = self._polys, self._unit
+        monic, on term dicts built afresh from the rows."""
+        key = self._key
+        relations = [dict(zip(exps, coeffs)) for exps, coeffs, _ in self.pres._rows]
+        heads = self._heads()
         basis, chosen = {}, set()
         for lead in self.leads:
-            i = self._heads.index(lead)
+            i = heads.index(lead)
             chosen.add(i)
-            tail = dict(polys[i])
-            top = tail.pop(lead)
-            c = top.get(unit)
-            if len(top) != 1 or c is None:  # a lead coefficient with a parameter
+            tail = relations[i]
+            if [e for e in tail if key(e) == key(lead)] != [lead]:  # a parameter in it
                 return False
+            c = tail.pop(lead)
             if c != 1:
                 inv = scalar_inv(c)
-                tail = {x: {q: v * inv for q, v in cell.items()} for x, cell in tail.items()}
+                tail = {e: v * inv for e, v in tail.items()}
             basis[lead] = tail
-        rest = [
-            {x: dict(cell) for x, cell in f.items()}
-            for i, f in enumerate(polys)
-            if i not in chosen
-        ]
-        spairs = [_s_pair(s, basis[s], t, basis[t], unit) for s, t in self.pairs]
-        return all(_top_reduces_to_zero(f, basis, self._key) for f in rest + spairs)
+        rest = [f for i, f in enumerate(relations) if i not in chosen]
+        for s, t in self.pairs:
+            # (l / s) * g - (l / t) * h for the monic g and h: the leads cancel.
+            l = tuple(map(max, s, t))
+            f = _shifted(basis[s], tuple(map(sub, l, s)), 1)
+            _accumulate(f, _shifted(basis[t], tuple(map(sub, l, t)), -1))
+            rest.append(f)
+        return all(_top_reduces_to_zero(f, basis, key) for f in rest)
 
     def divides_no_lead(self, var: str) -> bool:
         """True iff var divides no lead: once the certificate closes,
@@ -379,54 +369,16 @@ class LeadCertificate:
         return not any(lead[i] for lead in self.leads)
 
 
-def _split(exps, coeffs, params) -> dict[tuple, dict[tuple, Scalar]]:
-    """A relation as {monomial in x: {exponents of the parameters: scalar}},
-    the x-monomials with the parameter slots zeroed."""
-    out: dict[tuple, dict[tuple, Scalar]] = {}
-    for e, c in zip(exps, coeffs):
-        q = tuple(e[i] for i in params)
-        if any(q):
-            x = list(e)
-            for i in params:
-                x[i] = 0
-            e = tuple(x)
-        out.setdefault(e, {})[q] = c
-    return out
-
-
-def _subtract_shifted(f: dict, top: dict, shift: tuple, tail: dict) -> None:
-    """f -= top * x^shift * tail in place, for a coefficient top in K[a]."""
-    for x, cell in tail.items():
-        y = tuple(map(add, shift, x))
-        out = f.get(y)
-        if out is None:
-            out = f[y] = {}
-        for q, c in top.items():
-            for r, v in cell.items():
-                qr = tuple(map(add, q, r))
-                u = out.get(qr, 0) - c * v
-                if u:
-                    out[qr] = u
-                else:
-                    del out[qr]
-        if not out:
-            del f[y]
-
-
-def _s_pair(s: tuple, g: dict, t: tuple, h: dict, unit: tuple) -> dict:
-    """The S-pair of the monic elements with leads s and t and tails g and
-    h: the leads cancel, leaving (l / s) * g - (l / t) * h, l = lcm(s, t)."""
-    l = tuple(map(max, s, t))
-    out: dict = {}
-    _subtract_shifted(out, {unit: -1}, tuple(map(sub, l, s)), g)
-    _subtract_shifted(out, {unit: 1}, tuple(map(sub, l, t)), h)
-    return out
+def _shifted(terms: dict, shift: tuple, c: Scalar) -> dict:
+    """The term dict of c * x^shift * terms."""
+    return {tuple(map(add, shift, e)): c * v for e, v in terms.items()}
 
 
 def _top_reduces_to_zero(f: dict, basis: dict, key) -> bool:
-    """Whether f top-reduces to zero by the monic elements {lead: tail}: while
-    f is nonzero, its leading x-monomial must have a lead dividing it, and
-    its coefficient times that element is subtracted.  f is used up."""
+    """Whether the term dict f top-reduces to zero by the monic elements
+    {lead: tail}: while f is nonzero, a lead must divide its leading
+    x-monomial, and each term of f at that x-monomial, divided by the lead,
+    times that element is subtracted.  f is used up."""
     while f:
         x = max(f, key=key)
         for lead, tail in basis.items():
@@ -434,7 +386,9 @@ def _top_reduces_to_zero(f: dict, basis: dict, key) -> bool:
                 break
         else:
             return False
-        _subtract_shifted(f, f.pop(x), tuple(map(sub, x, lead)), tail)
+        top = key(x)
+        for e in [e for e in f if key(e) == top]:
+            _accumulate(f, _shifted(tail, tuple(map(sub, e, lead)), -f.pop(e)))
     return True
 
 
@@ -480,14 +434,12 @@ class _IdealPiece:
     dict.  Only pieces of rings with degree-0 variables can have columns
     beyond the cap.
 
-    When every variable has positive degree, rows are taken in signature
-    order: relation by relation, each relation's multipliers from the last
-    column to the first.  The multiple mult * r_j is skipped if a recorded
-    zero signature of r_j divides mult (the syzygy criterion), or if mult
-    leads an element of (r_0, ..., r_{j-1}) in its own bidegree, read off
-    that lower piece if it is memoised (the F5 criterion).  A multiple
-    that reduces to zero is recorded as a zero signature of r_j on the
-    presentation.  The module docstring gives the proof.
+    When every variable has positive degree, the multiple mult * r_j is
+    skipped if mult leads an element of (r_0, ..., r_{j-1}) in its own
+    bidegree, read off that lower piece if it is memoised (the F5
+    criterion).  Relations enter in order, since `_starts` and
+    `leading_monomials` read the pivots by relation.  The module docstring
+    gives the proof.
     """
 
     def __init__(self, pres: GradedPresentation, m: int, w: int):
@@ -496,8 +448,8 @@ class _IdealPiece:
         self.w = w
         multipliers = _multipliers(pres, m, w)
         # Degree-0 variables are capped, so multiples can reach monomials
-        # beyond the cap, and not every multiple the criteria rely on is a
-        # row; such pieces keep every multiple.  With every degree positive,
+        # beyond the cap, and not every multiple the criterion relies on is
+        # a row; such pieces keep every multiple.  With every degree positive,
         # each multiple lies in the ambient monomials.
         prune = all(pres.descriptor.degrees)
         ambient = pres.ambient_monomials(m, w)
@@ -524,22 +476,16 @@ class _IdealPiece:
         add_nonzeros = self.rowspace.add_nonzeros
         for ri, mults in enumerate(multipliers):
             self._starts.append(self.rowspace.dim)
-            skip, zeros = (), None
+            skip = ()
             if prune:
                 dr, wr = pres.relation_bidegrees[ri]
                 lower = pres._pieces.get((m - dr, (w - wr) % d))
                 if lower is not None:
                     skip = lower.leading_monomials(ri)
-                zeros = pres._zero_signatures[ri]
-                # Smallest signature first: the multipliers from the last column.
-                mults = reversed(mults)
             exps, coeffs, _ = pres._rows[ri]
             for mult in mults:
-                if mult in skip or zeros and any(all(map(le, t, mult)) for t in zeros):
-                    continue
-                row = {index[tuple(map(add, mult, e))]: c for e, c in zip(exps, coeffs)}
-                if not add_nonzeros(row) and zeros is not None:
-                    zeros.append(mult)
+                if mult not in skip:
+                    add_nonzeros({index[tuple(map(add, mult, e))]: c for e, c in zip(exps, coeffs)})
 
     def leading_monomials(self, j: int) -> set[tuple]:
         """Leading monomials of the elements of (r_0, ..., r_{j-1}) in this

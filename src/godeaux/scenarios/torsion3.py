@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from ..graded import GradedPresentation, LeadCertificate
+from ..graded import GradedPresentation, HilbertTable, LeadCertificate
 from ..poly import (
     Polynomial,
     RingDescriptor,
@@ -168,7 +168,7 @@ def run_z3(
     if mode in ("numeric", "both"):
         samples = numeric_samples(params, seed)
         config["samples"] = [[str(x) for x in s] for s in samples]
-        family = None if error is not None else _family_certificate(max_degree)
+        family = None if error is not None else family_certificate()
         for si, sample in enumerate(samples):
             _numeric_checks(checks, si, sample, max_degree, error, family)
     else:
@@ -309,21 +309,11 @@ def _numeric_values(
     pres: GradedPresentation, max_degree: int, claimed, family: LeadCertificate | None = None
 ) -> tuple[dict, dict, bool]:
     """(Hilbert table, claimed bases hold, x2 injective) of a specialised
-    presentation.
-
-    family is the family's closed certificate (`_family_certificate`) if
-    pres is one of its specialisations.  If its counts hold for pres
-    (`_counted_certificate`), the table is its standard-monomial count,
-    and x2, if in no lead, is injective in every degree.  Otherwise, and
-    with no family, both come from the pieces up to max_degree + 1.
-    """
-    cert = _counted_certificate(pres, max_degree, family)
-    counts = None if cert is None else cert.standard_counts(max_degree)
-    table = {
-        f"{m}.{w}": pres.quotient_dim(m, w) if counts is None else counts[m, w]
-        for m in range(1, max_degree + 1)
-        for w in range(3)
-    }
+    presentation: the table as `hilbert_table` gives it, and x2, if the
+    table was counted from a certificate with x2 in no lead, injective in
+    every degree; otherwise from the pieces up to max_degree + 1."""
+    counted, cert = hilbert_table(pres, max_degree, family)
+    table = {f"{m}.{w}": counted.dim(m, w) for m in range(1, max_degree + 1) for w in range(3)}
     bases = _claimed_bases_hold(pres, claimed)
     if cert is not None and cert.divides_no_lead("x2"):
         injective = True
@@ -332,32 +322,38 @@ def _numeric_values(
     return table, bases, injective
 
 
-def _family_certificate(max_degree: int) -> LeadCertificate | None:
+def family_certificate() -> LeadCertificate | None:
     """The lead certificate in LEAD_RANKING of the symbolic presentation,
-    with alpha, beta, gamma as coefficients, if it closes below max_degree:
-    its leads and counts then hold at every parameter value."""
+    with alpha, beta, gamma as coefficients, if it closes: its leads and
+    counts then hold at every parameter value."""
     try:
         cert = LeadCertificate(z3_presentation(), LEAD_RANKING)
     except ValueError:  # a relation not bihomogeneous, or an unranked variable
         return None
-    return cert if cert.degree < max_degree and cert.closes() else None
+    return cert if cert.closes() else None
 
 
-def _counted_certificate(
+def hilbert_table(
     pres: GradedPresentation, max_degree: int, family: LeadCertificate | None
-) -> LeadCertificate | None:
-    """family once its counts equal pres's quotient dimensions up to the
-    top relation degree (pieces that the claimed bases need anyway); None
-    if there is no family or a count differs."""
-    if family is None:
-        return None
-    counts = family.standard_counts(max_degree)
-    top = max((d for d, _ in pres.relation_bidegrees), default=0)
-    dim = pres.quotient_dim
-    weights = range(pres.descriptor.torsion_order)
-    if all(dim(m, w) == counts[m, w] for m in range(top + 1) for w in weights):
-        return family
-    return None
+) -> tuple[HilbertTable, LeadCertificate | None]:
+    """The quotient dimensions of a specialised presentation for
+    m <= max_degree, and the certificate they were counted from.
+
+    family is the family's closed certificate (`family_certificate`) if
+    pres is one of its specialisations.  Its standard-monomial counts are
+    the table once they equal pres's quotient dimensions up to the top
+    relation degree (pieces that the claimed bases need anyway).
+    Otherwise, and with no family, the table comes from the pieces and the
+    certificate is None."""
+    d = pres.descriptor.torsion_order
+    if family is not None:
+        top = max((dr for dr, _ in pres.relation_bidegrees), default=0)
+        counts = family.standard_counts(max(top, max_degree))
+        dim = pres.quotient_dim
+        if all(dim(m, w) == counts[m, w] for m in range(top + 1) for w in range(d)):
+            entries = {(m, w): counts[m, w] for m in range(max_degree + 1) for w in range(d)}
+            return HilbertTable(max_degree, d, entries), family
+    return pres.hilbert(max_degree), None
 
 
 def _claimed_bases_hold(pres: GradedPresentation, claimed) -> dict[str, bool]:

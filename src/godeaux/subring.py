@@ -367,14 +367,18 @@ class SubringPresentation(Record):
 
 
 class GeneratorListReport(Record):
-    """memberships: (index, degree, in V); generation: m -> (dim V_m, span, ok)."""
+    """memberships: (index, degree, in V), in V being True, False, or the
+    reason a claim is no homogeneous polynomial; generation: m -> (dim V_m,
+    span, ok)."""
 
     __slots__ = ("memberships", "generation", "ok")
 
     def __init__(self, memberships: list[tuple[int, int, bool]],
                  generation: dict[int, tuple[int, int, bool]]):
         self.memberships, self.generation = memberships, generation
-        self.ok = all(x[2] for x in memberships) and all(v[2] for v in generation.values())
+        self.ok = all(x[2] is True for x in memberships) and all(
+            v[2] for v in generation.values()
+        )
 
 
 class _FactorSpans:
@@ -614,9 +618,13 @@ class SubringBuilder:
         memberships = []
         degreed: list[tuple[Polynomial, int]] = []
         for i, p in enumerate(claimed):
+            # A zero or inhomogeneous claim fails its own membership, with
+            # the reason, and the spans are taken without it.
             dw = degree_and_weight(p)
             if not isinstance(dw, tuple):
-                raise ValueError(f"claimed generator {i} is not homogeneous")
+                reason = "zero" if dw == "zero" else "not homogeneous"
+                memberships.append((i, "unknown", f"claimed generator {i} is {reason}"))
+                continue
             degreed.append((p, dw[0]))
             memberships.append((i, dw[0], self.pred.contains(p)))
         generation: dict[int, tuple[int, int, bool]] = {}
@@ -624,7 +632,7 @@ class SubringBuilder:
         for p, dg in degreed:
             factors.add_generator(dg, _int_terms(p))
         # A claim with a non-member must still show its excess span.
-        closed = self.pred.closed_under_products and all(ok for *_, ok in memberships)
+        closed = self.pred.closed_under_products and all(ok is True for *_, ok in memberships)
         for m in range(1, max_degree + 1):
             full = self.pred.dim(m) if closed else None
             _, rs, piece = self._product_span(factors, m, full)

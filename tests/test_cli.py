@@ -424,6 +424,38 @@ def test_every_sc_fixture_mutant_fails_a_check(fixture, capsys, monkeypatch):
         assert (code, failed, err) == expected, (fixture, line, kind, text)
 
 
+@pytest.mark.parametrize(
+    "line, reason", [("0", "zero"), ("a*b + a", "not homogeneous")], ids=["zero", "inhomogeneous"]
+)
+def test_a_bad_sc_claim_fails_only_its_own_check(line, reason, capsys, monkeypatch):
+    # The first claimed generator, a*b, replaced: its own check fails with
+    # the reason, the span checks count without it, and the checks that do
+    # not read the claims still pass.
+    from godeaux.scenarios import fixtures
+
+    read = fixtures._read
+    lines = read("sc_generators.txt").splitlines()
+    k = lines.index("a*b")
+    served = {"sc_generators.txt": "\n".join([*lines[:k], line, *lines[k + 1:]])}
+    monkeypatch.setattr(fixtures, "_read", lambda name: served.get(name) or read(name))
+    fixtures._polynomial_lines.cache_clear()
+    try:
+        code, out, err = run_cli(
+            ["verify", "--scenario", "sc", "--max-degree", "10", "--format", "json"], capsys
+        )
+    finally:
+        served.clear()
+        fixtures._polynomial_lines.cache_clear()
+    assert (code, err) == (1, "")
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    failed = {cid for cid, c in checks.items() if c["status"] == "fail"}
+    # Without a*b the products fall short in degree 2, where dim V_2 = 2.
+    assert failed == {"sc.claimed-generator.0", "sc.claimed-generation"}
+    assert checks["sc.claimed-generator.0"]["actual"] == f"claimed generator 0 is {reason}"
+    assert checks["sc.claimed-generation"]["actual"]["2"] is False
+    assert checks["sc.relation-census"]["actual"] == checks["sc.relation-census"]["expected"]
+
+
 def test_all_keeps_each_suite_config(capsys):
     # The merged report records what each suite ran with: here the
     # parameters and samples that --alpha changes.

@@ -108,6 +108,18 @@ def test_a_constant_relation_leaves_no_standard_monomial():
     assert set(cert.standard_counts(5).values()) == {0}
 
 
+@pytest.mark.parametrize(
+    "pres", [torsion3.z3_presentation(), numeric_presentation(SAMPLES[0])],
+    ids=["symbolic", "numeric"],
+)
+def test_closes_twice_with_the_rows_unchanged(pres):
+    # closes() reduces term dicts of its own, never the presentation's rows.
+    rows = [(list(exps), list(coeffs), scale) for exps, coeffs, scale in pres._rows]
+    cert = LeadCertificate(pres, LEAD_RANKING)
+    assert cert.closes() and cert.closes()
+    assert pres._rows == rows
+
+
 def test_the_deep_table_builds_no_piece_past_the_certificate(monkeypatch):
     built = spy_pieces(monkeypatch)
     report = run_z3(mode="numeric", max_degree=16)
@@ -269,7 +281,7 @@ def test_a_parametric_lead_coefficient_refuses_and_the_pieces_agree(monkeypatch)
     pres = torsion3.z3_presentation()
     cert = LeadCertificate(pres, LEAD_RANKING)
     assert lead_names(cert) == NINE_LEADS and not cert.closes()
-    assert torsion3._family_certificate(12) is None
+    assert torsion3.family_certificate() is None
     built = spy_pieces(monkeypatch)
     assert numeric_report() != good
     # No sample tries a certificate of its own: tables to 12 and

@@ -130,9 +130,11 @@ def without_timing(text):
         # The CLI default degree: the packed evaluation map and product
         # spans one degree past the benchmark's pass.
         ["--scenario", "sc", "--max-degree", "12"],
+        # Below the top relation degree the tables are still counted.
+        ["--scenario", "z3", "--mode", "numeric", "--max-degree", "5"],
     ],
     ids=["z3", "z4", "z5", "sc", "sc-census", "z3-fractions", "z3-tables", "sc-13", "z4-16",
-         "sc-12"],
+         "sc-12", "z3-numeric-5"],
 )
 def test_verify_reports_match(args, tmp_path):
     ours, ref = run_both(["verify", *args, "--format", "json"], tmp_path)
@@ -143,9 +145,10 @@ def test_verify_reports_match(args, tmp_path):
 @pytest.mark.parametrize(
     "preset, max_degree",
     [("z3", "10"), ("z4", "10"), ("z5", "10"), ("z5-invariants", "10"), ("sc", "10"),
-     # Past the z3 lead certificate's degree 9 the table is its count.
-     ("z3", "14")],
-    ids=["z3", "z4", "z5", "z5-invariants", "sc", "z3-14"],
+     # Past the z3 lead certificate's degree 9 the table is its count, and
+     # below the top relation degree too.
+     ("z3", "14"), ("z3", "5")],
+    ids=["z3", "z4", "z5", "z5-invariants", "sc", "z3-14", "z3-5"],
 )
 def test_hilbert_presets_match(preset, max_degree, tmp_path):
     ours, ref = run_both(["hilbert", "--preset", preset, "--max-degree", max_degree], tmp_path)

@@ -1084,19 +1084,23 @@ def test_interleaved_queries_answer_as_on_a_fresh_predicate(pred, data):
 def reference_verify_generator_list(builder, claimed, max_degree):
     """`SubringBuilder.verify_generator_list` as it was when product spans
     reduced every g*b, b a kept product, in plain order (the method body
-    verbatim, `self` renamed)."""
+    verbatim, `self` renamed), with today's rule for a zero or inhomogeneous
+    claim: it fails its own membership, with the reason, and the spans are
+    taken without it."""
     memberships = []
     degreed = []
     for i, p in enumerate(claimed):
         dw = degree_and_weight(p)
         if not isinstance(dw, tuple):
-            raise ValueError(f"claimed generator {i} is not homogeneous")
+            reason = "zero" if dw == "zero" else "not homogeneous"
+            memberships.append((i, "unknown", f"claimed generator {i} is {reason}"))
+            continue
         degreed.append((p, dw[0]))
         memberships.append((i, dw[0], builder.pred.contains(p)))
     generation = {}
     span_terms = {0: [_int_terms(builder.desc.one())]}
     # A claim with a non-member must still show its excess span.
-    closed = builder.pred.closed_under_products and all(ok for *_, ok in memberships)
+    closed = builder.pred.closed_under_products and all(ok is True for *_, ok in memberships)
     for m in range(1, max_degree + 1):
         full = builder.pred.dim(m) if closed else None
         _, _, span_terms[m] = _reference_product_span(builder, degreed, span_terms, m, full)
