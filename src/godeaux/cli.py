@@ -131,8 +131,9 @@ def _preset_table(preset: str, max_degree: int, seed: int):
         ]
     if preset == "z3":
         # The lead certificate's counts when it holds, as in `verify`.
-        pres = numeric_presentation((Fraction(0),) * 3)
-        table = hilbert_table(pres, max_degree, family_certificate())[0]
+        sample = (Fraction(0),) * 3
+        pres = numeric_presentation(sample)
+        table = hilbert_table(pres, max_degree, family_certificate(), sample)[0]
     elif preset == "z4":
         table = sampled_presentation(seed).hilbert(max_degree)
     else:
@@ -182,14 +183,15 @@ def cmd_sc_build(args) -> int:
     try:
         builder = SubringBuilder(sc_predicate())
         presentation = builder.presentation(args.max_degree)
-        comparison = [
-            {
-                "index": i,
-                "generator": render_polynomial(p),
-                "in_computed_subring": builder.pred.contains(p),
-            }
-            for i, p in enumerate(fixtures.sc_claimed_generators())
-        ]
+        comparison = []
+        for i, p in enumerate(fixtures.sc_claimed_generators()):
+            # A zero or inhomogeneous claim is no member, with its reason.
+            member = builder.claimed_membership(i, p)[1]
+            entry = {"index": i, "generator": render_polynomial(p),
+                     "in_computed_subring": member is True}
+            if isinstance(member, str):
+                entry["reason"] = member
+            comparison.append(entry)
     except (KeyError, ValueError) as exc:
         # A substitution with a missing image raises KeyError.
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)

@@ -3,47 +3,33 @@
 A row space keeps one reduced row per pivot column, stored as its nonzero
 values aligned with its sorted nonzero columns.  A row is a {column: value}
 dict of its nonzeros, reduced against those pivot rows by one dict loop
-shared by the integer and field backends; the mod-p backend reduces on a
-dense accumulator with lazy residues, which makes the same steps with no
-reduction mod p per entry.  `add_nonzeros` and `contains` take such a dict,
-and `int_kernel_rref` and `solve_columns` take their systems as such
+shared by the two backends.  `add_nonzeros` and `contains` take such a
+dict, and `int_kernel_rref` and `solve_columns` take their systems as such
 dicts.  Dense rows are left only as input to `add`, `int_rref`,
 `int_kernel_basis` and `Matrix`, and as the output of `rows()`, the echelon
 forms (`_echelon`) and the kernels.  The backends:
 `IntRowSpace` holds primitive integer rows for rational data and eliminates
-fraction-free in Z, `GenericRowSpace` holds monic rows over any exact
-field, and `ModPRowSpace` holds monic rows over F_p, p = `PRIME`, for rank
-certificates of integer data (the reductions mod p of integer vectors of a
-rational subspace span at most its dimension).  `IntRowSpace._normalise`
-is the one integer normal form: primitive, leading entry positive, for
-pivot rows and kernel vectors alike.  `int_rref` and `Matrix.rref` add
-their rows to a row space and back-substitute, bringing each row to
-canonical form once, when it is fully reduced; `int_kernel_basis`,
-`int_kernel_rref` and `kernel_basis` read their results off these echelon
-forms.  `solve_columns` builds no dense matrix: it transposes its columns
-to one {column: entry} row per equation and eliminates them fraction-free
-by `int_rref` over Q (each row's denominators cleared), or in
-`GenericRowSpace` over Q(zeta_n).  Residues mod `PRIME` are
-one-digit CPython ints, so the product of two is below 2^60 and each
-back-substitution step mod p takes the fast path of CPython's integer
-division.
+fraction-free in Z, and `GenericRowSpace` holds monic rows over any exact
+field.  `IntRowSpace._normalise` is the one integer normal form: primitive,
+leading entry positive, for pivot rows and kernel vectors alike.
+`int_rref` and `Matrix.rref` add their rows to a row space and
+back-substitute, bringing each row to canonical form once, when it is fully
+reduced; `int_kernel_basis`, `int_kernel_rref` and `kernel_basis` read their
+results off these echelon forms.  `solve_columns` builds no dense matrix: it
+transposes its columns to one {column: entry} row per equation and
+eliminates them fraction-free by `int_rref` over Q (each row's denominators
+cleared), or in `GenericRowSpace` over Q(zeta_n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, islice
 from math import gcd, lcm
 
 from .scalars import Cyclo, Scalar, scalar_inv
 
 
 _ZERO = Fraction(0)
-
-# The prime of `ModPRowSpace`: below 2^30, so every residue is one 30-bit
-# CPython digit and every product of two residues is below 2^60.
-PRIME = 2**30 - 35
-
 
 def _canon_entry(x) -> Scalar:
     # Fractions are immutable, so every integer zero can share one.
@@ -181,9 +167,7 @@ class _RowSpace:
     a dict.  A row is reduced as a {column: value} dict of its nonzeros:
     while its leading column has a pivot, one elimination step clears that
     entry.  Rows enter as that dict (`add_nonzeros`, `contains`) or dense
-    (`add`), scanned into one first.  `IntRowSpace` and `GenericRowSpace`
-    reduce by the dict loop here; `ModPRowSpace` has its own accumulator
-    loop, which makes the same steps.
+    (`add`), scanned into one first.
     A backend supplies the scalar steps as static methods:
     `_nonzeros(row)` gives the dict of a dense input row,
     `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
@@ -241,7 +225,7 @@ class _RowSpace:
 
     def add_nonzeros(self, work: dict) -> bool:
         """Add a row given as {column: nonzero entry}, entries already in the
-        backend's form (integers, field scalars or residues mod p); the dict
+        backend's form (integers or field scalars); the dict
         is used up.  True iff it enlarged the space."""
         return self._insert(self._reduce_nonzeros(work))
 
@@ -347,102 +331,6 @@ class GenericRowSpace(_RowSpace):
         """Scale a nonzero row to leading entry 1."""
         inv = scalar_inv(work[min(work)])
         return {c: u * inv for c, u in work.items()}
-
-
-class ModPRowSpace(_RowSpace):
-    """Incremental row space over F_p, p = `PRIME` < 2^30, with monic rows
-    of residues in [0, p), each one CPython digit.
-
-    Integer rows are reduced mod p on the way in.  Over Q the reductions of
-    integer vectors of a subspace span at most its dimension, so a rank
-    reached here is a lower bound for the rank over Q.
-    """
-
-    __slots__ = ()
-
-    add = _RowSpace.add
-    contains = _RowSpace.contains
-
-    def _reduce_nonzeros(self, work: dict[int, int]) -> dict[int, int]:
-        """The row's nonzero residues after reducing its leading entries by
-        the stored pivots until one has no pivot.
-
-        A row whose lead has no pivot is returned as it is.  Otherwise the
-        row is scattered into a dense accumulator indexed by column, and
-        each step subtracts f * piv with f the lead's residue, leaving every
-        entry unreduced: the accumulator stays congruent mod p to the dict
-        loop's working row, so each step has the same lead, pivot row and
-        f.  The next lead is the next entry that is nonzero mod p, up to the
-        highest column touched."""
-        if not work:
-            return work
-        pivots = self._pivots
-        lead = min(work)
-        if lead not in pivots:
-            return work
-        p = PRIME
-        support = self._support
-        get = pivots.get
-        acc = [0] * (max(work) + 1)
-        for c, x in work.items():
-            acc[c] = x
-        # Columns of the entries from the lead on that are not exactly 0,
-        # each read when the walk reaches it, so that later steps are seen.
-        ahead = compress(count(lead), islice(acc, lead, None))
-        k = lead
-        f = acc[k] % p
-        while True:
-            piv = get(k)
-            if piv is None:
-                break
-            cols = support[k]
-            if cols[-1] >= len(acc):
-                acc.extend([0] * (cols[-1] + 1 - len(acc)))
-            for c, x in zip(cols, piv):
-                acc[c] -= f * x
-            for k in ahead:
-                f = acc[k] % p
-                if f:
-                    break
-            else:
-                return {}
-        out = {k: f}
-        for c in ahead:
-            r = acc[c] % p
-            if r:
-                out[c] = r
-        return out
-
-    @staticmethod
-    def _nonzeros(row) -> dict[int, int]:
-        """Nonzero residues of an integer row."""
-        p = PRIME
-        return {j: r for j, x in enumerate(row) if x and (r := x % p)}
-
-    @staticmethod
-    def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
-        """work - work[lead] * piv mod p, for a monic piv."""
-        p = PRIME
-        f = work[lead]
-        get = work.get
-        for c, x in zip(cols, piv):
-            u = (get(c, 0) - f * x) % p
-            if u:
-                work[c] = u
-            else:
-                del work[c]
-        return work
-
-    @staticmethod
-    def _normalise(work: dict[int, int]) -> dict[int, int]:
-        """Scale a nonzero row to leading entry 1 mod p; a row whose lead
-        is 1 already is returned as it is."""
-        lead = work[min(work)]
-        if lead == 1:
-            return work
-        p = PRIME
-        inv = pow(lead, -1, p)
-        return {c: u * inv % p for c, u in work.items()}
 
 
 def int_rref(rows: list, ncols: int) -> tuple[list[list[int]], list[int]]:

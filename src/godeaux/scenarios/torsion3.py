@@ -269,7 +269,7 @@ def _numeric_checks(
         basis_keys = sorted(claimed)
         try:
             pres = numeric_presentation(sample)
-            table, bases, injective = _numeric_values(pres, max_degree, claimed, family)
+            table, bases, injective = _numeric_values(pres, max_degree, claimed, family, sample)
         except ValueError as exc:  # a relation not bihomogeneous, or zero here
             error = str(exc)
     else:
@@ -306,13 +306,14 @@ def _numeric_checks(
 
 
 def _numeric_values(
-    pres: GradedPresentation, max_degree: int, claimed, family: LeadCertificate | None = None
+    pres: GradedPresentation, max_degree: int, claimed,
+    family: LeadCertificate | None = None, sample=None,
 ) -> tuple[dict, dict, bool]:
-    """(Hilbert table, claimed bases hold, x2 injective) of a specialised
-    presentation: the table as `hilbert_table` gives it, and x2, if the
-    table was counted from a certificate with x2 in no lead, injective in
-    every degree; otherwise from the pieces up to max_degree + 1."""
-    counted, cert = hilbert_table(pres, max_degree, family)
+    """(Hilbert table, claimed bases hold, x2 injective) of a presentation
+    specialised at sample: the table as `hilbert_table` gives it, and x2, if
+    the table was counted from a certificate with x2 in no lead, injective
+    in every degree; otherwise from the pieces up to max_degree + 1."""
+    counted, cert = hilbert_table(pres, max_degree, family, sample)
     table = {f"{m}.{w}": counted.dim(m, w) for m in range(1, max_degree + 1) for w in range(3)}
     bases = _claimed_bases_hold(pres, claimed)
     if cert is not None and cert.divides_no_lead("x2"):
@@ -334,19 +335,24 @@ def family_certificate() -> LeadCertificate | None:
 
 
 def hilbert_table(
-    pres: GradedPresentation, max_degree: int, family: LeadCertificate | None
+    pres: GradedPresentation, max_degree: int, family: LeadCertificate | None, sample
 ) -> tuple[HilbertTable, LeadCertificate | None]:
     """The quotient dimensions of a specialised presentation for
     m <= max_degree, and the certificate they were counted from.
 
-    family is the family's closed certificate (`family_certificate`) if
-    pres is one of its specialisations.  Its standard-monomial counts are
-    the table once they equal pres's quotient dimensions up to the top
-    relation degree (pieces that the claimed bases need anyway).
-    Otherwise, and with no family, the table comes from the pieces and the
-    certificate is None."""
+    family is the family's closed certificate (`family_certificate`), and
+    sample the parameter values at which pres claims to specialise it.  The
+    claim is checked exactly: pres's relations must be the family's
+    relations specialised at sample, term for term.  Then the certificate's
+    leads and standard-monomial counts hold for pres, and the counts are
+    the table once they also equal pres's quotient dimensions up to the top
+    relation degree (pieces that the claimed bases need anyway; this checks
+    the counting, not the claim).  Otherwise, and with no family, the table
+    comes from pres's own pieces and the certificate is None."""
     d = pres.descriptor.torsion_order
-    if family is not None:
+    if family is not None and pres.relations == [
+        specialise(r, sample) for r in family.pres.relations
+    ]:
         top = max((dr for dr, _ in pres.relation_bidegrees), default=0)
         counts = family.standard_counts(max(top, max_degree))
         dim = pres.quotient_dim

@@ -16,28 +16,33 @@ one product per new leading column enters with no elimination step, before
 the colliding ones.  Once degree k's span reaches dim V_k, later degrees take
 V_k's reduced echelon basis as the factors b, which spans the same space.
 
-The relation census first tries a rank certificate mod p = `PRIME` from
-mod-p echelon forms of the ideal in lower degrees (`_leading_term_echelon`):
-its rows reduce integer vectors of the ideal over Q, so rank_p <= rank_Q <=
-target, the dimension of the relation space, and reaching target proves that
-no relation is new.  Colliding products are tried in S-pair order, those of
-Groebner rows first.  A certificate that falls short runs the exact path over
-Z (`SubringBuilder._exact_relations`): the evaluation kernel is built on the
-rows at the pivot columns of the degree's product span only, which have the
-full rank, and the new relations are the greedy choice from the sorted
-kernel, found by matroid duality in one elimination of the ideal multiples
-written in kernel coordinates (`_relations_by_duality`).  The short mod-p
-echelon plus the new relations mod p is the next degrees' echelon.
+The relation census counts first.  Let I be the ideal of the relations
+found below degree m, and L their leads, interreduced per degree in the
+weighted reverse-lex order with the last generator largest (g13 > ... > g1
+for sc; `poly.weighted_revlex_key`).  Every lead lies in in(I), so by
+Macaulay's basis theorem dim (k[g]/I)_m <= count_m(L), the degree-m
+monomials that no lead divides (`graded._count_standard`).  I lies in the
+evaluation kernel, so dim (k[g]/I)_m >= dim of the image, the degree's
+product span.  When count_m(L) equals that dimension, I_m is the whole
+kernel in degree m and no relation is new.  Otherwise the exact path runs
+over Z (`SubringBuilder._exact_relations`): the evaluation kernel is built
+on the rows at the pivot columns of the degree's product span only, which
+have the full rank, and the new relations are the greedy choice from the
+sorted kernel, found by matroid duality in one elimination of the ideal
+multiples written in kernel coordinates (`_relations_by_duality`).  Their
+interreduced leads join L.  The free monomials of a degree are enumerated
+only where the exact path needs them: its own degree, and the degrees of
+its multipliers.
 
 Wherever terms are multiplied or shifted, they are keyed by packed monomials
 (`godeaux.poly.pack`: one int with an 8-bit field per variable, Monagan and
 Pearce 2007), so a monomial product is one int addition: the substitution
 and evaluation maps' images and memo values, the product spans and their
 factors, the closure products, the congruence multiples, and over the free
-ring the census shifts and the relation multiples.  A field holds exponents
-0..255; packing refuses a larger one with ValueError.  A sum never carries
-into the next field: every packed product lands in a degree all of whose
-monomials were packed first (the packed twin of a degree's column index,
+ring the relation multiples.  A field holds exponents 0..255; packing
+refuses a larger one with ValueError.  A sum never carries into the next
+field: every packed product lands in a degree all of whose monomials were
+packed first (the packed twin of a degree's column index,
 `MembershipPredicate._packed_space`, or the census's packed free index), the
 maps bound their image exponents before multiplying, and the closure checks
 refuse a degree above 255 (every variable of the builder has positive
@@ -54,9 +59,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .linalg import (
-    IntRowSpace, ModPRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref,
-)
+from .graded import _count_standard
+from .linalg import IntRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref
 from .poly import (
     FIELD_BITS,
     Polynomial,
@@ -68,6 +72,7 @@ from .poly import (
     pack,
     packed_index,
     unpack,
+    weighted_revlex_key,
 )
 from .record import Record
 from .scalars import is_rational_scalar
@@ -192,8 +197,10 @@ class MembershipPredicate:
 
     def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
         """`contains` for a degree-m polynomial given as its nonzero integer
-        terms."""
-        if len({self.descriptor.monomial_weight(mon) for mon in terms}) > 1:
+        terms.  At torsion order 1 every weight is 0, and no term is read
+        for it."""
+        desc = self.descriptor
+        if desc.torsion_order > 1 and len({desc.monomial_weight(mon) for mon in terms}) > 1:
             raise ValueError("membership needs a homogeneous polynomial")
         index, _, rs = self._space(m)
         return rs.contains({index[mon]: c for mon, c in terms.items()})
@@ -523,46 +530,34 @@ class SubringBuilder:
         # Generators are primitive integer rows, so the evaluation map has
         # denominator 1 throughout.
         evaluate = _MonomialMap({name: g for name, (g, _) in zip(names, gens)}, free)
+        key = weighted_revlex_key(free, names[::-1])
         relations: list[Polynomial] = []
         # (degree, [(packed exponents, coefficient)]) of each relation, for
         # its multiples.
         relation_terms: list[tuple[int, list[tuple[int, int]]]] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
-        # Mod-p echelon forms of the ideal by degree, with their Groebner
-        # rows, for the last top degrees.
-        echelons: dict[int, tuple[ModPRowSpace, frozenset[int]]] = {}
-        top = max(free.degrees, default=0)
-        # Per degree: packed free monomial -> column.
-        free_index = {0: packed_index(enumerate_monomials(free, 0))}
+        # Leading monomials of the relations found so far, interreduced per
+        # degree in the weighted reverse-lex order, last generator largest.
+        leads: list[tuple] = []
+        free_index = _FreeIndex(free)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
-            echelons.pop(m - 1 - top, None)
-            free_mons = enumerate_monomials(free, m)
-            free_index[m] = packed_index(free_mons)
-            if not free_mons:
-                relation_census[m] = 0
-                continue
-            # span_terms[m] is a basis of the image of the evaluation map, so
-            # the degree-m relations span a space of this dimension. The
-            # ideal lies inside it: at equal dimension the two are equal and
-            # no relation is new.
-            target = len(free_mons) - len(span_terms[m])
-            echelon, leads = _leading_term_echelon(free, m, free_index, echelons, target)
+            # span_terms[m] is a basis of the image of the evaluation map.
+            # When the monomials that no lead divides are as many, no
+            # relation of degree m is new.
             new = []
-            if echelon.dim < target:
+            if _count_standard(free, leads, m)[m, 0] != len(span_terms[m]):
                 new = self._exact_relations(
                     free, m, free_index, evaluate, span_pivots[m], relation_terms
                 )
+                free_mons = enumerate_monomials(free, m)
                 packed = list(free_index[m])
                 for row in new:
                     relations.append(_to_poly(free, free_mons, row))
                     terms = [(packed[j], x) for j, x in enumerate(row) if x]
                     relation_terms.append((m, terms))
-                    # The short echelon holds every product; later degrees
-                    # shift the new relations with it.
-                    echelon.add(row)
-            echelons[m] = (echelon, frozenset(echelon.pivot_columns()) - leads)
+                leads += _interreduced_leads(new, free_mons, key)
             relation_census[m] = len(new)
         warning = None
         if max_degree < 10:
@@ -612,21 +607,27 @@ class SubringBuilder:
                     row[u] = x
         return int_kernel_basis(sorted(rows.values(), key=len), len(free_mons))
 
+    def claimed_membership(self, i: int, p: Polynomial) -> tuple[int | str, bool | str]:
+        """(degree, in V) of claimed generator i: a zero or inhomogeneous
+        claim is no member, with degree "unknown" and the reason in place of
+        in V."""
+        dw = degree_and_weight(p)
+        if not isinstance(dw, tuple):
+            reason = "zero" if dw == "zero" else "not homogeneous"
+            return "unknown", f"claimed generator {i} is {reason}"
+        return dw[0], self.pred.contains(p)
+
     def verify_generator_list(
         self, claimed: Sequence[Polynomial], max_degree: int
     ) -> GeneratorListReport:
         memberships = []
         degreed: list[tuple[Polynomial, int]] = []
         for i, p in enumerate(claimed):
-            # A zero or inhomogeneous claim fails its own membership, with
-            # the reason, and the spans are taken without it.
-            dw = degree_and_weight(p)
-            if not isinstance(dw, tuple):
-                reason = "zero" if dw == "zero" else "not homogeneous"
-                memberships.append((i, "unknown", f"claimed generator {i} is {reason}"))
-                continue
-            degreed.append((p, dw[0]))
-            memberships.append((i, dw[0], self.pred.contains(p)))
+            degree, member = self.claimed_membership(i, p)
+            memberships.append((i, degree, member))
+            # The spans are taken without a zero or inhomogeneous claim.
+            if not isinstance(member, str):
+                degreed.append((p, degree))
         generation: dict[int, tuple[int, int, bool]] = {}
         factors = _FactorSpans(self.pred)
         for p, dg in degreed:
@@ -711,61 +712,29 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
     return [kernel[i] for i in order if column[i] not in pivots]
 
 
-def _leading_term_echelon(free, m, free_index, echelons, target):
-    """A mod-p echelon form of degree-m ideal elements, built from the
-    products g_i * r with r a row of the echelon E_{m - deg g_i} in
-    echelons, until its dimension reaches `target`; returned with the set of
-    leading columns of the products.  echelons maps a degree k to (E_k, the
-    pivot columns of E_k's Groebner rows: those that are not leading columns
-    of products from lower degrees), and free_index maps each degree up to m
-    to its packed free monomial -> column.
+class _FreeIndex(dict):
+    """Per degree of the free ring, packed free monomial -> column, built
+    when a degree is first read."""
 
-    Certificate: each echelon row is the reduction mod p of an integer
-    vector of the ideal over Q, and so is each product, as shifting
-    commutes with reduction.  So the dimension reached is at most the rank
-    of the degree-m ideal over Q, which is at most `target`; reaching
-    `target` proves that the ideal fills the relation space, and that no
-    relation in degree m is new.  A form that falls short holds every
-    product.
+    def __init__(self, free: RingDescriptor):
+        super().__init__()
+        self.free = free
 
-    Columns are in grevlex order, which is translation-invariant, so the
-    leading column of g_i * r is the shift of r's.  One product per distinct
-    leading column enters first with no elimination step.  The colliding
-    products follow in S-pair order (Buchberger's criterion: only pairs of
-    Groebner basis elements matter): first those whose row and the row of
-    the product that owns the leading column are both Groebner rows, then
-    those whose row alone is one, then the rest, each group in reverse."""
-    space = ModPRowSpace(len(free_index[m]))
-    # Leading column -> whether the row of its first product is a Groebner row.
-    owners: dict[int, bool] = {}
-    firsts, groups = [], ([], [], [])
-    for i, dg in enumerate(free.degrees):
-        lower, groebner = echelons.get(m - dg, (None, None))
-        if lower is None or not lower.dim:
-            continue
-        shift = _shift(free, m - dg, i, free_index)
-        for col in lower.pivot_columns():
-            lead = shift[col]
-            mine = col in groebner
-            if lead not in owners:
-                owners[lead] = mine
-                firsts.append((lower, shift, col))
-            else:
-                groups[0 if mine and owners[lead] else 1 if mine else 2].append(
-                    (lower, shift, col)
-                )
-    for lower, shift, col in firsts + [p for group in groups for p in reversed(group)]:
-        if space.dim == target:
-            break
-        space.add_nonzeros({shift[c]: x for c, x in lower.row_nonzeros(col).items()})
-    return space, set(owners)
+    def __missing__(self, m: int) -> dict[int, int]:
+        index = self[m] = packed_index(enumerate_monomials(self.free, m))
+        return index
 
 
-def _shift(free, k, i, free_index) -> list[int]:
-    """Column in degree k + deg g_i of g_i times each degree-k monomial."""
-    unit = pack(tuple(int(j == i) for j in range(free.nvars)))
-    index = free_index[k + free.degrees[i]]
-    return [index[key + unit] for key in free_index[k]]
+def _interreduced_leads(rows: list[list[int]], free_mons: list[tuple], key) -> list[tuple]:
+    """The leading monomials of the echelon form of integer rows over
+    free_mons, the columns taken largest first by key: one per row for
+    independent rows, each the lead of an element of their span."""
+    order = sorted(range(len(free_mons)), key=lambda j: key(free_mons[j]), reverse=True)
+    rank = {j: pos for pos, j in enumerate(order)}
+    echelon = IntRowSpace(len(order))
+    for row in rows:
+        echelon.add_nonzeros({rank[j]: x for j, x in enumerate(row) if x})
+    return [free_mons[order[c]] for c in echelon.pivot_columns()]
 
 
 def _random_combination(basis: list[dict[int, int]], rng: random.Random) -> dict[int, int]:

@@ -658,6 +658,48 @@ class TestScBuild:
         assert not gens.exists() and not report.exists()
 
 
+    @pytest.mark.parametrize(
+        "line, reason", [("0", "zero"), ("a*b + a", "not homogeneous")],
+        ids=["zero", "inhomogeneous"],
+    )
+    def test_a_bad_claim_is_no_member_with_its_reason(
+        self, line, reason, capsys, tmp_path, monkeypatch
+    ):
+        # The first claimed generator, a*b, replaced: the build still writes
+        # both files and exits 0, and the claim is reported as no member.
+        from godeaux.scenarios import fixtures
+
+        read = fixtures._read
+        lines = read("sc_generators.txt").splitlines()
+        k = lines.index("a*b")
+        served = {"sc_generators.txt": "\n".join([*lines[:k], line, *lines[k + 1:]])}
+        monkeypatch.setattr(fixtures, "_read", lambda name: served.get(name) or read(name))
+        fixtures._polynomial_lines.cache_clear()
+        gens = tmp_path / "gens.txt"
+        report = tmp_path / "pres.json"
+        try:
+            code, _, err = run_cli(
+                ["sc-build", "--max-degree", "10", "--generators-out", str(gens),
+                 "--report", str(report)],
+                capsys,
+            )
+        finally:
+            served.clear()
+            fixtures._polynomial_lines.cache_clear()
+        assert (code, err) == (0, "")
+        assert len(gens.read_text().strip().splitlines()) == 13
+        payload = json.loads(report.read_text())
+        assert payload["relation_total"] == 54
+        comparison = payload["claimed_generator_comparison"]
+        assert comparison[0] == {
+            "index": 0,
+            "generator": line.replace(" ", ""),
+            "in_computed_subring": False,
+            "reason": f"claimed generator 0 is {reason}",
+        }
+        assert all(entry["in_computed_subring"] is True for entry in comparison[1:])
+        assert all("reason" not in entry for entry in comparison[1:])
+
 def test_one_version_literal(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

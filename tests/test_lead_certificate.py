@@ -321,6 +321,25 @@ def test_a_perturbed_family_closes_only_with_the_counts_of_its_pieces():
     assert closed >= 1
 
 
+
+def test_every_mutant_of_a_sample_gets_the_table_of_its_own_pieces():
+    """One coefficient of one relation of the samples (0,0,0) and (1,1,1)
+    raised or lowered by 1: 134 presentations, none a specialisation of the
+    family.  Passed with the family and the sample, each must get the table
+    of its own pieces, and no certificate; the sample itself gets the
+    family's counts."""
+    family = torsion3.family_certificate()
+    swept = 0
+    for sample in ((Fraction(0),) * 3, (Fraction(1),) * 3):
+        pres = numeric_presentation(sample)
+        assert torsion3.hilbert_table(pres, 12, family, sample)[1] is family
+        for ri, exps, delta, mutant in mutants(pres):
+            table, cert = torsion3.hilbert_table(mutant, 12, family, sample)
+            assert cert is None, (sample, ri, exps, delta)
+            assert table == mutant.hilbert(12), (sample, ri, exps, delta)
+            swept += 1
+    assert swept == 134
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_closing_agrees_with_the_pieces_up_to_the_certificate_degree(data):

@@ -1,20 +1,16 @@
 """Exact row reduction, kernels, spans, and the integer row-space fast path."""
 
-import random
 from fractions import Fraction
 from math import gcd, lcm
-from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from godeaux import Matrix, kernel_basis, linalg, make_cyclo, scalar_inv, zeta
+from godeaux import Matrix, kernel_basis, make_cyclo, scalar_inv, zeta
 from godeaux.linalg import (
-    PRIME,
     GenericRowSpace,
     IntRowSpace,
-    ModPRowSpace,
     int_kernel_basis,
     int_kernel_rref,
     _dense,
@@ -154,14 +150,6 @@ def test_int_kernel_annihilates(rows):
     assert len(pivots) + len(int_kernel_basis(rows, ncols)) == ncols
 
 
-def test_prime_is_a_one_digit_prime():
-    # Below 2^30 a residue is one CPython digit, and the product of two is
-    # below 2^60.
-    assert PRIME < 2**30
-    sympy = pytest.importorskip("sympy")
-    assert sympy.isprime(PRIME)
-
-
 @st.composite
 def kernel_matrices(draw):
     """0-6 integer rows of 1-8 columns, with a zero, a duplicate or a
@@ -241,21 +229,6 @@ def test_normalise_matches_always_dividing(row, content, negate):
         g = -g
     expected = {c: u // g for c, u in work.items()}
     assert IntRowSpace._normalise(dict(work)) == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    row=st.dictionaries(st.integers(0, 12), st.integers(1, PRIME - 1), min_size=1, max_size=6),
-    monic=st.booleans(),
-)
-def test_modp_normalise_matches_always_scaling(row, monic):
-    # Rows whose lead is 1 already and rows whose lead is not.
-    work = dict(row)
-    if monic:
-        work[min(work)] = 1
-    inv = pow(work[min(work)], -1, PRIME)
-    expected = {c: u * inv % PRIME for c, u in work.items()}
-    assert ModPRowSpace._normalise(dict(work)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +514,6 @@ def test_sparse_entry_matches_dense_on_field_rows(order, data):
     _sparse_entry_matches_dense(rows, ncols, GenericRowSpace)
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=sparse_rows(), scale=st.sampled_from([1, PRIME - 1, 2**40 + 3]))
-def test_sparse_entry_matches_dense_on_residues(case, scale):
-    rows, ncols = case
-    residues = [[x * scale % PRIME for x in row] for row in rows]
-    _sparse_entry_matches_dense(residues, ncols, ModPRowSpace)
-
-
 def reference_rref(space):
     """`_RowSpace._rref` with every back-substitution step normalised."""
     cols = space.pivot_columns()
@@ -587,84 +552,6 @@ def test_back_substitution_matches_reference_on_fraction_rows(case):
 @given(data=st.data())
 def test_back_substitution_matches_reference_on_field_rows(order, data):
     _rref_matches_reference(*data.draw(field_rows(order)), GenericRowSpace)
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=sparse_rows(), scale=st.sampled_from([1, PRIME - 1, 2**40 + 3]))
-def test_back_substitution_matches_reference_on_residues(case, scale):
-    rows, ncols = case
-    _rref_matches_reference([[x * scale for x in row] for row in rows], ncols, ModPRowSpace)
-
-
-def dict_loop_reduce(space, work):
-    """The reduce loop the mod-p backend ran before its accumulator: take
-    `min(work)` and make one `_eliminate` step, reducing every entry mod p
-    and deleting zeros, until the lead has no pivot."""
-    while work:
-        j = min(work)
-        piv = space._pivots.get(j)
-        if piv is None:
-            break
-        work = space._eliminate(work, j, piv, space._support[j])
-    return work
-
-
-class DictLoopModPRowSpace(ModPRowSpace):
-    __slots__ = ()
-    _reduce_nonzeros = dict_loop_reduce
-
-
-@st.composite
-def residue_rows(draw):
-    """(p, ncols, rows) of {column: residue mod p} rows.  A dense triangular
-    run comes first in some draws, so that later rows are reduced by many
-    pivots in turn.  Some rows are combinations of earlier ones, so that
-    leads cancel to multiples of p and rows reduce to zero."""
-    p = draw(st.sampled_from([2, 3, 7, PRIME]))
-    ncols = draw(st.integers(1, 16))
-    residue = st.integers(1, p - 1)
-    rows = []
-    if draw(st.booleans()):
-        rows += [{j: draw(residue) for j in range(i, ncols)} for i in range(ncols)]
-    for _ in range(draw(st.integers(1, 12))):
-        if rows and draw(st.booleans()):
-            picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4))
-            row = {}
-            for other in picked:
-                c = draw(residue)
-                for j, x in other.items():
-                    row[j] = row.get(j, 0) + c * x
-            row = {j: x % p for j, x in row.items() if x % p}
-        else:
-            row = draw(st.dictionaries(st.integers(0, ncols - 1), residue, min_size=1))
-        rows.append(row)
-    return p, ncols, rows
-
-
-def _triangular_run(ncols, seed):
-    """Rows leading at 0, ..., ncols - 1 with pseudo-random residues mod
-    `PRIME` to their right, then a full row reduced by all of them: each
-    step subtracts about 2^58 from every entry to the right of its lead, so
-    the unreduced entries pass 2^60 within a few steps."""
-    rng = random.Random(seed)
-    rows = [{j: rng.randrange(1, PRIME) for j in range(i, ncols)} for i in range(ncols)]
-    return PRIME, ncols, rows + [{j: rng.randrange(1, PRIME) for j in range(ncols)}]
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=residue_rows())
-@example(case=_triangular_run(16, 0))
-def test_modp_accumulator_matches_the_dict_loop(case):
-    p, ncols, rows = case
-    with patch.object(linalg, "PRIME", p):
-        space, reference = ModPRowSpace(ncols), DictLoopModPRowSpace(ncols)
-        for row in rows:
-            reduced = space._reduce_nonzeros(dict(row))
-            assert reduced == reference._reduce_nonzeros(dict(row))
-            assert all(0 < x < p for x in reduced.values())
-            assert space.add_nonzeros(dict(row)) == reference.add_nonzeros(dict(row))
-            assert list(space._pivots.items()) == list(reference._pivots.items())
-            assert list(space._support.items()) == list(reference._support.items())
 
 
 def _solved_with(rref, matrix):

@@ -45,15 +45,23 @@ def test_z3_numeric_to_degree_24_peaks_under_80_mb():
 
 @needs_status
 @pytest.mark.slow
-def test_sc_to_degree_22_peaks_under_150_mb():
+def test_sc_to_degree_22_peaks_under_60_mb():
     code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "22")
     assert code == 0
-    assert mb <= 150, f"peak {mb:.0f} MB"
+    assert mb <= 60, f"peak {mb:.0f} MB"
 
 
 @needs_status
 @pytest.mark.slow
-def test_sc_to_degree_24_peaks_under_150_mb():
+def test_sc_to_degree_24_peaks_under_60_mb():
     code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "24")
     assert code == 0
-    assert mb <= 150, f"peak {mb:.0f} MB"
+    assert mb <= 60, f"peak {mb:.0f} MB"
+
+
+@needs_status
+@pytest.mark.slow
+def test_sc_to_degree_30_peaks_under_100_mb():
+    code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "30")
+    assert code == 0
+    assert mb <= 100, f"peak {mb:.0f} MB"

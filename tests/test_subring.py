@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from unittest.mock import patch
 
 import random
 
@@ -19,12 +18,11 @@ from godeaux import (
     parse_polynomial,
     render_polynomial,
 )
-from godeaux import linalg, subring
-from godeaux.linalg import (
-    IntRowSpace, ModPRowSpace, _RowSpace, int_kernel_basis, int_kernel_rref, int_rref,
-)
+from godeaux import subring
+from godeaux.graded import _count_standard
+from godeaux.linalg import IntRowSpace, int_kernel_basis, int_kernel_rref, int_rref
 from godeaux.poly import (
-    _product, degree_and_weight, enumerate_monomials, grevlex_key, packed_index,
+    _product, degree_and_weight, enumerate_monomials, grevlex_key, weighted_revlex_key,
 )
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -34,7 +32,7 @@ from godeaux.subring import (
     SubringBuilder,
     SubstitutionParityCondition,
     _int_terms,
-    _leading_term_echelon,
+    _interreduced_leads,
     _parity_constraints,
     _relations_by_duality,
     _to_poly,
@@ -459,7 +457,7 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     assert pres.hilbert == hilbert
     # The relation space has the dimension the census stops at.
     assert all(rank == target for _, rank, target in ranks), ranks
-    # Mod `PRIME` every degree with no new relation is certified.
+    # Every degree with no new relation is settled by its count.
     assert exact == [m for m, n in census.items() if n]
     # Product spans try products in lead order, over V_k's basis as
     # factors: the kept products differ, their span does not.
@@ -480,28 +478,35 @@ def _span_echelon(pred, m, products):
     return int_rref([_row(p, index) for p in products], len(index))
 
 
-@pytest.mark.parametrize("prime", [2, 3])
+@pytest.mark.parametrize("delta", [1, -1], ids=["high", "low"])
 @pytest.mark.parametrize("case", list(CENSUS_CASES))
-def test_census_falls_back_to_the_exact_path_mod_a_tiny_prime(case, prime, monkeypatch):
+def test_a_count_off_by_one_sends_its_degree_to_the_exact_path(case, delta, monkeypatch):
     make, max_degree = CENSUS_CASES[case]
-    monkeypatch.setattr(linalg, "PRIME", prime)
+    relations, census, hilbert, _ = reference_census(SubringBuilder(make()), max_degree)
+    # The last degree with no new relation; for sc, degree 11.
+    patched = max(m for m, n in census.items() if n == 0)
+    count = subring._count_standard
+
+    def off_by_one(desc, leads, top):
+        counts = count(desc, leads, top)
+        if top == patched:
+            counts[patched, 0] += delta
+        return counts
+
+    monkeypatch.setattr(subring, "_count_standard", off_by_one)
     exact = _exact_degrees(monkeypatch)
     pres = SubringBuilder(make()).presentation(max_degree)
-    relations, census, hilbert, _ = reference_census(SubringBuilder(make()), max_degree)
     assert pres.relations == relations
     assert pres.relation_census == census
     assert pres.hilbert == hilbert
+    assert exact == sorted({m for m, n in census.items() if n} | {patched})
     if case == "sc":
-        # Degree 11 has no new relation, but its certificate falls short.
         assert exact == [6, 7, 8, 9, 10, 11]
 
 
 def _count_steps(monkeypatch, backend):
     """A list that gains one entry per elimination step of a row-space
-    backend.  A backend with its own reduce loop (`ModPRowSpace`, whose
-    accumulator makes no `_eliminate` call) runs the shared dict loop of
-    `_RowSpace` instead, which makes the same steps, one `_eliminate` call
-    each."""
+    backend."""
     steps = []
     eliminate = backend._eliminate
 
@@ -509,8 +514,6 @@ def _count_steps(monkeypatch, backend):
         steps.append(None)
         return eliminate(*args)
 
-    if "_reduce_nonzeros" in vars(backend):
-        monkeypatch.setattr(backend, "_reduce_nonzeros", _RowSpace._reduce_nonzeros)
     monkeypatch.setattr(backend, "_eliminate", staticmethod(counted))
     return steps
 
@@ -561,22 +564,23 @@ def test_sc_spans_to_degree_20_make_few_integer_steps(monkeypatch):
 
 
 @pytest.mark.slow
-def test_sc_census_certifies_degree_16_in_few_mod_p_steps(monkeypatch):
-    steps = _count_steps(monkeypatch, ModPRowSpace)
-    per_degree = {}
-    echelon = subring._leading_term_echelon
+def test_sc_census_to_degree_30_counts_every_degree_past_10(monkeypatch):
+    exact = _exact_degrees(monkeypatch)
+    enumerated = []
+    enumerate_free = subring.enumerate_monomials
 
-    def spy(free, m, *args):
-        before = len(steps)
-        out = echelon(free, m, *args)
-        per_degree[m] = len(steps) - before
-        return out
+    def spy(desc, m, *args):
+        enumerated.append((desc, m))
+        return enumerate_free(desc, m, *args)
 
-    monkeypatch.setattr(subring, "_leading_term_echelon", spy)
-    pres = SubringBuilder(sc_predicate()).presentation(16)
-    assert pres.relation_census[16] == 0
-    # 51,215 steps with the colliding products in plain reverse order.
-    assert per_degree[16] <= 10_000
+    monkeypatch.setattr(subring, "enumerate_monomials", spy)
+    pres = SubringBuilder(sc_predicate()).presentation(30)
+    assert exact == [6, 7, 8, 9, 10]
+    assert all(pres.relation_census[m] == 0 for m in range(11, 31))
+    assert sum(pres.relation_census.values()) == 54
+    # The free ring's monomials are enumerated only for the exact path.
+    free_degrees = {m for desc, m in enumerated if desc == pres.free_ring}
+    assert free_degrees and max(free_degrees) == 10
 
 
 @st.composite
@@ -612,39 +616,26 @@ def _ideal_rows(free, m, relations, free_index, target) -> IntRowSpace:
     return rows
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=free_presentations(), prime=st.sampled_from([2, 3, 7, linalg.PRIME]))
-def test_certified_rank_never_exceeds_the_exact_rank(data, prime):
+@settings(max_examples=200, deadline=None)
+@given(data=free_presentations())
+def test_standard_count_bounds_the_quotient_dimension(data):
+    """The census's count criterion: with L the leads of the relations of
+    degree < m, interreduced per degree, no more degree-m monomials escape
+    L than the dimension of the quotient by those relations."""
     free, relations = data
-    echelons = {}
-    # As in the census: per degree, packed free monomial -> column.
-    packed = {0: packed_index(enumerate_monomials(free, 0))}
-    with patch.object(linalg, "PRIME", prime):
-        for m in range(1, 8):
-            free_mons = enumerate_monomials(free, m)
-            free_index = {mon: i for i, mon in enumerate(free_mons)}
-            packed[m] = packed_index(free_mons)
-            older = [r for r in relations if degree_and_weight(r)[0] < m]
-            # Exact ranks: every multiple, at a target no rank reaches.
-            exact = _ideal_rows(free, m, relations, free_index, len(free_mons) + 1)
-            exact_older = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
-            # One more than the rank: every product mod p is tried.
-            every, _ = _leading_term_echelon(free, m, packed, echelons, exact_older + 1)
-            assert every.dim <= exact_older
-            # As in the census: the relation space is the whole degree-m ideal.
-            echelon, leads = _leading_term_echelon(free, m, packed, echelons, exact.dim)
-            assert echelon.dim <= exact_older
-            if echelon.dim == exact.dim:
-                # Certified: no relation of degree m is new to the ideal.
-                assert exact_older == exact.dim
-            else:
-                # As in the census: the short form holds every product, and
-                # the degree-m relations join it mod p.
-                assert echelon.dim == every.dim
-                for rel in relations:
-                    if degree_and_weight(rel)[0] == m:
-                        echelon.add(_row(_int_terms(rel), free_index))
-            echelons[m] = (echelon, frozenset(echelon.pivot_columns()) - leads)
+    key = weighted_revlex_key(free, free.variables[::-1])
+    leads = []
+    for m in range(1, 8):
+        free_mons = enumerate_monomials(free, m)
+        free_index = {mon: i for i, mon in enumerate(free_mons)}
+        older = [r for r in relations if degree_and_weight(r)[0] < m]
+        # Exact rank: every multiple, at a target no rank reaches.
+        rank = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
+        assert _count_standard(free, leads, m)[m, 0] >= len(free_mons) - rank
+        rows = [
+            _row(_int_terms(r), free_index) for r in relations if degree_and_weight(r)[0] == m
+        ]
+        leads += _interreduced_leads(rows, free_mons, key)
 
 
 def greedy_relations(kernel, n, multiples):
