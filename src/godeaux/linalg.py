@@ -1,24 +1,20 @@
 """Exact linear algebra over Q and Q(zeta_n) on one sparse elimination engine.
 
-A row space keeps one reduced row per pivot column, stored as its nonzero
-values aligned with its sorted nonzero columns.  A row is a {column: value}
-dict of its nonzeros, reduced against those pivot rows by one dict loop
-shared by the two backends.  `add_nonzeros` and `contains` take such a
-dict, and `int_kernel_rref` and `solve_columns` take their systems as such
-dicts.  Dense rows are left only as input to `add`, `int_rref`,
-`int_kernel_basis` and `Matrix`, and as the output of `rows()`, the echelon
-forms (`_echelon`) and the kernels.  The backends:
-`IntRowSpace` holds primitive integer rows for rational data and eliminates
-fraction-free in Z, and `GenericRowSpace` holds monic rows over any exact
-field.  `IntRowSpace._normalise` is the one integer normal form: primitive,
-leading entry positive, for pivot rows and kernel vectors alike.
-`int_rref` and `Matrix.rref` add their rows to a row space and
-back-substitute, bringing each row to canonical form once, when it is fully
-reduced; `int_kernel_basis`, `int_kernel_rref` and `kernel_basis` read their
-results off these echelon forms.  `solve_columns` builds no dense matrix: it
-transposes its columns to one {column: entry} row per equation and
-eliminates them fraction-free by `int_rref` over Q (each row's denominators
-cleared), or in `GenericRowSpace` over Q(zeta_n).
+Rows are {column: nonzero} dicts: row spaces take them, and `int_rref`,
+`int_kernel_basis` and `int_kernel_rref` take and return them, columns
+increasing.  Dense lists are left only behind `Matrix` and `kernel_basis`
+(`Matrix.rref` is the one place that densifies), `_RowSpace.add` and `rows()`.
+A row space keeps one reduced row per pivot column, as its nonzero values
+aligned with its sorted columns, and reduces a row against them by one dict
+loop shared by two backends: `IntRowSpace` holds primitive integer rows for
+rational data and eliminates fraction-free in Z, and `GenericRowSpace` holds
+monic rows over any exact field.  `IntRowSpace._normalise` is the one
+integer normal form (primitive, leading entry positive) for pivot rows and
+kernel vectors alike.  The echelon routines back-substitute in a row space,
+bringing each row to canonical form once, when it is fully reduced; the
+kernels are read off these echelon forms.  `solve_columns` transposes its
+columns to one row per equation and eliminates them by `int_rref` over Q
+(each row's denominators cleared), or in `GenericRowSpace` over Q(zeta_n).
 """
 
 from __future__ import annotations
@@ -72,9 +68,10 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form with strictly increasing pivot columns."""
-        rows, pivots = _echelon(GenericRowSpace(self.cols), self.entries)
-        rows += [[0] * self.cols for _ in range(self.rows - len(rows))]
-        return Matrix(self.rows, self.cols, rows), tuple(pivots)
+        rs = GenericRowSpace(self.cols)
+        rows, pivots = _echelon(rs, map(rs._nonzeros, self.entries))
+        rows += [{}] * (self.rows - len(rows))
+        return Matrix(self.rows, self.cols, [_dense(r, self.cols) for r in rows]), tuple(pivots)
 
 
 def kernel_basis(matrix: Matrix) -> list[list[Scalar]]:
@@ -123,7 +120,7 @@ def solve_columns(columns: list[dict], target: dict) -> list[Scalar] | None:
         return None
     coords: list[Scalar] = [_ZERO] * k
     for row, pc in zip(reduced, pivots):
-        coords[pc] = row[k] * scalar_inv(row[pc])
+        coords[pc] = row.get(k, 0) * scalar_inv(row[pc])
     return coords
 
 
@@ -245,7 +242,7 @@ class _RowSpace:
         return not self._reduce_nonzeros(work)
 
     def _rref(self) -> tuple[list[dict], list[int]]:
-        """The pivot rows as nonzero dicts in pivot-column order, with each
+        """The pivot rows in pivot-column order, columns increasing, with each
         pivot column cleared from the rows above, and the pivot columns.
 
         A row is brought to canonical form once, when it becomes the pivot
@@ -257,9 +254,10 @@ class _RowSpace:
         for i in range(len(cols) - 1, -1, -1):
             c = cols[i]
             if changed[i]:
-                sparse[i] = self._normalise(sparse[i])
-            support = sorted(sparse[i])
-            piv = [sparse[i][j] for j in support]
+                work = self._normalise(sparse[i])
+                sparse[i] = {j: work[j] for j in sorted(work)}
+            support = tuple(sparse[i])
+            piv = list(sparse[i].values())
             for k in range(i):
                 if c in sparse[k]:
                     sparse[k] = self._eliminate(sparse[k], c, piv, support)
@@ -333,47 +331,42 @@ class GenericRowSpace(_RowSpace):
         return {c: u * inv for c, u in work.items()}
 
 
-def int_rref(rows: list, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon form over Z (rows primitive, pivot cols fully cleared).
-
-    Each row is a dense list of integers or a {column: nonzero integer} dict;
-    the result rows are dense."""
+def int_rref(rows: list[dict], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced echelon form over Z of {column: nonzero integer} rows: the
+    rows primitive with a positive lead and every pivot column cleared from
+    the others, and the pivot columns."""
     return _echelon(IntRowSpace(ncols), rows)
 
 
-def _echelon(rs: _RowSpace, rows) -> tuple[list[list], list[int]]:
-    """Dense reduced echelon rows and pivot columns of the rows, dense lists
-    or {column: value} dicts, added to the empty row space rs."""
+def _echelon(rs: _RowSpace, rows) -> tuple[list[dict], list[int]]:
+    """Reduced echelon rows and pivot columns of the {column: value} rows,
+    added to the empty row space rs; the rows given are left as they are."""
     for row in rows:
-        if isinstance(row, dict):
-            rs.add_nonzeros(dict(row))
-        else:
-            rs.add(row)
-    reduced, cols = rs._rref()
-    return [_dense(work, rs.ncols) for work in reduced], cols
+        rs.add_nonzeros(dict(row))
+    return rs._rref()
 
 
-def int_kernel_basis(rows: list, ncols: int) -> list[list[int]]:
-    """Primitive integer basis of the right kernel of the rows, dense lists
-    or {column: nonzero integer} dicts; the basis vectors are dense."""
+def int_kernel_basis(rows: list[dict], ncols: int) -> list[dict[int, int]]:
+    """Primitive integer basis of the right kernel of the {column: nonzero
+    integer} rows, one vector per free column f, in increasing order: f's
+    vector is nonzero at f and at pivot columns left of f only."""
     reduced, pivots = int_rref(rows, ncols)
     # Scaling by the lcm of the pivot entries keeps every kernel entry integral.
     scale = lcm(*(row[c] for row, c in zip(reduced, pivots)))
-    factors = [scale // row[c] for row, c in zip(reduced, pivots)]
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = {f: scale}
-        for row, c, k in zip(reduced, pivots, factors):
-            if row[f]:
-                v[c] = -row[f] * k
-        basis.append(_dense(IntRowSpace._normalise(v), ncols))
-    return basis
+    basis = {f: {} for f in range(ncols) if f not in pivot_set}
+    # Rows in pivot order fill each vector's columns in increasing order.
+    for row, c in zip(reduced, pivots):
+        k = scale // row[c]
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = -x * k
+    for f, v in basis.items():
+        v[f] = scale
+    return [IntRowSpace._normalise(v) for v in basis.values()]
 
 
-def int_kernel_rref(rows: list[dict], ncols: int) -> list[list[int]]:
+def int_kernel_rref(rows: list[dict], ncols: int) -> list[dict[int, int]]:
     """Reduced echelon basis of the right kernel of the {column: nonzero
     integer} rows, as `int_rref` would give it, in one elimination.
 
@@ -382,11 +375,10 @@ def int_kernel_rref(rows: list[dict], ncols: int) -> list[list[int]]:
     its left, so its basis vector read back leads at f and is zero at every
     other such column, which is the reduced echelon row with pivot f up to
     sign."""
-    reversed_rows = [{ncols - 1 - j: x for j, x in row.items()} for row in rows]
+    last = ncols - 1
+    reversed_rows = [{last - j: x for j, x in row.items()} for row in rows]
     basis = []
     for v in reversed(int_kernel_basis(reversed_rows, ncols)):
-        v.reverse()
-        if next(x for x in v if x) < 0:
-            v = [-x for x in v]
-        basis.append(v)
+        sign = -1 if next(reversed(v.values())) < 0 else 1
+        basis.append({last - j: sign * x for j, x in reversed(v.items())})
     return basis

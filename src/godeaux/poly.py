@@ -330,10 +330,12 @@ def degree_and_weight(p: Polynomial):
     if p.is_zero():
         return "zero"
     desc = p.descriptor
-    grades = {(desc.monomial_degree(e), desc.monomial_weight(e)) for e in p.terms}
-    if len(grades) > 1:
+    degrees = {desc.monomial_degree(e) for e in p.terms}
+    # At torsion order 1 every weight is 0, and no term is read for it.
+    weights = {desc.monomial_weight(e) for e in p.terms} if desc.torsion_order > 1 else {0}
+    if len(degrees) > 1 or len(weights) > 1:
         return "inhomogeneous"
-    return next(iter(grades))
+    return degrees.pop(), weights.pop()
 
 
 _MONOMIALS: dict[tuple, list[tuple]] = {}

@@ -216,9 +216,8 @@ class MembershipPredicate:
             terms = []
             rs = IntRowSpace(len(cols))
             for row in int_kernel_rref(self._functionals(m, cols), len(cols)):
-                nonzeros = {j: x for j, x in enumerate(row) if x}
-                terms.append({cols[j]: x for j, x in nonzeros.items()})
-                rs.add_nonzeros(nonzeros)
+                terms.append({cols[j]: x for j, x in row.items()})
+                rs.add_nonzeros(row)
             space = self._spaces[m] = (index, terms, rs)
         return space
 
@@ -247,10 +246,9 @@ def _packed_terms(terms: Mapping[tuple, int]) -> dict[int, int]:
     return {pack(mon): c for mon, c in terms.items()}
 
 
-def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Sequence[int]) -> Polynomial:
-    return Polynomial(
-        desc, {mon: Fraction(x) for mon, x in zip(cols, row) if x}
-    )
+def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Mapping[int, int]) -> Polynomial:
+    """The polynomial of an integer {column: nonzero} row over cols."""
+    return Polynomial(desc, {cols[j]: Fraction(x) for j, x in row.items()})
 
 
 def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
@@ -280,9 +278,7 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
                 span_rows.append({index[mult + e]: c for e, c in terms.items()})
         # Over Q, v lies in span(S) exactly when every functional that
         # vanishes on S vanishes on v: the annihilator cuts out the span.
-        return [
-            {j: x for j, x in enumerate(v) if x} for v in int_kernel_basis(span_rows, len(cols))
-        ]
+        return int_kernel_basis(span_rows, len(cols))
     raise TypeError(f"unknown condition {cond!r}")
 
 
@@ -555,8 +551,7 @@ class SubringBuilder:
                 packed = list(free_index[m])
                 for row in new:
                     relations.append(_to_poly(free, free_mons, row))
-                    terms = [(packed[j], x) for j, x in enumerate(row) if x]
-                    relation_terms.append((m, terms))
+                    relation_terms.append((m, [(packed[j], x) for j, x in row.items()]))
                 leads += _interreduced_leads(new, free_mons, key)
             relation_census[m] = len(new)
         warning = None
@@ -588,7 +583,7 @@ class SubringBuilder:
         )
         return _relations_by_duality(kernel, multiples)
 
-    def _evaluation_kernel(self, m, free_mons, evaluate, pivots) -> list[list[int]]:
+    def _evaluation_kernel(self, m, free_mons, evaluate, pivots) -> list[dict[int, int]]:
         """Kernel of the degree-m evaluation map.
 
         Only the rows at `pivots`, the pivot columns of the degree's product
@@ -670,11 +665,11 @@ class SubringBuilder:
         return results
 
 
-def _relations_by_duality(kernel, multiples) -> list[list[int]]:
+def _relations_by_duality(kernel, multiples) -> list[dict[int, int]]:
     """The kernel vectors the greedy choice keeps, in its order: taken in
-    sorted order, a vector is kept when it is outside the span of the
-    multiples (integer {column: value} dicts in the span of the kernel) and
-    the vectors before it.
+    sorted order (`_dense_order`), a vector is kept when it is outside the
+    span of the multiples (integer rows in the span of the kernel) and the
+    vectors before it.
 
     `kernel` is the canonical basis of `int_kernel_basis`, of primitive
     vectors: each v_f is zero past its free column f and at every other
@@ -687,11 +682,12 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
     coordinate rows are added sparsest first: the pivots of their span do
     not depend on the order."""
     size = len(kernel)
-    order = sorted(range(size), key=kernel.__getitem__)
+    keys = [_dense_order(v) for v in kernel]
+    order = sorted(range(size), key=keys.__getitem__)
     column = [0] * size
     for pos, i in enumerate(order):
         column[i] = size - 1 - pos
-    free = [max(j for j, x in enumerate(v) if x) for v in kernel]
+    free = [max(v) for v in kernel]
     # The coordinate z[f] / v_f[f] times scale is z[f] * factor[f][1].
     scale = lcm(*(v[f] for v, f in zip(kernel, free)))
     factor = {f: (column[i], scale // kernel[i][f]) for i, f in enumerate(free)}
@@ -712,6 +708,14 @@ def _relations_by_duality(kernel, multiples) -> list[list[int]]:
     return [kernel[i] for i in order if column[i] not in pivots]
 
 
+def _dense_order(v: Mapping[int, int]) -> list[tuple]:
+    """Sort key of a row, columns increasing, that orders rows as their
+    dense lists.  A nonzero x at column c keys as (-1, c, x) if x < 0, else
+    (1, -c, x), and the end as (0,): where dense rows first differ at a
+    column only one has, that one is smaller iff its entry is negative."""
+    return [(1, -c, x) if x > 0 else (-1, c, x) for c, x in v.items()] + [(0,)]
+
+
 class _FreeIndex(dict):
     """Per degree of the free ring, packed free monomial -> column, built
     when a degree is first read."""
@@ -725,7 +729,7 @@ class _FreeIndex(dict):
         return index
 
 
-def _interreduced_leads(rows: list[list[int]], free_mons: list[tuple], key) -> list[tuple]:
+def _interreduced_leads(rows: list[dict[int, int]], free_mons: list[tuple], key) -> list[tuple]:
     """The leading monomials of the echelon form of integer rows over
     free_mons, the columns taken largest first by key: one per row for
     independent rows, each the lead of an element of their span."""
@@ -733,7 +737,7 @@ def _interreduced_leads(rows: list[list[int]], free_mons: list[tuple], key) -> l
     rank = {j: pos for pos, j in enumerate(order)}
     echelon = IntRowSpace(len(order))
     for row in rows:
-        echelon.add_nonzeros({rank[j]: x for j, x in enumerate(row) if x})
+        echelon.add_nonzeros({rank[j]: x for j, x in row.items()})
     return [free_mons[order[c]] for c in echelon.pivot_columns()]
 
 

@@ -352,8 +352,8 @@ class TestScFixtureErrors:
         assert failed and all(i.startswith("sc.") for i in failed)
 
 
-# Each polynomial line of the sc fixtures, mutated three ways: its sign
-# flipped, its last term dropped, and its first coefficient raised by 1.
+# Each polynomial line of a fixture, mutated three ways: its sign flipped,
+# its last term dropped, and its first coefficient raised by 1.
 SC_MUTATED_FIXTURES = ("sc_generators.txt", "sc_conic.txt", "sc_involution.txt",
                        "sc_restriction.txt")
 
@@ -377,14 +377,15 @@ def _is_multiple(q, p):
     return q == p.scale(q.terms[e] / p.terms[e])
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("fixture", SC_MUTATED_FIXTURES)
-def test_every_sc_fixture_mutant_fails_a_check(fixture, capsys, monkeypatch):
+def _assert_fixture_mutants(fixture, desc, scenario, valid, capsys, monkeypatch):
+    """Serve every mutant of every polynomial line of fixture in its place
+    and run `verify` on scenario at degree 10: a mutant q of line p for
+    which valid(q, p) holds must pass every check with exit 0, and every
+    other mutant must exit 1 with a `fail` check."""
     from godeaux.scenarios import fixtures
 
     read = fixtures._read
     lines = read(fixture).splitlines()
-    desc = fixtures.sc_descriptor()
     served = {}
     monkeypatch.setattr(fixtures, "_read", lambda name: served.get(name) or read(name))
     caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution)
@@ -395,33 +396,56 @@ def test_every_sc_fixture_mutant_fails_a_check(fixture, capsys, monkeypatch):
             if not line:
                 continue
             var, _, src = line.rpartition(":")
-            for kind, q in _mutants(parse_polynomial(src, desc)).items():
+            p = parse_polynomial(src, desc)
+            for kind, q in _mutants(p).items():
                 text = f"{var.strip()} : {q}" if var else str(q)
                 served[fixture] = "\n".join([*lines[:k], text, *lines[k + 1:]])
                 for cache in caches:
                     cache.cache_clear()
                 code, out, err = run_cli(
-                    ["verify", "--scenario", "sc", "--max-degree", "10", "--format", "json"],
+                    ["verify", "--scenario", scenario, "--max-degree", "10", "--format", "json"],
                     capsys,
                 )
                 failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
-                # A nonzero multiple of a claimed generator lies in V and
-                # generates the same algebra over Q, and a multiple of the
-                # conic generates the same ideal: those mutants are still
-                # valid fixtures, and every claim must hold.  Every other
-                # mutant must fail a check.
-                valid = fixture in SC_MUTATED_FIXTURES[:2] and _is_multiple(
-                    q, parse_polynomial(src, desc)
-                )
-                outcomes.append((k + 1, kind, text, code, bool(failed), err, valid))
+                outcomes.append((k + 1, kind, text, code, bool(failed), err, valid(q, p)))
     finally:
         served.clear()
         for cache in caches:
             cache.cache_clear()
     assert outcomes
-    for line, kind, text, code, failed, err, valid in outcomes:
-        expected = (0, False, "") if valid else (1, True, "")
+    for line, kind, text, code, failed, err, ok in outcomes:
+        expected = (0, False, "") if ok else (1, True, "")
         assert (code, failed, err) == expected, (fixture, line, kind, text)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fixture", SC_MUTATED_FIXTURES)
+def test_every_sc_fixture_mutant_fails_a_check(fixture, capsys, monkeypatch):
+    from godeaux.scenarios import fixtures
+
+    # A nonzero multiple of a claimed generator lies in V and generates the
+    # same algebra over Q, and a multiple of the conic generates the same
+    # ideal: those mutants are still valid fixtures, and every claim must
+    # hold.  Every other mutant must fail a check.
+    multiples_valid = fixture in SC_MUTATED_FIXTURES[:2]
+    _assert_fixture_mutants(
+        fixture, fixtures.sc_descriptor(), "sc",
+        lambda q, p: multiples_valid and _is_multiple(q, p), capsys, monkeypatch,
+    )
+
+
+@pytest.mark.slow
+def test_every_z5_plane_mutant_fails_a_check(capsys, monkeypatch):
+    from godeaux.scenarios import fixtures
+
+    # A nonzero multiple c*p of a plane p cuts out the same plane, so every
+    # rank of the arrangement is unchanged, and it multiplies the quintic by
+    # c.  The sign flip has c = -1: the quintic only changes sign, which
+    # keeps it invariant and nonzero at each fixed point, so that mutant is
+    # valid and every check must hold.  Every other mutant must fail a check.
+    _assert_fixture_mutants(
+        "z5_planes.txt", fixtures.z5_descriptor(), "z5", _is_multiple, capsys, monkeypatch
+    )
 
 
 @pytest.mark.parametrize(

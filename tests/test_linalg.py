@@ -32,6 +32,14 @@ def _nonzeros(row):
     return {j: x for j, x in enumerate(row) if x}
 
 
+def _increasing(rows):
+    """The {column: value} rows, checked to hold nonzeros only, with their
+    columns in increasing order."""
+    for row in rows:
+        assert list(row) == sorted(row) and all(row.values()), row
+    return rows
+
+
 class TestRref:
     def test_identity(self):
         m = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -143,11 +151,13 @@ def test_int_rowspace_matches_generic_rank(rows):
 @given(rows=int_rows())
 def test_int_kernel_annihilates(rows):
     ncols = len(rows[0])
-    for v in int_kernel_basis(rows, ncols):
+    sparse = [_nonzeros(row) for row in rows]
+    for v in int_kernel_basis(sparse, ncols):
+        v = _dense(v, ncols)
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    reduced, pivots = int_rref(rows, ncols)
-    assert len(pivots) + len(int_kernel_basis(rows, ncols)) == ncols
+    reduced, pivots = int_rref(sparse, ncols)
+    assert len(pivots) + len(int_kernel_basis(sparse, ncols)) == ncols
 
 
 @st.composite
@@ -181,7 +191,9 @@ def kernel_matrices(draw):
 def test_reversed_kernel_is_the_reduced_kernel(case):
     rows, ncols = case
     rows = [_nonzeros(row) for row in rows]
-    assert int_kernel_rref(rows, ncols) == int_rref(int_kernel_basis(rows, ncols), ncols)[0]
+    reversed_kernel = _increasing(int_kernel_rref(rows, ncols))
+    reduced = _increasing(int_rref(int_kernel_basis(rows, ncols), ncols)[0])
+    assert [_dense(v, ncols) for v in reversed_kernel] == [_dense(v, ncols) for v in reduced]
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,9 +204,9 @@ def test_int_kernel_basis_ignores_the_row_order(case, data):
     evaluation kernels go sparsest first)."""
     rows, ncols = case
     shuffled = data.draw(st.permutations(rows))
-    assert int_kernel_basis(shuffled, ncols) == int_kernel_basis(rows, ncols)
+    kernel = [_dense(v, ncols) for v in int_kernel_basis(list(map(_nonzeros, rows)), ncols)]
     sparse = [_nonzeros(row) for row in shuffled]
-    assert int_kernel_basis(sparse, ncols) == int_kernel_basis(rows, ncols)
+    assert [_dense(v, ncols) for v in int_kernel_basis(sparse, ncols)] == kernel
 
 
 def test_int_rowspace_membership():
@@ -372,12 +384,63 @@ def test_sparse_rowspace_matches_dense_oracle_on_fractions(case):
 @given(case=sparse_rows())
 def test_int_rref_and_kernel_match_dense_oracle(case):
     rows, ncols = case
-    assert int_rref(rows, ncols) == dense_int_rref(rows, ncols)
-    assert int_kernel_basis(rows, ncols) == dense_int_kernel_basis(rows, ncols)
-    # Dict rows give the same echelon form and kernel.
     dicts = [_nonzeros(row) for row in rows]
-    assert int_rref(dicts, ncols) == dense_int_rref(rows, ncols)
-    assert int_kernel_basis(dicts, ncols) == dense_int_kernel_basis(rows, ncols)
+    reduced, pivots = int_rref(dicts, ncols)
+    assert ([_dense(r, ncols) for r in _increasing(reduced)], pivots) == dense_int_rref(rows, ncols)
+    kernel = _increasing(int_kernel_basis(dicts, ncols))
+    assert [_dense(v, ncols) for v in kernel] == dense_int_kernel_basis(rows, ncols)
+    # The rows given are left as they are.
+    assert dicts == [_nonzeros(row) for row in rows]
+
+
+def _sympy_primitive(entries):
+    """The primitive integer row, leading entry positive, of sympy rationals."""
+    fracs = [Fraction(int(x.p), int(x.q)) for x in entries]
+    mult = lcm(*(f.denominator for f in fracs))
+    return _dense_primitive([int(f * mult) for f in fracs])
+
+
+def test_int_rref_and_kernels_match_sympy():
+    """sympy as an independent oracle: `int_rref` is `Matrix.rref()` up to
+    the primitive, positive-lead scaling, with the same pivots;
+    `int_kernel_basis` is `nullspace()` up to that scaling, vector by vector
+    at the same free columns, and `int_kernel_rref` is the reduced echelon
+    form of that span, one vector per free column."""
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=kernel_matrices())
+    @example(case=([], 3))
+    @example(case=([[0, 2, -4, 6], [0, 1, 1, 0]], 4))
+    @example(case=([[3, -2, 0, 5, 1], [6, -4, 1, 0, 0], [0, 0, 2, -1, 4]], 5))
+    def check(case):
+        rows, ncols = case
+        sparse = [_nonzeros(row) for row in rows]
+        matrix = sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
+        ref, ref_pivots = matrix.rref()
+        reduced, pivots = int_rref(sparse, ncols)
+        assert tuple(pivots) == ref_pivots
+        assert [_dense(r, ncols) for r in reduced] == [
+            _sympy_primitive(ref.row(i)) for i in range(len(ref_pivots))
+        ]
+        null = matrix.nullspace()
+        free = [f for f in range(ncols) if f not in ref_pivots]
+        # nullspace() gives one vector per free column f, 1 at f and 0 at the
+        # other free columns: the kernel basis vector at f up to scale.
+        kernel = int_kernel_basis(sparse, ncols)
+        assert [max(v) for v in kernel] == free
+        assert [_dense(v, ncols) for v in kernel] == [_sympy_primitive(v) for v in null]
+        # The reduced echelon basis of the same span, one vector per free column.
+        echelon = int_kernel_rref(sparse, ncols)
+        null_rref, null_pivots = (
+            sympy.Matrix.hstack(*null).T.rref() if null else (sympy.zeros(0, ncols), ())
+        )
+        assert len(echelon) == len(free) and tuple(min(v) for v in echelon) == null_pivots
+        assert [_dense(v, ncols) for v in echelon] == [
+            _sympy_primitive(null_rref.row(i)) for i in range(len(free))
+        ]
+
+    check()
 
 
 def test_copy_keeps_supports_apart():

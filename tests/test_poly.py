@@ -63,6 +63,15 @@ class TestGrading:
         assert degree_and_weight(poly("x2 + y0", z3desc)) == "inhomogeneous"
         assert degree_and_weight(z3desc.zero()) == "zero"
 
+    def test_torsion_order_one_reads_no_weight(self, monkeypatch):
+        # Every weight is 0 at torsion order 1 (ABC), so none is computed.
+        def no_weight(self, exps):
+            raise AssertionError("weight read at torsion order 1")
+
+        monkeypatch.setattr(RingDescriptor, "monomial_weight", no_weight)
+        assert degree_and_weight(poly("a^2*b - 3*c^3")) == (3, 0)
+        assert degree_and_weight(poly("a^2 + c")) == "inhomogeneous"
+
 
 class TestSubstitution:
     def test_kill_variable(self):

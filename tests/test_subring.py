@@ -7,7 +7,7 @@ from operator import add
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from godeaux import (
@@ -67,6 +67,30 @@ def _primitive(row):
     if next((x for x in row if x), 0) < 0:
         row = [-x for x in row]
     return row
+
+
+def _nonzeros(row):
+    """{column: value} of a dense row's nonzeros."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row, ncols):
+    """The dense row of a {column: value} row."""
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _kernel(rows, ncols):
+    """`int_kernel_basis` of dense rows, its vectors read back dense."""
+    return [_dense(v, ncols) for v in int_kernel_basis([_nonzeros(r) for r in rows], ncols)]
+
+
+def _rref(rows, ncols):
+    """`int_rref` of dense rows, its rows read back dense."""
+    reduced, pivots = int_rref([_nonzeros(r) for r in rows], ncols)
+    return [_dense(r, ncols) for r in reduced], pivots
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +423,7 @@ def reference_census(builder, max_degree):
         for u, mon in enumerate(free_mons):
             for amb, x in evaluate(mon).items():
                 matrix[index[amb]][u] = x
-        kernel = int_kernel_basis(matrix, len(free_mons))
+        kernel = _kernel(matrix, len(free_mons))
         ranks.append((m, len(kernel), len(free_mons) - len(span_terms[m])))
         free_index = {mon: i for i, mon in enumerate(free_mons)}
         ideal_rows = IntRowSpace(len(free_mons))
@@ -410,7 +434,7 @@ def reference_census(builder, max_degree):
         new_count = 0
         for k in sorted(kernel):
             if ideal_rows.add(k):
-                relations.append(_to_poly(free, free_mons, _primitive(k)))
+                relations.append(_to_poly(free, free_mons, _nonzeros(_primitive(k))))
                 new_count += 1
         census[m] = new_count
     return relations, census, hilbert, ranks
@@ -475,7 +499,7 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
 def _span_echelon(pred, m, products):
     """`int_rref` of the degree-m products."""
     index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
-    return int_rref([_row(p, index) for p in products], len(index))
+    return _rref([_row(p, index) for p in products], len(index))
 
 
 @pytest.mark.parametrize("delta", [1, -1], ids=["high", "low"])
@@ -633,7 +657,8 @@ def test_standard_count_bounds_the_quotient_dimension(data):
         rank = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
         assert _count_standard(free, leads, m)[m, 0] >= len(free_mons) - rank
         rows = [
-            _row(_int_terms(r), free_index) for r in relations if degree_and_weight(r)[0] == m
+            _nonzeros(_row(_int_terms(r), free_index))
+            for r in relations if degree_and_weight(r)[0] == m
         ]
         leads += _interreduced_leads(rows, free_mons, key)
 
@@ -653,14 +678,19 @@ def greedy_relations(kernel, n, multiples):
 
 
 def _by_duality(kernel, multiples):
-    return _relations_by_duality(kernel, [{j: x for j, x in enumerate(z) if x} for z in multiples])
+    """`_relations_by_duality` of a dense kernel and multiples, its choice
+    read back dense."""
+    n = len(kernel[0]) if kernel else 0
+    chosen = _relations_by_duality([_nonzeros(v) for v in kernel], map(_nonzeros, multiples))
+    return [_dense(v, n) for v in chosen]
 
 
 @st.composite
-def matrix_kernels(draw):
+def matrix_kernels(draw, negate=False):
     """(kernel, n, multiples): the kernel of a small integer matrix with n
     columns, some copies of earlier columns so that they are free, and
-    integer combinations of the kernel vectors."""
+    integer combinations of the kernel vectors; with `negate`, some kernel
+    vectors are negated, so that their leading entries are negative."""
     n = draw(st.integers(1, 8))
     nrows = draw(st.integers(1, 5))
     entry = st.integers(-2, 2)
@@ -668,7 +698,10 @@ def matrix_kernels(draw):
     while len(cols) < n:
         cols.append(list(draw(st.sampled_from(cols))) if draw(st.booleans())
                     else draw(st.lists(entry, min_size=nrows, max_size=nrows)))
-    kernel = int_kernel_basis([[col[r] for col in cols] for r in range(nrows)], n)
+    kernel = _kernel([[col[r] for col in cols] for r in range(nrows)], n)
+    if negate:
+        flips = draw(st.lists(st.booleans(), min_size=len(kernel), max_size=len(kernel)))
+        kernel = [[-x for x in k] if flip else k for k, flip in zip(kernel, flips)]
     multiples = []
     for _ in range(draw(st.integers(0, 6))):
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(kernel), max_size=len(kernel)))
@@ -686,15 +719,41 @@ def test_relation_choice_by_duality_matches_the_greedy(system):
     assert _by_duality(kernel, multiples) == greedy_relations(kernel, n, multiples)
 
 
+@settings(max_examples=150, deadline=None)
+@given(system=matrix_kernels(negate=True))
+def test_relation_choice_by_duality_matches_the_greedy_on_negative_leads(system):
+    # The greedy keeps primitive rows, leading entry positive; the duality
+    # keeps the kernel vectors themselves.
+    kernel, n, multiples = system
+    chosen = _by_duality(kernel, multiples)
+    assert all(v in kernel for v in chosen)
+    assert [_primitive(v) for v in chosen] == greedy_relations(kernel, n, multiples)
+
+
 def test_relation_choice_by_duality_follows_the_sort_order():
     # Kernel of [1 1 0]: (1, -1, 0) at free column 1, then (0, 0, 1) at free
     # column 2, which sorts first.  The multiple (1, -1, 1) is the sum of
     # the two, so the greedy keeps only the one that sorts first.
-    kernel = int_kernel_basis([[1, 1, 0]], 3)
+    kernel = _kernel([[1, 1, 0]], 3)
     assert kernel == [[1, -1, 0], [0, 0, 1]]
     assert sorted(kernel) != kernel
     assert _by_duality(kernel, [[1, -1, 1]]) == [[0, 0, 1]]
     assert greedy_relations(kernel, 3, [[1, -1, 1]]) == [[0, 0, 1]]
+    # With its lead negative, (-1, 1, 0) sorts first and is kept instead.
+    negated = [[-1, 1, 0], [0, 0, 1]]
+    assert sorted(negated) == negated
+    assert _by_duality(negated, [[-1, 1, 1]]) == [[-1, 1, 0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), max_size=8))
+@example(vectors=[[1, 0, 0, 0], [1, 0, 2, 0], [1, 0, -2, 0], [0, 0, 0, 0]])
+@example(vectors=[[-1, 3, 0, 0], [-1, 0, 0, 0], [-1, 3, 0, -1], [0, -2, 0, 0], [0, 0, 0, 5]])
+def test_dense_order_sorts_sparse_rows_as_their_dense_lists(vectors):
+    # Leads of either sign, and rows whose nonzeros begin with those of
+    # another row (the first example's (1, 0, 0, 0)).
+    rows = sorted(map(_nonzeros, vectors), key=subring._dense_order)
+    assert [_dense(v, 4) for v in rows] == sorted(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +772,7 @@ def reference_parity(cond, desc, m, cols, basis):
     images = []
     target_index = {}
     for row in basis:
-        p = _to_poly(desc, cols, row)
+        p = _to_poly(desc, cols, _nonzeros(row))
         val = p.substitute(cond.sigma1) - p.substitute(cond.sigma2).scale(sign)
         for mon in val.terms:
             target_index.setdefault(mon, len(target_index))
@@ -722,7 +781,7 @@ def reference_parity(cond, desc, m, cols, basis):
         _cleared([img.coefficient(t) for img in images])
         for t, _ in sorted(target_index.items(), key=lambda kv: kv[1])
     ]
-    return _combine(basis, int_kernel_basis(constraint_rows, len(basis)))
+    return _combine(basis, _kernel(constraint_rows, len(basis)))
 
 
 ST = RingDescriptor(("s", "t"), (1, 1), (0, 0))
@@ -776,14 +835,15 @@ def test_parity_condition_matches_per_row_substitution(data):
     def ours():
         # span(basis) is cut out by its annihilator; add the parity functionals.
         maps = MembershipPredicate(ABC, [cond])._substitutions(0)
-        functionals = int_kernel_basis(basis, n) + _parity_constraints(maps, cond.sign(m), cols)
-        return int_rref(int_kernel_basis(functionals, n), n)[0]
+        functionals = int_kernel_basis(list(map(_nonzeros, basis)), n)
+        functionals += _parity_constraints(maps, cond.sign(m), cols)
+        return [_dense(r, n) for r in int_rref(int_kernel_basis(functionals, n), n)[0]]
 
     # Every degree-m monomial is mapped, so a missing image raises whether or
     # not the basis uses its variable.
     expected = (
         KeyError if fault == "missing"
-        else _outcome(lambda: int_rref(reference_parity(cond, ABC, m, cols, basis), n)[0])
+        else _outcome(lambda: _rref(reference_parity(cond, ABC, m, cols, basis), n)[0])
     )
     assert _outcome(ours) == expected
 
@@ -878,7 +938,7 @@ def _apply_condition(cond, desc, m, cols, basis):
         target = cond.weight % desc.torsion_order
         wrong = [j for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
         constraints = [[row[j] for j in wrong] for row in basis]
-        return _combine(basis, int_kernel_basis(_transpose(constraints, len(wrong)), len(basis)))
+        return _combine(basis, _kernel(_transpose(constraints, len(wrong)), len(basis)))
     if isinstance(cond, SubstitutionParityCondition):
         return reference_parity(cond, desc, m, cols, basis)
     if isinstance(cond, CongruenceImageCondition):
@@ -923,7 +983,7 @@ def _intersect(basis, span_rows, ncols):
     stacked = []
     for j in range(ncols):
         stacked.append([row[j] for row in basis] + [-row[j] for row in span_rows])
-    kern = int_kernel_basis(stacked, len(basis) + len(span_rows))
+    kern = _kernel(stacked, len(basis) + len(span_rows))
     return [row for row in (_combine(basis, [k[: len(basis)]])[0] for k in kern) if any(row)]
 
 
@@ -935,8 +995,8 @@ def reference_subspace_basis(pred, m):
         basis = _apply_condition(cond, pred.descriptor, m, cols, basis)
         if not basis:
             break
-    reduced, _ = int_rref(basis, n)
-    return [_to_poly(pred.descriptor, cols, row) for row in reduced]
+    reduced, _ = _rref(basis, n)
+    return [_to_poly(pred.descriptor, cols, _nonzeros(row)) for row in reduced]
 
 
 def reference_dim(pred, m):
@@ -954,9 +1014,12 @@ def test_reversed_kernel_matches_two_eliminations(case):
     for m in range(max_degree + 1):
         cols = pred.ambient_monomials(m)
         n = len(cols)
-        reduced, _ = int_rref(int_kernel_basis(pred._functionals(m, cols), n), n)
-        assert int_kernel_rref(pred._functionals(m, cols), n) == reduced
-        assert pred.subspace_basis(m) == [_to_poly(pred.descriptor, cols, r) for r in reduced]
+        functionals = pred._functionals(m, cols)
+        reduced, _ = _rref(_kernel([_dense(f, n) for f in functionals], n), n)
+        assert [_dense(r, n) for r in int_kernel_rref(functionals, n)] == reduced
+        assert pred.subspace_basis(m) == [
+            _to_poly(pred.descriptor, cols, _nonzeros(r)) for r in reduced
+        ]
 
 
 def test_sc_bases_match_sympy_nullspace(pred):
