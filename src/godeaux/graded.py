@@ -331,7 +331,10 @@ class LeadCertificate:
         key = (desc, tuple(self.leads), top)
         counts = _STANDARD_COUNTS.get(key)
         if counts is None:
-            counts = _STANDARD_COUNTS[key] = _count_standard(desc, self.leads, top)
+            standard = StandardMonomials(desc, self.leads)
+            counts = _STANDARD_COUNTS[key] = {
+                (m, w): c for m in range(top + 1) for w, c in enumerate(standard.counts(m))
+            }
         return dict(counts)
 
     def closes(self) -> bool:
@@ -392,34 +395,62 @@ def _top_reduces_to_zero(f: dict, basis: dict, key) -> bool:
     return True
 
 
-def _count_standard(desc: RingDescriptor, leads, top: int) -> dict[tuple[int, int], int]:
-    """Per (m, w) with m <= top, the monomials in the variables of positive
-    degree that no lead divides.  They are closed under division, so each is
-    reached once, from the monomial with one unit less of its last variable.
-    A step that raises variable j to k can only meet the leads whose
-    exponent of j is k."""
-    n, d = desc.nvars, desc.torsion_order
-    counts = {(m, w): 0 for m in range(top + 1) for w in range(d)}
-    meets: list[dict[int, list[tuple]]] = [{} for _ in range(n)]
-    for lead in leads:
-        for j, k in enumerate(lead):
-            if k:
-                meets[j].setdefault(k, []).append(lead)
-    one = (0,) * n
-    stack = [] if one in leads else [(one, 0, 0, 0)]
-    while stack:
-        exps, m, w, first = stack.pop()
-        counts[m, w] += 1
-        for j in range(first, n):
-            mj = m + desc.degrees[j]
-            if mj > top or not desc.degrees[j]:
+class StandardMonomials:
+    """Per degree, the monomials in the variables of positive degree that no
+    lead divides, built one degree at a time from the lower degrees.  They
+    are closed under division, so each is reached once, from the monomial
+    with one unit less of its last variable, and a step that raises
+    variable j to k can only meet the leads whose exponent of j is k.  A
+    lead of degree k divides no monomial of lower degree, so `add_leads`
+    drops it from the degrees built from k up; a caller that adds each
+    degree's leads once it has read that degree's counts, as the relation
+    census does, walks every standard monomial once."""
+
+    def __init__(self, desc: RingDescriptor, leads=()):
+        self.desc = desc
+        # meets[j][k]: the leads whose exponent of variable j is k > 0.
+        self._meets: list[dict[int, list[tuple]]] = [{} for _ in range(desc.nvars)]
+        # Per degree built: (exponents, weight, last variable raised) of each.
+        self._levels = [[((0,) * desc.nvars, 0, 0)]]
+        self.add_leads(leads)
+
+    def add_leads(self, leads) -> None:
+        levels = self._levels
+        for lead in leads:
+            for j, k in enumerate(lead):
+                if k:
+                    self._meets[j].setdefault(k, []).append(lead)
+            for m in range(self.desc.monomial_degree(lead), len(levels)):
+                levels[m] = [s for s in levels[m] if not all(map(le, lead, s[0]))]
+
+    def counts(self, m: int) -> list[int]:
+        """Per torsion weight w, the degree-m monomials that no lead divides."""
+        while len(self._levels) <= m:
+            self._extend()
+        out = [0] * self.desc.torsion_order
+        for _, w, _ in self._levels[m]:
+            out[w] += 1
+        return out
+
+    def _extend(self) -> None:
+        """Build the next degree: raise variable j of each monomial whose
+        last variable raised is at most j."""
+        desc, levels = self.desc, self._levels
+        m, d = len(levels), desc.torsion_order
+        level = []
+        for j, (dj, wj) in enumerate(zip(desc.degrees, desc.weights)):
+            if not 0 < dj <= m:
                 continue
-            k = exps[j] + 1
-            step = exps[:j] + (k,) + exps[j + 1 :]
-            if any(all(map(le, lead, step)) for lead in meets[j].get(k, ())):
-                continue
-            stack.append((step, mj, (w + desc.weights[j]) % d, j))
-    return counts
+            meets = self._meets[j]
+            for exps, w, last in levels[m - dj]:
+                if last > j:
+                    continue
+                k = exps[j] + 1
+                step = exps[:j] + (k,) + exps[j + 1 :]
+                leads = meets.get(k)
+                if not (leads and any(all(map(le, lead, step)) for lead in leads)):
+                    level.append((step, (w + wj) % d, j))
+        levels.append(level)
 
 
 class _IdealPiece:

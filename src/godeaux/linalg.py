@@ -120,7 +120,9 @@ def solve_columns(columns: list[dict], target: dict) -> list[Scalar] | None:
         return None
     coords: list[Scalar] = [_ZERO] * k
     for row, pc in zip(reduced, pivots):
-        coords[pc] = row.get(k, 0) * scalar_inv(row[pc])
+        # A row with no entry in the target column leaves its coordinate 0.
+        if k in row:
+            coords[pc] = row[k] * scalar_inv(row[pc])
     return coords
 
 

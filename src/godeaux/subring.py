@@ -21,7 +21,7 @@ found below degree m, and L their leads, interreduced per degree in the
 weighted reverse-lex order with the last generator largest (g13 > ... > g1
 for sc; `poly.weighted_revlex_key`).  Every lead lies in in(I), so by
 Macaulay's basis theorem dim (k[g]/I)_m <= count_m(L), the degree-m
-monomials that no lead divides (`graded._count_standard`).  I lies in the
+monomials that no lead divides (`graded.StandardMonomials`).  I lies in the
 evaluation kernel, so dim (k[g]/I)_m >= dim of the image, the degree's
 product span.  When count_m(L) equals that dimension, I_m is the whole
 kernel in degree m and no relation is new.  Otherwise the exact path runs
@@ -34,21 +34,24 @@ interreduced leads join L.  The free monomials of a degree are enumerated
 only where the exact path needs them: its own degree, and the degrees of
 its multipliers.
 
-Wherever terms are multiplied or shifted, they are keyed by packed monomials
-(`godeaux.poly.pack`: one int with an 8-bit field per variable, Monagan and
-Pearce 2007), so a monomial product is one int addition: the substitution
-and evaluation maps' images and memo values, the product spans and their
-factors, the closure products, the congruence multiples, and over the free
-ring the relation multiples.  A field holds exponents 0..255; packing
-refuses a larger one with ValueError.  A sum never carries into the next
-field: every packed product lands in a degree all of whose monomials were
-packed first (the packed twin of a degree's column index,
-`MembershipPredicate._packed_space`, or the census's packed free index), the
-maps bound their image exponents before multiplying, and the closure checks
-refuse a degree above 255 (every variable of the builder has positive
-degree, so no exponent exceeds the degree).  Tuples stay at the edges:
-`basis_terms`, `subspace_basis`, `contains_terms`, the outputs of
-`_generators_with_spans` (kept products are unpacked) and the relations.
+Each V_m is kept once (`MembershipPredicate._space`): the column index of
+the degree-m monomials keyed by packed monomials (`godeaux.poly.pack`: one
+int with an 8-bit field per variable, Monagan and Pearce 2007), V_m's
+reduced echelon basis as integer term dicts over the same keys, and its row
+space.  Every term dict that is multiplied, shifted or indexed is keyed so,
+and a monomial product is one int addition: the basis, the product spans
+and their factors, the closure products, the substitution and evaluation
+maps' images and memo values, the congruence multiples, and over the free
+ring the relation multiples.  A `Polynomial` is packed once where it enters
+(`contains`, `verify_generator_list`, the maps' images and the congruence
+moduli) and unpacked once where it leaves (`subspace_basis`); the relations
+are read off their free-ring columns.  A field holds exponents 0..255;
+packing refuses a larger one with ValueError.  A sum never carries into the
+next field: every packed product lands in a degree all of whose monomials
+were packed first (the degree's record, or the census's packed free index),
+the maps bound their image exponents before multiplying, and the closure
+checks refuse a degree above 255 (every variable of the builder has
+positive degree, so no exponent exceeds the degree).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .graded import _count_standard
+from .graded import StandardMonomials
 from .linalg import IntRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref
 from .poly import (
     FIELD_BITS,
@@ -68,7 +71,6 @@ from .poly import (
     _packed_product,
     degree_and_weight,
     enumerate_monomials,
-    grevlex_key,
     pack,
     packed_index,
     unpack,
@@ -120,12 +122,8 @@ class MembershipPredicate:
         self.descriptor = descriptor
         self.conditions = tuple(conditions)
         self._cache: dict[int, list[Polynomial]] = {}
-        # Per degree: column index, integer term dicts of V_m's reduced
-        # echelon basis and the row space of V_m (never added to once built).
-        self._spaces: dict[int, tuple[dict[tuple, int], list[dict[tuple, int]], IntRowSpace]] = {}
-        # Per degree: the packed twin of that column index (packed monomial
-        # -> column) and V_m's basis as term dicts keyed by packed monomials.
-        self._packed: dict[int, tuple[dict[int, int], list[dict[int, int]]]] = {}
+        # Per degree, the one record of V_m (`_space`).
+        self._spaces: dict[int, tuple[dict[int, int], list[dict[int, int]], IntRowSpace]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
@@ -146,16 +144,12 @@ class MembershipPredicate:
         """Exact canonical basis of V_m inside the ambient degree-m piece."""
         basis = self._cache.get(m)
         if basis is None:
+            desc = self.descriptor
             basis = self._cache[m] = [
-                Polynomial(self.descriptor, {mon: Fraction(x) for mon, x in terms.items()})
-                for terms in self.basis_terms(m)
+                Polynomial(desc, {unpack(k, desc.nvars): Fraction(x) for k, x in terms.items()})
+                for terms in self._space(m)[1]
             ]
         return basis
-
-    def basis_terms(self, m: int) -> list[dict[tuple, int]]:
-        """Integer term dicts of `subspace_basis(m)` (its rows are primitive
-        integer rows), built with V_m; callers must not change them."""
-        return self._space(m)[1]
 
     def _functionals(self, m: int, cols: list[tuple]) -> list[dict[int, int]]:
         """Integer functionals of all the conditions on the degree-m
@@ -193,45 +187,33 @@ class MembershipPredicate:
             return True
         if dw == "inhomogeneous":
             raise ValueError("membership needs a homogeneous polynomial")
-        return self.contains_terms(dw[0], _int_terms(p))
+        return self.contains_terms(dw[0], _packed_terms(_int_terms(p)))
 
-    def contains_terms(self, m: int, terms: Mapping[tuple, int]) -> bool:
+    def contains_terms(self, m: int, terms: Mapping[int, int]) -> bool:
         """`contains` for a degree-m polynomial given as its nonzero integer
-        terms.  At torsion order 1 every weight is 0, and no term is read
-        for it."""
-        desc = self.descriptor
-        if desc.torsion_order > 1 and len({desc.monomial_weight(mon) for mon in terms}) > 1:
-            raise ValueError("membership needs a homogeneous polynomial")
+        terms keyed by packed monomials; their weights are not read."""
         index, _, rs = self._space(m)
-        return rs.contains({index[mon]: c for mon, c in terms.items()})
+        return rs.contains({index[k]: c for k, c in terms.items()})
 
-    def _space(self, m: int):
-        """(column index of the degree-m monomials, integer term dicts of
-        V_m's reduced echelon basis, row space of V_m), built once: V_m is
-        the kernel of all the conditions' functionals."""
+    def _space(self, m: int) -> tuple[dict[int, int], list[dict[int, int]], IntRowSpace]:
+        """(packed monomial -> column of the degree-m monomials, V_m's
+        reduced echelon basis as integer term dicts keyed by packed
+        monomials, row space of V_m), built once: V_m is the kernel of all
+        the conditions' functionals.  Every degree-m monomial is packed
+        here, so a product that lands in degree m has exponents that fit
+        their fields.  Callers must not change the record."""
         space = self._spaces.get(m)
         if space is None:
             cols = self.ambient_monomials(m)
-            index = {mon: i for i, mon in enumerate(cols)}
-            terms = []
+            index = packed_index(cols)
+            packed = list(index)
+            basis = []
             rs = IntRowSpace(len(cols))
             for row in int_kernel_rref(self._functionals(m, cols), len(cols)):
-                terms.append({cols[j]: x for j, x in row.items()})
+                basis.append({packed[j]: x for j, x in row.items()})
                 rs.add_nonzeros(row)
-            space = self._spaces[m] = (index, terms, rs)
+            space = self._spaces[m] = (index, basis, rs)
         return space
-
-    def _packed_space(self, m: int) -> tuple[dict[int, int], list[dict[int, int]]]:
-        """(packed monomial -> column of the degree-m monomials, V_m's
-        reduced echelon basis keyed by packed monomials), built once.  Every
-        degree-m monomial is packed here, so a product that lands in degree
-        m has exponents that fit their fields."""
-        packed = self._packed.get(m)
-        if packed is None:
-            index, terms, _ = self._space(m)
-            basis = [_packed_terms(t) for t in terms]
-            packed = self._packed[m] = (packed_index(list(index)), basis)
-        return packed
 
 
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
@@ -402,23 +384,19 @@ class _FactorSpans:
     def __getitem__(self, k: int) -> list[tuple[int, dict[int, int]]]:
         return self._by_degree[k]
 
-    def add_generator(self, degree: int, terms: dict[tuple, int]) -> None:
-        self.generators.append((degree, pack(_lead(terms)), _packed_terms(terms)))
+    def add_generator(self, degree: int, terms: dict[int, int]) -> None:
+        """Add a generator, given as its packed integer terms."""
+        index = self.pred._space(degree)[0]
+        self.generators.append((degree, min(terms, key=index.__getitem__), terms))
 
     def close(self, m: int, products: list[dict[int, int]], full: bool) -> None:
         """Fix the degree-m factors, from the packed products of a degree-m
         span that reached dim V_m when `full`, or fell short.  Columns are in
         grevlex order, so a lead is the monomial of the least column."""
-        index, basis = self.pred._packed_space(m)
-        cols = list(index)
+        index, basis, _ = self.pred._space(m)
         self._by_degree[m] = [
-            (cols[min(map(index.__getitem__, t))], t) for t in (basis if full else products)
+            (min(t, key=index.__getitem__), t) for t in (basis if full else products)
         ]
-
-
-def _lead(terms: Mapping[tuple, int]) -> tuple:
-    """Leading monomial of a nonzero term dict: its leftmost column."""
-    return min(terms, key=grevlex_key)
 
 
 class SubringBuilder:
@@ -439,32 +417,26 @@ class SubringBuilder:
 
     def _generators_with_spans(self, max_degree: int):
         """Selected generators, spanning products of the subalgebra pieces
-        as integer term dicts, and per degree the pivot columns of their
-        span."""
+        as packed integer term dicts, and per degree the pivot columns of
+        their span."""
         gens: list[tuple[Polynomial, int]] = []
         factors = _FactorSpans(self.pred)
-        span_terms = {0: [_int_terms(self.desc.one())]}
+        span_terms = {0: [{0: 1}]}
         span_pivots: dict[int, list[int]] = {}
         # Selected generators lie in V.
         closed = self.pred.closed_under_products
         for m in range(1, max_degree + 1):
             full = self.pred.dim(m) if closed else None
             index, rs, piece = self._product_span(factors, m, full)
-            # The kept products, unpacked through their columns.
-            cols = self.pred.ambient_monomials(m)
-            kept = [{cols[index[k]]: c for k, c in p.items()} for p in piece]
             if rs.dim != full:
                 # Basis elements are primitive integer rows already (int_kernel_rref).
-                basis = zip(self.pred.subspace_basis(m), self.pred.basis_terms(m),
-                            self.pred._packed_space(m)[1])
-                for v, terms, packed in basis:
-                    if rs.add_nonzeros({index[k]: c for k, c in packed.items()}):
-                        piece.append(packed)
-                        kept.append(terms)
+                for v, terms in zip(self.pred.subspace_basis(m), self.pred._space(m)[1]):
+                    if rs.add_nonzeros({index[k]: c for k, c in terms.items()}):
+                        piece.append(terms)
                         gens.append((v, m))
                         factors.add_generator(m, terms)
             factors.close(m, piece, rs.dim == full)
-            span_terms[m] = kept
+            span_terms[m] = piece
             span_pivots[m] = rs.pivot_columns()
         return gens, span_terms, span_pivots
 
@@ -474,7 +446,7 @@ class SubringBuilder:
 
         Factors and products are integer term dicts keyed by packed
         monomials; each product lands in degree m, every monomial of which
-        `_packed_space(m)` has packed, so no field carries.  Scaling a
+        `_space(m)` has packed, so no field carries.  Scaling a
         factor does not change the span, and the row space stores primitive
         rows.  The caller passes
         `full` = dim V_m only when every factor lies in V and V is closed
@@ -487,7 +459,7 @@ class SubringBuilder:
         lead(g) + lead(b), known before the product is formed.  One product
         per leading column that is not a pivot yet enters first, with no
         elimination step; the colliding products follow in reverse."""
-        index = self.pred._packed_space(m)[0]
+        index = self.pred._space(m)[0]
         rs = IntRowSpace(len(index))
         taken = set()
         firsts, colliding = [], []
@@ -533,9 +505,10 @@ class SubringBuilder:
         relation_terms: list[tuple[int, list[tuple[int, int]]]] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
-        # Leading monomials of the relations found so far, interreduced per
-        # degree in the weighted reverse-lex order, last generator largest.
-        leads: list[tuple] = []
+        # The monomials that no lead of the relations found so far divides,
+        # the leads interreduced per degree in the weighted reverse-lex order,
+        # last generator largest.
+        standard = StandardMonomials(free)
         free_index = _FreeIndex(free)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
@@ -543,7 +516,7 @@ class SubringBuilder:
             # When the monomials that no lead divides are as many, no
             # relation of degree m is new.
             new = []
-            if _count_standard(free, leads, m)[m, 0] != len(span_terms[m]):
+            if standard.counts(m)[0] != len(span_terms[m]):
                 new = self._exact_relations(
                     free, m, free_index, evaluate, span_pivots[m], relation_terms
                 )
@@ -552,7 +525,7 @@ class SubringBuilder:
                 for row in new:
                     relations.append(_to_poly(free, free_mons, row))
                     relation_terms.append((m, [(packed[j], x) for j, x in row.items()]))
-                leads += _interreduced_leads(new, free_mons, key)
+                standard.add_leads(_interreduced_leads(new, free_mons, key))
             relation_census[m] = len(new)
         warning = None
         if max_degree < 10:
@@ -592,7 +565,7 @@ class SubringBuilder:
         these rows have the full rank: they cut out the same kernel.  They
         are eliminated sparsest first; the reduced echelon form, and so the
         kernel basis, does not depend on their order."""
-        index = self.pred._packed_space(m)[0]
+        index = self.pred._space(m)[0]
         rows: dict[int, dict[int, int]] = {j: {} for j in pivots}
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
@@ -626,7 +599,7 @@ class SubringBuilder:
         generation: dict[int, tuple[int, int, bool]] = {}
         factors = _FactorSpans(self.pred)
         for p, dg in degreed:
-            factors.add_generator(dg, _int_terms(p))
+            factors.add_generator(dg, _packed_terms(_int_terms(p)))
         # A claim with a non-member must still show its excess span.
         closed = self.pred.closed_under_products and all(ok is True for *_, ok in memberships)
         for m in range(1, max_degree + 1):
@@ -646,7 +619,7 @@ class SubringBuilder:
         # are at most its degree, here at most max_degree.
         if max_degree >> FIELD_BITS:
             raise ValueError(f"degree {max_degree} does not fit {FIELD_BITS}-bit packed fields")
-        n = self.desc.nvars
+        n, weight = self.desc.nvars, self.desc.monomial_weight
         rng = random.Random(seed)
         results = []
         degrees = [m for m in range(1, max_degree) if self.pred.dim(m)]
@@ -658,9 +631,12 @@ class SubringBuilder:
             if not j_choices:
                 continue
             j = rng.choice(j_choices)
-            p = _random_combination(self.pred._packed_space(i)[1], rng)
-            q = _random_combination(self.pred._packed_space(j)[1], rng)
-            prod = {unpack(k, n): c for k, c in _packed_product(p, q).items()}
+            p = _random_combination(self.pred._space(i)[1], rng)
+            q = _random_combination(self.pred._space(j)[1], rng)
+            prod = _packed_product(p, q)
+            # As `contains`, a product that mixes torsion weights is refused.
+            if self.desc.torsion_order > 1 and len({weight(unpack(k, n)) for k in prod}) > 1:
+                raise ValueError("membership needs a homogeneous polynomial")
             results.append((i, j, self.pred.contains_terms(i + j, prod)))
         return results
 
@@ -745,7 +721,7 @@ def _random_combination(basis: list[dict[int, int]], rng: random.Random) -> dict
     """A nonzero combination of integer term dicts with coefficients drawn
     from -9..9, one draw per basis element, drawn again while it is zero."""
     while True:
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         for b in basis:
             c = rng.randint(-9, 9)
             if c:

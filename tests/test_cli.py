@@ -388,7 +388,8 @@ def _assert_fixture_mutants(fixture, desc, scenario, valid, capsys, monkeypatch)
     lines = read(fixture).splitlines()
     served = {}
     monkeypatch.setattr(fixtures, "_read", lambda name: served.get(name) or read(name))
-    caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution)
+    caches = (fixtures.descriptor, fixtures._polynomial_lines, fixtures._substitution,
+              fixtures._z3_relations)
     outcomes = []
     try:
         for k, raw in enumerate(lines):
@@ -445,6 +446,23 @@ def test_every_z5_plane_mutant_fails_a_check(capsys, monkeypatch):
     # valid and every check must hold.  Every other mutant must fail a check.
     _assert_fixture_mutants(
         "z5_planes.txt", fixtures.z5_descriptor(), "z5", _is_multiple, capsys, monkeypatch
+    )
+
+
+@pytest.mark.slow
+def test_every_z3_relation_mutant_fails_a_check(capsys, monkeypatch):
+    from godeaux.scenarios import fixtures
+
+    # H0, H1 and H2 enter no syzygy check, and -H_i generates the same ideal
+    # as H_i: every table is unchanged, and x2^2 * H_i stays in the ideal of
+    # f, g and h with its certificate negated.  So their sign flips are valid
+    # fixtures and every check must hold.  The syzygy checks are identities
+    # with fixed signs in f0..2, g0..2 and h0, so a flip of one of those
+    # fails them; every other mutant must fail a check.
+    h = [p for name, _, _, p in fixtures.z3_relations() if name.startswith("H")]
+    _assert_fixture_mutants(
+        "z3_relations.txt", fixtures.z3_descriptor(), "z3",
+        lambda q, p: p in h and q == -p, capsys, monkeypatch,
     )
 
 

@@ -131,15 +131,16 @@ def test_the_deep_table_builds_no_piece_past_the_certificate(monkeypatch):
 
 def test_a_patched_count_refuses_and_the_pieces_take_over(monkeypatch):
     good = numeric_report()
-    count = graded._count_standard
+    counts = graded.StandardMonomials.counts
 
-    def off_by_one(desc, leads, top):
-        counts = count(desc, leads, top)
-        counts[5, 1] += 1
-        return counts
+    def off_by_one(self, m):
+        out = counts(self, m)
+        if m == 5:
+            out[1] += 1
+        return out
 
     monkeypatch.setattr(graded, "_STANDARD_COUNTS", {})
-    monkeypatch.setattr(graded, "_count_standard", off_by_one)
+    monkeypatch.setattr(graded.StandardMonomials, "counts", off_by_one)
     built = spy_pieces(monkeypatch)
     assert numeric_report() == good
     # Tables to 12 and injectivity into degree 13 come from the pieces.

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, le
 
 import random
 
@@ -19,10 +19,10 @@ from godeaux import (
     render_polynomial,
 )
 from godeaux import subring
-from godeaux.graded import _count_standard
-from godeaux.linalg import IntRowSpace, int_kernel_basis, int_kernel_rref, int_rref
+from godeaux.graded import StandardMonomials
+from godeaux.linalg import IntRowSpace, Matrix, int_kernel_basis, int_kernel_rref, int_rref
 from godeaux.poly import (
-    _product, degree_and_weight, enumerate_monomials, grevlex_key, weighted_revlex_key,
+    _product, degree_and_weight, enumerate_monomials, grevlex_key, unpack, weighted_revlex_key,
 )
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -488,6 +488,12 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     gens, span_terms = reference_spans(builder.pred, max_degree)
     got_gens, got_terms, got_pivots = builder._generators_with_spans(max_degree)
     assert got_gens == gens
+    # The kept products are packed; the oracle's are keyed by exponent tuples.
+    n = builder.desc.nvars
+    got_terms = {
+        m: [{unpack(k, n): c for k, c in p.items()} for p in products]
+        for m, products in got_terms.items()
+    }
     assert {m: len(t) for m, t in got_terms.items()} == {m: len(t) for m, t in span_terms.items()}
     for m, products in span_terms.items():
         reduced, pivots = _span_echelon(builder.pred, m, products)
@@ -509,15 +515,15 @@ def test_a_count_off_by_one_sends_its_degree_to_the_exact_path(case, delta, monk
     relations, census, hilbert, _ = reference_census(SubringBuilder(make()), max_degree)
     # The last degree with no new relation; for sc, degree 11.
     patched = max(m for m, n in census.items() if n == 0)
-    count = subring._count_standard
+    counts = StandardMonomials.counts
 
-    def off_by_one(desc, leads, top):
-        counts = count(desc, leads, top)
-        if top == patched:
-            counts[patched, 0] += delta
-        return counts
+    def off_by_one(self, m):
+        out = counts(self, m)
+        if m == patched:
+            out[0] += delta
+        return out
 
-    monkeypatch.setattr(subring, "_count_standard", off_by_one)
+    monkeypatch.setattr(StandardMonomials, "counts", off_by_one)
     exact = _exact_degrees(monkeypatch)
     pres = SubringBuilder(make()).presentation(max_degree)
     assert pres.relations == relations
@@ -655,12 +661,56 @@ def test_standard_count_bounds_the_quotient_dimension(data):
         older = [r for r in relations if degree_and_weight(r)[0] < m]
         # Exact rank: every multiple, at a target no rank reaches.
         rank = _ideal_rows(free, m, older, free_index, len(free_mons) + 1).dim
-        assert _count_standard(free, leads, m)[m, 0] >= len(free_mons) - rank
+        assert StandardMonomials(free, leads).counts(m)[0] >= len(free_mons) - rank
         rows = [
             _nonzeros(_row(_int_terms(r), free_index))
             for r in relations if degree_and_weight(r)[0] == m
         ]
         leads += _interreduced_leads(rows, free_mons, key)
+
+
+def _walk_standard(desc, leads, top):
+    """Per degree m <= top, the monomials that no lead divides in a ring
+    whose variables all have positive degree, counted as the census once
+    counted them: one walk from 1, each monomial reached from the one with
+    one unit less of its last variable."""
+    counts = [0] * (top + 1)
+    n = desc.nvars
+    stack = [] if (0,) * n in leads else [((0,) * n, 0, 0)]
+    while stack:
+        exps, m, first = stack.pop()
+        counts[m] += 1
+        for j in range(first, n):
+            mj = m + desc.degrees[j]
+            step = exps[:j] + (exps[j] + 1,) + exps[j + 1:]
+            if mj <= top and not any(all(map(le, lead, step)) for lead in leads):
+                stack.append((step, mj, j))
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=free_presentations())
+def test_incremental_standard_counts_match_a_walk_from_scratch(data):
+    # Leads join degree by degree, after their degree is counted, as in the
+    # census; a fresh count with every lead must agree as well.
+    free, relations = data
+    key = weighted_revlex_key(free, free.variables[::-1])
+    top = 9
+    standard = StandardMonomials(free)
+    leads = []
+    for m in range(1, top + 1):
+        assert standard.counts(m) == [_walk_standard(free, leads, m)[m]], m
+        free_mons = enumerate_monomials(free, m)
+        free_index = {mon: i for i, mon in enumerate(free_mons)}
+        rows = [
+            _nonzeros(_row(_int_terms(r), free_index))
+            for r in relations if degree_and_weight(r)[0] == m
+        ]
+        new = _interreduced_leads(rows, free_mons, key)
+        standard.add_leads(new)
+        leads += new
+    fresh = StandardMonomials(free, leads)
+    assert [fresh.counts(m)[0] for m in range(top + 1)] == _walk_standard(free, leads, top)
 
 
 def greedy_relations(kernel, n, multiples):
@@ -1037,7 +1087,7 @@ def test_sc_bases_match_sympy_nullspace(pred):
         for row in reduced:
             mult = lcm(*(int(sympy.fraction(x)[1]) for x in row))
             expected.append(_primitive([int(x * mult) for x in row]))
-        assert [_row(t, index) for t in pred.basis_terms(m)] == expected, m
+        assert [_vector(p, index) for p in pred.subspace_basis(m)] == expected, m
 
 
 def test_sc_bases_match_the_sequential_narrowing(pred):
@@ -1133,6 +1183,36 @@ def test_interleaved_queries_answer_as_on_a_fresh_predicate(pred, data):
             assert pred.subspace_basis(m) == fresh.subspace_basis(m)
         else:
             assert getattr(pred, kind)(m) == getattr(fresh, kind)(m)
+
+
+# A torsion order above 1 and a degree-0 variable u, which monomials carry at
+# exponent at most 1.
+UXY = RingDescriptor(("u", "x", "y"), (0, 1, 1), (1, 0, 2), torsion_order=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted=st.booleans(), m=st.integers(2, 8), data=st.data())
+def test_packed_membership_matches_the_rank_of_the_dense_span(pred, weighted, m, data):
+    # A rational combination of V_m's basis, with or without one ambient
+    # monomial added, lies in V_m exactly when it leaves the rank of the
+    # basis unchanged.  A sum that mixes torsion weights is refused.
+    if weighted:
+        pred = MembershipPredicate(UXY, [WeightCondition(1)])
+    basis = pred.subspace_basis(m)
+    cols = pred.ambient_monomials(m)
+    index = {mon: j for j, mon in enumerate(cols)}
+    p = Polynomial(pred.descriptor, {})
+    for b in basis:
+        p = p + b.scale(Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 4))))
+    if data.draw(st.booleans()):
+        mon = data.draw(st.sampled_from(cols))
+        p = p + Polynomial(pred.descriptor, {mon: Fraction(data.draw(st.integers(-3, 3)))})
+    if degree_and_weight(p) == "inhomogeneous":
+        with pytest.raises(ValueError, match="homogeneous"):
+            pred.contains(p)
+        return
+    rows = [_vector(q, index) for q in [*basis, p]]
+    assert pred.contains(p) == (len(Matrix.from_rows(rows).rref()[1]) == len(basis))
 
 
 def reference_verify_generator_list(builder, claimed, max_degree):
