@@ -257,11 +257,6 @@ class GradedPresentation:
         return all(probe.add_nonzeros(row) for row in rows)
 
 
-# Standard-monomial counts per (descriptor, leads, top degree): presentations
-# that share their leads share the counts.
-_STANDARD_COUNTS: dict[tuple, dict[tuple[int, int], int]] = {}
-
-
 class LeadCertificate:
     """Buchberger's criterion (1965) in the weighted reverse-lex order with
     the variables of positive degree ranked as given
@@ -298,7 +293,7 @@ class LeadCertificate:
     in(v * f') = v * in(f'), so also in(f'), a term of a remainder.
     """
 
-    __slots__ = ("pres", "leads", "pairs", "degree", "_key")
+    __slots__ = ("pres", "leads", "pairs", "degree", "_key", "_standard")
 
     def __init__(self, pres: GradedPresentation, ranking):
         desc = pres.descriptor
@@ -313,6 +308,7 @@ class LeadCertificate:
         self.pairs = [(s, t) for s, t in combinations(self.leads, 2) if any(map(min, s, t))]
         lcm_degrees = [desc.monomial_degree(map(max, s, t)) for s, t in self.pairs]
         self.degree = max(lcm_degrees + [d for d, _ in pres.relation_bidegrees], default=0)
+        self._standard = None
 
     def _heads(self) -> list[tuple]:
         """Per relation, the x-monomial of its leading term: its exponents
@@ -325,17 +321,12 @@ class LeadCertificate:
 
     def standard_counts(self, top: int) -> dict[tuple[int, int], int]:
         """Per bidegree (m, w) with m <= top, the number of monomials in the
-        variables of positive degree that no lead divides; counted once per
-        descriptor, leads and top."""
-        desc = self.pres.descriptor
-        key = (desc, tuple(self.leads), top)
-        counts = _STANDARD_COUNTS.get(key)
-        if counts is None:
-            standard = StandardMonomials(desc, self.leads)
-            counts = _STANDARD_COUNTS[key] = {
-                (m, w): c for m in range(top + 1) for w, c in enumerate(standard.counts(m))
-            }
-        return dict(counts)
+        variables of positive degree that no lead divides; each is walked
+        once per certificate."""
+        if self._standard is None:
+            self._standard = StandardMonomials(self.pres.descriptor, self.leads)
+        counts = self._standard.counts
+        return {(m, w): c for m in range(top + 1) for w, c in enumerate(counts(m))}
 
     def closes(self) -> bool:
         """True iff G's lead coefficients are nonzero constants and every

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, mul
+from types import MappingProxyType
 
 from .scalars import (
     Cyclo,
@@ -303,11 +304,6 @@ def unpack(key: int, nvars: int) -> tuple:
     return tuple(key.to_bytes(nvars, "big"))
 
 
-def packed_index(mons) -> dict[int, int]:
-    """{packed monomial: position} of a list of exponent tuples."""
-    return dict(zip(map(pack, mons), range(len(mons))))
-
-
 def _packed_product(t1: Mapping[int, Scalar], t2: Mapping[int, Scalar]) -> dict:
     """`_product` of two term dicts keyed by packed monomials: each monomial
     product is one int addition."""
@@ -339,6 +335,8 @@ def degree_and_weight(p: Polynomial):
 
 
 _MONOMIALS: dict[tuple, list[tuple]] = {}
+# Per (descriptor, degree), {packed monomial: column} of `enumerate_monomials`.
+_COLUMNS: dict[tuple, dict[int, int]] = {}
 
 
 def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
@@ -356,6 +354,18 @@ def enumerate_monomials(desc: RingDescriptor, m: int, w="all") -> list[tuple]:
         _enumerate(desc, m)
         cached = _MONOMIALS[key]
     return list(cached)
+
+
+def monomial_columns(desc: RingDescriptor, m: int) -> Mapping[int, int]:
+    """{packed monomial: column} of the degree-m monomials in the order of
+    `enumerate_monomials`, as a read-only view.  Each (descriptor, m) is
+    packed once per process, so a packed product that lands in degree m
+    has exponents that fit their fields."""
+    columns = _COLUMNS.get((desc, m))
+    if columns is None:
+        mons = enumerate_monomials(desc, m)
+        columns = _COLUMNS[desc, m] = dict(zip(map(pack, mons), range(len(mons))))
+    return MappingProxyType(columns)
 
 
 def _enumerate(desc: RingDescriptor, m: int) -> None:

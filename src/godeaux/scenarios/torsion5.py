@@ -41,77 +41,78 @@ def _plane_rank(planes: list[Polynomial], subset) -> int:
     return rs.dim
 
 
-def run_z5(max_degree: int = 12) -> VerificationReport:
-    start = time.perf_counter()
+# The coordinates of P^3 in z5.ring, one fixed point each: a z5.ring that
+# does not parse still fails one entry per coordinate.
+COORDINATES = ("x1", "x2", "x3", "x4")
+
+
+def _z5_values(max_degree: int):
+    """(quintic invariant, arrangement counts, value of the quintic at each
+    coordinate fixed point, invariant dimensions) from the fixtures."""
     desc = fixtures.z5_descriptor()
     planes = fixtures.z5_planes()
+    if len(planes) != 5:
+        raise ValueError(f"z5_planes.txt lists {len(planes)} planes, not 5")
     q = z5_quintic()
     action = CyclicAction.for_descriptor(desc)
-    checks: list[Check] = []
+    invariant = act(action, 1, q) == q and weight_of(action, q) == 0
+    arrangement = {
+        "triple_points": sum(
+            _plane_rank(planes, subset) == 3 for subset in combinations(range(5), 3)
+        ),
+        "quadruple_violations": sum(
+            _plane_rank(planes, subset) != 4 for subset in combinations(range(5), 4)
+        ),
+    }
+    fixed = {}
+    for j, name in enumerate(desc.variables):
+        exps = tuple(5 if k == j else 0 for k in range(desc.nvars))
+        fixed[name] = "nonzero" if q.coefficient(exps) != 0 else "zero"
+    dims = {str(m): quotient_dim(m, 0) for m in range(max_degree + 1)}
+    return invariant, arrangement, fixed, dims
 
-    checks.append(
+
+def run_z5(max_degree: int = 12) -> VerificationReport:
+    start = time.perf_counter()
+    try:
+        invariant, arrangement, fixed, dims = _z5_values(max_degree)
+        names = list(fixed)
+    except ValueError as exc:
+        # A z5.ring or z5_planes.txt that does not parse, or a plane file
+        # without five planes, fails every check, with the error as actual
+        # value.
+        invariant = arrangement = fixed = dims = str(exc)
+        names = COORDINATES
+    checks = [
         Check(
             "z5.quintic-invariant",
             "the quintic equals its image under the group generator",
             "invariant quintic: the five plane factors permute cyclically",
             expected=True,
-            actual=(act(action, 1, q) == q and weight_of(action, q) == 0),
-        )
-    )
-
-    triple_points = 0
-    bad_triples = []
-    for subset in combinations(range(5), 3):
-        if _plane_rank(planes, subset) == 3:
-            triple_points += 1
-        else:
-            bad_triples.append(subset)
-    quad_violations = []
-    for subset in combinations(range(5), 4):
-        if _plane_rank(planes, subset) != 4:
-            quad_violations.append(subset)
-    checks.append(
+            actual=invariant,
+        ),
         Check(
             "z5.triple-points",
             "every 3 of the 5 planes meet in one point, no 4 share a point",
             "plane arrangement with exactly 10 triple points",
             expected={"triple_points": 10, "quadruple_violations": 0},
-            actual={
-                "triple_points": triple_points,
-                "quadruple_violations": len(quad_violations),
-            },
-        )
-    )
-
-    fixed_point_values = {}
-    for j, name in enumerate(desc.variables):
-        exps = tuple(5 if k == j else 0 for k in range(desc.nvars))
-        fixed_point_values[name] = q.coefficient(exps)
-    checks.append(
+            actual=arrangement,
+        ),
         Check(
             "z5.fixed-points-off-quintic",
             "the quintic is nonzero at each coordinate fixed point of the action",
             "free action on the quintic: q(e_i) != 0",
-            expected={name: "nonzero" for name in desc.variables},
-            actual={
-                name: ("nonzero" if v != 0 else "zero")
-                for name, v in fixed_point_values.items()
-            },
-        )
-    )
-
-    expected_dims = {str(m): oracle_plurigenus(m) for m in range(max_degree + 1)}
-    actual_dims = {str(m): quotient_dim(m, 0) for m in range(max_degree + 1)}
-    checks.append(
+            expected={name: "nonzero" for name in names},
+            actual=fixed,
+        ),
         Check(
             "z5.invariant-dimensions",
             f"invariant-ring dimensions of the quintic quotient up to degree {max_degree}",
             "plurigenus formula 1 + m(m-1)/2 with dims 1, 0 at m = 0, 1",
-            expected=expected_dims,
-            actual=actual_dims,
-        )
-    )
-
+            expected={str(m): oracle_plurigenus(m) for m in range(max_degree + 1)},
+            actual=dims,
+        ),
+    ]
     report = VerificationReport(
         "z5",
         {"max_degree": max_degree, "truncation": f"all claims verified up to degree {max_degree}"},

@@ -36,20 +36,21 @@ its multipliers.
 
 Each V_m is kept once (`MembershipPredicate._space`): the column index of
 the degree-m monomials keyed by packed monomials (`godeaux.poly.pack`: one
-int with an 8-bit field per variable, Monagan and Pearce 2007), V_m's
-reduced echelon basis as integer term dicts over the same keys, and its row
-space.  Every term dict that is multiplied, shifted or indexed is keyed so,
-and a monomial product is one int addition: the basis, the product spans
-and their factors, the closure products, the substitution and evaluation
-maps' images and memo values, the congruence multiples, and over the free
-ring the relation multiples.  A `Polynomial` is packed once where it enters
+int with an 8-bit field per variable, Monagan and Pearce 2007), which
+`poly.monomial_columns` builds once per ring and degree, V_m's reduced
+echelon basis as integer term dicts over the same keys, and its row space.
+Every term dict that is multiplied, shifted or indexed is keyed so, and a
+monomial product is one int addition: the basis, the product spans and
+their factors, the closure products, the substitution and evaluation maps'
+images and memo values, the congruence multiples, and over the free ring
+the relation multiples.  A `Polynomial` is packed once where it enters
 (`contains`, `verify_generator_list`, the maps' images and the congruence
 moduli) and unpacked once where it leaves (`subspace_basis`); the relations
 are read off their free-ring columns.  A field holds exponents 0..255;
 packing refuses a larger one with ValueError.  A sum never carries into the
 next field: every packed product lands in a degree all of whose monomials
-were packed first (the degree's record, or the census's packed free index),
-the maps bound their image exponents before multiplying, and the closure
+were packed first (`poly.monomial_columns` of the ambient or free ring), the
+maps bound their image exponents before multiplying, and the closure
 checks refuse a degree above 255 (every variable of the builder has
 positive degree, so no exponent exceeds the degree).
 """
@@ -71,8 +72,8 @@ from .poly import (
     _packed_product,
     degree_and_weight,
     enumerate_monomials,
+    monomial_columns,
     pack,
-    packed_index,
     unpack,
     weighted_revlex_key,
 )
@@ -123,7 +124,7 @@ class MembershipPredicate:
         self.conditions = tuple(conditions)
         self._cache: dict[int, list[Polynomial]] = {}
         # Per degree, the one record of V_m (`_space`).
-        self._spaces: dict[int, tuple[dict[int, int], list[dict[int, int]], IntRowSpace]] = {}
+        self._spaces: dict[int, tuple[Mapping[int, int], list[dict[int, int]], IntRowSpace]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
@@ -141,7 +142,8 @@ class MembershipPredicate:
         return enumerate_monomials(self.descriptor, m)
 
     def subspace_basis(self, m: int) -> list[Polynomial]:
-        """Exact canonical basis of V_m inside the ambient degree-m piece."""
+        """Exact canonical basis of V_m inside the ambient degree-m piece, as
+        a fresh list."""
         basis = self._cache.get(m)
         if basis is None:
             desc = self.descriptor
@@ -149,7 +151,7 @@ class MembershipPredicate:
                 Polynomial(desc, {unpack(k, desc.nvars): Fraction(x) for k, x in terms.items()})
                 for terms in self._space(m)[1]
             ]
-        return basis
+        return list(basis)
 
     def _functionals(self, m: int, cols: list[tuple]) -> list[dict[int, int]]:
         """Integer functionals of all the conditions on the degree-m
@@ -195,17 +197,15 @@ class MembershipPredicate:
         index, _, rs = self._space(m)
         return rs.contains({index[k]: c for k, c in terms.items()})
 
-    def _space(self, m: int) -> tuple[dict[int, int], list[dict[int, int]], IntRowSpace]:
-        """(packed monomial -> column of the degree-m monomials, V_m's
-        reduced echelon basis as integer term dicts keyed by packed
-        monomials, row space of V_m), built once: V_m is the kernel of all
-        the conditions' functionals.  Every degree-m monomial is packed
-        here, so a product that lands in degree m has exponents that fit
-        their fields.  Callers must not change the record."""
+    def _space(self, m: int) -> tuple[Mapping[int, int], list[dict[int, int]], IntRowSpace]:
+        """(`poly.monomial_columns` of degree m, V_m's reduced echelon basis
+        as integer term dicts keyed by packed monomials, row space of V_m),
+        built once: V_m is the kernel of all the conditions' functionals.
+        Callers must not change the record."""
         space = self._spaces.get(m)
         if space is None:
             cols = self.ambient_monomials(m)
-            index = packed_index(cols)
+            index = monomial_columns(self.descriptor, m)
             packed = list(index)
             basis = []
             rs = IntRowSpace(len(cols))
@@ -243,7 +243,7 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
         return [{j: 1} for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
-        index = packed_index(cols)
+        index = monomial_columns(desc, m)
         span_rows = [
             {j: 1} for j, mon in enumerate(cols) if all(mon[i] % 2 == 0 for i in even_idx)
         ]
@@ -256,7 +256,7 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
             # mult * f is f's cleared integer row shifted to mult + e, all
             # in degree m, whose monomials index packed.
             terms = _packed_terms(_int_terms(f))
-            for mult in map(pack, enumerate_monomials(desc, m - dw[0])):
+            for mult in monomial_columns(desc, m - dw[0]):
                 span_rows.append({index[mult + e]: c for e, c in terms.items()})
         # Over Q, v lies in span(S) exactly when every functional that
         # vanishes on S vanishes on v: the annihilator cuts out the span.
@@ -509,7 +509,6 @@ class SubringBuilder:
         # the leads interreduced per degree in the weighted reverse-lex order,
         # last generator largest.
         standard = StandardMonomials(free)
-        free_index = _FreeIndex(free)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
             # span_terms[m] is a basis of the image of the evaluation map.
@@ -517,11 +516,11 @@ class SubringBuilder:
             # relation of degree m is new.
             new = []
             if standard.counts(m)[0] != len(span_terms[m]):
-                new = self._exact_relations(
-                    free, m, free_index, evaluate, span_pivots[m], relation_terms
-                )
                 free_mons = enumerate_monomials(free, m)
-                packed = list(free_index[m])
+                new = self._exact_relations(
+                    free, m, free_mons, evaluate, span_pivots[m], relation_terms
+                )
+                packed = list(monomial_columns(free, m))
                 for row in new:
                     relations.append(_to_poly(free, free_mons, row))
                     relation_terms.append((m, [(packed[j], x) for j, x in row.items()]))
@@ -541,18 +540,17 @@ class SubringBuilder:
             warning=warning,
         )
 
-    def _exact_relations(self, free, m, free_index, evaluate, pivots, relation_terms):
+    def _exact_relations(self, free, m, free_mons, evaluate, pivots, relation_terms):
         """The new degree-m relations over Z, as primitive integer rows over
-        the free monomials: the greedy choice from the sorted evaluation
-        kernel against the monomial multiples of the earlier relations;
-        free_index maps each degree up to m to its packed free monomial ->
-        column."""
-        kernel = self._evaluation_kernel(m, enumerate_monomials(free, m), evaluate, pivots)
-        index = free_index[m]
+        free_mons, the degree-m free monomials: the greedy choice from the
+        sorted evaluation kernel against the monomial multiples of the
+        earlier relations."""
+        kernel = self._evaluation_kernel(m, free_mons, evaluate, pivots)
+        index = monomial_columns(free, m)
         multiples = (
             {index[mult + e]: c for e, c in terms}
             for dr, terms in relation_terms
-            for mult in free_index[m - dr]
+            for mult in monomial_columns(free, m - dr)
         )
         return _relations_by_duality(kernel, multiples)
 
@@ -690,19 +688,6 @@ def _dense_order(v: Mapping[int, int]) -> list[tuple]:
     (1, -c, x), and the end as (0,): where dense rows first differ at a
     column only one has, that one is smaller iff its entry is negative."""
     return [(1, -c, x) if x > 0 else (-1, c, x) for c, x in v.items()] + [(0,)]
-
-
-class _FreeIndex(dict):
-    """Per degree of the free ring, packed free monomial -> column, built
-    when a degree is first read."""
-
-    def __init__(self, free: RingDescriptor):
-        super().__init__()
-        self.free = free
-
-    def __missing__(self, m: int) -> dict[int, int]:
-        index = self[m] = packed_index(enumerate_monomials(self.free, m))
-        return index
 
 
 def _interreduced_leads(rows: list[dict[int, int]], free_mons: list[tuple], key) -> list[tuple]:

@@ -215,6 +215,15 @@ class TestVerify:
         assert {k for k, ok in bases["actual"].items() if not ok} == {"4.0"}
 
 
+def clear_fixture_caches():
+    """Empty every fixture cache, so that the next load reads the files."""
+    from godeaux.scenarios import fixtures
+
+    for cache in (fixtures.descriptor, fixtures._z3_relations, fixtures._z3_claimed_bases,
+                  fixtures._polynomial_lines, fixtures._substitution):
+        cache.cache_clear()
+
+
 def edited_fixture(monkeypatch, fixture, old, new):
     """Serve the fixture file with old replaced by new; returns the cleanup
     that empties the fixture caches again."""
@@ -224,20 +233,37 @@ def edited_fixture(monkeypatch, fixture, old, new):
     monkeypatch.setattr(
         fixtures, "_read", lambda name: read(name).replace(old, new) if name == fixture else read(name)
     )
-    caches = (fixtures.descriptor, fixtures._z3_relations, fixtures._z3_claimed_bases,
-              fixtures._polynomial_lines, fixtures._substitution)
+    clear_fixture_caches()
+    return clear_fixture_caches
 
-    def clear():
-        for cache in caches:
-            cache.cache_clear()
 
-    clear()
-    return clear
+@pytest.fixture
+def served(monkeypatch):
+    """Fixture texts by file name, served in place of the shipped files;
+    the fixture caches are emptied afterwards."""
+    from godeaux.scenarios import fixtures
+
+    read = fixtures._read
+    texts = {}
+    monkeypatch.setattr(fixtures, "_read", lambda name: texts.get(name) or read(name))
+    yield texts
+    texts.clear()
+    clear_fixture_caches()
+
+
+def verify_served(args, capsys):
+    """(exit code, ids of the failed checks, stderr) of `verify` with every
+    fixture read afresh."""
+    clear_fixture_caches()
+    code, out, err = run_cli(["verify", *args, "--format", "json"], capsys)
+    checks = json.loads(out)["checks"] if out else []
+    return code, [c["id"] for c in checks if c["status"] == "fail"], err
 
 
 class TestRingFileErrors:
-    """A ring file that does not parse fails every check of its suite, with
-    the ids of a good run and the parse error as each actual value; exit 1."""
+    """A ring file, or the z5 plane file, that does not parse (or lists
+    other than five planes) fails every check of its suite, with the ids of
+    a good run and the error as each actual value; exit 1."""
 
     @pytest.mark.parametrize(
         "args, fixture, old, new, error",
@@ -246,8 +272,16 @@ class TestRingFileErrors:
              "line 5: unrecognised line 'x2 1'"),
             (["--scenario", "sc", "--max-degree", "10"], "sc.ring", "a 1 0", "a 1",
              "line 4: unrecognised line 'a 1'"),
+            (["--scenario", "z4", "--max-degree", "6"], "z4.ring", "x1 1 1", "x1 1 1 extra",
+             "line 4: unrecognised line 'x1 1 1 extra'"),
+            (["--scenario", "z5", "--max-degree", "6"], "z5.ring", "x1 1 1", "x1 1",
+             "line 4: unrecognised line 'x1 1'"),
+            (["--scenario", "z5", "--max-degree", "6"], "z5_planes.txt", "x1 + x2", "x1 +* x2",
+             "unexpected '*' (at position 4)"),
+            (["--scenario", "z5", "--max-degree", "6"], "z5_planes.txt", "x1 + x2 + x3 + x4\n",
+             "", "z5_planes.txt lists 4 planes, not 5"),
         ],
-        ids=["z3.ring", "sc.ring"],
+        ids=["z3.ring", "sc.ring", "z4.ring", "z5.ring", "z5_planes.txt", "z5_planes.txt-four"],
     )
     def test_every_check_fails_with_the_parse_error(
         self, args, fixture, old, new, error, capsys, monkeypatch
@@ -464,6 +498,77 @@ def test_every_z3_relation_mutant_fails_a_check(capsys, monkeypatch):
         "z3_relations.txt", fixtures.z3_descriptor(), "z3",
         lambda q, p: p in h and q == -p, capsys, monkeypatch,
     )
+
+
+@pytest.mark.slow
+def test_every_z3_basis_mutant_fails_a_table_bases_check(served, capsys):
+    # Per (degree, weight) line: the last monomial dropped, the last replaced
+    # by the first (a repeat), and the last replaced by x2 times it, a
+    # monomial of another bidegree (an empty line gets x2).  None of these
+    # lists is a basis of its piece.
+    from godeaux.scenarios import fixtures
+
+    lines = fixtures._read("z3_bases.txt").splitlines()
+    outcomes = []
+    for k, raw in enumerate(lines):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, body = line.split(":", 1)
+        mons = [piece.strip() for piece in body.split(",") if piece.strip()]
+        mutants = {"times-x2": mons[:-1] + [f"x2*{mons[-1]}"] if mons else ["x2"]}
+        if mons:
+            mutants["drop"] = mons[:-1]
+        if len(mons) >= 2:
+            mutants["repeat"] = mons[:-1] + mons[:1]
+        for kind, mutant in mutants.items():
+            text = f"{head}: {', '.join(mutant)}"
+            served["z3_bases.txt"] = "\n".join([*lines[:k], text, *lines[k + 1:]])
+            code, failed, err = verify_served(
+                ["--scenario", "z3", "--mode", "numeric", "--max-degree", "6"], capsys
+            )
+            outcomes.append((kind, text, code, failed, err))
+    assert {kind for kind, *_ in outcomes} == {"times-x2", "drop", "repeat"}
+    for kind, text, code, failed, err in outcomes:
+        assert (code, err) == (1, ""), (kind, text)
+        assert failed and all(c.startswith("z3.table-bases.") for c in failed), (kind, text)
+
+
+RING_SCENARIOS = {"z3.ring": "z3", "z4.ring": "z4", "z5.ring": "z5", "sc.ring": "sc"}
+
+
+@pytest.mark.slow
+def test_every_ring_degree_and_weight_mutant_fails_a_check(served, capsys):
+    # Per variable line of each ring file: its degree raised by one, lowered
+    # by one where positive, and its weight raised by one modulo the torsion
+    # order where that order is above 1.  Each must fail a check of its suite.
+    from godeaux.scenarios import fixtures
+
+    outcomes = []
+    for fixture, scenario in RING_SCENARIOS.items():
+        lines = fixtures._read(fixture).splitlines()
+        fields = [raw.split("#", 1)[0].split() for raw in lines]
+        (torsion,) = (int(f[1]) for f in fields if f[:1] == ["torsion_order"])
+        for k, parts in enumerate(fields):
+            if len(parts) != 3:
+                continue
+            name, degree, weight = parts[0], int(parts[1]), int(parts[2])
+            mutants = [(degree + 1, weight)]
+            if degree > 0:
+                mutants.append((degree - 1, weight))
+            if torsion > 1:
+                mutants.append((degree, (weight + 1) % torsion))
+            for d, w in mutants:
+                text = f"{name} {d} {w}"
+                served[fixture] = "\n".join([*lines[:k], text, *lines[k + 1:]])
+                code, failed, err = verify_served(
+                    ["--scenario", scenario, "--max-degree", "10"], capsys
+                )
+                outcomes.append((fixture, text, code, bool(failed), err))
+        served.clear()
+    assert len(outcomes) == 57
+    for fixture, text, code, failed, err in outcomes:
+        assert (code, failed, err) == (1, True, ""), (fixture, text)
 
 
 @pytest.mark.parametrize(

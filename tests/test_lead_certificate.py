@@ -139,7 +139,6 @@ def test_a_patched_count_refuses_and_the_pieces_take_over(monkeypatch):
             out[1] += 1
         return out
 
-    monkeypatch.setattr(graded, "_STANDARD_COUNTS", {})
     monkeypatch.setattr(graded.StandardMonomials, "counts", off_by_one)
     built = spy_pieces(monkeypatch)
     assert numeric_report() == good

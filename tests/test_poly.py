@@ -20,7 +20,9 @@ from godeaux import (
     render_polynomial,
     zeta,
 )
-from godeaux.poly import FIELD_BITS, _packed_product, _product, grevlex_key, pack, unpack
+from godeaux.poly import (
+    FIELD_BITS, _packed_product, _product, grevlex_key, monomial_columns, pack, unpack,
+)
 from godeaux.scenarios import fixtures
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -567,3 +569,13 @@ def test_an_exponent_outside_its_field_is_refused(desc):
             with pytest.raises(ValueError, match="do not fit"):
                 pack(exps)
 
+
+
+@pytest.mark.parametrize("desc", PACKED_RINGS, ids=["sc", "sc-free"])
+def test_monomial_columns_index_the_enumeration_read_only(desc):
+    for m in range(-1, 8):
+        columns = monomial_columns(desc, m)
+        assert [unpack(k, desc.nvars) for k in columns] == enumerate_monomials(desc, m)
+        assert list(columns.values()) == list(range(len(columns)))
+        with pytest.raises(TypeError):
+            columns[0] = 0

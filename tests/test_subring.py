@@ -124,6 +124,15 @@ class TestSubspaceBasis:
             1, 0, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67,
         ]
 
+    def test_a_changed_basis_list_changes_no_later_answer(self):
+        # A fresh predicate: the list handed out must not be the memo, so
+        # emptying it leaves the basis, and the generators built on it, whole.
+        pred = sc_predicate()
+        pred.subspace_basis(3).clear()
+        assert len(pred.subspace_basis(3)) == pred.dim(3) == 4
+        census = SubringBuilder(pred).presentation(10).generator_census
+        assert census == {2: 2, 3: 4, 4: 4, 5: 3}
+
 
 class TestMinimalGenerators:
     def test_census(self, builder):
