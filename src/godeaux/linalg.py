@@ -3,7 +3,7 @@
 Rows are {column: nonzero} dicts: row spaces take them, and `int_rref`,
 `int_kernel_basis` and `int_kernel_rref` take and return them, columns
 increasing.  Dense lists are left only behind `Matrix` and `kernel_basis`
-(`Matrix.rref` is the one place that densifies), `_RowSpace.add` and `rows()`.
+(`Matrix.rref` is the one place that densifies) and `_RowSpace.add`.
 A row space keeps one reduced row per pivot column, as its nonzero values
 aligned with its sorted columns, and reduces a row against them by one dict
 loop shared by two backends: `IntRowSpace` holds primitive integer rows for
@@ -198,9 +198,6 @@ class _RowSpace:
     def row_nonzeros(self, col: int) -> dict:
         """{column: value} of the pivot row whose pivot column is col."""
         return dict(zip(self._support[col], self._pivots[col]))
-
-    def rows(self) -> list[list]:
-        return [_dense(self.row_nonzeros(c), self.ncols) for c in sorted(self._pivots)]
 
     def _reduce_nonzeros(self, work: dict) -> dict:
         """The row's nonzeros after reducing its leading entries by the

@@ -416,12 +416,12 @@ class SubringBuilder:
         return self._generators_with_spans(max_degree)[0]
 
     def _generators_with_spans(self, max_degree: int):
-        """Selected generators, spanning products of the subalgebra pieces
-        as packed integer term dicts, and per degree the pivot columns of
-        their span."""
+        """Selected generators, and per degree the pivot columns of the span
+        of its products and new generators.  The products are kept no longer
+        than `_FactorSpans.close`, which holds them as factors only where
+        their span falls short of V_m."""
         gens: list[tuple[Polynomial, int]] = []
         factors = _FactorSpans(self.pred)
-        span_terms = {0: [{0: 1}]}
         span_pivots: dict[int, list[int]] = {}
         # Selected generators lie in V.
         closed = self.pred.closed_under_products
@@ -436,9 +436,8 @@ class SubringBuilder:
                         gens.append((v, m))
                         factors.add_generator(m, terms)
             factors.close(m, piece, rs.dim == full)
-            span_terms[m] = piece
             span_pivots[m] = rs.pivot_columns()
-        return gens, span_terms, span_pivots
+        return gens, span_pivots
 
     def _product_span(self, factors: _FactorSpans, m: int, full: int | None = None):
         """Independent degree-m products g*b of a generator g and a factor b
@@ -483,7 +482,7 @@ class SubringBuilder:
         return index, rs, piece
 
     def presentation(self, max_degree: int) -> SubringPresentation:
-        gens, span_terms, span_pivots = self._generators_with_spans(max_degree)
+        gens, span_pivots = self._generators_with_spans(max_degree)
         gen_census: dict[int, int] = {}
         for _, dg in gens:
             gen_census[dg] = gen_census.get(dg, 0) + 1
@@ -511,11 +510,11 @@ class SubringBuilder:
         standard = StandardMonomials(free)
         for m in range(1, max_degree + 1):
             hilbert[m] = self.pred.dim(m)
-            # span_terms[m] is a basis of the image of the evaluation map.
-            # When the monomials that no lead divides are as many, no
-            # relation of degree m is new.
+            # The span of degree m is the image of the evaluation map, of
+            # rank one per pivot.  When the monomials that no lead divides
+            # are as many, no relation of degree m is new.
             new = []
-            if standard.counts(m)[0] != len(span_terms[m]):
+            if standard.counts(m)[0] != len(span_pivots[m]):
                 free_mons = enumerate_monomials(free, m)
                 new = self._exact_relations(
                     free, m, free_mons, evaluate, span_pivots[m], relation_terms
@@ -605,7 +604,7 @@ class SubringBuilder:
             _, rs, piece = self._product_span(factors, m, full)
             factors.close(m, piece, rs.dim == full)
             target = self.pred.dim(m)
-            achieved = len(piece)
+            achieved = rs.dim
             generation[m] = (target, achieved, achieved == target)
         return GeneratorListReport(memberships=memberships, generation=generation)
 

@@ -183,6 +183,20 @@ class TestVerify:
         assert code == 2
         assert "max_degree" in err
 
+    @pytest.mark.parametrize("scenario", ["sc", "all"])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_sc_degree_floor_is_ten(self, scenario, fmt, capsys, tmp_path):
+        report = tmp_path / "out.json"
+        code, out, err = run_cli(
+            ["verify", "--scenario", scenario, "--max-degree", "9", "--format", fmt,
+             "--report", str(report)],
+            capsys,
+        )
+        assert code == 2
+        assert err == "error: the sc suite needs max_degree >= 10\n"
+        assert out == ""
+        assert not report.exists()
+
     def test_json_deterministic_modulo_timing(self, capsys):
         def payload():
             code, out, _ = run_cli(

@@ -65,3 +65,13 @@ def test_sc_to_degree_30_peaks_under_100_mb():
     code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "30")
     assert code == 0
     assert mb <= 100, f"peak {mb:.0f} MB"
+
+
+@needs_status
+@pytest.mark.slow
+def test_sc_to_degree_40_peaks_under_95_mb():
+    # A degree's products are dropped once its factors are fixed; keeping
+    # every degree's list to the end peaked at about 112 MB.
+    code, mb = peak_mb("verify", "--scenario", "sc", "--max-degree", "40")
+    assert code == 0
+    assert mb <= 95, f"peak {mb:.0f} MB"

@@ -493,9 +493,21 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
     # Every degree with no new relation is settled by its count.
     assert exact == [m for m, n in census.items() if n]
     # Product spans try products in lead order, over V_k's basis as
-    # factors: the kept products differ, their span does not.
+    # factors: the kept products differ, their span does not.  The builder
+    # returns no products, so they are caught as each span is formed; the
+    # list a span returns gains that degree's new generators.
     gens, span_terms = reference_spans(builder.pred, max_degree)
-    got_gens, got_terms, got_pivots = builder._generators_with_spans(max_degree)
+    got_terms = {}
+    product_span = SubringBuilder._product_span
+
+    def spy(self, factors, m, *args):
+        got_terms.setdefault(0, [t for _, t in factors[0]])
+        index, rs, piece = product_span(self, factors, m, *args)
+        got_terms[m] = piece
+        return index, rs, piece
+
+    monkeypatch.setattr(SubringBuilder, "_product_span", spy)
+    got_gens, got_pivots = builder._generators_with_spans(max_degree)
     assert got_gens == gens
     # The kept products are packed; the oracle's are keyed by exponent tuples.
     n = builder.desc.nvars
