@@ -87,8 +87,8 @@ def _compact(value, limit: int = 120) -> str:
 def merge_reports(reports: list[VerificationReport], config: dict) -> VerificationReport:
     """Concatenate suite reports into a single `all` report; ids stay unique
     because every suite prefixes its scenario id on each check.  Each
-    suite's own config (its parameters, samples, truncation and warning)
-    is kept under config["suites"][scenario]."""
+    suite's own config (its parameters, samples and truncation) is kept
+    under config["suites"][scenario]."""
     checks: list[Check] = []
     for rep in reports:
         checks.extend(rep.checks)

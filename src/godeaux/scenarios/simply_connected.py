@@ -61,7 +61,7 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
         dims = {str(m): pred.dim(m) for m in range(max_degree + 1)}
         spots = closure = [ok for *_, ok in builder.closure_spot_checks(max_degree, seed=seed)]
         presentation = builder.presentation(max_degree)
-        census, warning = presentation.generator_census, presentation.warning
+        census = presentation.generator_census
         relations = {str(m): n for m, n in presentation.relation_census.items()}
         total = sum(presentation.relation_census.values())
         verification = builder.verify_generator_list(claimed, min(max_degree, 10))
@@ -73,7 +73,7 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
         # every check, with the error as actual value.
         error = str(exc.args[0] if isinstance(exc, KeyError) else exc)
         dims = closure = census = relations = total = generation = error
-        spots, warning = [], None
+        spots = []
         members = [(idx, "unknown", error) for idx in range(CLAIMED_GENERATORS)]
     checks: list[Check] = []
 
@@ -149,8 +149,6 @@ def run_sc(max_degree: int = 12, seed: int = 42) -> VerificationReport:
         "seed": seed,
         "truncation": f"generation and relations verified up to degree {max_degree}",
     }
-    if warning:
-        config["warning"] = warning
     report = VerificationReport("sc", config, checks)
     report.timing_ms = int((time.perf_counter() - start) * 1000)
     return report

@@ -34,25 +34,24 @@ interreduced leads join L.  The free monomials of a degree are enumerated
 only where the exact path needs them: its own degree, and the degrees of
 its multipliers.
 
-Each V_m is kept once (`MembershipPredicate._space`): the column index of
-the degree-m monomials keyed by packed monomials (`godeaux.poly.pack`: one
-int with an 8-bit field per variable, Monagan and Pearce 2007), which
-`poly.monomial_columns` builds once per ring and degree, V_m's reduced
-echelon basis as integer term dicts over the same keys, and its row space.
-Every term dict that is multiplied, shifted or indexed is keyed so, and a
-monomial product is one int addition: the basis, the product spans and
-their factors, the closure products, the substitution and evaluation maps'
-images and memo values, the congruence multiples, and over the free ring
-the relation multiples.  A `Polynomial` is packed once where it enters
+Each V_m is kept once (`MembershipPredicate._space`), as its reduced echelon
+basis: integer term dicts keyed by packed monomials (`godeaux.poly.pack`:
+one int with an 8-bit field per variable, Monagan and Pearce 2007), whose
+columns `poly.monomial_columns` indexes once per ring and degree.  Every
+term dict that is multiplied, shifted or indexed is keyed so, and a monomial
+product is one int addition: the basis, the product spans and their
+factors, the closure products, the substitution and evaluation maps' images
+and memo values, the congruence multiples, and over the free ring the
+relation multiples.  A `Polynomial` is packed once where it enters
 (`contains`, `verify_generator_list`, the maps' images and the congruence
-moduli) and unpacked once where it leaves (`subspace_basis`); the relations
-are read off their free-ring columns.  A field holds exponents 0..255;
-packing refuses a larger one with ValueError.  A sum never carries into the
-next field: every packed product lands in a degree all of whose monomials
-were packed first (`poly.monomial_columns` of the ambient or free ring), the
-maps bound their image exponents before multiplying, and the closure
-checks refuse a degree above 255 (every variable of the builder has
-positive degree, so no exponent exceeds the degree).
+moduli) and unpacked once where it leaves (`_unpacked`); the relations are
+read off their free-ring columns.  A field holds exponents 0..255; packing
+refuses a larger one with ValueError.  A sum never carries into the next
+field: every packed product lands in a degree all of whose monomials were
+packed first (`poly.monomial_columns` of the ambient or free ring), the maps
+bound their image exponents before multiplying, and the closure checks
+refuse a degree above 255 (every variable of the builder has positive
+degree, so no exponent exceeds the degree).
 """
 
 from __future__ import annotations
@@ -123,8 +122,8 @@ class MembershipPredicate:
         self.descriptor = descriptor
         self.conditions = tuple(conditions)
         self._cache: dict[int, list[Polynomial]] = {}
-        # Per degree, the one record of V_m (`_space`).
-        self._spaces: dict[int, tuple[Mapping[int, int], list[dict[int, int]], IntRowSpace]] = {}
+        # Per degree, V_m's reduced echelon basis (`_space`).
+        self._spaces: dict[int, list[dict[int, int]]] = {}
         # Substitution maps of the parity conditions, by condition index,
         # kept across degrees; a map that fails to build is not kept.
         self._maps: dict[int, tuple[_MonomialMap, _MonomialMap]] = {}
@@ -142,15 +141,10 @@ class MembershipPredicate:
         return enumerate_monomials(self.descriptor, m)
 
     def subspace_basis(self, m: int) -> list[Polynomial]:
-        """Exact canonical basis of V_m inside the ambient degree-m piece, as
-        a fresh list."""
+        """V_m's reduced echelon basis as polynomials, in a fresh list."""
         basis = self._cache.get(m)
         if basis is None:
-            desc = self.descriptor
-            basis = self._cache[m] = [
-                Polynomial(desc, {unpack(k, desc.nvars): Fraction(x) for k, x in terms.items()})
-                for terms in self._space(m)[1]
-            ]
+            basis = self._cache[m] = [_unpacked(self.descriptor, t) for t in self._space(m)]
         return list(basis)
 
     def _functionals(self, m: int, cols: list[tuple]) -> list[dict[int, int]]:
@@ -180,7 +174,7 @@ class MembershipPredicate:
 
     def dim(self, m: int) -> int:
         """dim V_m."""
-        return self._space(m)[2].dim
+        return len(self._space(m))
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of a homogeneous polynomial in V at its own degree."""
@@ -191,29 +185,31 @@ class MembershipPredicate:
             raise ValueError("membership needs a homogeneous polynomial")
         return self.contains_terms(dw[0], _packed_terms(_int_terms(p)))
 
-    def contains_terms(self, m: int, terms: Mapping[int, int]) -> bool:
-        """`contains` for a degree-m polynomial given as its nonzero integer
-        terms keyed by packed monomials; their weights are not read."""
-        index, _, rs = self._space(m)
-        return rs.contains({index[k]: c for k, c in terms.items()})
+    def contains_terms(self, m: int, work: dict[int, int]) -> bool:
+        """`contains` for degree-m nonzero integer terms keyed by packed
+        monomials, whose weights are not read; the dict is used up.  No basis
+        row holds another's pivot, so one pass clears every pivot in turn."""
+        if not work.keys() <= monomial_columns(self.descriptor, m).keys():
+            raise KeyError(f"a monomial has no degree-{m} column")
+        for row in self._space(m):
+            lead = next(iter(row))
+            if lead in work:
+                work = IntRowSpace._eliminate(work, lead, list(row.values()), row)
+        return not work
 
-    def _space(self, m: int) -> tuple[Mapping[int, int], list[dict[int, int]], IntRowSpace]:
-        """(`poly.monomial_columns` of degree m, V_m's reduced echelon basis
-        as integer term dicts keyed by packed monomials, row space of V_m),
-        built once: V_m is the kernel of all the conditions' functionals.
-        Callers must not change the record."""
-        space = self._spaces.get(m)
-        if space is None:
+    def _space(self, m: int) -> list[dict[int, int]]:
+        """V_m's reduced echelon basis, built once as the kernel of all the
+        conditions' functionals: integer term dicts keyed by packed monomials,
+        columns increasing, so each row leads at its pivot.  Read only."""
+        basis = self._spaces.get(m)
+        if basis is None:
             cols = self.ambient_monomials(m)
-            index = monomial_columns(self.descriptor, m)
-            packed = list(index)
-            basis = []
-            rs = IntRowSpace(len(cols))
-            for row in int_kernel_rref(self._functionals(m, cols), len(cols)):
-                basis.append({packed[j]: x for j, x in row.items()})
-                rs.add_nonzeros(row)
-            space = self._spaces[m] = (index, basis, rs)
-        return space
+            packed = list(monomial_columns(self.descriptor, m))
+            basis = self._spaces[m] = [
+                {packed[j]: x for j, x in row.items()}
+                for row in int_kernel_rref(self._functionals(m, cols), len(cols))
+            ]
+        return basis
 
 
 def _int_terms(p: Polynomial) -> dict[tuple, int]:
@@ -226,6 +222,11 @@ def _int_terms(p: Polynomial) -> dict[tuple, int]:
 def _packed_terms(terms: Mapping[tuple, int]) -> dict[int, int]:
     """A term dict keyed by packed monomials."""
     return {pack(mon): c for mon, c in terms.items()}
+
+
+def _unpacked(desc: RingDescriptor, terms: Mapping[int, int]) -> Polynomial:
+    """The polynomial of an integer term dict keyed by packed monomials."""
+    return Polynomial(desc, {unpack(k, desc.nvars): Fraction(x) for k, x in terms.items()})
 
 
 def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Mapping[int, int]) -> Polynomial:
@@ -386,17 +387,17 @@ class _FactorSpans:
 
     def add_generator(self, degree: int, terms: dict[int, int]) -> None:
         """Add a generator, given as its packed integer terms."""
-        index = self.pred._space(degree)[0]
+        index = monomial_columns(self.pred.descriptor, degree)
         self.generators.append((degree, min(terms, key=index.__getitem__), terms))
 
     def close(self, m: int, products: list[dict[int, int]], full: bool) -> None:
-        """Fix the degree-m factors, from the packed products of a degree-m
-        span that reached dim V_m when `full`, or fell short.  Columns are in
-        grevlex order, so a lead is the monomial of the least column."""
-        index, basis, _ = self.pred._space(m)
-        self._by_degree[m] = [
-            (min(t, key=index.__getitem__), t) for t in (basis if full else products)
-        ]
+        """Fix the degree-m factors: V_m's basis rows, which lead at their
+        first key, when the span reached dim V_m (`full`), else the products."""
+        if full:
+            self._by_degree[m] = [(next(iter(t)), t) for t in self.pred._space(m)]
+        else:
+            index = monomial_columns(self.pred.descriptor, m)
+            self._by_degree[m] = [(min(t, key=index.__getitem__), t) for t in products]
 
 
 class SubringBuilder:
@@ -430,10 +431,10 @@ class SubringBuilder:
             index, rs, piece = self._product_span(factors, m, full)
             if rs.dim != full:
                 # Basis elements are primitive integer rows already (int_kernel_rref).
-                for v, terms in zip(self.pred.subspace_basis(m), self.pred._space(m)[1]):
+                for terms in self.pred._space(m):
                     if rs.add_nonzeros({index[k]: c for k, c in terms.items()}):
                         piece.append(terms)
-                        gens.append((v, m))
+                        gens.append((_unpacked(self.desc, terms), m))
                         factors.add_generator(m, terms)
             factors.close(m, piece, rs.dim == full)
             span_pivots[m] = rs.pivot_columns()
@@ -445,20 +446,19 @@ class SubringBuilder:
 
         Factors and products are integer term dicts keyed by packed
         monomials; each product lands in degree m, every monomial of which
-        `_space(m)` has packed, so no field carries.  Scaling a
+        `poly.monomial_columns` has packed, so no field carries.  Scaling a
         factor does not change the span, and the row space stores primitive
-        rows.  The caller passes
-        `full` = dim V_m only when every factor lies in V and V is closed
-        under products: then every product lies in V_m, and no product after
-        the span reaches that dimension can enlarge it, so the order in which
-        products are tried does not change the span.
+        rows.  The caller passes `full` = dim V_m only when every factor lies
+        in V and V is closed under products: then every product lies in V_m,
+        and no product after the span reaches that dimension can enlarge it,
+        so the order in which products are tried does not change the span.
 
         Columns are in grevlex order, a translation-invariant total order,
         and Z is a domain, so the leading column of g*b is that of
         lead(g) + lead(b), known before the product is formed.  One product
         per leading column that is not a pivot yet enters first, with no
         elimination step; the colliding products follow in reverse."""
-        index = self.pred._space(m)[0]
+        index = monomial_columns(self.desc, m)
         rs = IntRowSpace(len(index))
         taken = set()
         firsts, colliding = [], []
@@ -562,7 +562,7 @@ class SubringBuilder:
         these rows have the full rank: they cut out the same kernel.  They
         are eliminated sparsest first; the reduced echelon form, and so the
         kernel basis, does not depend on their order."""
-        index = self.pred._space(m)[0]
+        index = monomial_columns(self.desc, m)
         rows: dict[int, dict[int, int]] = {j: {} for j in pivots}
         for u, mon in enumerate(free_mons):
             terms, _ = evaluate(mon)
@@ -628,8 +628,8 @@ class SubringBuilder:
             if not j_choices:
                 continue
             j = rng.choice(j_choices)
-            p = _random_combination(self.pred._space(i)[1], rng)
-            q = _random_combination(self.pred._space(j)[1], rng)
+            p = _random_combination(self.pred._space(i), rng)
+            q = _random_combination(self.pred._space(j), rng)
             prod = _packed_product(p, q)
             # As `contains`, a product that mixes torsion weights is refused.
             if self.desc.torsion_order > 1 and len({weight(unpack(k, n)) for k in prod}) > 1:

@@ -1236,6 +1236,24 @@ def test_packed_membership_matches_the_rank_of_the_dense_span(pred, weighted, m,
     assert pred.contains(p) == (len(Matrix.from_rows(rows).rref()[1]) == len(basis))
 
 
+def test_basis_rows_lead_at_pivots_that_no_other_row_holds(pred):
+    # `contains` clears V_m's pivots in one pass over `_space(m)`: each row
+    # must lead at its grevlex-least monomial, its first key, and hold no
+    # other row's pivot.
+    weighted = MembershipPredicate(UXY, [WeightCondition(1)])
+    for p in (pred, weighted):
+        n = p.descriptor.nvars
+        for m in range(15):
+            rows = p._space(m)
+            leads = [next(iter(row)) for row in rows]
+            for row, lead in zip(rows, leads):
+                assert lead == min(row, key=lambda k: grevlex_key(unpack(k, n))), m
+                assert [k for k in leads if k in row] == [lead], m
+    # Enumeration caps the degree-0 u at exponent 1, so u^2*x has no column.
+    with pytest.raises(KeyError):
+        weighted.contains(parse_polynomial("u^2*x", UXY))
+
+
 def reference_verify_generator_list(builder, claimed, max_degree):
     """`SubringBuilder.verify_generator_list` as it was when product spans
     reduced every g*b, b a kept product, in plain order (the method body
