@@ -1,20 +1,21 @@
 """Exact linear algebra over Q and Q(zeta_n) on one sparse elimination engine.
 
-Rows are {column: nonzero} dicts: row spaces take them, and `int_rref`,
-`int_kernel_basis` and `int_kernel_rref` take and return them, columns
-increasing.  Dense lists are left only behind `Matrix` and `kernel_basis`
-(`Matrix.rref` is the one place that densifies) and `_RowSpace.add`.
-A row space keeps one reduced row per pivot column, as its nonzero values
-aligned with its sorted columns, and reduces a row against them by one dict
-loop shared by two backends: `IntRowSpace` holds primitive integer rows for
-rational data and eliminates fraction-free in Z, and `GenericRowSpace` holds
-monic rows over any exact field.  `IntRowSpace._normalise` is the one
-integer normal form (primitive, leading entry positive) for pivot rows and
-kernel vectors alike.  The echelon routines back-substitute in a row space,
-bringing each row to canonical form once, when it is fully reduced; the
-kernels are read off these echelon forms.  `solve_columns` transposes its
-columns to one row per equation and eliminates them by `int_rref` over Q
-(each row's denominators cleared), or in `GenericRowSpace` over Q(zeta_n).
+Rows are {column: nonzero} dicts, in one format throughout: row spaces
+take them, and `int_rref`, `int_kernel_basis` and `int_kernel_rref` take
+and return them, columns increasing.  Dense lists are left only behind
+`Matrix` and `kernel_basis` (`Matrix.rref` is the one place that
+densifies) and `_RowSpace.add`.  A row space stores one reduced row per
+pivot column as the same dict, columns increasing, so that it leads at its
+pivot, and reduces a row against them by one dict loop shared by two
+backends: `IntRowSpace` holds primitive integer rows for rational data and
+eliminates fraction-free in Z, and `GenericRowSpace` holds monic rows over
+any exact field.  `IntRowSpace._normalise` is the one integer normal form
+(primitive, leading entry positive) for pivot rows and kernel vectors
+alike.  The echelon routines back-substitute in a row space, bringing each
+row to canonical form once, when it is fully reduced; the kernels are read
+off these echelon forms.  `solve_columns` transposes its columns to one row
+per equation and eliminates them by `int_rref` over Q (each row's
+denominators cleared), or in `GenericRowSpace` over Q(zeta_n).
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def _dense(work: dict, ncols: int) -> list:
     return row
 
 
-def _subtract(work: dict, f, piv, cols) -> dict:
-    """work - f * piv in place, for piv's nonzero values at its columns cols."""
-    for c, x in zip(cols, piv):
+def _subtract(work: dict, f, piv: dict) -> dict:
+    """work - f * piv in place."""
+    for c, x in piv.items():
         u = work.get(c, 0) - f * x
         if u:
             work[c] = u
@@ -161,26 +162,24 @@ class _RowSpace:
     """Reduced pivot rows keyed by pivot column; pivots are the leftmost
     nonzero columns, in insertion order.
 
-    Each pivot row is stored as the list of its nonzero values, aligned with
-    its sorted nonzero columns in `_support`; `row_nonzeros` reads it back as
-    a dict.  A row is reduced as a {column: value} dict of its nonzeros:
-    while its leading column has a pivot, one elimination step clears that
-    entry.  Rows enter as that dict (`add_nonzeros`, `contains`) or dense
-    (`add`), scanned into one first.
+    Each pivot row is stored as the {column: value} dict of its nonzeros,
+    columns increasing, so its first key is its pivot.  Stored rows are
+    never mutated, so a copy of the space shares them.  A row is reduced as
+    such a dict: while its leading column has a pivot, one elimination step
+    clears that entry.  Rows enter as that dict (`add_nonzeros`, `contains`)
+    or dense (`add`), scanned into one first.
     A backend supplies the scalar steps as static methods:
     `_nonzeros(row)` gives the dict of a dense input row,
-    `_eliminate(work, lead, piv, cols)` clears work's entry in column lead
-    using the pivot row with values piv at its columns cols (cols[0] =
-    lead), and
+    `_eliminate(work, lead, piv)` clears work's entry in column lead using
+    the pivot row piv, and
     `_normalise(work)` scales a new pivot row to canonical form.
     """
 
-    __slots__ = ("ncols", "_pivots", "_support")
+    __slots__ = ("ncols", "_pivots")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._pivots: dict[int, list] = {}
-        self._support: dict[int, tuple[int, ...]] = {}
+        self._pivots: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
@@ -189,28 +188,27 @@ class _RowSpace:
     def copy(self):
         dup = type(self)(self.ncols)
         dup._pivots = dict(self._pivots)
-        dup._support = dict(self._support)
         return dup
 
     def pivot_columns(self) -> list[int]:
         return sorted(self._pivots)
 
     def row_nonzeros(self, col: int) -> dict:
-        """{column: value} of the pivot row whose pivot column is col."""
-        return dict(zip(self._support[col], self._pivots[col]))
+        """{column: value} of the pivot row whose pivot column is col, in a
+        fresh dict."""
+        return dict(self._pivots[col])
 
     def _reduce_nonzeros(self, work: dict) -> dict:
         """The row's nonzeros after reducing its leading entries by the
         stored pivots until one has no pivot."""
         pivots = self._pivots
-        support = self._support
         eliminate = self._eliminate
         while work:
             j = min(work)
             piv = pivots.get(j)
             if piv is None:
                 break
-            work = eliminate(work, j, piv, support[j])
+            work = eliminate(work, j, piv)
         return work
 
     def add(self, row) -> bool:
@@ -230,9 +228,8 @@ class _RowSpace:
         if not work:
             return False
         work = self._normalise(work)
-        cols = tuple(sorted(work))
-        self._pivots[cols[0]] = [work[c] for c in cols]
-        self._support[cols[0]] = cols
+        cols = sorted(work)
+        self._pivots[cols[0]] = {c: work[c] for c in cols}
         return True
 
     def contains(self, work: dict) -> bool:
@@ -255,11 +252,9 @@ class _RowSpace:
             if changed[i]:
                 work = self._normalise(sparse[i])
                 sparse[i] = {j: work[j] for j in sorted(work)}
-            support = tuple(sparse[i])
-            piv = list(sparse[i].values())
             for k in range(i):
                 if c in sparse[k]:
-                    sparse[k] = self._eliminate(sparse[k], c, piv, support)
+                    sparse[k] = self._eliminate(sparse[k], c, sparse[i])
                     changed[k] = True
         return sparse, cols
 
@@ -283,15 +278,15 @@ class IntRowSpace(_RowSpace):
         return _clear_denominators({j: x for j, x in enumerate(row) if x})[0]
 
     @staticmethod
-    def _eliminate(work: dict[int, int], lead: int, piv, cols) -> dict[int, int]:
+    def _eliminate(work: dict[int, int], lead: int, piv: dict[int, int]) -> dict[int, int]:
         """The fraction-free step a*work - b*piv that clears work's entry in
         column lead."""
-        p = piv[0]
+        p = piv[lead]
         g = gcd(p, work[lead])
         a, b = p // g, work[lead] // g
         if a != 1:
             work = {c: a * u for c, u in work.items()}
-        return _subtract(work, b, piv, cols)
+        return _subtract(work, b, piv)
 
     @staticmethod
     def _normalise(work: dict[int, int]) -> dict[int, int]:
@@ -319,9 +314,9 @@ class GenericRowSpace(_RowSpace):
         return {j: x for j, x in enumerate(row) if x}
 
     @staticmethod
-    def _eliminate(work: dict, lead: int, piv, cols) -> dict:
+    def _eliminate(work: dict, lead: int, piv: dict) -> dict:
         """work - work[lead] * piv, for a monic piv."""
-        return _subtract(work, work[lead], piv, cols)
+        return _subtract(work, work[lead], piv)
 
     @staticmethod
     def _normalise(work: dict) -> dict:

@@ -194,7 +194,7 @@ class MembershipPredicate:
         for row in self._space(m):
             lead = next(iter(row))
             if lead in work:
-                work = IntRowSpace._eliminate(work, lead, list(row.values()), row)
+                work = IntRowSpace._eliminate(work, lead, row)
         return not work
 
     def _space(self, m: int) -> list[dict[int, int]]:
@@ -245,9 +245,11 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
     if isinstance(cond, CongruenceImageCondition):
         even_idx = [desc.index(v) for v in cond.even_variables]
         index = monomial_columns(desc, m)
-        span_rows = [
-            {j: 1} for j, mon in enumerate(cols) if all(mon[i] % 2 == 0 for i in even_idx)
-        ]
+        # The span holds every monomial even in the listed variables, so its
+        # annihilator is zero there: it lives on the other columns, odd.
+        odd = [j for j, mon in enumerate(cols) if any(mon[i] % 2 for i in even_idx)]
+        local = {j: k for k, j in enumerate(odd)}
+        span_rows = []
         for f in cond.modulus:
             dw = degree_and_weight(f)
             if not isinstance(dw, tuple):
@@ -258,10 +260,12 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
             # in degree m, whose monomials index packed.
             terms = _packed_terms(_int_terms(f))
             for mult in monomial_columns(desc, m - dw[0]):
-                span_rows.append({index[mult + e]: c for e, c in terms.items()})
+                row = {local[j]: c for e, c in terms.items() if (j := index[mult + e]) in local}
+                if row:
+                    span_rows.append(row)
         # Over Q, v lies in span(S) exactly when every functional that
         # vanishes on S vanishes on v: the annihilator cuts out the span.
-        return int_kernel_basis(span_rows, len(cols))
+        return [{odd[k]: x for k, x in v.items()} for v in int_kernel_basis(span_rows, len(odd))]
     raise TypeError(f"unknown condition {cond!r}")
 
 

@@ -577,9 +577,9 @@ def test_z4_f5_criterion_leaves_no_zero_reduction(monkeypatch):
         counts["zero"] += not enlarged
         return enlarged
 
-    def counting_eliminate(work, lead, piv, cols):
+    def counting_eliminate(work, lead, piv):
         counts["steps"] += 1
-        return eliminate(work, lead, piv, cols)
+        return eliminate(work, lead, piv)
 
     monkeypatch.setattr(IntRowSpace, "add_nonzeros", counting_add)
     monkeypatch.setattr(IntRowSpace, "_eliminate", staticmethod(counting_eliminate))

@@ -19,7 +19,7 @@ from godeaux.linalg import (
 )
 from godeaux.graded import _multipliers, _tags
 from godeaux.poly import Polynomial, degree_and_weight
-from godeaux.scenarios import fixtures
+from godeaux.scenarios import fixtures, sc_predicate
 from godeaux.scenarios.torsion3 import _relation_map, h_membership_presentation
 
 
@@ -360,10 +360,9 @@ def _matches_dense_oracle(rows, ncols, engine=IntRowSpace, oracle=DenseIntRowSpa
     assert list(sparse._pivots) == list(dense._pivots)
     for c, row in dense._pivots.items():
         assert _dense(sparse.row_nonzeros(c), ncols) == row
-        assert sparse._support[c] == tuple(j for j, x in enumerate(row) if x)
-        # A pivot row is stored as its nonzero values only.
-        assert len(sparse._pivots[c]) == len(sparse._support[c])
-        assert all(x != 0 for x in sparse._pivots[c])
+        # A pivot row is stored as the dict of its nonzeros, columns
+        # increasing, so it is led by its key c, the oracle row's lead.
+        assert list(sparse._pivots[c]) == [j for j, x in enumerate(row) if x]
     for row in rows:
         assert sparse.contains(engine._nonzeros(row)) and dense.contains(row)
 
@@ -448,7 +447,51 @@ def test_copy_keeps_supports_apart():
     rs.add([0, 2, 4])
     dup = rs.copy()
     assert dup.add([1, 0, 1]) and not rs.contains({0: 1, 2: 1})
-    assert dup._support == {0: (0, 2), 1: (1, 2)} and rs._support == {1: (1, 2)}
+    assert {c: tuple(row) for c, row in dup._pivots.items()} == {0: (0, 2), 1: (1, 2)}
+    assert {c: tuple(row) for c, row in rs._pivots.items()} == {1: (1, 2)}
+
+
+def _layout(rows):
+    """Each row's (column, value) pairs in stored order."""
+    return [list(row.items()) for row in rows]
+
+
+def test_stored_rows_are_never_handed_out_or_written():
+    # Stored rows are shared by a copy of the space and never mutated: what
+    # a space hands back is fresh, and no later work writes to a stored row.
+    rs = IntRowSpace(5)
+    for row in ([1, 1, 0, 2, 0], [0, 1, 1, 0, 3], [0, 0, 1, 1, 1], [0, 0, 0, 1, 2]):
+        assert rs.add(row)
+    snapshot = list(rs._pivots), _layout(rs._pivots.values())
+    pred = sc_predicate()
+    space = pred._space(8)
+    space_snapshot = _layout(space)
+
+    for c in rs.pivot_columns():
+        rs.row_nonzeros(c)[c] += 5
+    stored = list(rs._pivots.values())
+    for out in (int_rref(stored, 5)[0], int_kernel_basis(stored, 5)):
+        for row in out:
+            row[4] = row.get(4, 0) + 1
+    dup = rs.copy()
+    assert dup.add([0, 0, 0, 0, 1]) and not dup.add_nonzeros({0: 3, 4: 1})
+    dup._rref()
+    # Back-substitution clears column 3 from rows 0 and 2 by unit steps,
+    # which work in place on whatever dicts they are given.
+    reduced = [[(0, 1), (4, -8)], [(1, 1), (4, 4)], [(2, 1), (4, -1)], [(3, 1), (4, 2)]]
+    first = rs._rref()[0]
+    assert _layout(first) == reduced
+    for row in first:
+        row.clear()
+    assert _layout(rs._rref()[0]) == reduced
+    a, b = space[:2]
+    work = dict(a)
+    for k, x in b.items():
+        work[k] = work.get(k, 0) - 3 * x
+    assert pred.contains_terms(8, work) and pred.contains_terms(8, dict(b))
+
+    assert (list(rs._pivots), _layout(rs._pivots.values())) == snapshot
+    assert pred._space(8) is space and _layout(space) == space_snapshot
 
 
 def dense_rref(matrix):
@@ -553,7 +596,10 @@ def _sparse_entry_matches_dense(rows, ncols, engine):
     for row in rows:
         assert sparse.add_nonzeros({j: x for j, x in enumerate(row) if x}) == dense.add(row)
         assert sparse._pivots == dense._pivots
-        assert sparse._support == dense._support
+        # Each stored row keeps its columns in the same, increasing order.
+        assert [list(r) for r in sparse._pivots.values()] == [
+            list(r) for r in dense._pivots.values()
+        ]
     assert list(sparse._pivots) == list(dense._pivots)
 
 
@@ -583,11 +629,10 @@ def reference_rref(space):
     sparse = [space.row_nonzeros(c) for c in cols]
     for i in range(len(cols) - 1, -1, -1):
         c = cols[i]
-        support = sorted(sparse[i])
-        piv = [sparse[i][j] for j in support]
+        piv = {j: sparse[i][j] for j in sorted(sparse[i])}
         for k in range(i):
             if c in sparse[k]:
-                sparse[k] = space._normalise(space._eliminate(sparse[k], c, piv, support))
+                sparse[k] = space._normalise(space._eliminate(sparse[k], c, piv))
     return sparse, cols
 
 

@@ -22,7 +22,8 @@ from godeaux import subring
 from godeaux.graded import StandardMonomials
 from godeaux.linalg import IntRowSpace, Matrix, int_kernel_basis, int_kernel_rref, int_rref
 from godeaux.poly import (
-    _product, degree_and_weight, enumerate_monomials, grevlex_key, unpack, weighted_revlex_key,
+    _product, degree_and_weight, enumerate_monomials, grevlex_key, monomial_columns, pack,
+    unpack, weighted_revlex_key,
 )
 from godeaux.scalars import zeta
 from godeaux.scenarios import fixtures, sc_predicate
@@ -31,6 +32,7 @@ from godeaux.subring import (
     GeneratorListReport,
     SubringBuilder,
     SubstitutionParityCondition,
+    _constraints,
     _int_terms,
     _interreduced_leads,
     _parity_constraints,
@@ -1234,6 +1236,67 @@ def test_packed_membership_matches_the_rank_of_the_dense_span(pred, weighted, m,
         return
     rows = [_vector(q, index) for q in [*basis, p]]
     assert pred.contains(p) == (len(Matrix.from_rows(rows).rref()[1]) == len(basis))
+
+
+def reference_congruence_functionals(cond, desc, m, cols):
+    """`_constraints` of a congruence condition as first written: the
+    annihilator of the whole span, a unit row for every monomial even in the
+    listed variables beside the multiples of the modulus."""
+    even_idx = [desc.index(v) for v in cond.even_variables]
+    index = monomial_columns(desc, m)
+    span_rows = [
+        {j: 1} for j, mon in enumerate(cols) if all(mon[i] % 2 == 0 for i in even_idx)
+    ]
+    for f in cond.modulus:
+        dw = degree_and_weight(f)
+        if not isinstance(dw, tuple):
+            raise ValueError("modulus polynomials must be homogeneous")
+        if f.descriptor != desc:
+            raise ValueError("descriptor mismatch")
+        terms = {pack(mon): c for mon, c in _int_terms(f).items()}
+        for mult in monomial_columns(desc, m - dw[0]):
+            span_rows.append({index[mult + e]: c for e, c in terms.items()})
+    return int_kernel_basis(span_rows, len(cols))
+
+
+def _functionals_or_error(functionals, cond, desc, m):
+    """Each functional's (column, value) pairs in order, or the error."""
+    cols = enumerate_monomials(desc, m)
+    return _outcome(lambda: [list(v.items()) for v in functionals(cond, desc, m, cols)])
+
+
+@pytest.mark.parametrize("desc", [ABC, Z3, UXY], ids=["abc", "z3", "uxy"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_congruence_functionals_match_the_annihilator_of_the_whole_span(desc, data):
+    # Without the unit rows of the even monomials, the functionals are the
+    # same, order included.  Multiples that leave UXY's columns (u^2) must
+    # raise alike.
+    cond = CongruenceImageCondition(
+        tuple(data.draw(st.lists(st.sampled_from(desc.variables), max_size=3))),
+        tuple(data.draw(st.lists(homogeneous_polys(desc), max_size=3))),
+    )
+    m = data.draw(st.integers(0, 7))
+    assert _functionals_or_error(_constraints, cond, desc, m) == _functionals_or_error(
+        reference_congruence_functionals, cond, desc, m
+    )
+
+
+def test_congruence_functionals_match_on_sc_and_without_odd_monomials():
+    sc = sc_predicate()
+    desc = sc.descriptor
+    cases = [(sc.conditions[0], m) for m in range(17)]
+    conic = fixtures.sc_conic()
+    # An empty list makes every monomial even, and degree 0 has no odd
+    # monomial either: no functional survives, whatever the modulus.
+    cases += [(CongruenceImageCondition((), (conic,)), m) for m in (0, 2, 5)]
+    cases += [(CongruenceImageCondition(("a", "c"), (conic,)), 0)]
+    cases += [(CongruenceImageCondition(("a", "c"), ()), m) for m in (1, 4)]
+    for cond, m in cases:
+        ours = _functionals_or_error(_constraints, cond, desc, m)
+        assert ours == _functionals_or_error(reference_congruence_functionals, cond, desc, m)
+        if not cond.even_variables or m == 0:
+            assert ours == [], (cond, m)
 
 
 def test_basis_rows_lead_at_pivots_that_no_other_row_holds(pred):
