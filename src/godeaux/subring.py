@@ -36,22 +36,22 @@ its multipliers.
 
 Each V_m is kept once (`MembershipPredicate._space`), as its reduced echelon
 basis: integer term dicts keyed by packed monomials (`godeaux.poly.pack`:
-one int with an 8-bit field per variable, Monagan and Pearce 2007), whose
-columns `poly.monomial_columns` indexes once per ring and degree.  Every
-term dict that is multiplied, shifted or indexed is keyed so, and a monomial
-product is one int addition: the basis, the product spans and their
-factors, the closure products, the substitution and evaluation maps' images
-and memo values, the congruence multiples, and over the free ring the
-relation multiples.  A `Polynomial` is packed once where it enters
-(`contains`, `verify_generator_list`, the maps' images and the congruence
-moduli) and unpacked once where it leaves (`_unpacked`); the relations are
-read off their free-ring columns.  A field holds exponents 0..255; packing
-refuses a larger one with ValueError.  A sum never carries into the next
-field: every packed product lands in a degree all of whose monomials were
-packed first (`poly.monomial_columns` of the ambient or free ring), the maps
-bound their image exponents before multiplying, and the closure checks
-refuse a degree above 255 (every variable of the builder has positive
-degree, so no exponent exceeds the degree).
+one int with an 8-bit field per variable, Monagan and Pearce 2007).  Every
+monomial is packed from where a `Polynomial` enters (`contains`,
+`verify_generator_list`, the maps' images and the congruence moduli) to
+where one leaves (`_unpacked`), and a monomial product is one int addition.
+That covers the term dicts (the basis, the product spans and their factors,
+the closure products, the maps' images, the congruence and relation
+multiples), the maps' memo keys, and each degree's monomial list: the keys
+of `poly.monomial_columns`, which indexes them once per ring and degree.
+Exponent tuples remain only where the relation leads are ranked and
+counted (`weighted_revlex_key`, `graded.StandardMonomials`).  A field holds
+exponents 0..255; packing refuses a larger one with ValueError.  A sum never
+carries into the next field: every packed product lands in a degree all of
+whose monomials were packed first (`poly.monomial_columns` of the ambient
+or free ring), the maps bound their image exponents before multiplying,
+and the closure checks refuse a degree above 255 (every variable of the
+builder has positive degree, so no exponent exceeds the degree).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import random
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .graded import StandardMonomials
 from .linalg import IntRowSpace, _clear_denominators, int_kernel_basis, int_kernel_rref
@@ -70,7 +70,6 @@ from .poly import (
     RingDescriptor,
     _packed_product,
     degree_and_weight,
-    enumerate_monomials,
     monomial_columns,
     pack,
     unpack,
@@ -137,9 +136,6 @@ class MembershipPredicate:
             for c in self.conditions
         )
 
-    def ambient_monomials(self, m: int) -> list[tuple]:
-        return enumerate_monomials(self.descriptor, m)
-
     def subspace_basis(self, m: int) -> list[Polynomial]:
         """V_m's reduced echelon basis as polynomials, in a fresh list."""
         basis = self._cache.get(m)
@@ -147,10 +143,10 @@ class MembershipPredicate:
             basis = self._cache[m] = [_unpacked(self.descriptor, t) for t in self._space(m)]
         return list(basis)
 
-    def _functionals(self, m: int, cols: list[tuple]) -> list[dict[int, int]]:
+    def _functionals(self, m: int, cols: list[int]) -> list[dict[int, int]]:
         """Integer functionals of all the conditions on the degree-m
-        monomials cols, as {column: nonzero} rows; V_m is their common
-        kernel."""
+        packed monomials cols, as {column: nonzero} rows; V_m is their
+        common kernel."""
         functionals = []
         for k, cond in enumerate(self.conditions):
             if isinstance(cond, SubstitutionParityCondition):
@@ -203,10 +199,9 @@ class MembershipPredicate:
         columns increasing, so each row leads at its pivot.  Read only."""
         basis = self._spaces.get(m)
         if basis is None:
-            cols = self.ambient_monomials(m)
-            packed = list(monomial_columns(self.descriptor, m))
+            cols = list(monomial_columns(self.descriptor, m))
             basis = self._spaces[m] = [
-                {packed[j]: x for j, x in row.items()}
+                {cols[j]: x for j, x in row.items()}
                 for row in int_kernel_rref(self._functionals(m, cols), len(cols))
             ]
         return basis
@@ -229,25 +224,22 @@ def _unpacked(desc: RingDescriptor, terms: Mapping[int, int]) -> Polynomial:
     return Polynomial(desc, {unpack(k, desc.nvars): Fraction(x) for k, x in terms.items()})
 
 
-def _to_poly(desc: RingDescriptor, cols: list[tuple], row: Mapping[int, int]) -> Polynomial:
-    """The polynomial of an integer {column: nonzero} row over cols."""
-    return Polynomial(desc, {cols[j]: Fraction(x) for j, x in row.items()})
-
-
 def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
     """Integer functionals, as {column: nonzero} rows, on the degree-m
-    monomials whose common kernel is the part of the degree-m piece that
-    satisfies a weight or congruence condition `cond` (parity conditions:
-    `_parity_constraints`)."""
+    packed monomials cols whose common kernel is the part of the degree-m
+    piece that satisfies a weight or congruence condition `cond` (parity
+    conditions: `_parity_constraints`)."""
+    n = desc.nvars
     if isinstance(cond, WeightCondition):
-        target = cond.weight % desc.torsion_order
-        return [{j: 1} for j, mon in enumerate(cols) if desc.monomial_weight(mon) != target]
+        target, weight = cond.weight % desc.torsion_order, desc.monomial_weight
+        return [{j: 1} for j, k in enumerate(cols) if weight(unpack(k, n)) != target]
     if isinstance(cond, CongruenceImageCondition):
-        even_idx = [desc.index(v) for v in cond.even_variables]
+        # The low bit of each listed variable's field is its parity.
+        shifts = [FIELD_BITS * (n - 1 - desc.index(v)) for v in cond.even_variables]
         index = monomial_columns(desc, m)
         # The span holds every monomial even in the listed variables, so its
         # annihilator is zero there: it lives on the other columns, odd.
-        odd = [j for j, mon in enumerate(cols) if any(mon[i] % 2 for i in even_idx)]
+        odd = [j for j, k in enumerate(cols) if any(k >> s & 1 for s in shifts)]
         local = {j: k for k, j in enumerate(odd)}
         span_rows = []
         for f in cond.modulus:
@@ -259,8 +251,14 @@ def _constraints(cond, desc, m, cols) -> list[dict[int, int]]:
             # mult * f is f's cleared integer row shifted to mult + e, all
             # in degree m, whose monomials index packed.
             terms = _packed_terms(_int_terms(f))
+            items = terms.items()
             for mult in monomial_columns(desc, m - dw[0]):
-                row = {local[j]: c for e, c in terms.items() if (j := index[mult + e]) in local}
+                try:
+                    row = {local[j]: c for e, c in items if (j := index[mult + e]) in local}
+                except KeyError:  # past a degree-0 variable's exponent-1 cap
+                    e = next(e for e in terms if mult + e not in index)
+                    exps = tuple(map(add, unpack(mult, n), unpack(e, n)))
+                    raise KeyError(f"a monomial {exps} has no degree-{m} column") from None
                 if row:
                     span_rows.append(row)
         # Over Q, v lies in span(S) exactly when every functional that
@@ -281,7 +279,7 @@ def _parity_constraints(maps, sign: int, cols) -> list[dict[int, int]]:
     sigma1, sigma2 = maps
     images = [(sigma1(mon), sigma2(mon)) for mon in cols]
     mult = lcm(*(d for (_, d1), (_, d2) in images for d in (d1, d2)))
-    rows: dict[tuple, dict[int, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for j, ((t1, d1), (t2, d2)) in enumerate(images):
         phi = {t: c * (mult // d1) for t, c in t1.items()}
         f2 = sign * (mult // d2)
@@ -294,18 +292,18 @@ def _parity_constraints(maps, sign: int, cols) -> list[dict[int, int]]:
 
 
 class _MonomialMap:
-    """Images of monomials under a substitution, as (integer term dict keyed
-    by packed target monomials, denominator), memoised down the first
-    nonzero exponent.  No exponent of the image of mon exceeds the sum of
-    mon[i] * tops[i], tops[i] the largest exponent in variable i's image; a
-    monomial whose bound does not fit a packed field is refused."""
+    """Images of packed monomials under a substitution, as (integer term dict
+    keyed by packed target monomials, denominator), memoised down the first
+    nonzero exponent, the highest nonzero field.  No exponent of the image of
+    mon exceeds the sum of mon[i] * tops[i], tops[i] the largest exponent in
+    variable i's image; a monomial whose bound does not fit a field is refused."""
 
     def __init__(self, images: Mapping[str, Polynomial], desc: RingDescriptor):
         targets = {img.descriptor for img in images.values()}
         if len(targets) > 1:
             raise ValueError("substitution images must share one descriptor")
         self.target = targets.pop() if targets else desc
-        self.names = desc.variables
+        self.names, self.nvars = desc.variables, desc.nvars
         self.images = {}
         for name, img in images.items():
             if not all(is_rational_scalar(c) for c in img.terms.values()):
@@ -317,21 +315,21 @@ class _MonomialMap:
             max((max(e, default=0) for e in images[v].terms), default=0) if v in images else 0
             for v in self.names
         ]
-        self.memo = {(0,) * desc.nvars: ({0: 1}, 1)}
+        self.memo = {0: ({0: 1}, 1)}
 
-    def __call__(self, mon: tuple) -> tuple[dict[int, int], int]:
+    def __call__(self, mon: int) -> tuple[dict[int, int], int]:
         cached = self.memo.get(mon)
         if cached is not None:
             return cached
-        i = next(k for k, e in enumerate(mon) if e)
-        img = self.images.get(self.names[i])
+        n, field = self.nvars, (mon.bit_length() - 1) // FIELD_BITS
+        name = self.names[n - 1 - field]
+        img = self.images.get(name)
         if img is None:
-            raise KeyError(f"missing image for variable(s): {self.names[i]}")
-        if sum(map(mul, mon, self.tops)) >> FIELD_BITS:
-            raise ValueError(f"the image of {mon} may not fit {FIELD_BITS}-bit packed fields")
-        prev = list(mon)
-        prev[i] -= 1
-        terms, denom = self(tuple(prev))
+            raise KeyError(f"missing image for variable(s): {name}")
+        if sum(map(mul, mon.to_bytes(n, "big"), self.tops)) >> FIELD_BITS:
+            exps = unpack(mon, n)
+            raise ValueError(f"the image of {exps} may not fit {FIELD_BITS}-bit packed fields")
+        terms, denom = self(mon - (1 << field * FIELD_BITS))
         value = (_packed_product(terms, img[0]), denom * img[1])
         self.memo[mon] = value
         return value
@@ -503,9 +501,9 @@ class SubringBuilder:
         evaluate = _MonomialMap({name: g for name, (g, _) in zip(names, gens)}, free)
         key = weighted_revlex_key(free, names[::-1])
         relations: list[Polynomial] = []
-        # (degree, [(packed exponents, coefficient)]) of each relation, for
-        # its multiples.
-        relation_terms: list[tuple[int, list[tuple[int, int]]]] = []
+        # (degree, integer term dict keyed by packed monomials) of each
+        # relation, for its multiples.
+        relation_terms: list[tuple[int, dict[int, int]]] = []
         relation_census: dict[int, int] = {}
         hilbert: dict[int, int] = {0: 1}
         # The monomials that no lead of the relations found so far divides,
@@ -519,15 +517,15 @@ class SubringBuilder:
             # are as many, no relation of degree m is new.
             new = []
             if standard.counts(m)[0] != len(span_pivots[m]):
-                free_mons = enumerate_monomials(free, m)
+                free_mons = list(monomial_columns(free, m))
                 new = self._exact_relations(
                     free, m, free_mons, evaluate, span_pivots[m], relation_terms
                 )
-                packed = list(monomial_columns(free, m))
                 for row in new:
-                    relations.append(_to_poly(free, free_mons, row))
-                    relation_terms.append((m, [(packed[j], x) for j, x in row.items()]))
-                standard.add_leads(_interreduced_leads(new, free_mons, key))
+                    terms = {free_mons[j]: x for j, x in row.items()}
+                    relations.append(_unpacked(free, terms))
+                    relation_terms.append((m, terms))
+                standard.add_leads(_interreduced_leads(new, free_mons, free.nvars, key))
             relation_census[m] = len(new)
         warning = None
         if max_degree < 10:
@@ -551,7 +549,7 @@ class SubringBuilder:
         kernel = self._evaluation_kernel(m, free_mons, evaluate, pivots)
         index = monomial_columns(free, m)
         multiples = (
-            {index[mult + e]: c for e, c in terms}
+            {index[mult + e]: c for e, c in terms.items()}
             for dr, terms in relation_terms
             for mult in monomial_columns(free, m - dr)
         )
@@ -693,16 +691,17 @@ def _dense_order(v: Mapping[int, int]) -> list[tuple]:
     return [(1, -c, x) if x > 0 else (-1, c, x) for c, x in v.items()] + [(0,)]
 
 
-def _interreduced_leads(rows: list[dict[int, int]], free_mons: list[tuple], key) -> list[tuple]:
-    """The leading monomials of the echelon form of integer rows over
-    free_mons, the columns taken largest first by key: one per row for
-    independent rows, each the lead of an element of their span."""
-    order = sorted(range(len(free_mons)), key=lambda j: key(free_mons[j]), reverse=True)
+def _interreduced_leads(rows: list[dict[int, int]], free_mons: list[int], nvars, key) -> list:
+    """The leading exponent tuples of the echelon form of integer rows over
+    free_mons, packed in nvars variables, the columns taken largest first by
+    key: one per row for independent rows, each the lead of a span element."""
+    mons = [unpack(k, nvars) for k in free_mons]
+    order = sorted(range(len(mons)), key=lambda j: key(mons[j]), reverse=True)
     rank = {j: pos for pos, j in enumerate(order)}
     echelon = IntRowSpace(len(order))
     for row in rows:
         echelon.add_nonzeros({rank[j]: x for j, x in row.items()})
-    return [free_mons[order[c]] for c in echelon.pivot_columns()]
+    return [mons[order[c]] for c in echelon.pivot_columns()]
 
 
 def _random_combination(basis: list[dict[int, int]], rng: random.Random) -> dict[int, int]:

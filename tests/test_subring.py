@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le
+from operator import add, le, mul
 
 import random
 
@@ -32,12 +32,13 @@ from godeaux.subring import (
     GeneratorListReport,
     SubringBuilder,
     SubstitutionParityCondition,
+    _MonomialMap,
     _constraints,
     _int_terms,
     _interreduced_leads,
     _parity_constraints,
     _relations_by_duality,
-    _to_poly,
+    _unpacked,
 )
 
 ABC = RingDescriptor(("a", "b", "c"), (1, 1, 1), (0, 0, 0))
@@ -87,6 +88,12 @@ def _dense(row, ncols):
 def _kernel(rows, ncols):
     """`int_kernel_basis` of dense rows, its vectors read back dense."""
     return [_dense(v, ncols) for v in int_kernel_basis([_nonzeros(r) for r in rows], ncols)]
+
+
+def _row_poly(desc, cols, row):
+    """The polynomial of an integer {column: value} row over the exponent
+    tuples cols."""
+    return _unpacked(desc, {pack(cols[j]): x for j, x in row.items()})
 
 
 def _rref(rows, ncols):
@@ -386,7 +393,7 @@ def reference_spans(pred, max_degree):
     gens = []
     span_terms = {0: [_int_terms(pred.descriptor.one())]}
     for m in range(1, max_degree + 1):
-        index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+        index = {mon: i for i, mon in enumerate(enumerate_monomials(pred.descriptor, m))}
         rs = IntRowSpace(len(index))
         piece = []
         for g, dg in gens:
@@ -429,7 +436,7 @@ def reference_census(builder, max_degree):
         if not free_mons:
             census[m] = 0
             continue
-        index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+        index = {mon: i for i, mon in enumerate(enumerate_monomials(pred.descriptor, m))}
         matrix = [[0] * len(free_mons) for _ in index]
         for u, mon in enumerate(free_mons):
             for amb, x in evaluate(mon).items():
@@ -445,7 +452,7 @@ def reference_census(builder, max_degree):
         new_count = 0
         for k in sorted(kernel):
             if ideal_rows.add(k):
-                relations.append(_to_poly(free, free_mons, _nonzeros(_primitive(k))))
+                relations.append(_row_poly(free, free_mons, _nonzeros(_primitive(k))))
                 new_count += 1
         census[m] = new_count
     return relations, census, hilbert, ranks
@@ -527,7 +534,7 @@ def test_census_matches_the_full_elimination(case, monkeypatch):
 
 def _span_echelon(pred, m, products):
     """`int_rref` of the degree-m products."""
-    index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+    index = {mon: i for i, mon in enumerate(enumerate_monomials(pred.descriptor, m))}
     return _rref([_row(p, index) for p in products], len(index))
 
 
@@ -620,13 +627,13 @@ def test_sc_spans_to_degree_20_make_few_integer_steps(monkeypatch):
 def test_sc_census_to_degree_30_counts_every_degree_past_10(monkeypatch):
     exact = _exact_degrees(monkeypatch)
     enumerated = []
-    enumerate_free = subring.enumerate_monomials
+    columns = subring.monomial_columns
 
-    def spy(desc, m, *args):
+    def spy(desc, m):
         enumerated.append((desc, m))
-        return enumerate_free(desc, m, *args)
+        return columns(desc, m)
 
-    monkeypatch.setattr(subring, "enumerate_monomials", spy)
+    monkeypatch.setattr(subring, "monomial_columns", spy)
     pres = SubringBuilder(sc_predicate()).presentation(30)
     assert exact == [6, 7, 8, 9, 10]
     assert all(pres.relation_census[m] == 0 for m in range(11, 31))
@@ -689,7 +696,7 @@ def test_standard_count_bounds_the_quotient_dimension(data):
             _nonzeros(_row(_int_terms(r), free_index))
             for r in relations if degree_and_weight(r)[0] == m
         ]
-        leads += _interreduced_leads(rows, free_mons, key)
+        leads += _interreduced_leads(rows, list(monomial_columns(free, m)), free.nvars, key)
 
 
 def _walk_standard(desc, leads, top):
@@ -729,7 +736,7 @@ def test_incremental_standard_counts_match_a_walk_from_scratch(data):
             _nonzeros(_row(_int_terms(r), free_index))
             for r in relations if degree_and_weight(r)[0] == m
         ]
-        new = _interreduced_leads(rows, free_mons, key)
+        new = _interreduced_leads(rows, list(monomial_columns(free, m)), free.nvars, key)
         standard.add_leads(new)
         leads += new
     fresh = StandardMonomials(free, leads)
@@ -845,7 +852,7 @@ def reference_parity(cond, desc, m, cols, basis):
     images = []
     target_index = {}
     for row in basis:
-        p = _to_poly(desc, cols, _nonzeros(row))
+        p = _row_poly(desc, cols, _nonzeros(row))
         val = p.substitute(cond.sigma1) - p.substitute(cond.sigma2).scale(sign)
         for mon in val.terms:
             target_index.setdefault(mon, len(target_index))
@@ -909,7 +916,7 @@ def test_parity_condition_matches_per_row_substitution(data):
         # span(basis) is cut out by its annihilator; add the parity functionals.
         maps = MembershipPredicate(ABC, [cond])._substitutions(0)
         functionals = int_kernel_basis(list(map(_nonzeros, basis)), n)
-        functionals += _parity_constraints(maps, cond.sign(m), cols)
+        functionals += _parity_constraints(maps, cond.sign(m), list(monomial_columns(ABC, m)))
         return [_dense(r, n) for r in int_rref(int_kernel_basis(functionals, n), n)[0]]
 
     # Every degree-m monomial is mapped, so a missing image raises whether or
@@ -1061,7 +1068,7 @@ def _intersect(basis, span_rows, ncols):
 
 
 def reference_subspace_basis(pred, m):
-    cols = pred.ambient_monomials(m)
+    cols = enumerate_monomials(pred.descriptor, m)
     n = len(cols)
     basis = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     for cond in pred.conditions:
@@ -1069,11 +1076,11 @@ def reference_subspace_basis(pred, m):
         if not basis:
             break
     reduced, _ = _rref(basis, n)
-    return [_to_poly(pred.descriptor, cols, _nonzeros(row)) for row in reduced]
+    return [_row_poly(pred.descriptor, cols, _nonzeros(row)) for row in reduced]
 
 
 def reference_dim(pred, m):
-    index = {mon: i for i, mon in enumerate(pred.ambient_monomials(m))}
+    index = {mon: i for i, mon in enumerate(enumerate_monomials(pred.descriptor, m))}
     rs = IntRowSpace(len(index))
     return sum(rs.add(_vector(p, index)) for p in reference_subspace_basis(pred, m))
 
@@ -1085,13 +1092,14 @@ def test_reversed_kernel_matches_two_eliminations(case):
     make, max_degree = CENSUS_CASES[case]
     pred = make()
     for m in range(max_degree + 1):
-        cols = pred.ambient_monomials(m)
+        cols = list(monomial_columns(pred.descriptor, m))
         n = len(cols)
         functionals = pred._functionals(m, cols)
         reduced, _ = _rref(_kernel([_dense(f, n) for f in functionals], n), n)
         assert [_dense(r, n) for r in int_kernel_rref(functionals, n)] == reduced
         assert pred.subspace_basis(m) == [
-            _to_poly(pred.descriptor, cols, _nonzeros(r)) for r in reduced
+            _unpacked(pred.descriptor, {cols[j]: x for j, x in enumerate(r) if x})
+            for r in reduced
         ]
 
 
@@ -1100,8 +1108,8 @@ def test_sc_bases_match_sympy_nullspace(pred):
     # of the kernel of the dense functional matrix, as sympy computes it.
     sympy = pytest.importorskip("sympy")
     for m in range(9):
-        cols = pred.ambient_monomials(m)
-        index = {mon: j for j, mon in enumerate(cols)}
+        cols = list(monomial_columns(pred.descriptor, m))
+        index = {unpack(k, pred.descriptor.nvars): j for j, k in enumerate(cols)}
         functionals = pred._functionals(m, cols)
         matrix = sympy.Matrix(len(functionals), len(cols), lambda i, j: functionals[i].get(j, 0))
         kernel = matrix.nullspace()
@@ -1222,7 +1230,7 @@ def test_packed_membership_matches_the_rank_of_the_dense_span(pred, weighted, m,
     if weighted:
         pred = MembershipPredicate(UXY, [WeightCondition(1)])
     basis = pred.subspace_basis(m)
-    cols = pred.ambient_monomials(m)
+    cols = enumerate_monomials(pred.descriptor, m)
     index = {mon: j for j, mon in enumerate(cols)}
     p = Polynomial(pred.descriptor, {})
     for b in basis:
@@ -1259,10 +1267,20 @@ def reference_congruence_functionals(cond, desc, m, cols):
     return int_kernel_basis(span_rows, len(cols))
 
 
-def _functionals_or_error(functionals, cond, desc, m):
+def _functionals_or_error(functionals, cond, desc, m, cols):
     """Each functional's (column, value) pairs in order, or the error."""
-    cols = enumerate_monomials(desc, m)
     return _outcome(lambda: [list(v.items()) for v in functionals(cond, desc, m, cols)])
+
+
+def _congruence_functionals_or_errors(cond, desc, m):
+    """`_functionals_or_error` of `_constraints` on the packed degree-m
+    monomials, and of the reference on their exponent tuples."""
+    return (
+        _functionals_or_error(_constraints, cond, desc, m, list(monomial_columns(desc, m))),
+        _functionals_or_error(
+            reference_congruence_functionals, cond, desc, m, enumerate_monomials(desc, m)
+        ),
+    )
 
 
 @pytest.mark.parametrize("desc", [ABC, Z3, UXY], ids=["abc", "z3", "uxy"])
@@ -1277,9 +1295,8 @@ def test_congruence_functionals_match_the_annihilator_of_the_whole_span(desc, da
         tuple(data.draw(st.lists(homogeneous_polys(desc), max_size=3))),
     )
     m = data.draw(st.integers(0, 7))
-    assert _functionals_or_error(_constraints, cond, desc, m) == _functionals_or_error(
-        reference_congruence_functionals, cond, desc, m
-    )
+    ours, reference = _congruence_functionals_or_errors(cond, desc, m)
+    assert ours == reference
 
 
 def test_congruence_functionals_match_on_sc_and_without_odd_monomials():
@@ -1293,10 +1310,19 @@ def test_congruence_functionals_match_on_sc_and_without_odd_monomials():
     cases += [(CongruenceImageCondition(("a", "c"), (conic,)), 0)]
     cases += [(CongruenceImageCondition(("a", "c"), ()), m) for m in (1, 4)]
     for cond, m in cases:
-        ours = _functionals_or_error(_constraints, cond, desc, m)
-        assert ours == _functionals_or_error(reference_congruence_functionals, cond, desc, m)
+        ours, reference = _congruence_functionals_or_errors(cond, desc, m)
+        assert ours == reference
         if not cond.even_variables or m == 0:
             assert ours == [], (cond, m)
+
+
+def test_a_congruence_multiple_past_a_degree_0_cap_names_its_monomial():
+    # u has degree 0, so monomials carry it at exponent at most 1: u*x
+    # times the degree-1 multiplier u*x is u^2 x^2, which has no column.
+    u, x = UXY.variable("u"), UXY.variable("x")
+    pred = MembershipPredicate(UXY, [CongruenceImageCondition(("x",), (u * x,))])
+    with pytest.raises(KeyError, match=r"\(2, 2, 0\) has no degree-2 column"):
+        pred.dim(2)
 
 
 def test_basis_rows_lead_at_pivots_that_no_other_row_holds(pred):
@@ -1348,7 +1374,7 @@ def reference_verify_generator_list(builder, claimed, max_degree):
 
 def _reference_product_span(builder, gens, span_terms, m, full=None):
     """`SubringBuilder._product_span` as it was for the oracle above."""
-    index = {mon: i for i, mon in enumerate(builder.pred.ambient_monomials(m))}
+    index = {mon: i for i, mon in enumerate(enumerate_monomials(builder.desc, m))}
     rs = IntRowSpace(len(index))
     piece = []
     for g, dg in gens:
@@ -1426,6 +1452,67 @@ def test_images_that_may_leave_a_packed_field_are_refused():
     assert pred.dim(2) == 1
     with pytest.raises(ValueError, match="packed"):
         pred.dim(3)
+
+
+@st.composite
+def rational_images(draw, desc):
+    """Images of desc's variables: rational polynomials of up to three terms
+    with exponents at most 2, all in ST or all in desc itself."""
+    target = draw(st.sampled_from([ST, desc]))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    exps = st.tuples(*[st.integers(0, 2)] * target.nvars)
+    return {
+        name: Polynomial(target, draw(st.dictionaries(exps, coeff, max_size=3)))
+        for name in desc.variables
+    }
+
+
+def _image_or_error(sigma, mon):
+    """sigma's image of the exponent tuple mon as a polynomial, or the
+    error's type and text."""
+    try:
+        terms, denom = sigma(pack(mon))
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _unpacked(sigma.target, terms).scale(Fraction(1, denom))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(["sc-restriction", "sc-involution", "abc", "uxy"]),
+       fault=st.sampled_from([None, None, "missing", "past-the-field"]), data=st.data())
+def test_monomial_map_matches_polynomial_substitute(case, fault, data):
+    # Every monomial of degree <= 8, in a random order, so that the memo is
+    # filled along every chain.  `fault` drops one image, which must be named
+    # as `substitute` names it, or multiplies one by a power of the target's
+    # first variable, so that some images may not fit a packed field: those
+    # are refused, naming the exponent tuple, and every other image is exact.
+    if case.startswith("sc"):
+        desc = fixtures.sc_descriptor()
+        images = fixtures.sc_restriction() if case == "sc-restriction" else fixtures.sc_involution()
+    else:
+        desc = ABC if case == "abc" else UXY
+        images = data.draw(rational_images(desc))
+    name = data.draw(st.sampled_from(desc.variables))
+    if fault == "missing":
+        del images[name]
+    elif fault == "past-the-field":
+        target = images[name].descriptor
+        power = (data.draw(st.integers(40, 120)),) + (0,) * (target.nvars - 1)
+        images[name] = images[name] * Polynomial(target, {power: Fraction(1)})
+    tops = [max((max(e) for e in images[v].terms), default=0) if v in images else 0
+            for v in desc.variables]
+    mons = [mon for m in range(9) for mon in enumerate_monomials(desc, m)]
+    data.draw(st.randoms()).shuffle(mons)
+    sigma = _MonomialMap(images, desc)
+    for mon in mons:
+        if sum(map(mul, mon, tops)) > 255:
+            expected = ValueError, f"the image of {mon} may not fit 8-bit packed fields"
+        else:
+            try:
+                expected = Polynomial(desc, {mon: Fraction(1)}).substitute(images)
+            except KeyError as exc:
+                expected = KeyError, str(exc)
+        assert _image_or_error(sigma, mon) == expected, mon
 
 
 def test_closure_checks_refuse_a_degree_past_the_packed_fields(builder):
